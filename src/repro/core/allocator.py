@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from ..ssd.config import SSDConfig
-from ..ssd.fastmodel import fast_simulate
+from ..ssd.fastmodel import fast_sweep
 from ..ssd.request import IORequest
 from .features import FeatureVector
 from .hybrid import PagePolicy, page_modes_for
@@ -149,8 +149,8 @@ def verified_allocate(
 ) -> Strategy:
     """Pick among the network's top-k strategies by replaying the window.
 
-    Each candidate's channel sets are evaluated with the vectorised fast
-    model on the requests actually observed during the collection window;
+    The candidates' channel sets are evaluated in one vectorised fast-model
+    sweep over the requests actually observed during the collection window;
     the strategy with the lowest mean-read + mean-write latency wins.  The
     decision (with the verified winner) is appended to the allocator's log.
     """
@@ -158,12 +158,16 @@ def verified_allocate(
         return allocator.allocate(features)
     candidates = allocator.top_k(features, top_k)
     write_dominated = features.write_dominated()
-    page_modes = page_modes_for(page_policy, features)
+    results = fast_sweep(
+        window,
+        config,
+        (s.channel_sets(config.channels, write_dominated) for s in candidates),
+        page_modes_for(page_policy, features),
+        faults=faults,
+    )
     best: Strategy | None = None
     best_cost = float("inf")
-    for strategy in candidates:
-        sets = strategy.channel_sets(config.channels, write_dominated)
-        result = fast_simulate(list(window), config, sets, page_modes, faults=faults)
+    for strategy, result in zip(candidates, results):
         cost = result.write.mean_us + result.read.mean_us
         if cost < best_cost:
             best_cost = cost

@@ -17,7 +17,7 @@ import zlib
 import numpy as np
 
 from ..ssd.config import SSDConfig
-from ..ssd.fastmodel import fast_simulate
+from ..ssd.fastmodel import fast_sweep
 from ..ssd.metrics import SimulationResult
 from ..ssd.simulator import simulate
 from ..workloads.mixer import MixedWorkload, synthesize_mix
@@ -40,8 +40,14 @@ __all__ = [
     "generate_dataset",
 ]
 
-#: engine name -> simulate callable
-_ENGINES: dict[str, Callable] = {"fast": fast_simulate, "event": simulate}
+
+def _event_sweep(requests, config, strategy_sets, page_modes):
+    """One event-driven simulation per channel-set mapping."""
+    return [simulate(requests, config, sets, page_modes) for sets in strategy_sets]
+
+
+#: engine name -> sweep callable (requests, config, strategy sets, page modes)
+_ENGINES: dict[str, Callable] = {"fast": fast_sweep, "event": _event_sweep}
 
 
 @dataclass(frozen=True)
@@ -187,15 +193,13 @@ def sweep_strategies(
     space: StrategySpace,
     config: LabelerConfig,
 ) -> list[SimulationResult]:
-    """Simulate ``mixed`` under every strategy in ``space``."""
-    engine = _ENGINES[config.engine]
+    """Simulate ``mixed`` under every strategy in ``space``, in its order."""
     write_dominated = features.write_dominated()
+    strategy_sets = (
+        strategy.channel_sets(space.n_channels, write_dominated) for strategy in space
+    )
     page_modes = page_modes_for(config.page_policy, features)
-    results = []
-    for strategy in space:
-        channel_sets = strategy.channel_sets(space.n_channels, write_dominated)
-        results.append(engine(mixed.requests, config.ssd, channel_sets, page_modes))
-    return results
+    return _ENGINES[config.engine](mixed.requests, config.ssd, strategy_sets, page_modes)
 
 
 def objective_us(result: SimulationResult, objective: str) -> float:

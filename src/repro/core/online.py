@@ -36,7 +36,7 @@ import numpy as np
 
 from ..nn.training import Trainer
 from ..ssd.config import SSDConfig
-from ..ssd.fastmodel import fast_simulate
+from ..ssd.fastmodel import fast_simulate, fast_sweep
 from ..ssd.request import IORequest
 from .allocator import ChannelAllocator
 from .features import FeatureVector
@@ -225,11 +225,14 @@ class RetrainGovernor:
         if window.label is not None:
             return window.label
         write_dominated = window.features.write_dominated()
-        page_modes = page_modes_for(self.page_policy, window.features)
-        costs = []
-        for strategy in space:
-            sets = strategy.channel_sets(space.n_channels, write_dominated)
-            costs.append(self._window_cost_us(window, sets, page_modes))
+        results = fast_sweep(
+            window.requests,
+            self.config,
+            (s.channel_sets(space.n_channels, write_dominated) for s in space),
+            page_modes_for(self.page_policy, window.features),
+            faults=self.faults,
+        )
+        costs = [r.read.mean_us + r.write.mean_us for r in results]
         window.label = pick_label(costs, self.retrain.tie_epsilon)
         return window.label
 

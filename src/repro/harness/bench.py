@@ -706,7 +706,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--no-write",
         action="store_true",
-        help="skip writing the BENCH_*.json file",
+        help="skip writing the BENCH_*.json file and the forensics bundle",
     )
     parser.add_argument(
         "--baseline",
@@ -853,12 +853,13 @@ def main(argv: list[str] | None = None) -> int:
             )
             for reg in regressions:
                 print(f"  {reg.describe()}", file=sys.stderr)
-            forensics = _write_forensics(
-                baseline, doc, args.baseline, args.out,
-                wall_tolerance_pct=args.max_regression,
-            )
-            if forensics is not None:
-                print(f"forensics bundle: {forensics}", file=sys.stderr)
+            if not args.no_write:
+                forensics = _write_forensics(
+                    baseline, doc, args.baseline, args.out,
+                    wall_tolerance_pct=args.max_regression,
+                )
+                if forensics is not None:
+                    print(f"forensics bundle: {forensics}", file=sys.stderr)
             return 1
         print(
             f"baseline check passed (threshold {args.max_regression:g}%, "

@@ -4,8 +4,8 @@ Public surface:
 
 * :class:`SSDConfig` — device geometry and timing (Table I defaults);
 * :class:`SSDSimulator` / :func:`simulate` — exact event-driven simulation;
-* :class:`FastLatencyModel` / :func:`fast_simulate` — vectorised
-  approximation for bulk strategy sweeps;
+* :class:`FastLatencyModel` / :func:`fast_simulate` / :func:`fast_sweep` —
+  vectorised approximation for bulk strategy sweeps;
 * :class:`IORequest` / :class:`OpType` — the trace record consumed by both;
 * :class:`SimulationResult` — latency summary both engines return;
 * :class:`PageAllocMode` — static vs dynamic page allocation per tenant.
@@ -15,7 +15,7 @@ from .buffer import AccessResult, BufferConfig, BufferStats, WriteBuffer
 from .config import GiB, KiB, MiB, SSDConfig
 from .controller import FTLController
 from .engine import ComposedLoop, EventLoop
-from .fastmodel import FastLatencyModel, fast_simulate
+from .fastmodel import FastLatencyModel, fast_simulate, fast_sweep
 from .faults import FaultConfig, FaultExpectation, FaultInjector
 from .fleet import Fleet, FleetResult, MigrationPlan, MigrationRecord, seeded_placement
 from .ftl import PageAllocMode
@@ -58,5 +58,6 @@ __all__ = [
     "seeded_placement",
     "FastLatencyModel",
     "fast_simulate",
+    "fast_sweep",
     "PageAllocMode",
 ]

@@ -21,11 +21,26 @@ strategy-*ranking* agreement against the DES in
 * dynamic page allocation approximated by write-sequence striping over the
   tenant's planes (captures the load spreading, not the instantaneous-load
   adaptivity).
+
+Sweeps (:func:`fast_sweep`) prepare the trace once -- sort, request and
+sub-request arrays, ``reduceat`` starts -- and simulate it *per tenant
+group*: tenants whose channel sets overlap (transitively) form a group, and
+no other group touches the dies and channels of its channel union.  Every
+resource is a fresh timeline that sees only its own group's bookings, in
+trace order, so a group's page end times depend only on its tenants, their
+channel sets relabelled to ranks within the union (an order-preserving
+relabelling maps resources one-to-one and keeps each resource's booking
+sequence), their page modes and the service times -- never on which
+channel ids the strategy hands out.  The prepared trace memoises each
+group's end times under that key and every strategy stitches its groups'
+end times together, so the 42 strategies of the four-tenant space cost
+about 33 group passes (roughly 12 traces' worth of bookings), and the
+results equal a single pass of every sub-request over shared timelines.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -37,7 +52,10 @@ from .metrics import LatencyAccumulator, SimulationResult, build_result
 from .request import IORequest, OpType
 from .timing import ServiceTimes
 
-__all__ = ["FastLatencyModel", "fast_simulate"]
+__all__ = ["FastLatencyModel", "fast_simulate", "fast_sweep"]
+
+#: one tenant of a group: (workload id, channel ranks, page mode)
+_GroupTenant = tuple[int, tuple[int, ...], PageAllocMode]
 
 
 class FastLatencyModel:
@@ -77,7 +95,7 @@ class FastLatencyModel:
         self._planes_per_channel = self._dies_per_channel * c.planes_per_die
 
     # ------------------------------------------------------------------
-    def _static_planes(self, lpns: np.ndarray, channels: list[int]) -> np.ndarray:
+    def _static_planes(self, lpns: np.ndarray, channels: Sequence[int]) -> np.ndarray:
         """Vectorised static striping: LPN -> flat plane index."""
         chans = np.asarray(channels, dtype=np.int64)
         n = len(chans)
@@ -96,7 +114,7 @@ class FastLatencyModel:
             + plane
         )
 
-    def _sequence_planes(self, count: int, channels: list[int]) -> np.ndarray:
+    def _sequence_planes(self, count: int, channels: Sequence[int]) -> np.ndarray:
         """Write-sequence striping over a tenant's planes (dynamic stand-in).
 
         Planes are interleaved channel-first so consecutive writes hit
@@ -110,10 +128,17 @@ class FastLatencyModel:
         return planes[np.arange(count, dtype=np.int64) % len(planes)]
 
     # ------------------------------------------------------------------
-    def run(self, requests: Iterable[IORequest]) -> SimulationResult:
-        """Approximately simulate ``requests``; same result type as the DES."""
-        ordered = sorted(requests, key=lambda r: r.arrival_us)
-        n_req = len(ordered)
+    def run(self, requests: Iterable[IORequest] | _PreparedTrace) -> SimulationResult:
+        """Approximately simulate ``requests``; same result type as the DES.
+
+        ``requests`` may be a sweep's :class:`_PreparedTrace`, whose memo
+        then supplies the end times of tenant groups an earlier strategy of
+        the sweep already simulated.
+        """
+        trace = (
+            requests if isinstance(requests, _PreparedTrace) else _PreparedTrace(requests)
+        )
+        n_req = trace.n_req
         if n_req == 0:
             return build_result(
                 LatencyAccumulator(self.record_latencies),
@@ -121,61 +146,26 @@ class FastLatencyModel:
                 requests=0,
                 subrequests=0,
             )
-
-        lengths = np.array([r.length for r in ordered], dtype=np.int64)
-        req_arrival_us = np.array([r.arrival_us for r in ordered])
-        req_op = np.array([int(r.op) for r in ordered], dtype=np.int8)
-        req_wid = np.array([r.workload_id for r in ordered], dtype=np.int64)
-        req_lpn = np.array([r.lpn for r in ordered], dtype=np.int64)
-
-        # Expand to sub-requests.
-        total = int(lengths.sum())
-        req_index = np.repeat(np.arange(n_req), lengths)
-        offsets = np.arange(total, dtype=np.int64) - np.repeat(
-            np.cumsum(lengths) - lengths, lengths
-        )
-        sub_lpn = req_lpn[req_index] + offsets
-        sub_arrival_us = req_arrival_us[req_index]
-        sub_op = req_op[req_index]
-        sub_wid = req_wid[req_index]
-
-        # Placement: plane index per sub-request.
-        plane_idx = np.empty(total, dtype=np.int64)
-        for wid, channels in self.channel_sets.items():
-            mask = sub_wid == wid
-            if not mask.any():
-                continue
-            is_write = mask & (sub_op == int(OpType.WRITE))
-            is_read = mask & (sub_op == int(OpType.READ))
-            if is_read.any():
-                plane_idx[is_read] = self._static_planes(sub_lpn[is_read], channels)
-            if is_write.any():
-                if self.page_modes[wid] is PageAllocMode.STATIC:
-                    plane_idx[is_write] = self._static_planes(
-                        sub_lpn[is_write], channels
-                    )
-                else:
-                    plane_idx[is_write] = self._sequence_planes(
-                        int(is_write.sum()), channels
-                    )
-        unknown = set(np.unique(sub_wid)) - set(self.channel_sets)
+        unknown = trace.workload_ids - set(self.channel_sets)
         if unknown:
             raise KeyError(f"unknown workload ids in trace: {sorted(unknown)}")
 
-        die_idx = plane_idx // self.config.planes_per_die
-        chan_idx = plane_idx // self._planes_per_channel
-
-        ends_us = self._timeline_us(sub_arrival_us, sub_op, die_idx, chan_idx)
+        ends_us = np.empty(trace.total)
+        for group in self._groups(trace.workload_ids):
+            hit = trace.memo.get(group)
+            if hit is None:
+                hit = trace.memo[group] = self._group_ends(trace, group)
+            positions, group_ends_us = hit
+            ends_us[positions] = group_ends_us
 
         # Request latency = slowest page.
-        starts = np.cumsum(lengths) - lengths
-        req_end_us = np.maximum.reduceat(ends_us, starts)
-        latencies_us = req_end_us - req_arrival_us
+        req_end_us = np.maximum.reduceat(ends_us, trace.starts)
+        latencies_us = req_end_us - trace.req_arrival_us
 
         acc = LatencyAccumulator(record_latencies=self.record_latencies)
         for wid in sorted(self.channel_sets):
             for op in (OpType.READ, OpType.WRITE):
-                mask = (req_wid == wid) & (req_op == int(op))
+                mask = (trace.req_wid == wid) & (trace.req_op == int(op))
                 if not mask.any():
                     continue
                 acc.set_stats(wid, op, _bulk_stats(latencies_us[mask], self.record_latencies))
@@ -184,29 +174,87 @@ class FastLatencyModel:
             acc,
             makespan_us=float(req_end_us.max()),
             requests=n_req,
-            subrequests=total,
+            subrequests=trace.total,
         )
         if self.obs is not None:
             reg = self.obs.registry
             reg.counter("fastmodel.requests").inc(n_req)
-            reg.counter("fastmodel.subrequests").inc(total)
+            reg.counter("fastmodel.subrequests").inc(trace.total)
             reg.gauge("fastmodel.makespan_us").set(result.makespan_us)
             for op, name in (
                 (OpType.READ, "fastmodel.read_latency_us"),
                 (OpType.WRITE, "fastmodel.write_latency_us"),
             ):
-                mask = req_op == int(op)
+                mask = trace.req_op == int(op)
                 if mask.any():
                     reg.histogram(name).observe_many(latencies_us[mask].tolist())
         return result
 
     # ------------------------------------------------------------------
+    def _groups(self, workload_ids: set[int]) -> Iterator[tuple[_GroupTenant, ...]]:
+        """The trace's tenants grouped by (transitively) overlapping channels.
+
+        Each group is its tenants in id order, every one with its channel
+        set relabelled to ranks within the group's channel union.
+        """
+        groups: list[tuple[list[int], set[int]]] = []
+        for wid in sorted(workload_ids):
+            members, union = [wid], set(self.channel_sets[wid])
+            for other in [g for g in groups if g[1] & union]:
+                groups.remove(other)
+                members += other[0]
+                union |= other[1]
+            groups.append((members, union))
+        for members, union in groups:
+            rank = {ch: r for r, ch in enumerate(sorted(union))}
+            yield tuple(
+                (wid, tuple(rank[ch] for ch in self.channel_sets[wid]), self.page_modes[wid])
+                for wid in sorted(members)
+            )
+
+    def _group_ends(
+        self, trace: _PreparedTrace, group: tuple[_GroupTenant, ...]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Positions and end times of one group's sub-requests, on its own."""
+        in_group = trace.sub_wid == group[0][0]
+        for wid, _, _ in group[1:]:
+            in_group |= trace.sub_wid == wid
+        positions = np.flatnonzero(in_group)
+        sub_wid = trace.sub_wid[positions]
+        sub_op = trace.sub_op[positions]
+        sub_lpn = trace.sub_lpn[positions]
+        is_write_op = sub_op == int(OpType.WRITE)
+
+        # Placement: plane index per sub-request, on the relabelled channels.
+        plane_idx = np.empty(len(positions), dtype=np.int64)
+        for wid, channels, mode in group:
+            mask = sub_wid == wid
+            is_write = mask & is_write_op
+            is_read = mask & ~is_write_op
+            if is_read.any():
+                plane_idx[is_read] = self._static_planes(sub_lpn[is_read], channels)
+            if not is_write.any():
+                continue
+            if mode is PageAllocMode.STATIC:
+                plane_idx[is_write] = self._static_planes(sub_lpn[is_write], channels)
+            else:
+                plane_idx[is_write] = self._sequence_planes(int(is_write.sum()), channels)
+
+        die_idx = plane_idx // self.config.planes_per_die
+        chan_idx = plane_idx // self._planes_per_channel
+        n_channels = 1 + max(max(channels) for _, channels, _ in group)
+        ends_us = self._timeline_us(
+            trace.sub_arrival_us[positions], sub_op, die_idx, chan_idx, n_channels
+        )
+        return positions, ends_us
+
     def _timeline_us(
         self,
         arrival: np.ndarray,
         op: np.ndarray,
         die_idx: np.ndarray,
         chan_idx: np.ndarray,
+        n_channels: int,
     ) -> np.ndarray:
         """Sequential resource-timeline pass; returns per-sub-request end.
 
@@ -216,7 +264,7 @@ class FastLatencyModel:
         at its die-end, after later-arriving writes already claimed the
         tail), it backfills that window — matching the work-conserving
         behaviour of the event-driven engine instead of cascading phantom
-        queueing.
+        queueing.  The pass covers channels ``0 .. n_channels - 1``.
         """
         t = self.times
         read_die = t.read_die_us
@@ -226,8 +274,8 @@ class FastLatencyModel:
         if self.fault_expectation is not None:
             read_die *= self.fault_expectation.read_die_multiplier
             write_die *= self.fault_expectation.write_die_multiplier
-        dies = [_GapTimeline() for _ in range(self.config.dies)]
-        chans = [_GapTimeline() for _ in range(self.config.channels)]
+        dies = [_GapTimeline() for _ in range(n_channels * self._dies_per_channel)]
+        chans = [_GapTimeline() for _ in range(n_channels)]
         ends_us = np.empty(len(arrival))
         arrival_l = arrival.tolist()
         op_l = op.tolist()
@@ -246,6 +294,37 @@ class FastLatencyModel:
                 e = chan.place(de, read_bus)
             ends_us[i] = e
         return ends_us
+
+
+class _PreparedTrace:
+    """A trace sorted and expanded to sub-requests once, for a whole sweep.
+
+    Also holds the sweep's memo: group key -> (sub-request positions, end
+    times), filled by :meth:`FastLatencyModel.run`.  The key leaves out the
+    device configuration and fault model, so every model that runs one
+    prepared trace must share them, as the models of one sweep do.
+    """
+
+    def __init__(self, requests: Iterable[IORequest]) -> None:
+        ordered = sorted(requests, key=lambda r: r.arrival_us)
+        self.n_req = n_req = len(ordered)
+        lengths = np.array([r.length for r in ordered], dtype=np.int64)
+        self.req_arrival_us = np.array([r.arrival_us for r in ordered])
+        self.req_op = np.array([int(r.op) for r in ordered], dtype=np.int8)
+        self.req_wid = np.array([r.workload_id for r in ordered], dtype=np.int64)
+        req_lpn = np.array([r.lpn for r in ordered], dtype=np.int64)
+
+        # Expand to sub-requests.
+        self.total = total = int(lengths.sum())
+        self.starts = np.cumsum(lengths) - lengths
+        req_index = np.repeat(np.arange(n_req), lengths)
+        offsets = np.arange(total, dtype=np.int64) - np.repeat(self.starts, lengths)
+        self.sub_lpn = req_lpn[req_index] + offsets
+        self.sub_arrival_us = self.req_arrival_us[req_index]
+        self.sub_op = self.req_op[req_index]
+        self.sub_wid = self.req_wid[req_index]
+        self.workload_ids: set[int] = set(np.unique(self.sub_wid).tolist())
+        self.memo: dict = {}
 
 
 class _GapTimeline:
@@ -320,6 +399,34 @@ def _bulk_stats(latencies_us: np.ndarray, record: bool):
     return stats
 
 
+def fast_sweep(
+    requests: Iterable[IORequest],
+    config: SSDConfig,
+    strategy_sets: Iterable[Mapping[int, Sequence[int]]],
+    page_modes: Mapping[int, PageAllocMode] | None = None,
+    *,
+    faults: FaultConfig | None = None,
+    record_latencies: bool = False,
+    obs=None,
+) -> list[SimulationResult]:
+    """Simulate ``requests`` under each channel-set mapping of ``strategy_sets``.
+
+    The trace is prepared once and each tenant group is simulated once per
+    distinct key (see the module docstring); every strategy still gets its
+    own :meth:`FastLatencyModel.run` on the full trace, with results equal
+    to separate :func:`fast_simulate` calls.  ``strategy_sets`` is consumed
+    lazily, one strategy simulated before the next is drawn.
+    """
+    trace = _PreparedTrace(requests)
+    return [
+        FastLatencyModel(
+            config, sets, page_modes, record_latencies=record_latencies,
+            obs=obs, faults=faults,
+        ).run(trace)
+        for sets in strategy_sets
+    ]
+
+
 def fast_simulate(
     requests: Iterable[IORequest],
     config: SSDConfig,
@@ -330,9 +437,9 @@ def fast_simulate(
     obs=None,
     faults: FaultConfig | None = None,
 ) -> SimulationResult:
-    """One-shot convenience wrapper around :class:`FastLatencyModel`."""
-    model = FastLatencyModel(
-        config, channel_sets, page_modes, record_latencies=record_latencies,
-        obs=obs, faults=faults,
+    """One-strategy :func:`fast_sweep`."""
+    [result] = fast_sweep(
+        requests, config, [channel_sets], page_modes,
+        faults=faults, record_latencies=record_latencies, obs=obs,
     )
-    return model.run(requests)
+    return result

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+import subprocess
+
 from hypothesis import HealthCheck, settings
 import numpy as np
 import pytest
@@ -16,6 +19,39 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("repro")
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _git_status() -> str | None:
+    """``git status --porcelain`` of the checkout; ``None`` outside git."""
+    try:
+        proc = subprocess.run(
+            ["git", "status", "--porcelain"],
+            cwd=ROOT, capture_output=True, text=True, timeout=60,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return proc.stdout if proc.returncode == 0 else None
+
+
+@pytest.fixture(scope="session", autouse=True)
+def checkout_left_unchanged():
+    """Fail the session if the tests changed the checkout's git status.
+
+    Tests write only under their temp dirs; a tracked file modified or an
+    untracked file left behind shows up here.  Outside a git checkout the
+    guard does nothing.
+    """
+    before = _git_status()
+    yield
+    if before is None:
+        return
+    after = _git_status()
+    assert after == before, (
+        "the test session changed the checkout:\n"
+        f"before:\n{before}after:\n{after}"
+    )
 
 
 @pytest.fixture

@@ -217,14 +217,19 @@ class TestCli:
         doc = json.loads(baseline_path.read_text())
         doc["scenarios"]["mix2_shared"]["metrics"]["sim_mean_read_us"] /= 10.0
         baseline_path.write_text(json.dumps(doc))
+        out_dir = tmp_path / "out"
         code, _, err = self.run_main(
             ["--quick", "--scenario", "mix2_shared", "--no-write",
+             "--out", str(out_dir),
              "--baseline", str(baseline_path), "--max-regression", "500"],
             capsys,
         )
         assert code == 1
         assert "REGRESSION" in err
         assert "sim_mean_read_us" in err
+        # --no-write covers the forensics bundle too
+        assert "forensics bundle" not in err
+        assert not out_dir.exists()
 
     def test_regression_emits_forensics_bundle(self, tmp_path, capsys):
         from repro.obs.diff import load_diff
@@ -239,7 +244,7 @@ class TestCli:
         doc["scenarios"]["mix2_shared"]["metrics"]["sim_mean_read_us"] /= 10.0
         baseline_path.write_text(json.dumps(doc))
         code, _, err = self.run_main(
-            ["--quick", "--scenario", "mix2_shared", "--no-write",
+            ["--quick", "--scenario", "mix2_shared",
              "--out", str(tmp_path), "--baseline", str(baseline_path),
              "--max-regression", "500"],
             capsys,
