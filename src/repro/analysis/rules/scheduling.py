@@ -5,7 +5,8 @@ passing a duration: ``loop.schedule(transfer_us, cb)`` schedules the
 callback near time zero instead of ``now + transfer_us``, silently
 compressing the timeline.  R004 requires every ``when`` expression
 passed to a ``schedule`` call on a loop-like receiver (terminal name
-``loop`` / ``_loop`` / ``event_loop``) to contain an *absolute-time
+``loop`` / ``_loop`` / ``event_loop``) — and the times of a
+``schedule_sorted(whens_us, ...)`` batch — to contain an *absolute-time
 anchor term*:
 
 * the clock itself — ``now`` / ``self.loop.now`` / ``loop.now``;
@@ -42,8 +43,12 @@ _ANCHOR_NAMES = frozenset(
 )
 
 
+#: loop methods whose first argument is an absolute time (or batch of them)
+_SCHEDULE_METHODS = frozenset({"schedule", "schedule_sorted"})
+
+
 def _is_loop_receiver(func: ast.expr) -> bool:
-    if not (isinstance(func, ast.Attribute) and func.attr == "schedule"):
+    if not (isinstance(func, ast.Attribute) and func.attr in _SCHEDULE_METHODS):
         return False
     receiver = func.value
     if isinstance(receiver, ast.Name):

@@ -15,6 +15,10 @@ pending and are dropped once only samplers remain, so an armed sink never
 extends the run's makespan — a telemetry-on run is byte-identical to a
 telemetry-off run.  A final :meth:`flush` closes the partial tail window
 after the loop drains.
+
+A window's ``events`` field is the number of heap events the loop
+dispatched in it (:attr:`repro.ssd.engine.EventLoop.events_processed`):
+host work, not a simulated quantity.
 """
 
 from __future__ import annotations

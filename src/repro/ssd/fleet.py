@@ -204,15 +204,12 @@ class Fleet:
 
         return hook
 
-    def _forward(self, tenant: int, req: IORequest):
-        def forward() -> None:
-            dev = self.placement[tenant]
-            sim = self.sims[dev]
-            # bounce: advance the device clock to the arrival time with a
-            # device-loop event, then submit at that instant
-            sim.loop.schedule(req.arrival_us, lambda: sim.submit(req))  # repro-lint: disable=R004 (trace arrivals are absolute times)
-
-        return forward
+    def _forward(self, arrival: tuple[int, IORequest]) -> None:
+        tenant, req = arrival
+        sim = self.sims[self.placement[tenant]]
+        # bounce: advance the device clock to the arrival time with a
+        # device-loop event, then submit at that instant
+        sim.loop.schedule(req.arrival_us, lambda: sim.submit(req))  # repro-lint: disable=R004 (trace arrivals are absolute times)
 
     def migrate(self, tenant: int, dst: int) -> MigrationRecord:
         """Move ``tenant`` to device ``dst`` *now* (at control-loop time).
@@ -272,11 +269,16 @@ class Fleet:
                 plan.time_us,
                 lambda p=plan: self.migrate(p.tenant, p.dst),
             )
-        for tenant in sorted(self._traces):
-            for req in self._traces[tenant]:
-                self.control.schedule(
-                    req.arrival_us, self._forward(tenant, req)
-                )  # repro-lint: disable=R004 (trace arrivals are absolute times)
+        # one stable sort keeps tenant-major order among equal arrival
+        # times: the order scheduling tenant by tenant would give
+        arrivals = sorted(
+            ((tenant, req) for tenant in sorted(self._traces)
+             for req in self._traces[tenant]),
+            key=lambda arrival: arrival[1].arrival_us,
+        )
+        self.control.schedule_sorted(
+            [req.arrival_us for _, req in arrivals], self._forward, arrivals
+        )
         for sim in self.sims:
             sim.arm_observers()
         self.composed.run()

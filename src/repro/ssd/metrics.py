@@ -156,7 +156,9 @@ class SimulationResult:
     #: sum of time sub-requests spent waiting for dies / channel buses
     die_wait_us: float = 0.0
     channel_wait_us: float = 0.0
-    #: DES events processed (0 for the fast model)
+    #: heap events the event loop dispatched (0 for the fast model): one
+    #: per resource hold, one per arrival, plus other callbacks.  A host
+    #: work counter, not a simulated value.
     events: int = 0
     extras: dict = field(default_factory=dict)
     #: per-phase latency attribution summary, present only when the run was

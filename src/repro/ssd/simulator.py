@@ -232,7 +232,27 @@ class SSDSimulator:
         through a device-loop event); trace-driven solo runs should use
         :meth:`run`, which schedules arrivals itself.
         """
-        self._make_submit(req)()
+        if self.on_submit is not None:
+            self.on_submit(req)
+        tr = self._trace
+        if tr is not None:
+            tr.emit(
+                self.loop.now, "request_submit", f"w{req.workload_id}",
+                "host", args={
+                    "op": req.op.name, "lpn": req.lpn, "len": req.length,
+                },
+            )
+        key = self._next_req_key
+        self._next_req_key += 1
+        flight = _InFlight(req)
+        self._inflight[key] = flight
+        for lpn in req.lpns():
+            if self.buffer is not None and self._via_buffer(key, req, lpn):
+                continue
+            if req.op is OpType.READ:
+                self._issue_read(key, req.workload_id, lpn)
+            else:
+                self._issue_write(key, req.workload_id, lpn)
 
     def arm_observers(self) -> None:
         """Attach the profiler/telemetry samplers to this device's loop.
@@ -261,9 +281,9 @@ class SSDSimulator:
         fleet composition.
         """
         ordered = sorted(requests, key=lambda r: r.arrival_us)
-        for req in ordered:
-            # trace arrival timestamps are absolute simulated times
-            self.loop.schedule(req.arrival_us, self._make_submit(req))  # repro-lint: disable=R004 (trace arrivals are absolute times)
+        arrivals_us = [req.arrival_us for req in ordered]
+        # fed to the heap one arrival at a time (see EventLoop.schedule_sorted)
+        self.loop.schedule_sorted(arrivals_us, self.submit, ordered)  # repro-lint: disable=R004 (trace arrivals are absolute times)
         if ordered:
             self.arm_observers()
         return len(ordered)
@@ -370,33 +390,6 @@ class SSDSimulator:
                 reg.gauge(f"attr.{phase}").set(total_us)
 
     # ------------------------------------------------------------------
-    def _make_submit(self, req: IORequest):
-        def submit() -> None:
-            if self.on_submit is not None:
-                self.on_submit(req)
-            tr = self._trace
-            if tr is not None:
-                tr.emit(
-                    self.loop.now, "request_submit", f"w{req.workload_id}",
-                    "host", args={
-                        "op": req.op.name, "lpn": req.lpn, "len": req.length,
-                    },
-                )
-            key = self._next_req_key
-            self._next_req_key += 1
-            flight = _InFlight(req)
-            self._inflight[key] = flight
-            for lpn in req.lpns():
-                if self.buffer is not None and self._via_buffer(key, req, lpn):
-                    continue
-                if req.op is OpType.READ:
-                    self._issue_read(key, req.workload_id, lpn)
-                else:
-                    self._issue_write(key, req.workload_id, lpn)
-
-        return submit
-
-    # ------------------------------------------------------------------
     def _via_buffer(self, key: int, req: IORequest, lpn: int) -> bool:
         """Route one page through the DRAM buffer.
 
@@ -436,22 +429,18 @@ class SSDSimulator:
         if gc_items:
             self._charge_gc(gc_items)
 
-        def bus_granted(start: float) -> None:
-            done = start + t.write_bus_us
+        def to_die() -> None:
+            die.acquire((PRIO_WRITE, self.loop.now), t.write_die_us, None)
 
-            def to_die() -> None:
-                die.acquire(
-                    (PRIO_WRITE, self.loop.now), t.write_die_us, lambda _s: None
-                )
-
-            self.loop.schedule(done, to_die)
-
-        bus.acquire((PRIO_WRITE, self.loop.now), t.write_bus_us, bus_granted)
+        bus.acquire((PRIO_WRITE, self.loop.now), t.write_bus_us, None, to_die)
 
     def _issue_read(self, key: int, wid: int, lpn: int) -> None:
         ppn = self.controller.resolve_read(wid, lpn)
-        die = self._die_of_ppn(ppn)
-        bus = self._channel_of_ppn(ppn)
+        geom = self.controller.geometry
+        plane_index = geom.plane_index(ppn)
+        channel = geom.channel_of(ppn)
+        die = self.dies[plane_index // self._planes_per_die]
+        bus = self.channels[channel]
         t = self.times
         if self._trace is not None:
             self._dispatch_event(wid, lpn, ppn, "read", die, bus)
@@ -461,18 +450,12 @@ class SSDSimulator:
         span = None
         attribution = self._attribution
         if attribution is not None:
-            geom = self.controller.geometry
-            span = attribution.span(
-                geom.channel_of(ppn),
-                geom.plane_index(ppn) // self._planes_per_die,
-            )
+            span = attribution.span(channel, plane_index // self._planes_per_die)
         unrecoverable = False
         if self.faults is not None:
-            geom = self.controller.geometry
-            plane = self.controller.state.planes[geom.plane_index(ppn)]
-            block = plane.block_of(ppn)
+            plane = self.controller.state.planes[plane_index]
             outcome = self.faults.read_outcome(
-                geom.channel_of(ppn), plane.erase_count[block]
+                channel, plane.erase_count[plane.block_of(ppn)]
             )
             if outcome.retries:
                 # Each ECC retry re-senses the array: the die stays busy for
@@ -486,36 +469,32 @@ class SSDSimulator:
                     )
             unrecoverable = outcome.unrecoverable
 
-        def die_granted(start: float) -> None:
-            done = start + die_us
-            if span is not None:
-                span.die_granted(start, die)
-                span.die_us = t.read_die_us
-                span.ecc_retry_us = die_us - t.read_die_us
+        def after_die() -> None:
             if unrecoverable:
                 # ECC exhausted: the die time was spent but no data moves
                 # over the bus — the request surfaces as a failed read.
-                self.loop.schedule(done, lambda: self._complete_page(key, failed=True))
+                self._complete_page(key, failed=True)
                 return
-
-            def to_bus() -> None:
-                if span is not None:
-                    span.bus_enqueued(self.loop.now)
-                bus.acquire((prio, self.loop.now), t.read_bus_us, bus_granted)
-
-            self.loop.schedule(done, to_bus)
-
-        def bus_granted(start: float) -> None:
             if span is not None:
-                span.bus_granted(start)
-                span.bus_us = t.read_bus_us
-            self.loop.schedule(
-                start + t.read_bus_us, lambda: self._complete_page(key, span=span)
+                span.bus_enqueued(self.loop.now)
+            bus.acquire(
+                (prio, self.loop.now), t.read_bus_us, bus_granted,
+                lambda: self._complete_page(key, span=span),
             )
 
+        die_granted = bus_granted = None
         if span is not None:
+            def die_granted(start: float) -> None:
+                span.die_granted(start, die)
+                span.die_us = t.read_die_us
+                span.ecc_retry_us = die_us - t.read_die_us
+
+            def bus_granted(start: float) -> None:
+                span.bus_granted(start)
+                span.bus_us = t.read_bus_us
+
             span.die_enqueued(self.loop.now, die)
-        die.acquire((prio, self.loop.now), die_us, die_granted)
+        die.acquire((prio, self.loop.now), die_us, die_granted, after_die)
 
     def _issue_write(self, key: int, wid: int, lpn: int) -> None:
         ppn, gc_items = self.controller.place_write(wid, lpn)
@@ -535,30 +514,26 @@ class SSDSimulator:
                 geom.plane_index(ppn) // self._planes_per_die,
             )
 
-        def bus_granted(start: float) -> None:
-            done = start + t.write_bus_us
+        def to_die() -> None:
             if span is not None:
+                span.die_enqueued(self.loop.now, die)
+            die.acquire(
+                (PRIO_WRITE, self.loop.now), t.write_die_us, die_granted,
+                lambda: self._complete_page(key, span=span),
+            )
+
+        bus_granted = die_granted = None
+        if span is not None:
+            def bus_granted(start: float) -> None:
                 span.bus_granted(start)
                 span.bus_us = t.write_bus_us
 
-            def to_die() -> None:
-                if span is not None:
-                    span.die_enqueued(self.loop.now, die)
-                die.acquire((PRIO_WRITE, self.loop.now), t.write_die_us, die_granted)
-
-            self.loop.schedule(done, to_die)
-
-        def die_granted(start: float) -> None:
-            if span is not None:
+            def die_granted(start: float) -> None:
                 span.die_granted(start, die)
                 span.die_us = t.write_die_us
-            self.loop.schedule(
-                start + t.write_die_us, lambda: self._complete_page(key, span=span)
-            )
 
-        if span is not None:
             span.bus_enqueued(self.loop.now)
-        bus.acquire((PRIO_WRITE, self.loop.now), t.write_bus_us, bus_granted)
+        bus.acquire((PRIO_WRITE, self.loop.now), t.write_bus_us, bus_granted, to_die)
 
     def _dispatch_event(self, wid, lpn, ppn, op, die, bus) -> None:
         """Emit one ``subrequest_dispatch`` trace record (tracing only)."""
@@ -601,10 +576,6 @@ class SSDSimulator:
                             args={"plane": item.plane_index, "block": item.block,
                                   "moves": item.moves},
                         )
-                        self.loop.schedule(
-                            start + duration_us,
-                            lambda: tr.emit(self.loop.now, "gc_end", die.name, "gc"),
-                        )
                     if retired:
                         tr.emit(
                             start, "block_retired", die.name, "faults",
@@ -612,7 +583,13 @@ class SSDSimulator:
                                   "moves": item.moves},
                         )
 
-                die.acquire((PRIO_GC, self.loop.now), duration_us, on_grant)
+                def gc_end(die=die):
+                    tr.emit(self.loop.now, "gc_end", die.name, "gc")
+
+                die.acquire(
+                    (PRIO_GC, self.loop.now), duration_us, on_grant,
+                    gc_end if is_gc else None,
+                )
 
     def _complete_page(self, key: int, failed: bool = False, span=None) -> None:
         flight = self._inflight[key]

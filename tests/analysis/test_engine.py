@@ -118,6 +118,28 @@ class TestUnitInference:
         )
 
 
+class TestSchedulingRule:
+    def _lint_source(self, tmp_path, source):
+        path = tmp_path / "sample.py"
+        path.write_text(source)
+        return LintEngine(select=["R004"]).lint_file(path)
+
+    def test_sorted_batch_of_durations_flagged(self, tmp_path):
+        (violation,) = self._lint_source(
+            tmp_path,
+            "def f(loop, transfers_us, cb, jobs):\n"
+            "    loop.schedule_sorted(transfers_us, cb, jobs)\n",
+        )
+        assert violation.rule == "R004"
+
+    def test_sorted_batch_relative_to_now_passes(self, tmp_path):
+        assert not self._lint_source(
+            tmp_path,
+            "def f(loop, cb, jobs):\n"
+            "    loop.schedule_sorted([loop.now + 1.0], cb, jobs)\n",
+        )
+
+
 class TestCLI:
     def test_violations_exit_1_with_location(self):
         proc = _cli(str(FIXTURES / "r001_units.py"))

@@ -1,0 +1,258 @@
+"""Pinned digests of seeded event-driven runs.
+
+Every case below runs the event-driven device on a seeded trace and hashes
+a canonical JSON rendering of what it simulated: every
+:class:`~repro.ssd.metrics.SimulationResult` field except ``events`` (a
+host work counter, not a simulated value), latency samples included, plus
+the trace stream where one is recorded.  Floats are rendered with
+``repr`` so the digests are exact and do not depend on the interpreter's
+pickle format.  A refactor of the engine or the simulator that changes any
+simulated latency, ordering or trace record changes a digest here.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import json
+import math
+
+import pytest
+
+from repro.analysis import Sanitizer
+from repro.obs import Observability
+from repro.ssd import FaultConfig, SSDConfig
+from repro.ssd.buffer import BufferConfig
+from repro.ssd.fleet import Fleet, MigrationPlan
+from repro.ssd.ftl.page_alloc import PageAllocMode
+from repro.ssd.simulator import SSDSimulator
+from repro.workloads import WorkloadSpec, synthesize_mix
+
+SPLIT_SETS = {0: [0, 1], 1: [2, 3], 2: [4, 5], 3: [6, 7]}
+SHARED_SETS = {w: list(range(8)) for w in range(4)}
+
+
+def canonical(obj):
+    """JSON-ready rendering with every float as its ``repr``."""
+    if isinstance(obj, float):
+        return repr(obj)
+    if obj is None or isinstance(obj, (bool, int, str)):
+        return obj
+    if isinstance(obj, dict):
+        return {str(k): canonical(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [canonical(v) for v in obj]
+    if dataclasses.is_dataclass(obj):
+        return {
+            f.name: canonical(getattr(obj, f.name))
+            for f in dataclasses.fields(obj) if not f.name.startswith("_")
+        }
+    slots = getattr(type(obj), "__slots__", None)
+    if slots:
+        return {name: canonical(getattr(obj, name)) for name in slots}
+    raise TypeError(f"no canonical form for {type(obj).__name__}")
+
+
+def result_doc(result) -> dict:
+    """Every ``SimulationResult`` field except the ``events`` counter."""
+    doc = canonical(result)
+    del doc["events"]
+    return doc
+
+
+def trace_doc(recorder) -> list:
+    return [
+        [e.name, repr(e.ts_us), e.track, canonical(e.args)]
+        for e in recorder.events()
+    ]
+
+
+def digest(doc) -> str:
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def mix(requests: int, seed: int, footprint_pages: int = 600,
+        write_ratios=(0.9, 0.9, 0.1, 0.1), rate_rps: float = 3_000.0):
+    specs = [
+        WorkloadSpec(name=f"t{w}", write_ratio=ratio, rate_rps=rate_rps,
+                     footprint_pages=footprint_pages)
+        for w, ratio in enumerate(write_ratios)
+    ]
+    return synthesize_mix(specs, total_requests=requests, seed=seed).requests
+
+
+def gc_device() -> SSDConfig:
+    """The benchmark's GC-and-faults device, shrunk so GC runs within
+    a few thousand requests."""
+    return SSDConfig(
+        blocks_per_plane=6, pages_per_block=8, gc_threshold=0.1, gc_restore=0.2
+    )
+
+
+def faults() -> FaultConfig:
+    return FaultConfig(
+        seed=5, read_ber=0.05, program_fail_rate=0.002, erase_fail_rate=0.01,
+        max_read_retries=1,
+    )
+
+
+# ----------------------------------------------------------------------
+# cases: name -> zero-argument callable returning a JSON-ready document
+
+
+def case_static() -> dict:
+    sim = SSDSimulator(SSDConfig.small(), SHARED_SETS, record_latencies=True)
+    return {"result": result_doc(sim.run(mix(1_500, seed=1)))}
+
+
+def case_dynamic() -> dict:
+    modes = {w: PageAllocMode.DYNAMIC for w in range(4)}
+    sim = SSDSimulator(
+        SSDConfig.small(), SPLIT_SETS, modes, record_latencies=True
+    )
+    return {"result": result_doc(sim.run(mix(1_500, seed=2)))}
+
+
+def case_gc_faults() -> dict:
+    sim = SSDSimulator(
+        gc_device(), SPLIT_SETS, record_latencies=True, faults=faults()
+    )
+    result = sim.run(mix(3_000, seed=3, footprint_pages=300))
+    assert result.gc_collections > 0 and result.failed_reads > 0
+    return {"result": result_doc(result)}
+
+
+def case_read_priority() -> dict:
+    sim = SSDSimulator(
+        gc_device(), SHARED_SETS, record_latencies=True, read_priority=True
+    )
+    result = sim.run(mix(3_000, seed=4, footprint_pages=300))
+    assert result.gc_collections > 0
+    return {"result": result_doc(result)}
+
+
+def case_buffer() -> dict:
+    sim = SSDSimulator(
+        SSDConfig.small(), SPLIT_SETS, record_latencies=True,
+        buffer=BufferConfig(capacity_pages=64),
+    )
+    result = sim.run(mix(1_500, seed=5, footprint_pages=200))
+    assert result.extras["buffer_dirty_evictions"] > 0
+    return {"result": result_doc(result)}
+
+
+def case_obs() -> dict:
+    obs = Observability(
+        trace=True, trace_capacity=200_000, attribution=True,
+        telemetry=500.0, utilization_interval_us=250.0,
+    )
+    sim = SSDSimulator(
+        gc_device(), SPLIT_SETS, record_latencies=True, faults=faults(), obs=obs
+    )
+    result = sim.run(mix(2_000, seed=6, footprint_pages=300))
+    assert result.gc_collections > 0 and obs.trace.evicted == 0
+    windows = [
+        {k: v for k, v in w.items() if k != "events"}
+        for w in obs.telemetry.windows
+    ]
+    return {
+        "result": result_doc(result),
+        "trace": trace_doc(obs.trace),
+        "telemetry": canonical(windows),
+        "utilization": canonical(obs.profiler.to_dict()),
+    }
+
+
+def case_sanitized() -> dict:
+    sanitizer = Sanitizer()
+    sim = SSDSimulator(
+        gc_device(), SPLIT_SETS, record_latencies=True, faults=faults(),
+        sanitizer=sanitizer,
+    )
+    result = sim.run(mix(2_000, seed=7, footprint_pages=300))
+    stats = sanitizer.stats()
+    assert result.gc_collections > 0 and stats["grants_checked"] > 0
+    return {"result": result_doc(result), "grants": stats["grants_checked"]}
+
+
+def case_keeper() -> dict:
+    from repro.harness import driftlab
+    from repro.workloads.adversarial import build_scenario
+
+    workload = build_scenario(
+        "migrating_hotspot", seed=0, phases=4, phase_us=driftlab._QUICK_PHASE_US
+    )
+    obs = Observability(trace=True, trace_capacity=200_000)
+    keeper = driftlab._lab_keeper(SSDConfig.small(), obs=obs)
+    drift, retrain = driftlab.lab_configs()
+    run = keeper.run_adaptive(workload.requests, drift=drift, retrain=retrain)
+    return {
+        "result": result_doc(run.result),
+        "decisions": [[repr(t), s.label] for t, _, s in run.decisions],
+        "realised": canonical(run.realised_us),
+        "retrains": [e.to_dict() for e in run.retrain_events],
+        "drift": [e.to_dict() for e in run.drift_events],
+        "trace": trace_doc(obs.trace),
+    }
+
+
+def case_fleet() -> dict:
+    cfg = SSDConfig.small()
+    sims = [
+        SSDSimulator(cfg, SPLIT_SETS, record_latencies=True) for _ in range(2)
+    ]
+    requests = mix(1_200, seed=8)
+    traces = {
+        w: [r for r in requests if r.workload_id == w] for w in range(4)
+    }
+    fleet = Fleet(sims, seed=3)
+    out = fleet.run(traces, migrations=[MigrationPlan(5_000.0, 1, 1)])
+    assert len(out.migrations) == 1
+    return {
+        "results": [result_doc(r) for r in out.results],
+        "placement": canonical(out.placement_final),
+        "migrations": [
+            [m.tenant, m.src, m.dst, repr(m.start_us), m.requests_replayed,
+             canonical(m.first_dst_complete_us)]
+            for m in out.migrations
+        ],
+        "completions": canonical(out.completions),
+        "makespan_us": repr(out.makespan_us),
+    }
+
+
+CASES = {
+    "static": case_static,
+    "dynamic": case_dynamic,
+    "gc_faults": case_gc_faults,
+    "read_priority": case_read_priority,
+    "buffer": case_buffer,
+    "obs": case_obs,
+    "sanitized": case_sanitized,
+    "keeper": case_keeper,
+    "fleet": case_fleet,
+}
+
+DIGESTS = {
+    "buffer": "1ed0cd7b5704eb94",
+    "dynamic": "39a79abccb093334",
+    "fleet": "e99e1e8830905605",
+    "gc_faults": "bc1bc9df01121fd2",
+    "keeper": "05345fff53cb50ac",
+    "obs": "1a7f567739e095a2",
+    "read_priority": "f47fbbbba12128c3",
+    "sanitized": "1f2a2d03e422b8d6",
+    "static": "55636344363bb082",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_simulated_outcome_is_pinned(name):
+    assert digest(CASES[name]()) == DIGESTS[name]
+
+
+def test_digest_sees_one_ulp():
+    doc = {"result": {"makespan_us": repr(1.0)}}
+    bumped = {"result": {"makespan_us": repr(math.nextafter(1.0, 2.0))}}
+    assert digest(doc) != digest(bumped)
