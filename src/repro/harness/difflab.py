@@ -2,23 +2,11 @@
 
 Front-end for :mod:`repro.obs.diff`: every mode compares two artifacts
 of the same kind and emits one schema-versioned, byte-deterministic
-``diff_report.json`` (plus a human summary).  Modes:
-
-* ``repro diff bench A.json B.json`` — per-scenario metric deltas
-  between two saved bench documents, classified against the bench
-  suite's noise model, with the attribution-delta waterfall;
-* ``repro diff run --scenario NAME [--scale KNOB=FACTOR ...]`` —
-  re-simulate one seeded scenario, side B under scaled knobs, and
-  localize the first divergent trace event; no ``--scale`` is the
-  self-diff that must come back empty (the determinism assertion CI
-  leans on);
-* ``repro diff trace A.jsonl B.jsonl`` — first-divergence alignment of
-  two recorded JSONL trace streams;
-* ``repro diff critpath A.json B.json`` — resource-bucket shifts
-  between two bottleneck reports (accepts raw critpath documents or
-  ``repro explain --out`` documents);
-* ``repro diff fleet FLEET.json DEV_A DEV_B`` — device-vs-device drift
-  inside one fleet report.
+``diff_report.json`` (plus a human summary).  ``repro diff bench``
+classifies with the same rule as the ``repro bench --baseline`` check
+(:func:`repro.harness.bench.diff_bench_docs`); ``repro diff run``
+without ``--scale`` is the self-diff that must come back empty (the
+determinism assertion CI leans on).
 
 Exit codes follow the harness contract: **0** clean (identical, or no
 regressions for the artifact kinds where benign deltas are expected),
@@ -29,22 +17,9 @@ regressions for the artifact kinds where benign deltas are expected),
 
 from __future__ import annotations
 
-import argparse
 import json
-import sys
-from pathlib import Path
 
-__all__ = ["main"]
-
-
-def _load_json(path: str, *, what: str) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ValueError(f"cannot read {what} {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{what} {path!r} is not valid JSON: {exc}") from exc
+from . import lab
 
 
 def _parse_scale(spec: str) -> tuple[str, float]:
@@ -62,7 +37,7 @@ def _parse_scale(spec: str) -> tuple[str, float]:
     return knob, value
 
 
-def _critpath_doc(doc: dict, path: str) -> dict:
+def _critpath_doc(doc: dict) -> dict:
     """Accept a raw critpath report or an explain document wrapping one."""
     if "critpath" in doc and "schema_version" in doc:
         from .explain import load_explain
@@ -186,10 +161,11 @@ def _render(report: dict) -> str:
 # Mode runners (each returns the full diff report document)
 # ----------------------------------------------------------------------
 def _run_bench(args) -> dict:
-    from ..obs.diff import build_diff_report, diff_bench_docs
+    from ..obs.diff import build_diff_report
+    from .bench import diff_bench_docs
 
-    doc_a = _load_json(args.a, what="bench document")
-    doc_b = _load_json(args.b, what="bench document")
+    doc_a = lab.read_json(args.a, what="bench document")
+    doc_b = lab.read_json(args.b, what="bench document")
     section = diff_bench_docs(
         doc_a, doc_b, wall_tolerance_pct=args.wall_tolerance
     )
@@ -198,21 +174,11 @@ def _run_bench(args) -> dict:
 
 def _run_run(args) -> dict:
     from ..obs.diff import diff_run
-    from .bench import _FULL_REQUESTS, _QUICK_REQUESTS, SCENARIOS
+    from ..workloads.scenarios import build
 
-    builder = SCENARIOS.get(args.scenario)
-    if builder is None:
-        raise ValueError(
-            f"unknown scenario {args.scenario!r}; available: "
-            f"{', '.join(SCENARIOS)}"
-        )
-    total = _QUICK_REQUESTS if args.quick else _FULL_REQUESTS
-    kind, requests, cfg, sets, faults = builder(total)
-    if kind != "simulator":
-        raise ValueError(
-            f"scenario {args.scenario!r} runs the {kind} backend, which "
-            "records no trace; run diff needs an event-driven scenario"
-        )
+    _, requests, cfg, sets, faults = build(
+        args.scenario, quick=args.quick, event_driven=True
+    )
     cfg_b = cfg
     label_b = args.scenario
     for spec in args.scale:
@@ -256,8 +222,8 @@ def _run_trace(args) -> dict:
 def _run_critpath(args) -> dict:
     from ..obs.diff import build_diff_report, diff_critpath_docs
 
-    doc_a = _critpath_doc(_load_json(args.a, what="critpath document"), args.a)
-    doc_b = _critpath_doc(_load_json(args.b, what="critpath document"), args.b)
+    doc_a = _critpath_doc(lab.read_json(args.a, what="critpath document"))
+    doc_b = _critpath_doc(lab.read_json(args.b, what="critpath document"))
     section = diff_critpath_docs(doc_a, doc_b)
     return build_diff_report(
         "critpath", args.a, args.b, {"critpath": section}
@@ -267,7 +233,7 @@ def _run_critpath(args) -> dict:
 def _run_fleet(args) -> dict:
     from ..obs.diff import build_diff_report, diff_fleet_devices
 
-    doc = _load_json(args.fleet, what="fleet report")
+    doc = lab.read_json(args.fleet, what="fleet report")
     section = diff_fleet_devices(doc, args.device_a, args.device_b)
     return build_diff_report(
         "fleet",
@@ -278,31 +244,13 @@ def _run_fleet(args) -> dict:
 
 
 # ----------------------------------------------------------------------
-def main(argv: list[str] | None = None) -> int:
-    """``repro diff`` entry point; returns a process exit code."""
-    parser = argparse.ArgumentParser(
-        prog="repro diff",
-        description="Compare two runs, bench reports, traces, critical "
-        "paths, or fleet devices; localize what diverged first.",
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--json",
-        action="store_true",
-        help="print the full diff report to stdout as JSON",
-    )
-    common.add_argument(
-        "--out",
-        metavar="FILE",
-        default=None,
-        help="also write the diff report to FILE as JSON",
-    )
+def add_arguments(parser) -> None:
     modes = parser.add_subparsers(dest="mode", metavar="MODE")
 
     p_bench = modes.add_parser(
-        "bench", parents=[common],
-        help="diff two saved BENCH_*.json documents",
+        "bench", help="diff two saved BENCH_*.json documents",
     )
+    p_bench.set_defaults(runner=_run_bench)
     p_bench.add_argument("a", help="baseline bench document")
     p_bench.add_argument("b", help="candidate bench document")
     p_bench.add_argument(
@@ -315,22 +263,18 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     p_run = modes.add_parser(
-        "run", parents=[common],
+        "run",
         help="re-simulate a seeded scenario under two configs and "
         "localize the first divergent event",
     )
-    p_run.add_argument(
-        "--scenario",
+    p_run.set_defaults(runner=_run_run)
+    lab.add_shared(
+        p_run, "--scenario",
         default="mix2_shared",
-        metavar="NAME",
-        help="bench scenario to re-simulate (default mix2_shared); "
+        help="scenario to re-simulate (default mix2_shared); "
         "event-driven scenarios only",
     )
-    p_run.add_argument(
-        "--quick",
-        action="store_true",
-        help="small trace (CI smoke size)",
-    )
+    lab.add_shared(p_run, "--quick")
     p_run.add_argument(
         "--scale",
         action="append",
@@ -339,51 +283,45 @@ def main(argv: list[str] | None = None) -> int:
         help="scale a config knob on side B (repeatable); no --scale "
         "diffs the run against itself (must be empty)",
     )
-    p_run.add_argument(
-        "--chrome-trace",
-        metavar="FILE",
-        default=None,
-        help="write a side-by-side Chrome trace with divergence markers",
-    )
+    lab.add_shared(p_run, "--chrome-trace")
 
     p_trace = modes.add_parser(
-        "trace", parents=[common],
-        help="diff two recorded JSONL trace streams",
+        "trace", help="diff two recorded JSONL trace streams",
     )
+    p_trace.set_defaults(runner=_run_trace)
     p_trace.add_argument("a", help="baseline trace JSONL")
     p_trace.add_argument("b", help="candidate trace JSONL")
 
     p_crit = modes.add_parser(
-        "critpath", parents=[common],
+        "critpath",
         help="diff two bottleneck reports (critpath or explain documents)",
     )
+    p_crit.set_defaults(runner=_run_critpath)
     p_crit.add_argument("a", help="baseline critpath/explain JSON")
     p_crit.add_argument("b", help="candidate critpath/explain JSON")
 
     p_fleet = modes.add_parser(
-        "fleet", parents=[common],
-        help="diff two devices of one fleet report",
+        "fleet", help="diff two devices of one fleet report",
     )
+    p_fleet.set_defaults(runner=_run_fleet)
     p_fleet.add_argument("fleet", help="fleet report JSON")
     p_fleet.add_argument("device_a", type=int, help="baseline device id")
     p_fleet.add_argument("device_b", type=int, help="candidate device id")
 
-    args = parser.parse_args(argv)
-    if args.mode is None:
-        parser.error("a mode is required (bench, run, trace, critpath, fleet)")
+    for mode in (p_bench, p_run, p_trace, p_crit, p_fleet):
+        lab.add_shared(mode, "--json", "--out")
 
-    runners = {
-        "bench": _run_bench,
-        "run": _run_run,
-        "trace": _run_trace,
-        "critpath": _run_critpath,
-        "fleet": _run_fleet,
-    }
+
+def run(args) -> int:
+    """``repro diff``: 0 = clean, 1 = localized divergence/regression."""
+    if args.mode is None:
+        raise lab.UsageError(
+            "a mode is required (bench, run, trace, critpath, fleet)"
+        )
     try:
-        report = runners[args.mode](args)
+        report = args.runner(args)
     except (ValueError, KeyError) as exc:
-        print(f"repro diff: {exc}", file=sys.stderr)
-        return 2
+        raise lab.UsageError(str(exc)) from None
 
     events_a = report.pop("_events_a", None)
     events_b = report.pop("_events_b", None)
@@ -391,27 +329,17 @@ def main(argv: list[str] | None = None) -> int:
         from ..obs.chrometrace import write_diff_chrome_trace
 
         first = report["sections"]["trace"]["first_divergence"]
-        write_diff_chrome_trace(
-            events_a, events_b, args.chrome_trace, first_divergence=first,
-        )
-        print(f"wrote {args.chrome_trace}", file=sys.stderr)
+        with lab.writing(args.chrome_trace):
+            write_diff_chrome_trace(
+                events_a, events_b, args.chrome_trace, first_divergence=first,
+            )
+        lab.note(f"wrote {args.chrome_trace}")
 
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(_render(report))
+    lab.emit(args, report, _render(report))
     if args.out:
         from ..obs.diff import write_diff
 
-        try:
+        with lab.writing(args.out):
             write_diff(report, args.out)
-        except OSError as exc:
-            print(f"repro diff: cannot write {args.out}: {exc}",
-                  file=sys.stderr)
-            return 2
-        print(f"wrote {args.out}", file=sys.stderr)
+        lab.note(f"wrote {args.out}")
     return _exit_code(report)
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via the repro CLI
-    sys.exit(main())

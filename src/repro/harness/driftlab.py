@@ -20,10 +20,6 @@ validation, proving the rollback guard: the run must report
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-
 import numpy as np
 
 from ..core import (
@@ -38,8 +34,9 @@ from ..core import (
 )
 from ..ssd.config import SSDConfig
 from ..workloads.adversarial import SCENARIOS, build_scenario
+from . import lab
 
-__all__ = ["heuristic_allocator", "run_driftlab", "main"]
+__all__ = ["heuristic_allocator", "run_driftlab"]
 
 #: lab trace geometry (full / --quick)
 _PHASES = 4
@@ -123,9 +120,6 @@ def run_driftlab(
     sanitize: bool = False,
 ) -> dict:
     """Run one lab comparison; returns a deterministic report document."""
-    if scenario not in SCENARIOS:
-        known = ", ".join(sorted(SCENARIOS))
-        raise ValueError(f"unknown scenario {scenario!r} (known: {known})")
     from ..obs import Observability
 
     phase_us = _QUICK_PHASE_US if quick else _PHASE_US
@@ -236,15 +230,10 @@ def _format_report(report: dict) -> str:
     return "\n".join(lines)
 
 
-def main(argv: list[str] | None = None) -> int:
-    """``repro drift`` entry point; returns a process exit code."""
-    parser = argparse.ArgumentParser(
-        prog="repro drift",
-        description="Adaptive keeper vs one-shot keeper on an adversarial "
-        "tenant scenario.",
-    )
-    parser.add_argument(
-        "--scenario",
+def add_arguments(parser) -> None:
+    lab.add_shared(
+        parser, "--scenario",
+        type=str,
         default="migrating_hotspot",
         choices=sorted(SCENARIOS),
         help="adversarial workload family (default migrating_hotspot)",
@@ -253,8 +242,8 @@ def main(argv: list[str] | None = None) -> int:
         "--seed", type=int, default=0, metavar="N",
         help="scenario seed; same seed => byte-identical report (default 0)",
     )
-    parser.add_argument(
-        "--quick", action="store_true",
+    lab.add_shared(
+        parser, "--quick",
         help=f"halve each phase to {_QUICK_PHASE_US:.0f}us (CI smoke size)",
     )
     parser.add_argument(
@@ -262,20 +251,11 @@ def main(argv: list[str] | None = None) -> int:
         help="corrupt every retrained candidate before shadow validation; "
         "the rollback guard must catch all of them",
     )
-    parser.add_argument(
-        "--sanitize", action="store_true",
-        help="attach the runtime sanitizer to both device runs",
-    )
-    parser.add_argument(
-        "--json", action="store_true",
-        help="print the full report document as JSON",
-    )
-    parser.add_argument(
-        "--out", metavar="PATH", default=None,
-        help="also write the report document to PATH as JSON",
-    )
-    args = parser.parse_args(argv)
+    lab.add_shared(parser, "--sanitize", "--json", "--out")
 
+
+def run(args) -> int:
+    """``repro drift``: 0 = the comparison ran."""
     report = run_driftlab(
         args.scenario,
         seed=args.seed,
@@ -284,20 +264,6 @@ def main(argv: list[str] | None = None) -> int:
         sanitize=args.sanitize,
     )
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump(report, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        except OSError as exc:
-            print(f"repro drift: cannot write {args.out}: {exc}",
-                  file=sys.stderr)
-            return 2
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(_format_report(report))
+        lab.note(f"wrote {lab.write_json(args.out, report)}")
+    lab.emit(args, report, _format_report(report))
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via the repro CLI
-    sys.exit(main())

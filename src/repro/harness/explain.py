@@ -1,6 +1,6 @@
 """``repro explain`` — causal bottleneck explanation for one scenario.
 
-Runs one seeded bench scenario (:data:`repro.harness.bench.SCENARIOS`)
+Runs one seeded scenario (:mod:`repro.workloads.scenarios`)
 with latency attribution armed, then answers the two questions the raw
 metrics cannot:
 
@@ -22,16 +22,12 @@ error (unknown scenario, unattributable fast-model scenario, bad path).
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-from pathlib import Path
+from . import lab
 
 __all__ = [
     "EXPLAIN_SCHEMA_VERSION",
     "explain_scenario",
     "load_explain",
-    "main",
 ]
 
 #: Bump when the document layout changes shape.
@@ -99,16 +95,9 @@ def explain_scenario(
     from ..obs.critpath import extract_critical_path
     from ..obs.whatif import explain_decisions, run_whatif
     from ..ssd.simulator import simulate
-    from .bench import _FULL_REQUESTS, _QUICK_REQUESTS, SCENARIOS
+    from ..workloads.scenarios import build
 
-    builder = SCENARIOS[name]
-    total = _QUICK_REQUESTS if quick else _FULL_REQUESTS
-    kind, requests, cfg, sets, faults = builder(total)
-    if kind != "simulator":
-        raise ValueError(
-            f"scenario {name!r} runs the {kind} backend, which records no "
-            "attribution spans; explain needs an event-driven scenario"
-        )
+    _, requests, cfg, sets, faults = build(name, quick=quick, event_driven=True)
     sanitizer = None
     if sanitize:
         from ..analysis import Sanitizer
@@ -166,30 +155,17 @@ def _render(doc: dict, top: int) -> str:
     return "\n".join(lines)
 
 
-def main(argv: list[str] | None = None) -> int:
-    """``repro explain`` entry point; returns a process exit code."""
-    from .bench import SCENARIOS
-
-    parser = argparse.ArgumentParser(
-        prog="repro explain",
-        description="Explain which resource bounds a seeded scenario and "
-        "what a config change would buy (exact counterfactuals).",
-    )
-    parser.add_argument(
-        "--scenario",
+def add_arguments(parser) -> None:
+    lab.add_shared(
+        parser, "--scenario",
         default="gc_heavy",
-        metavar="NAME",
-        help=f"bench scenario to explain (default gc_heavy); event-driven "
-        f"scenarios only; available: {', '.join(SCENARIOS)}",
+        help="scenario to explain (default gc_heavy); event-driven "
+        "scenarios only",
     )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="small trace (CI smoke size)",
-    )
+    lab.add_shared(parser, "--quick")
     parser.add_argument(
         "--top",
-        type=int,
+        type=lab.count,
         default=8,
         metavar="N",
         help="rows in the bottleneck table (default 8)",
@@ -199,27 +175,11 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="skip the counterfactual sweep (critical path only)",
     )
-    parser.add_argument(
-        "--sanitize",
-        action="store_true",
-        help="route the exact-sum invariants through the runtime sanitizer "
-        "and report its check counters",
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="print the full report document to stdout as JSON",
-    )
-    parser.add_argument(
-        "--out",
-        metavar="FILE",
-        default=None,
-        help="also write the report document to FILE as JSON",
-    )
-    args = parser.parse_args(argv)
-    if args.top < 1:
-        parser.error("--top must be >= 1")
+    lab.add_shared(parser, "--sanitize", "--json", "--out")
 
+
+def run(args) -> int:
+    """``repro explain``: 0 = explained."""
     try:
         doc = explain_scenario(
             args.scenario,
@@ -228,37 +188,9 @@ def main(argv: list[str] | None = None) -> int:
             whatif=not args.no_whatif,
             log=None if args.json else print,
         )
-    except KeyError:
-        print(
-            f"repro explain: unknown scenario {args.scenario!r}; available: "
-            f"{', '.join(SCENARIOS)}",
-            file=sys.stderr,
-        )
-        return 2
     except ValueError as exc:
-        print(f"repro explain: {exc}", file=sys.stderr)
-        return 2
-
-    text = _render(doc, args.top)  # pops the report objects from doc
-    if args.json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        print(text)
+        raise lab.UsageError(str(exc)) from None
+    lab.emit(args, doc, _render(doc, args.top))  # _render pops the objects
     if args.out:
-        try:
-            path = Path(args.out)
-            if path.parent != Path(""):
-                path.parent.mkdir(parents=True, exist_ok=True)
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        except OSError as exc:
-            print(f"repro explain: cannot write {args.out}: {exc}",
-                  file=sys.stderr)
-            return 2
-        print(f"wrote {args.out}")
+        lab.note(f"wrote {lab.write_json(args.out, doc)}")
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via the repro CLI
-    sys.exit(main())

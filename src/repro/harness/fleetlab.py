@@ -25,19 +25,15 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import json
-import sys
+
+from ..workloads.scenarios import FULL_REQUESTS, QUICK_REQUESTS
+from . import lab
 
 __all__ = [
     "build_fleet_scenario",
     "default_migration",
     "run_fleet",
-    "main",
 ]
-
-#: request counts for the synthesized fleet trace (full / --quick)
-_FULL_REQUESTS = 3000
-_QUICK_REQUESTS = 600
 
 #: telemetry window length (simulated us) when an SLO spec does not set one
 _DEFAULT_WINDOW_US = 500.0
@@ -290,23 +286,13 @@ def _format_report(result, observer, report) -> str:
     return "\n".join(lines)
 
 
-def main(argv: list[str] | None = None) -> int:
-    """``repro fleet`` entry point; returns a process exit code.
-
-    Exit codes: 0 = run completed; 2 = usage error / invalid spec.
-    """
-    parser = argparse.ArgumentParser(
-        prog="repro fleet",
-        description="Run a seeded multi-device fleet scenario with "
-        "cross-device metric federation, migration tracing and "
-        "fleet-level SLO rollups.",
-    )
+def add_arguments(parser) -> None:
     parser.add_argument(
-        "--devices", type=int, default=3, metavar="N",
+        "--devices", type=lab.count, default=3, metavar="N",
         help="number of simulated devices (default 3)",
     )
     parser.add_argument(
-        "--tenants", type=int, default=6, metavar="M",
+        "--tenants", type=lab.count, default=6, metavar="M",
         help="number of tenants in the synthesized mix (default 6)",
     )
     parser.add_argument(
@@ -314,14 +300,10 @@ def main(argv: list[str] | None = None) -> int:
         help="scenario seed: trace synthesis, placement and every "
         "derived artifact (default 7)",
     )
-    parser.add_argument(
-        "--quick", action="store_true",
-        help=f"small trace ({_QUICK_REQUESTS} requests instead of "
-        f"{_FULL_REQUESTS}); CI smoke size",
-    )
+    lab.add_shared(parser, "--quick")
     parser.add_argument(
         "--migrate", action="append", type=_parse_migration,
-        metavar="T:DST:US", default=None,
+        metavar="T:DST:US",
         help="schedule a migration (repeatable): tenant T moves to device "
         "DST at simulated time US; default is one forced migration of "
         "the first tenant at 25%% of the trace span",
@@ -330,54 +312,26 @@ def main(argv: list[str] | None = None) -> int:
         "--no-migrate", action="store_true",
         help="run without any migration (overrides the default one)",
     )
-    parser.add_argument(
-        "--slo", metavar="FILE", default=None,
-        help="arm per-device SLO watchdogs and the fleet rollup with this "
-        "JSON spec (see examples/slo.json)",
-    )
-    parser.add_argument(
+    slo = parser.add_mutually_exclusive_group()
+    lab.add_shared(slo, "--slo")
+    slo.add_argument(
         "--slo-tight", action="store_true",
         help="arm a built-in near-unsatisfiable spec that deterministically "
         "pages at fleet level (what the CI smoke asserts)",
     )
-    parser.add_argument(
-        "--out", metavar="PATH", default=None,
-        help="write the schema-versioned fleet_report.json here",
-    )
-    parser.add_argument(
-        "--chrome-trace", metavar="PATH", default=None,
-        help="write a merged multi-device Chrome trace (per-device pid "
-        "namespaces plus a fleet process with migration spans)",
-    )
-    parser.add_argument(
-        "--flight-dir", metavar="DIR", default=None,
-        help="arm the fleet flight recorder: a fleet-level SLO page dumps "
-        "a bundle naming the offending device",
-    )
-    parser.add_argument(
-        "--json", action="store_true",
-        help="print the full fleet report to stdout as JSON",
-    )
-    args = parser.parse_args(argv)
-    if args.devices < 1:
-        parser.error("--devices must be >= 1")
-    if args.tenants < 1:
-        parser.error("--tenants must be >= 1")
-    if args.slo is not None and args.slo_tight:
-        parser.error("--slo and --slo-tight are mutually exclusive")
+    lab.add_shared(parser, "--out", "--chrome-trace", "--flight-dir", "--json")
+
+
+def run(args) -> int:
+    """``repro fleet``: 0 = run completed."""
+    from ..obs.chrometrace import write_fleet_chrome_trace
+    from ..obs.fleet import write_fleet_report
 
     slo_dict = None
     if args.slo is not None:
-        try:
-            with open(args.slo, encoding="utf-8") as fh:
-                slo_dict = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"repro fleet: cannot read SLO spec: {exc}",
-                  file=sys.stderr)
-            return 2
+        slo_dict = lab.read_json(args.slo, what="SLO spec")
     elif args.slo_tight:
         slo_dict = _tight_slo_dict(range(args.tenants))
-
     migrations = None
     if args.no_migrate:
         migrations = []
@@ -385,68 +339,48 @@ def main(argv: list[str] | None = None) -> int:
         migrations = list(args.migrate)
         for plan in migrations:
             if not 0 <= plan.dst < args.devices:
-                parser.error(
+                raise lab.UsageError(
                     f"--migrate destination {plan.dst} is not a device "
                     f"(fleet has {args.devices})"
                 )
             if not 0 <= plan.tenant < args.tenants:
-                parser.error(
+                raise lab.UsageError(
                     f"--migrate tenant {plan.tenant} is not in the mix "
                     f"({args.tenants} tenants)"
                 )
-
-    total = _QUICK_REQUESTS if args.quick else _FULL_REQUESTS
     try:
         result, observer, report = run_fleet(
             n_devices=args.devices,
             n_tenants=args.tenants,
-            total_requests=total,
+            total_requests=QUICK_REQUESTS if args.quick else FULL_REQUESTS,
             seed=args.seed,
             migrations=migrations,
             slo_dict=slo_dict,
             flight_dir=args.flight_dir,
         )
-    except Exception as exc:
-        from ..obs import SloSpecError
+    except ValueError as exc:  # SloSpecError included
+        raise lab.UsageError(str(exc)) from None
 
-        if isinstance(exc, (SloSpecError, ValueError)):
-            print(f"repro fleet: {exc}", file=sys.stderr)
-            return 2
-        raise
-
-    notes = []
+    lab.emit(args, report, _format_report(result, observer, report))
     if args.out:
-        from ..obs.fleet import write_fleet_report
-
-        write_fleet_report(report, args.out)
-        notes.append(f"wrote fleet report to {args.out}")
+        with lab.writing(args.out):
+            write_fleet_report(report, args.out)
+        lab.note(f"wrote fleet report to {args.out}")
     if args.chrome_trace:
-        from ..obs.chrometrace import write_fleet_chrome_trace
-
-        written = write_fleet_chrome_trace(
-            {
-                dev: bundle.trace.events()
-                for dev, bundle in enumerate(observer.device_bundles)
-            },
-            args.chrome_trace,
-            fleet_events=observer.trace.events(),
-        )
-        notes.append(
+        with lab.writing(args.chrome_trace):
+            written = write_fleet_chrome_trace(
+                {
+                    dev: bundle.trace.events()
+                    for dev, bundle in enumerate(observer.device_bundles)
+                },
+                args.chrome_trace,
+                fleet_events=observer.trace.events(),
+            )
+        lab.note(
             f"wrote merged chrome trace ({written} records) to "
             f"{args.chrome_trace}"
         )
     if observer.flight_recorder is not None:
         for bundle_path in observer.flight_recorder.bundles:
-            notes.append(f"flight-recorder bundle: {bundle_path}")
-
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(_format_report(result, observer, report))
-    for note in notes:
-        print(note)
+            lab.note(f"flight-recorder bundle: {bundle_path}")
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via the repro CLI
-    sys.exit(main())

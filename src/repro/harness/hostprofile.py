@@ -25,20 +25,18 @@ profiler observes the interpreter, not the event loop.
 
 from __future__ import annotations
 
-import argparse
 import cProfile
-import json
 import pstats
-import sys
 import time
 from pathlib import Path
+
+from . import lab
 
 __all__ = [
     "HOTPATH_SCHEMA_VERSION",
     "profile_scenario",
     "load_profile",
     "collapsed_stacks",
-    "main",
 ]
 
 #: Bump when the document layout changes shape.
@@ -149,11 +147,9 @@ def profile_scenario(
     seeded trace does not pollute the report.  Raises ``KeyError`` for
     an unknown scenario.
     """
-    from .bench import _FULL_REQUESTS, _QUICK_REQUESTS, SCENARIOS
+    from ..workloads.scenarios import build
 
-    builder = SCENARIOS[name]
-    total = _QUICK_REQUESTS if quick else _FULL_REQUESTS
-    kind, requests, cfg, sets, faults = builder(total)
+    kind, requests, cfg, sets, faults = build(name, quick=quick)
 
     profiler = cProfile.Profile()
     t0_s = time.perf_counter()
@@ -207,92 +203,42 @@ def _render(report: dict) -> str:
     return "\n".join(lines)
 
 
-def main(argv: list[str] | None = None) -> int:
-    """``repro profile`` entry point; returns a process exit code."""
-    from .bench import SCENARIOS
-
-    parser = argparse.ArgumentParser(
-        prog="repro profile",
-        description="Profile the host-side hot paths of one seeded bench "
-        "scenario (cProfile; feeds the vectorization target list).",
-    )
-    parser.add_argument(
-        "--scenario",
+def add_arguments(parser) -> None:
+    lab.add_shared(
+        parser, "--scenario",
         default="gc_heavy",
-        metavar="NAME",
-        help=f"bench scenario to profile (default gc_heavy); available: "
-        f"{', '.join(SCENARIOS)}",
+        help="scenario to profile (default gc_heavy)",
     )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="small trace (CI smoke size)",
-    )
+    lab.add_shared(parser, "--quick")
     parser.add_argument(
         "--top",
-        type=int,
+        type=lab.count,
         default=25,
         metavar="N",
         help="functions kept per ranking (default 25)",
     )
-    parser.add_argument(
-        "--out",
-        metavar="FILE",
-        default=None,
-        help="write the hot-function report to FILE as JSON",
-    )
+    lab.add_shared(parser, "--out")
     parser.add_argument(
         "--collapsed",
         metavar="FILE",
-        default=None,
         help="write caller;callee collapsed stacks (microsecond weights) "
         "for flamegraph.pl / speedscope",
     )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="print the report to stdout as JSON instead of a table",
+    lab.add_shared(parser, "--json")
+
+
+def run(args) -> int:
+    """``repro profile``: 0 = profiled."""
+    report, stats = profile_scenario(
+        args.scenario, quick=args.quick, top=args.top
     )
-    args = parser.parse_args(argv)
-    if args.top < 1:
-        parser.error("--top must be >= 1")
-
-    try:
-        report, stats = profile_scenario(
-            args.scenario, quick=args.quick, top=args.top
-        )
-    except KeyError:
-        print(
-            f"repro profile: unknown scenario {args.scenario!r}; available: "
-            f"{', '.join(SCENARIOS)}",
-            file=sys.stderr,
-        )
-        return 2
-
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(_render(report))
-    for path, writer in (
-        (args.out, lambda fh: (json.dump(report, fh, indent=2, sort_keys=True),
-                               fh.write("\n"))),
-        (args.collapsed,
-         lambda fh: fh.write("\n".join(collapsed_stacks(stats)) + "\n")),
-    ):
-        if not path:
-            continue
-        try:
-            parent = Path(path).parent
-            if parent != Path(""):
-                parent.mkdir(parents=True, exist_ok=True)
-            with open(path, "w", encoding="utf-8") as fh:
-                writer(fh)
-        except OSError as exc:
-            print(f"repro profile: cannot write {path}: {exc}", file=sys.stderr)
-            return 2
-        print(f"wrote {path}")
+    lab.emit(args, report, _render(report))
+    if args.out:
+        lab.note(f"wrote {lab.write_json(args.out, report)}")
+    if args.collapsed:
+        with lab.writing(args.collapsed), open(
+            args.collapsed, "w", encoding="utf-8"
+        ) as fh:
+            fh.write("\n".join(collapsed_stacks(stats)) + "\n")
+        lab.note(f"wrote {args.collapsed}")
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via the repro CLI
-    sys.exit(main())

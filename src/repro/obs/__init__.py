@@ -56,7 +56,6 @@ from .diff import (
     DIFF_SCHEMA_VERSION,
     DiffError,
     build_diff_report,
-    diff_bench_docs,
     diff_critpath_docs,
     diff_fleet_devices,
     diff_run,
@@ -148,7 +147,6 @@ __all__ = [
     "DIFF_SCHEMA_VERSION",
     "DiffError",
     "build_diff_report",
-    "diff_bench_docs",
     "diff_critpath_docs",
     "diff_fleet_devices",
     "diff_run",

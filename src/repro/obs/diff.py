@@ -12,14 +12,15 @@ competing runs are instrumented and compared under identical traces —
 is the design brief: every comparator here takes two artifacts of the
 same kind and emits a deterministic, schema-versioned delta document.
 
-Four comparators, one report schema:
+The shared machinery is one metric classifier, :func:`metric_table` /
+:func:`tally` (direction-aware ``improved`` / ``regressed`` /
+``neutral`` delta cells; wall-clock metrics get a tolerance and a noise
+floor, everything else must match exactly), and
+:func:`phase_waterfall`, the **attribution-delta waterfall** (which
+latency phase the moved time went into, heaviest shift first).  The
+bench comparison (:func:`repro.harness.bench.diff_bench_docs`) is built
+from these.  Three comparators, one report schema:
 
-* :func:`diff_bench_docs` — per-scenario wall-clock and simulated-metric
-  deltas between two bench documents, each classified direction-aware
-  (``improved`` / ``regressed`` / ``neutral`` under the bench suite's
-  existing wall-clock noise floor) plus an **attribution-delta
-  waterfall**: which latency phase (queue/gc_stall/bus/die/ecc/buffer)
-  the moved time went into, heaviest shift first;
 * :func:`diff_traces` — positional alignment of two event streams with
   the **first divergent event** (simulated time, event kind, tenant,
   channel, die) and downstream divergence counts, so a failed
@@ -31,7 +32,7 @@ Four comparators, one report schema:
   compared with the same metric classifier, so device-vs-device drift
   inside one fleet run is diffable with the same vocabulary.
 
-:func:`diff_run` composes the middle two: it re-simulates one seeded
+:func:`diff_run` composes the first two: it re-simulates one seeded
 request trace under two configurations (the same exact-re-execution
 trick the what-if engine uses) with tracing and attribution armed, and
 reports metric deltas, the first divergent trace event, and the
@@ -56,11 +57,12 @@ __all__ = [
     "build_diff_report",
     "load_diff",
     "write_diff",
-    "diff_bench_docs",
     "diff_traces",
     "diff_critpath_docs",
     "diff_fleet_devices",
     "diff_run",
+    "metric_table",
+    "tally",
     "phase_waterfall",
 ]
 
@@ -99,8 +101,8 @@ def _direction(metric: str) -> str | None:
         return "higher"
     return None
 
-#: wall-clock metrics are classified ``neutral`` whenever both runs sat
-#: under the bench suite's noise floor, mirroring its compare()
+#: wall-clock metrics are classified ``neutral`` whenever the caller says
+#: both runs sat under its noise floor
 _WALL_METRICS = frozenset({"wall_s", "requests_per_s"})
 
 
@@ -207,7 +209,7 @@ def _metric_delta(
     }
 
 
-def _metric_table(
+def metric_table(
     metrics_a: dict, metrics_b: dict, *, wall_tolerance_pct: float = 0.0,
     below_floor: bool = False,
 ) -> dict:
@@ -224,7 +226,7 @@ def _metric_table(
     return out
 
 
-def _tally(cells: dict) -> tuple[int, int, int]:
+def tally(cells: dict) -> tuple[int, int, int]:
     """(divergences, regressions, improvements) over a cell table."""
     divergences = sum(
         1 for cell in cells.values() if cell["classification"] != "neutral"
@@ -264,73 +266,6 @@ def phase_waterfall(phases_a: dict, phases_b: dict) -> list[dict]:
         )
     rows.sort(key=lambda row: (-abs(row["delta_us"]), row["phase"]))
     return rows
-
-
-# ----------------------------------------------------------------------
-# Bench diff
-# ----------------------------------------------------------------------
-def diff_bench_docs(
-    doc_a: dict, doc_b: dict, *, wall_tolerance_pct: float = 10.0,
-) -> dict:
-    """Per-scenario deltas between two validated bench documents.
-
-    Wall-clock metrics are classified with ``wall_tolerance_pct`` slack
-    (hosts are noisy) and go ``neutral`` outright when both runs sat
-    under the bench suite's noise floor; simulated metrics are
-    deterministic, so *any* delta is a divergence.  Raises
-    ``ValueError`` for structurally incomparable documents (schema or
-    quick/full mismatch), exactly like the bench compare.
-    """
-    from ..harness.bench import _WALL_NOISE_FLOOR_S, load_bench
-
-    for doc, side in ((doc_a, "a"), (doc_b, "b")):
-        load_bench(doc, side=side)
-    if bool(doc_a.get("quick")) != bool(doc_b.get("quick")):
-        raise ValueError(
-            "cannot diff a --quick run against a full-size one "
-            "(request counts differ)"
-        )
-    scen_a = doc_a.get("scenarios", {})
-    scen_b = doc_b.get("scenarios", {})
-    scenarios: dict = {}
-    divergences = regressions = improvements = 0
-    for name in sorted(set(scen_a) & set(scen_b)):
-        entry_a, entry_b = scen_a[name], scen_b[name]
-        metrics_a = entry_a.get("metrics", {})
-        metrics_b = entry_b.get("metrics", {})
-        below_floor = (
-            max(metrics_a.get("wall_s") or 0.0, metrics_b.get("wall_s") or 0.0)
-            < _WALL_NOISE_FLOOR_S
-        )
-        cells = _metric_table(
-            metrics_a, metrics_b,
-            wall_tolerance_pct=wall_tolerance_pct, below_floor=below_floor,
-        )
-        entry: dict = {"metrics": cells}
-        attr_a = entry_a.get("attribution")
-        attr_b = entry_b.get("attribution")
-        if attr_a is not None and attr_b is not None:
-            entry["waterfall"] = phase_waterfall(
-                attr_a.get("phase_totals_us", {}),
-                attr_b.get("phase_totals_us", {}),
-            )
-        div, reg, imp = _tally(cells)
-        entry["divergences"] = div
-        entry["regressions"] = reg
-        entry["improvements"] = imp
-        divergences += div
-        regressions += reg
-        improvements += imp
-        scenarios[name] = entry
-    return {
-        "identical": divergences == 0,
-        "divergences": divergences,
-        "regressions": regressions,
-        "improvements": improvements,
-        "scenarios": scenarios,
-        "only_in_a": sorted(set(scen_a) - set(scen_b)),
-        "only_in_b": sorted(set(scen_b) - set(scen_a)),
-    }
 
 
 # ----------------------------------------------------------------------
@@ -522,8 +457,8 @@ def diff_fleet_devices(doc: dict, device_a: int, device_b: int) -> dict:
                 # classified lower-better like every latency metric
                 metrics_a[f"{op}_{stat}"] = a_stats[stat]
                 metrics_b[f"{op}_{stat}"] = b_stats[stat]
-    cells = _metric_table(metrics_a, metrics_b)
-    divergences, regressions, improvements = _tally(cells)
+    cells = metric_table(metrics_a, metrics_b)
+    divergences, regressions, improvements = tally(cells)
     health = None
     rollup = doc.get("rollup") or {}
     scores = rollup.get("health") or {}
@@ -638,8 +573,8 @@ def diff_run(
     )
     metrics_a = {m: getattr(result_a, m) for m in _RUN_METRICS}
     metrics_b = {m: getattr(result_b, m) for m in _RUN_METRICS}
-    cells = _metric_table(metrics_a, metrics_b)
-    divergences, regressions, improvements = _tally(cells)
+    cells = metric_table(metrics_a, metrics_b)
+    divergences, regressions, improvements = tally(cells)
     metrics_section = {
         "identical": divergences == 0,
         "divergences": divergences,

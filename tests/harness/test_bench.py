@@ -9,11 +9,12 @@ from repro.harness.bench import (
     SCENARIOS,
     SCHEMA_VERSION,
     compare,
-    main,
     run_bench,
     run_scenario,
     write_bench,
 )
+
+from .test_cli_exit_codes import run_cli
 
 
 @pytest.fixture(scope="module")
@@ -162,6 +163,27 @@ class TestCompare:
         with pytest.raises(ValueError):
             compare(doc, doc, max_regression_pct=-1.0)
 
+    def test_simulated_metrics_have_zero_tolerance(self):
+        # the committed baseline with one simulated metric 20% worse:
+        # inside --max-regression, but the model's behaviour changed
+        from pathlib import Path
+
+        path = Path(__file__).resolve().parents[2] / "benchmarks/baseline.json"
+        baseline = json.loads(path.read_text())
+        current = copy.deepcopy(baseline)
+        metrics = current["scenarios"]["gc_heavy"]["metrics"]
+        metrics["sim_mean_write_us"] *= 1.2
+        regs = compare(current, baseline, max_regression_pct=30.0)
+        assert [(r.scenario, r.metric) for r in regs] == [
+            ("gc_heavy", "sim_mean_write_us")
+        ]
+        assert regs[0].change_pct == pytest.approx(20.0)
+        # wall-clock inside the threshold still passes
+        current = copy.deepcopy(baseline)
+        for entry in current["scenarios"].values():
+            entry["metrics"]["wall_s"] *= 1.2
+        assert compare(current, baseline, max_regression_pct=30.0) == []
+
     def test_new_scenarios_and_metrics_are_skipped(self):
         base = make_doc()
         cur = copy.deepcopy(base)
@@ -174,7 +196,7 @@ class TestCompare:
 
 class TestCli:
     def run_main(self, args, capsys):
-        code = main(args)
+        code = run_cli(["bench", *args])
         out = capsys.readouterr()
         return code, out.out, out.err
 
@@ -206,13 +228,13 @@ class TestCli:
         )
         assert code == 0
         baseline_path = next(tmp_path.glob("BENCH_*.json"))
-        code, out, _ = self.run_main(
+        code, _, err = self.run_main(
             ["--quick", "--scenario", "mix2_shared", "--no-write",
              "--baseline", str(baseline_path), "--max-regression", "500"],
             capsys,
         )
         assert code == 0
-        assert "baseline check passed" in out
+        assert "baseline check passed" in err
         # poison the baseline's deterministic metric: must exit 1
         doc = json.loads(baseline_path.read_text())
         doc["scenarios"]["mix2_shared"]["metrics"]["sim_mean_read_us"] /= 10.0
@@ -275,20 +297,20 @@ class TestCli:
             capsys,
         )
         assert code == 0
-        assert f"updated baseline {target}" in out
+        assert f"updated baseline {target}" in err
         assert "REGRESSION" not in err
         doc = json.loads(target.read_text())
         assert doc["schema_version"] == SCHEMA_VERSION
         assert doc["quick"] is True
         assert "fastmodel" in doc["scenarios"]
         # the refreshed baseline round-trips through a normal check
-        code, out, _ = self.run_main(
+        code, _, err = self.run_main(
             ["--quick", "--scenario", "fastmodel", "--no-write",
              "--baseline", str(target), "--max-regression", "500"],
             capsys,
         )
         assert code == 0
-        assert "baseline check passed" in out
+        assert "baseline check passed" in err
 
     def test_missing_baseline_exits_2(self, capsys):
         code, _, err = self.run_main(
@@ -471,7 +493,7 @@ class TestTrajectory:
     def test_cli_trajectory_reports_skips_on_stderr(self, tmp_path, capsys):
         self.write_run(tmp_path, "2026-01-01T00:00:00Z")
         (tmp_path / "BENCH_bad.json").write_text("{not json")
-        code = main(["--trajectory", str(tmp_path)])
+        code = run_cli(["bench", "--trajectory", str(tmp_path)])
         captured = capsys.readouterr()
         assert code == 0
         assert "skipping BENCH_bad.json" in captured.err
@@ -516,13 +538,13 @@ class TestTrajectory:
     def test_cli_trajectory_flag(self, tmp_path, capsys):
         self.write_run(tmp_path, "2026-01-01T00:00:00Z")
         self.write_run(tmp_path, "2026-01-02T00:00:00Z")
-        code = main(["--trajectory", str(tmp_path)])
+        code = run_cli(["bench", "--trajectory", str(tmp_path)])
         out = capsys.readouterr().out
         assert code == 0
         assert "BENCH_" in out and "->" in out
 
     def test_cli_trajectory_missing_dir_is_empty(self, tmp_path, capsys):
-        code = main(["--trajectory", str(tmp_path / "nope")])
+        code = run_cli(["bench", "--trajectory", str(tmp_path / "nope")])
         out = capsys.readouterr().out
         assert code == 0
         assert "no BENCH_*.json files found" in out

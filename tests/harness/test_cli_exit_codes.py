@@ -40,6 +40,9 @@ USAGE_ERRORS = {
                           "--scale", "warp_drive=2"],
     "diff-unknown-scenario": ["diff", "run", "--scenario", "nope"],
     "diff-fastmodel-run": ["diff", "run", "--scenario", "fastmodel"],
+    "stats-missing-slo": ["stats", "--scale", "smoke",
+                          "--slo", "no-such-slo-spec.json"],
+    "faults-bad-read-ber": ["faults", "--scale", "smoke", "--read-ber", "2"],
 }
 
 
@@ -59,6 +62,19 @@ def test_missing_input_file_exits_two(tmp_path):
 # ----------------------------------------------------------------------
 # Successes: cheap invocations of each surface must exit 0
 # ----------------------------------------------------------------------
+def test_output_paths_create_missing_directories(tmp_path, capsys):
+    fleet = tmp_path / "fleet-dir" / "f.json"
+    chrome = tmp_path / "chrome-dir" / "x.json"
+    drift = tmp_path / "drift-dir" / "d.json"
+    assert run_cli([
+        "fleet", "--quick", "--devices", "2", "--tenants", "2",
+        "--out", str(fleet), "--chrome-trace", str(chrome),
+    ]) == 0
+    assert run_cli(["drift", "--quick", "--out", str(drift)]) == 0
+    assert fleet.exists() and chrome.exists() and drift.exists()
+    capsys.readouterr()
+
+
 def test_info_exits_zero(capsys):
     assert run_cli(["info"]) == 0
     capsys.readouterr()

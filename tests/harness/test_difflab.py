@@ -6,8 +6,15 @@ import json
 import pytest
 
 from repro.harness.bench import SCHEMA_VERSION
-from repro.harness.difflab import main
+from repro.harness.cli import main as repro_main
 from repro.obs.diff import DIFF_SCHEMA_VERSION, load_diff
+
+from .test_cli_exit_codes import run_cli
+
+
+def diff(argv):
+    """``repro diff <argv>``, usage errors normalised to exit code 2."""
+    return run_cli(["diff", *argv])
 
 
 def make_bench_doc(read_us=100.0, wall_s=0.5, rps=1000.0, *, quick=True):
@@ -73,13 +80,13 @@ class TestBenchMode:
     def test_identical_documents_exit_zero(self, tmp_path, capsys):
         a = write_json(tmp_path / "a.json", make_bench_doc())
         b = write_json(tmp_path / "b.json", make_bench_doc())
-        assert main(["bench", a, b]) == 0
+        assert diff(["bench", a, b]) == 0
         assert "identical" in capsys.readouterr().out
 
     def test_regression_exits_one_and_is_rendered(self, tmp_path, capsys):
         a = write_json(tmp_path / "a.json", make_bench_doc(read_us=100.0))
         b = write_json(tmp_path / "b.json", make_bench_doc(read_us=150.0))
-        assert main(["bench", a, b]) == 1
+        assert diff(["bench", a, b]) == 1
         out = capsys.readouterr().out
         assert "sim_mean_read_us" in out
         assert "regressed" in out
@@ -87,23 +94,23 @@ class TestBenchMode:
     def test_improvement_alone_exits_zero(self, tmp_path):
         a = write_json(tmp_path / "a.json", make_bench_doc(read_us=100.0))
         b = write_json(tmp_path / "b.json", make_bench_doc(read_us=50.0))
-        assert main(["bench", a, b]) == 0
+        assert diff(["bench", a, b]) == 0
 
     def test_quick_full_mismatch_is_usage_error(self, tmp_path, capsys):
         a = write_json(tmp_path / "a.json", make_bench_doc(quick=True))
         b = write_json(tmp_path / "b.json", make_bench_doc(quick=False))
-        assert main(["bench", a, b]) == 2
+        assert diff(["bench", a, b]) == 2
         assert "repro diff:" in capsys.readouterr().err
 
     def test_missing_file_is_usage_error(self, tmp_path, capsys):
         a = write_json(tmp_path / "a.json", make_bench_doc())
-        assert main(["bench", a, str(tmp_path / "gone.json")]) == 2
+        assert diff(["bench", a, str(tmp_path / "gone.json")]) == 2
         assert "cannot read" in capsys.readouterr().err
 
     def test_json_output_is_a_valid_report(self, tmp_path, capsys):
         a = write_json(tmp_path / "a.json", make_bench_doc())
         b = write_json(tmp_path / "b.json", make_bench_doc(read_us=150.0))
-        main(["bench", a, b, "--json"])
+        diff(["bench", a, b, "--json"])
         report = load_diff(json.loads(capsys.readouterr().out))
         assert report["kind"] == "bench"
         assert report["schema_version"] == DIFF_SCHEMA_VERSION
@@ -111,8 +118,8 @@ class TestBenchMode:
     def test_out_writes_byte_identical_reports(self, tmp_path, capsys):
         a = write_json(tmp_path / "a.json", make_bench_doc())
         b = write_json(tmp_path / "b.json", make_bench_doc(read_us=150.0))
-        main(["bench", a, b, "--out", str(tmp_path / "one.json")])
-        main(["bench", a, b, "--out", str(tmp_path / "two.json")])
+        diff(["bench", a, b, "--out", str(tmp_path / "one.json")])
+        diff(["bench", a, b, "--out", str(tmp_path / "two.json")])
         one = (tmp_path / "one.json").read_bytes()
         assert one == (tmp_path / "two.json").read_bytes()
         load_diff(json.loads(one))
@@ -122,7 +129,7 @@ class TestTraceMode:
     def test_identical_streams_exit_zero(self, tmp_path, capsys):
         a = write_trace(tmp_path / "a.jsonl", EVENTS)
         b = write_trace(tmp_path / "b.jsonl", EVENTS)
-        assert main(["trace", a, b]) == 0
+        assert diff(["trace", a, b]) == 0
         assert "streams identical" in capsys.readouterr().out
 
     def test_any_divergence_exits_one(self, tmp_path, capsys):
@@ -130,7 +137,7 @@ class TestTraceMode:
         moved[1]["ts_us"] = 2.5
         a = write_trace(tmp_path / "a.jsonl", EVENTS)
         b = write_trace(tmp_path / "b.jsonl", moved)
-        assert main(["trace", a, b]) == 1
+        assert diff(["trace", a, b]) == 1
         out = capsys.readouterr().out
         assert "first divergence at event #1" in out
         assert "channel 1" in out
@@ -139,7 +146,7 @@ class TestTraceMode:
         a = write_trace(tmp_path / "a.jsonl", EVENTS)
         bad = tmp_path / "b.jsonl"
         bad.write_text("not json\n")
-        assert main(["trace", a, str(bad)]) == 2
+        assert diff(["trace", a, str(bad)]) == 2
         assert "not a JSONL trace" in capsys.readouterr().err
 
 
@@ -147,12 +154,12 @@ class TestCritpathMode:
     def test_identical_reports_exit_zero(self, tmp_path):
         a = write_json(tmp_path / "a.json", make_critpath())
         b = write_json(tmp_path / "b.json", make_critpath())
-        assert main(["critpath", a, b]) == 0
+        assert diff(["critpath", a, b]) == 0
 
     def test_makespan_regression_exits_one(self, tmp_path, capsys):
         a = write_json(tmp_path / "a.json", make_critpath(30.0, makespan_us=100.0))
         b = write_json(tmp_path / "b.json", make_critpath(80.0, makespan_us=150.0))
-        assert main(["critpath", a, b]) == 1
+        assert diff(["critpath", a, b]) == 1
         assert "ch0 moved +50.0us" in capsys.readouterr().out
 
     def test_accepts_explain_documents(self, tmp_path, capsys):
@@ -176,7 +183,7 @@ class TestCritpathMode:
 
         a = write_json(tmp_path / "a.json", explain_doc(30.0, 100.0))
         b = write_json(tmp_path / "b.json", explain_doc(20.0, 90.0))
-        assert main(["critpath", a, b]) == 0
+        assert diff(["critpath", a, b]) == 0
         assert "ch0 moved -10.0us" in capsys.readouterr().out
 
 
@@ -187,14 +194,14 @@ class TestFleetMode:
         return write_json(tmp_path / "fleet.json", make_fleet_doc())
 
     def test_device_against_itself_exits_zero(self, tmp_path):
-        assert main(["fleet", self.fleet_path(tmp_path), "0", "0"]) == 0
+        assert diff(["fleet", self.fleet_path(tmp_path), "0", "0"]) == 0
 
     def test_slower_device_exits_one(self, tmp_path, capsys):
-        assert main(["fleet", self.fleet_path(tmp_path), "0", "1"]) == 1
+        assert diff(["fleet", self.fleet_path(tmp_path), "0", "1"]) == 1
         assert "makespan_us" in capsys.readouterr().out
 
     def test_unknown_device_is_usage_error(self, tmp_path, capsys):
-        assert main(["fleet", self.fleet_path(tmp_path), "0", "9"]) == 2
+        assert diff(["fleet", self.fleet_path(tmp_path), "0", "9"]) == 2
         assert "no device 9" in capsys.readouterr().err
 
 
@@ -202,7 +209,7 @@ class TestRunMode:
     def test_self_diff_exits_zero_and_writes_artifacts(self, tmp_path, capsys):
         out = tmp_path / "self.json"
         chrome = tmp_path / "self_trace.json"
-        code = main([
+        code = diff([
             "run", "--scenario", "mix2_shared", "--quick",
             "--out", str(out), "--chrome-trace", str(chrome),
         ])
@@ -218,25 +225,25 @@ class TestRunMode:
         assert any(21 <= pid <= 24 for pid in pids)
 
     def test_unknown_scenario_is_usage_error(self, capsys):
-        assert main(["run", "--scenario", "nope", "--quick"]) == 2
+        assert diff(["run", "--scenario", "nope", "--quick"]) == 2
         assert "unknown scenario" in capsys.readouterr().err
 
     def test_fastmodel_scenario_is_rejected(self, capsys):
-        assert main(["run", "--scenario", "fastmodel", "--quick"]) == 2
+        assert diff(["run", "--scenario", "fastmodel", "--quick"]) == 2
         assert "fastmodel backend" in capsys.readouterr().err
 
     def test_bad_scale_spec_is_usage_error(self, capsys):
-        assert main(["run", "--quick", "--scale", "bus_bandwidth"]) == 2
+        assert diff(["run", "--quick", "--scale", "bus_bandwidth"]) == 2
         assert "KNOB=FACTOR" in capsys.readouterr().err
 
     def test_unknown_knob_is_usage_error(self, capsys):
-        assert main(["run", "--quick", "--scale", "warp_drive=2"]) == 2
+        assert diff(["run", "--quick", "--scale", "warp_drive=2"]) == 2
         assert "unknown knob" in capsys.readouterr().err
 
 
 class TestUsage:
     def test_no_mode_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main([])
+            repro_main(["diff"])
         assert excinfo.value.code == 2
         assert "a mode is required" in capsys.readouterr().err

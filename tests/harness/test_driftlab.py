@@ -84,6 +84,10 @@ class TestDriftCli:
             main(["drift", "--scenario", "nope"])
 
     def test_unwritable_out_path(self, capsys, tmp_path):
-        target = tmp_path / "missing" / "report.json"
-        assert main(["drift", "--quick", "--out", str(target)]) == 2
+        # a missing directory is created; a regular file in the way is not
+        (tmp_path / "blocker").write_text("")
+        target = tmp_path / "blocker" / "report.json"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["drift", "--quick", "--out", str(target)])
+        assert excinfo.value.code == 2
         assert "cannot write" in capsys.readouterr().err

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from repro.harness.explain import EXPLAIN_SCHEMA_VERSION, explain_scenario, main
+from repro.harness.explain import EXPLAIN_SCHEMA_VERSION, explain_scenario
+
+from .test_cli_exit_codes import run_cli
 
 
 @pytest.fixture(scope="module")
@@ -59,8 +61,8 @@ class TestExplainScenario:
 class TestMain:
     def test_json_output_and_out_file(self, tmp_path, capsys):
         out = tmp_path / "explain.json"
-        code = main([
-            "--scenario", "gc_heavy", "--quick", "--no-whatif",
+        code = run_cli([
+            "explain", "--scenario", "gc_heavy", "--quick", "--no-whatif",
             "--json", "--out", str(out),
         ])
         assert code == 0
@@ -72,16 +74,16 @@ class TestMain:
         assert "_critpath_report" not in on_disk  # objects never serialized
 
     def test_table_output(self, capsys):
-        code = main(["--scenario", "gc_heavy", "--quick", "--no-whatif",
-                     "--top", "3"])
+        code = run_cli(["explain", "--scenario", "gc_heavy", "--quick",
+                        "--no-whatif", "--top", "3"])
         assert code == 0
         text = capsys.readouterr().out
         assert "critical path over" in text
 
     def test_unknown_scenario_exits_2(self, capsys):
-        assert main(["--scenario", "nope", "--quick"]) == 2
+        assert run_cli(["explain", "--scenario", "nope", "--quick"]) == 2
         assert "unknown scenario" in capsys.readouterr().err
 
     def test_fastmodel_exits_2(self, capsys):
-        assert main(["--scenario", "fastmodel", "--quick"]) == 2
+        assert run_cli(["explain", "--scenario", "fastmodel", "--quick"]) == 2
         assert "fastmodel" in capsys.readouterr().err

@@ -4,13 +4,15 @@ import json
 
 import pytest
 
+from repro.harness.cli import main as repro_main
 from repro.harness.fleetlab import (
     build_fleet_scenario,
     default_migration,
-    main,
     run_fleet,
 )
 from repro.ssd.fleet import MigrationPlan, seeded_placement
+
+from .test_cli_exit_codes import run_cli
 
 
 class TestBuildScenario:
@@ -111,7 +113,7 @@ class TestRunFleet:
 
 class TestCli:
     def run_main(self, args, capsys):
-        code = main(args)
+        code = run_cli(["fleet", *args])
         captured = capsys.readouterr()
         return code, captured.out, captured.err
 
@@ -175,12 +177,12 @@ class TestCli:
 
     def test_bad_migration_syntax_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["--migrate", "nonsense"])
+            repro_main(["fleet", "--migrate", "nonsense"])
         assert exc.value.code == 2
 
     def test_migration_to_unknown_device_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["--devices", "2", "--migrate", "0:5:100"])
+            repro_main(["fleet", "--devices", "2", "--migrate", "0:5:100"])
         assert exc.value.code == 2
 
     def test_missing_slo_file_returns_2(self, capsys):
@@ -192,5 +194,5 @@ class TestCli:
 
     def test_slo_and_slo_tight_are_exclusive(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["--slo", "x.json", "--slo-tight"])
+            repro_main(["fleet", "--slo", "x.json", "--slo-tight"])
         assert exc.value.code == 2

@@ -7,9 +7,10 @@ import pytest
 from repro.harness.hostprofile import (
     HOTPATH_SCHEMA_VERSION,
     collapsed_stacks,
-    main,
     profile_scenario,
 )
+
+from .test_cli_exit_codes import run_cli
 
 
 @pytest.fixture(scope="module")
@@ -72,8 +73,8 @@ class TestMain:
     def test_writes_report_and_collapsed(self, tmp_path, capsys):
         out = tmp_path / "hot.json"
         folded = tmp_path / "hot.folded"
-        code = main([
-            "--scenario", "gc_heavy", "--quick", "--top", "5",
+        code = run_cli([
+            "profile", "--scenario", "gc_heavy", "--quick", "--top", "5",
             "--out", str(out), "--collapsed", str(folded),
         ])
         assert code == 0
@@ -83,5 +84,5 @@ class TestMain:
         assert folded.read_text().strip()
 
     def test_unknown_scenario_exits_2(self, capsys):
-        assert main(["--scenario", "nope", "--quick"]) == 2
+        assert run_cli(["profile", "--scenario", "nope", "--quick"]) == 2
         assert "unknown scenario" in capsys.readouterr().err

@@ -5,13 +5,12 @@ import json
 
 import pytest
 
-from repro.harness.bench import SCENARIOS, SCHEMA_VERSION
+from repro.harness.bench import SCENARIOS, SCHEMA_VERSION, diff_bench_docs
 from repro.obs.critpath import CRITPATH_SCHEMA_VERSION
 from repro.obs.diff import (
     DIFF_SCHEMA_VERSION,
     DiffError,
     build_diff_report,
-    diff_bench_docs,
     diff_critpath_docs,
     diff_fleet_devices,
     diff_run,
