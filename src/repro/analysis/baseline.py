@@ -20,6 +20,7 @@ from dataclasses import replace
 import json
 from pathlib import Path
 
+from ..schema import Schema
 from .engine import Report, Violation
 
 __all__ = [
@@ -32,22 +33,16 @@ __all__ = [
 
 BASELINE_SCHEMA_VERSION = 1
 
-_BASELINE_FIELDS = frozenset({"schema_version", "entries"})
+BASELINE_SCHEMA = Schema(
+    "baseline", BASELINE_SCHEMA_VERSION, required=("entries",),
+)
 _ENTRY_FIELDS = frozenset({"fingerprint", "rule", "path", "message"})
 
 
 def load_baseline(path: Path | str) -> dict:
     """Read and validate a baseline document (the round-trip reader)."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("schema_version") != BASELINE_SCHEMA_VERSION:
-        raise ValueError(
-            f"baseline has schema_version {doc.get('schema_version')!r}; "
-            f"this tool reads version {BASELINE_SCHEMA_VERSION}"
-        )
-    missing = _BASELINE_FIELDS - set(doc)
-    if missing:
-        raise ValueError(f"baseline is missing fields: {sorted(missing)}")
+        doc = BASELINE_SCHEMA.load(json.load(fh))
     if not isinstance(doc["entries"], list):
         raise ValueError("baseline 'entries' must be a list")
     for entry in doc["entries"]:
@@ -69,10 +64,7 @@ def write_baseline(report: Report, path: Path | str) -> int:
         for v in report.active
     ]
     entries.sort(key=lambda e: (e["path"], e["rule"], e["fingerprint"]))
-    doc = {
-        "schema_version": BASELINE_SCHEMA_VERSION,
-        "entries": entries,
-    }
+    doc = BASELINE_SCHEMA.stamp(entries=entries)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=False)
         fh.write("\n")

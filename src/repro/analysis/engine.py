@@ -50,6 +50,8 @@ import re
 import sys
 from typing import Iterable, Sequence
 
+from ..schema import Schema
+
 __all__ = [
     "REPORT_SCHEMA_VERSION",
     "Violation",
@@ -65,11 +67,11 @@ __all__ = [
 #: per-file report; v2 adds fingerprints, suppression and tool metadata)
 REPORT_SCHEMA_VERSION = 2
 
-#: JSON report keys every consumer may rely on (see :func:`load_report_dict`)
-_REPORT_FIELDS = frozenset({
-    "schema_version", "tool", "files", "ok", "counts", "suppressed",
-    "violations",
-})
+#: the JSON report every consumer may rely on
+REPORT_SCHEMA = Schema(
+    "report", REPORT_SCHEMA_VERSION,
+    required=("tool", "files", "ok", "counts", "suppressed", "violations"),
+)
 
 # The reason capture runs greedily to the LAST ')' on the line: a reason
 # like "(1/rps is seconds (SI), so the product is unitless)" must survive
@@ -297,35 +299,21 @@ class Report:
         return out
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": REPORT_SCHEMA_VERSION,
-            "tool": {
+        return REPORT_SCHEMA.stamp(
+            tool={
                 "name": "repro-analysis",
                 "rules": {code: summary for code, summary in self.rules},
             },
-            "files": self.files,
-            "ok": self.ok,
-            "counts": self.counts(),
-            "suppressed": len(self.baselined),
-            "violations": [v.to_dict() for v in self.violations],
-        }
-
-
-def load_report_dict(doc: dict) -> dict:
-    """Validate a machine-readable report (the v2 round-trip reader).
-
-    Raises :class:`ValueError` on a version or shape mismatch; returns the
-    document unchanged otherwise.
-    """
-    if doc.get("schema_version") != REPORT_SCHEMA_VERSION:
-        raise ValueError(
-            f"report has schema_version {doc.get('schema_version')!r}; "
-            f"this tool reads version {REPORT_SCHEMA_VERSION}"
+            files=self.files,
+            ok=self.ok,
+            counts=self.counts(),
+            suppressed=len(self.baselined),
+            violations=[v.to_dict() for v in self.violations],
         )
-    missing = _REPORT_FIELDS - set(doc)
-    if missing:
-        raise ValueError(f"report is missing fields: {sorted(missing)}")
-    return doc
+
+
+#: validate a machine-readable report (the v2 round-trip reader)
+load_report_dict = REPORT_SCHEMA.load
 
 
 class LintEngine:

@@ -245,12 +245,7 @@ class SSDKeeper:
             strategy = (
                 last_good if last_good is not None else Strategy(StrategyKind.SHARED)
             )
-            if self.obs is not None:
-                self.obs.registry.counter("keeper.fallbacks").inc()
-                self.obs.trace.emit(
-                    sim.loop.now, "keeper_fallback", "keeper", "keeper",
-                    args={"strategy": strategy.label, "reason": reason},
-                )
+            self._log_fallback(sim, strategy, reason)
             return strategy, reason
         if self.verify_top_k:
             strategy = verified_allocate(
@@ -266,12 +261,88 @@ class SSDKeeper:
             strategy = self.allocator.allocate(features)
         return strategy, None
 
+    def _collecting_device(self, on_submit) -> SSDSimulator:
+        """The device in its collection phase: Shared channels for every
+        tenant, traditional static placement."""
+        channels = list(range(self.config.channels))
+        return SSDSimulator(
+            self.config,
+            {wid: list(channels) for wid in range(self.allocator.space.n_tenants)},
+            page_modes=None,
+            record_latencies=self.record_latencies,
+            on_submit=on_submit,
+            obs=self.obs,
+            faults=self.faults,
+            sanitizer=self.sanitizer,
+        )
+
+    def _allocation(self, strategy: Strategy, features: FeatureVector):
+        """``(channel_sets, page_modes)`` deploying ``strategy`` for ``features``."""
+        return (
+            strategy.channel_sets(self.config.channels, features.write_dominated()),
+            page_modes_for(self.page_policy, features),
+        )
+
+    def _predict_us(self, window, strategy: Strategy, features: FeatureVector) -> float:
+        """Fast-model mean latency of ``window`` with ``strategy`` deployed."""
+        replay = fast_simulate(
+            list(window), self.config, *self._allocation(strategy, features),
+            faults=self.faults,
+        )
+        return replay.mean_total_us
+
+    def _log_fallback(self, sim: SSDSimulator, strategy: Strategy, reason: str) -> None:
+        if self.obs is not None:
+            self.obs.registry.counter("keeper.fallbacks").inc()
+            self.obs.trace.emit(
+                sim.loop.now, "keeper_fallback", "keeper", "keeper",
+                args={"strategy": strategy.label, "reason": reason},
+            )
+
+    def _record_decision(
+        self,
+        sim: SSDSimulator,
+        features: FeatureVector,
+        strategy: Strategy,
+        *,
+        observed: int,
+        predicted_us: float | None,
+        fallback_reason: str | None,
+        switched: bool,
+        **switch_args,
+    ) -> KeeperDecision:
+        """Log one decision on ``obs``: the :class:`KeeperDecision` record
+        and, when the allocation switched, the ``keeper.switches`` counter
+        and a ``keeper_switch`` trace event stamped with the simulated time
+        the reallocation took effect (== ``KeeperRun.switched_at_us``)."""
+        obs = self.obs
+        assert obs is not None  # every caller guards on self.obs
+        record = KeeperDecision(
+            time_us=sim.loop.now,
+            features=features,
+            strategy=strategy.label,
+            window_requests=observed,
+            predicted_mean_us=predicted_us,
+            fallback_reason=fallback_reason,
+        )
+        obs.decisions.append(record)
+        if switched:
+            obs.registry.counter("keeper.switches").inc()
+            obs.trace.emit(
+                sim.loop.now, "keeper_switch", "keeper", "keeper",
+                args={
+                    "strategy": strategy.label,
+                    "features": features.to_array().tolist(),
+                    **switch_args,
+                },
+            )
+        return record
+
     # ------------------------------------------------------------------
     def run(self, requests: Iterable[IORequest]) -> KeeperRun:
         """Play Algorithm 2 over ``requests``; returns latencies + decision."""
-        n_tenants = self.allocator.space.n_tenants
         collector = FeaturesCollector(
-            n_tenants, intensity_quantum=self.intensity_quantum
+            self.allocator.space.n_tenants, intensity_quantum=self.intensity_quantum
         )
         window_end = self.collect_window_us
         observing = True
@@ -285,23 +356,10 @@ class SSDKeeper:
                 if keep_window:
                     window_requests.append(req)
 
-        shared = {
-            wid: list(range(self.config.channels)) for wid in range(n_tenants)
-        }
-        sim = SSDSimulator(
-            self.config,
-            shared,
-            page_modes=None,  # collection phase: traditional static placement
-            record_latencies=self.record_latencies,
-            on_submit=on_submit,
-            obs=self.obs,
-            faults=self.faults,
-            sanitizer=self.sanitizer,
-        )
-
-        decision: dict = {
-            "features": None, "strategy": None, "at_us": None, "fallback": None,
-        }
+        sim = self._collecting_device(on_submit)
+        outcome = KeeperRun(
+            result=None, features=None, strategy=None, switched_at_us=None
+        )  # result filled after sim.run
 
         def switch() -> None:
             nonlocal observing
@@ -312,81 +370,31 @@ class SSDKeeper:
             strategy, fallback_reason = self._decide(
                 sim, features, window_requests
             )
-            channel_sets = strategy.channel_sets(
-                self.config.channels, features.write_dominated()
-            )
-            page_modes = page_modes_for(self.page_policy, features)
-            sim.controller.reallocate(channel_sets, page_modes)
-            decision["features"] = features
-            decision["strategy"] = strategy
-            decision["at_us"] = sim.loop.now
-            decision["fallback"] = fallback_reason
+            sim.controller.reallocate(*self._allocation(strategy, features))
+            outcome.features, outcome.strategy = features, strategy
+            outcome.switched_at_us = sim.loop.now
+            outcome.fallback_reason = fallback_reason
             if self.obs is not None:
-                self._log_decision(
-                    sim, features, strategy, channel_sets, page_modes,
-                    window_requests, fallback_reason=fallback_reason,
+                predicted_us = None
+                if window_requests:
+                    predicted_us = self._predict_us(
+                        window_requests, strategy, features
+                    )
+                self._record_decision(
+                    sim, features, strategy,
+                    observed=len(window_requests), predicted_us=predicted_us,
+                    fallback_reason=fallback_reason, switched=True,
+                    predicted_mean_us=predicted_us,
                 )
 
         sim.loop.schedule(window_end, switch)  # repro-lint: disable=R004 (window_end is an absolute pre-run boundary)
-        result = sim.run(requests)
+        outcome.result = sim.run(requests)
         if self.obs is not None and self.obs.decisions:
             # run-level realised latency for the one-shot decision
             last = self.obs.decisions[-1]
             if last.realised_mean_us is None:
-                last.realised_mean_us = result.mean_total_us
-        return KeeperRun(
-            result=result,
-            features=decision["features"],
-            strategy=decision["strategy"],
-            switched_at_us=decision["at_us"],
-            fallback_reason=decision["fallback"],
-        )
-
-    # ------------------------------------------------------------------
-    def _log_decision(
-        self,
-        sim: SSDSimulator,
-        features: FeatureVector,
-        strategy: Strategy,
-        channel_sets,
-        page_modes,
-        window_requests: Sequence[IORequest],
-        observed: int | None = None,
-        fallback_reason: str | None = None,
-    ) -> KeeperDecision:
-        """Record one decision: trace event + registry + decision log.
-
-        The ``keeper_switch`` trace timestamp is the simulated time the
-        reallocation took effect (== ``KeeperRun.switched_at_us``).
-        """
-        obs = self.obs
-        assert obs is not None  # every caller guards on self.obs
-        predicted_us = None
-        if window_requests:
-            replay = fast_simulate(
-                list(window_requests), self.config, channel_sets, page_modes,
-                faults=self.faults,
-            )
-            predicted_us = replay.mean_total_us
-        record = KeeperDecision(
-            time_us=sim.loop.now,
-            features=features,
-            strategy=strategy.label,
-            window_requests=observed if observed is not None else len(window_requests),
-            predicted_mean_us=predicted_us,
-            fallback_reason=fallback_reason,
-        )
-        obs.decisions.append(record)
-        obs.registry.counter("keeper.switches").inc()
-        obs.trace.emit(
-            sim.loop.now, "keeper_switch", "keeper", "keeper",
-            args={
-                "strategy": strategy.label,
-                "features": features.to_array().tolist(),
-                "predicted_mean_us": predicted_us,
-            },
-        )
-        return record
+                last.realised_mean_us = outcome.result.mean_total_us
+        return outcome
 
     # ------------------------------------------------------------------
     def run_periodic(
@@ -431,7 +439,7 @@ class SSDKeeper:
         * ``switch_gap_windows`` / ``switch_margin`` — the switch-rate
           limiter: within ``switch_gap_windows`` windows of the last
           switch a *different* healthy decision is deployed only when
-          its fast-model win over the incumbent allocation exceeds
+          its fast-model win over the incumbent allocation reaches
           ``switch_margin`` (relative); otherwise the switch is
           suppressed (``keeper.suppressed_switches``) and the incumbent
           stays — hysteresis against allocation thrash.
@@ -443,299 +451,14 @@ class SSDKeeper:
             raise ValueError("switch_gap_windows must be non-negative")
         if switch_margin < 0:
             raise ValueError("switch_margin must be non-negative")
-        adaptive = drift is not None or retrain is not None
-        detector: DriftDetector | None = None
-        if isinstance(drift, DriftDetector):
-            detector = drift
-        elif adaptive:
-            detector = DriftDetector(drift)
-        governor: RetrainGovernor | None = None
-        buffer: ReplayBuffer | None = None
-        if retrain is not None:
-            governor = RetrainGovernor(
-                self.config, retrain,
-                page_policy=self.page_policy, faults=self.faults,
-            )
-            buffer = ReplayBuffer(retrain.capacity)
-
-        n_tenants = self.allocator.space.n_tenants
-        collector = FeaturesCollector(
-            n_tenants, intensity_quantum=self.intensity_quantum
+        loop = _PeriodicLoop.start(
+            self, drift=drift, retrain=retrain,
+            gap_windows=switch_gap_windows, margin=switch_margin,
         )
-        window_requests: list[IORequest] = []
-        keep_window = adaptive or bool(self.verify_top_k)
-
-        def on_submit(req: IORequest) -> None:
-            collector.observe(req)
-            if keep_window:
-                window_requests.append(req)
-
-        shared = {
-            wid: list(range(self.config.channels)) for wid in range(n_tenants)
-        }
-        sim = SSDSimulator(
-            self.config,
-            shared,
-            page_modes=None,
-            record_latencies=self.record_latencies,
-            on_submit=on_submit if keep_window else collector.observe,
-            obs=self.obs,
-            faults=self.faults,
-            sanitizer=self.sanitizer,
-        )
-        run = PeriodicRun(result=None, decisions=[])  # result filled after sim.run
-        last_label: str | None = None
-        last_strategy: Strategy | None = None
-        last_good: Strategy | None = None
-        obs = self.obs
-        # Per-window realised latency: cumulative totals at the previous
-        # adaptation tick, the obs decision record and the decision index
-        # the next delta belongs to, plus adaptive bookkeeping.
-        window_state = {
-            "total_us": 0.0, "count": 0, "record": None, "pending": None,
-            "windows": 0, "predicted_us": None, "last_switch": None,
-            "unhealthy": 0, "healthy": 0, "drifted": False, "degraded": False,
-        }
-
-        def window_delta_us() -> float | None:
-            """Realised mean latency of the window that just ended."""
-            reads = sim.acc.op_totals(OpType.READ)
-            writes = sim.acc.op_totals(OpType.WRITE)
-            total_latency_us = reads.total_us + writes.total_us
-            count = reads.count + writes.count
-            delta_us = total_latency_us - window_state["total_us"]
-            delta_n = count - window_state["count"]
-            window_state["total_us"] = total_latency_us
-            window_state["count"] = count
-            return delta_us / delta_n if delta_n else None
-
-        def settle_window(realised_us: float | None) -> None:
-            """Attribute ``realised_us`` to the decision awaiting it."""
-            record = window_state["record"]
-            if record is not None and realised_us is not None:
-                record.realised_mean_us = realised_us
-            window_state["record"] = None
-            pending = window_state["pending"]
-            if pending is not None and realised_us is not None:
-                run.realised_us[pending] = realised_us
-            window_state["pending"] = None
-
-        def deployed_cost_us(strategy: Strategy, features, window) -> float:
-            sets = strategy.channel_sets(
-                self.config.channels, features.write_dominated()
-            )
-            modes = page_modes_for(self.page_policy, features)
-            replay = fast_simulate(
-                list(window), self.config, sets, modes, faults=self.faults
-            )
-            return replay.mean_total_us
-
-        def adapt() -> None:
-            nonlocal last_label, last_strategy, last_good
-            realised_us = window_delta_us()
-            settle_window(realised_us)
-            # relative residual of the strategy deployed over the window
-            residual = None
-            predicted_us = window_state["predicted_us"]
-            if realised_us is not None and predicted_us:
-                residual = (realised_us - predicted_us) / predicted_us
-            if collector.total_observed == 0:
-                window_requests.clear()
-                return
-            observed = collector.total_observed
-            features = collector.collect()
-            collector.reset()
-            window = tuple(window_requests)
-            window_requests.clear()
-
-            drift_fired = False
-            if adaptive:
-                widx = window_state["windows"]
-                window_state["windows"] = widx + 1
-                if buffer is not None and window:
-                    buffer.add(ReplayWindow(
-                        time_us=sim.loop.now,
-                        features=features,
-                        deployed=last_label if last_label is not None else "Shared",
-                        realised_mean_us=realised_us,
-                        requests=window,
-                    ))
-                events = detector.update(
-                    sim.loop.now, features.to_array(), residual
-                )
-                drift_fired = bool(events)
-                if drift_fired:
-                    window_state["drifted"] = True
-                run.drift_events.extend(events)
-                if obs is not None:
-                    obs.registry.counter("drift.windows").inc()
-                    for event in events:
-                        obs.registry.counter("drift.detections").inc()
-                        obs.registry.counter(f"drift.{event.kind}_alarms").inc()
-                        obs.trace.emit(
-                            sim.loop.now, "drift_detected", "keeper", "drift",
-                            args=event.to_dict(),
-                        )
-                self._update_degradation(detector.config, window_state, residual, obs)
-                if governor is not None and governor.due(
-                    widx, drift_fired or window_state["degraded"]
-                ):
-                    event = governor.attempt(
-                        self.allocator, buffer,
-                        time_us=sim.loop.now, window_index=widx,
-                    )
-                    if event is not None:
-                        run.retrain_events.append(event)
-                        if obs is not None:
-                            obs.registry.counter("keeper.retrains").inc()
-                            obs.registry.counter(
-                                "keeper.promotions" if event.promoted
-                                else "keeper.rollbacks"
-                            ).inc()
-                            obs.trace.emit(
-                                sim.loop.now, "keeper_retrain", "keeper",
-                                "keeper", args=event.to_dict(),
-                            )
-                        if event.promoted:
-                            window_state["degraded"] = False
-                            window_state["drifted"] = False
-                            window_state["unhealthy"] = 0
-                            window_state["healthy"] = 0
-                            detector.reset()
-
-            if adaptive and window_state["degraded"]:
-                run.degraded_windows += 1
-                strategy = Strategy(StrategyKind.SHARED)
-                fallback_reason = (
-                    "persistent drift: residual above "
-                    f"{detector.config.unhealthy_residual:g} for "
-                    f"{detector.config.degrade_after} consecutive windows"
-                )
-                if obs is not None:
-                    obs.registry.counter("keeper.fallbacks").inc()
-                    obs.trace.emit(
-                        sim.loop.now, "keeper_fallback", "keeper", "keeper",
-                        args={"strategy": strategy.label,
-                              "reason": fallback_reason},
-                    )
-            else:
-                strategy, fallback_reason = self._decide(
-                    sim, features, window, last_good=last_good
-                )
-                if fallback_reason is None:
-                    last_good = strategy
-
-            switched = strategy.label != last_label
-            if (
-                adaptive
-                and switched
-                and fallback_reason is None
-                and last_strategy is not None
-                and switch_gap_windows > 0
-                and window_state["last_switch"] is not None
-                and window_state["windows"] - 1 - window_state["last_switch"]
-                < switch_gap_windows
-                and window
-            ):
-                # Hysteresis: inside the cooldown a different decision only
-                # deploys when its measured fast-model win is large enough.
-                incumbent_us = deployed_cost_us(last_strategy, features, window)
-                challenger_us = deployed_cost_us(strategy, features, window)
-                win = (
-                    (incumbent_us - challenger_us) / incumbent_us
-                    if incumbent_us > 0 else 0.0
-                )
-                if win < switch_margin:
-                    run.suppressed_switches += 1
-                    if obs is not None:
-                        obs.registry.counter("keeper.suppressed_switches").inc()
-                    strategy = last_strategy
-                    switched = False
-
-            run.decisions.append((sim.loop.now, features, strategy))
-            run.realised_us.append(None)
-            window_state["pending"] = len(run.decisions) - 1
-            predicted_us = None
-            if adaptive and window:
-                predicted_us = deployed_cost_us(strategy, features, window)
-            window_state["predicted_us"] = predicted_us
-            if obs is not None:
-                record = KeeperDecision(
-                    time_us=sim.loop.now,
-                    features=features,
-                    strategy=strategy.label,
-                    window_requests=observed,
-                    predicted_mean_us=predicted_us,
-                    fallback_reason=fallback_reason,
-                )
-                obs.decisions.append(record)
-                window_state["record"] = record
-                if switched:
-                    obs.registry.counter("keeper.switches").inc()
-                    obs.trace.emit(
-                        sim.loop.now, "keeper_switch", "keeper", "keeper",
-                        args={"strategy": strategy.label,
-                              "features": features.to_array().tolist()},
-                    )
-            if not switched:
-                return  # same allocation: nothing to switch
-            last_label = strategy.label
-            last_strategy = strategy
-            if adaptive:
-                window_state["last_switch"] = window_state["windows"] - 1
-            sim.controller.reallocate(
-                strategy.channel_sets(
-                    self.config.channels, features.write_dominated()
-                ),
-                page_modes_for(self.page_policy, features),
-            )
-
-        end = horizon_us if horizon_us is not None else max(
+        end_us = horizon_us if horizon_us is not None else max(
             r.arrival_us for r in requests
         )
-        t = self.collect_window_us
-        while t <= end + self.collect_window_us:
-            sim.loop.schedule(t, adapt)  # repro-lint: disable=R004 (absolute pre-run window boundary)
-            t += self.collect_window_us
-        run.result = sim.run(requests)
-        # Tail window: completions after the final adaptation tick would
-        # otherwise leave the last decision's realised latency dangling.
-        settle_window(window_delta_us())
-        return run
-
-    @staticmethod
-    def _update_degradation(
-        config: DriftConfig, window_state: dict, residual, obs
-    ) -> None:
-        """Track unhealthy/healthy residual streaks and flip degradation.
-
-        Degradation arms after ``degrade_after`` consecutive unhealthy
-        windows *following a drift detection* and disarms after the same
-        number of healthy ones (or a promoted retrain, handled by the
-        caller) — symmetric hysteresis so one noisy window flips nothing.
-        """
-        if residual is None:
-            return
-        if residual > config.unhealthy_residual:
-            window_state["unhealthy"] += 1
-            window_state["healthy"] = 0
-        else:
-            window_state["healthy"] += 1
-            window_state["unhealthy"] = 0
-        if (
-            not window_state["degraded"]
-            and window_state["drifted"]
-            and window_state["unhealthy"] >= config.degrade_after
-        ):
-            window_state["degraded"] = True
-            if obs is not None:
-                obs.registry.counter("keeper.degradations").inc()
-        elif (
-            window_state["degraded"]
-            and window_state["healthy"] >= config.degrade_after
-        ):
-            window_state["degraded"] = False
-            window_state["drifted"] = False
+        return loop.play(requests, end_us)
 
     # ------------------------------------------------------------------
     def run_adaptive(
@@ -794,3 +517,318 @@ class SSDKeeper:
             sanitizer=self.sanitizer,
         )
         return sim.run(requests)
+
+
+@dataclass
+class _WindowState:
+    """What Algorithm 2's periodic loop carries from window to window; the
+    transitions that decide what a window deploys are its methods."""
+
+    #: cumulative latency totals at the previous window boundary
+    total_us: float = 0.0
+    count: int = 0
+    #: the obs record and decision index awaiting a realised latency
+    record: KeeperDecision | None = None
+    pending: int | None = None
+    #: fast-model estimate of the deployed strategy on the last window
+    predicted_us: float | None = None
+    #: adaptive windows seen; index of the last switch among them
+    windows: int = 0
+    last_switch: int | None = None
+    unhealthy: int = 0
+    healthy: int = 0
+    drifted: bool = False
+    degraded: bool = False
+    deployed: Strategy | None = None
+    #: the last strategy a healthy (non-fallback) decision produced
+    last_good: Strategy | None = None
+
+    def settle_us(self, acc, realised: list) -> float | None:
+        """The ended window's realised mean latency, attributed to the
+        decision awaiting it (``realised`` is aligned with decisions)."""
+        reads = acc.op_totals(OpType.READ)
+        writes = acc.op_totals(OpType.WRITE)
+        total_us = reads.total_us + writes.total_us
+        count = reads.count + writes.count
+        delta_us, delta_n = total_us - self.total_us, count - self.count
+        self.total_us, self.count = total_us, count
+        realised_us = delta_us / delta_n if delta_n else None
+        if realised_us is not None:
+            if self.record is not None:
+                self.record.realised_mean_us = realised_us
+            if self.pending is not None:
+                realised[self.pending] = realised_us
+        self.record = self.pending = None
+        return realised_us
+
+    def residual(self, realised_us: float | None) -> float | None:
+        """Relative residual of the deployed strategy's prediction."""
+        if realised_us is None or not self.predicted_us:
+            return None
+        return (realised_us - self.predicted_us) / self.predicted_us
+
+    def update_degradation(self, config: DriftConfig, residual) -> bool:
+        """Track the residual streaks; returns True when degradation arms.
+
+        Degradation arms after ``degrade_after`` consecutive unhealthy
+        windows *following a drift detection* and disarms after the same
+        number of healthy ones (or a promoted retrain, :meth:`promote`) —
+        symmetric hysteresis so one noisy window flips nothing.
+        """
+        if residual is None:
+            return False
+        if residual > config.unhealthy_residual:
+            self.unhealthy, self.healthy = self.unhealthy + 1, 0
+        else:
+            self.unhealthy, self.healthy = 0, self.healthy + 1
+        if not self.degraded and self.drifted and self.unhealthy >= config.degrade_after:
+            self.degraded = True
+            return True
+        if self.degraded and self.healthy >= config.degrade_after:
+            self.degraded = self.drifted = False
+        return False
+
+    def promote(self) -> None:
+        """A promoted retrain lifts degradation and clears the streaks."""
+        self.degraded = self.drifted = False
+        self.unhealthy = self.healthy = 0
+
+    def suppresses(
+        self, strategy: Strategy, fallback_reason: str | None, cost_us,
+        *, gap_windows: int, margin: float,
+    ) -> bool:
+        """The switch-rate limiter: keep the incumbent instead of ``strategy``?
+
+        Within ``gap_windows`` windows of the last switch a *different*
+        healthy decision deploys only when its fast-model win over the
+        incumbent (``cost_us(strategy)`` -> mean latency) reaches
+        ``margin`` (relative).  A fallback is never suppressed.
+        """
+        if (
+            fallback_reason is not None
+            or self.last_switch is None
+            or strategy.label == self.deployed.label
+            or self.windows - 1 - self.last_switch >= gap_windows
+        ):
+            return False
+        incumbent_us = cost_us(self.deployed)
+        challenger_us = cost_us(strategy)
+        win = (
+            (incumbent_us - challenger_us) / incumbent_us
+            if incumbent_us > 0 else 0.0
+        )
+        return win < margin
+
+
+@dataclass
+class _PeriodicLoop:
+    """One :meth:`SSDKeeper.run_periodic` run: at every window boundary
+    :meth:`tick` plays Algorithm 2's collect → predict → allocate as the
+    steps settle → collect → watch (adaptive runs: drift, degradation,
+    retrain) → decide → limit → record → apply."""
+
+    keeper: SSDKeeper
+    sim: SSDSimulator
+    collector: FeaturesCollector
+    #: requests submitted since the last boundary (kept only when used)
+    window_requests: list
+    detector: DriftDetector | None
+    governor: RetrainGovernor | None
+    buffer: ReplayBuffer | None
+    gap_windows: int
+    margin: float
+    state: _WindowState = field(default_factory=_WindowState)
+    run: PeriodicRun = field(
+        default_factory=lambda: PeriodicRun(result=None, decisions=[])
+    )
+
+    @classmethod
+    def start(cls, keeper: SSDKeeper, *, drift, retrain, gap_windows, margin):
+        """A loop over a fresh device in its collection phase, with the
+        ``drift``/``retrain`` hardening armed as :meth:`SSDKeeper.run_periodic`
+        describes."""
+        detector = None
+        if isinstance(drift, DriftDetector):
+            detector = drift
+        elif drift is not None or retrain is not None:
+            detector = DriftDetector(drift)
+        governor = buffer = None
+        if retrain is not None:
+            governor = RetrainGovernor(
+                keeper.config, retrain,
+                page_policy=keeper.page_policy, faults=keeper.faults,
+            )
+            buffer = ReplayBuffer(retrain.capacity)
+        collector = FeaturesCollector(
+            keeper.allocator.space.n_tenants,
+            intensity_quantum=keeper.intensity_quantum,
+        )
+        window_requests: list[IORequest] = []
+
+        def on_submit(req: IORequest) -> None:
+            collector.observe(req)
+            window_requests.append(req)
+
+        keep_window = detector is not None or bool(keeper.verify_top_k)
+        sim = keeper._collecting_device(
+            on_submit if keep_window else collector.observe
+        )
+        return cls(
+            keeper, sim, collector, window_requests,
+            detector, governor, buffer, gap_windows, margin,
+        )
+
+    def play(self, requests: list[IORequest], end_us: float) -> PeriodicRun:
+        """Tick at every window boundary up to one window past ``end_us``,
+        run the device to completion and settle the tail window."""
+        window_us = self.keeper.collect_window_us
+        t = window_us
+        while t <= end_us + window_us:
+            self.sim.loop.schedule(t, self.tick)  # repro-lint: disable=R004 (absolute pre-run window boundary)
+            t += window_us
+        self.run.result = self.sim.run(requests)
+        # Tail window: completions after the final adaptation tick would
+        # otherwise leave the last decision's realised latency dangling.
+        self.state.settle_us(self.sim.acc, self.run.realised_us)
+        return self.run
+
+    def tick(self) -> None:
+        state = self.state
+        realised_us = state.settle_us(self.sim.acc, self.run.realised_us)
+        residual = state.residual(realised_us)
+        collected = self.collect()
+        if collected is None:
+            return  # no traffic: the previous allocation stays
+        observed, features, window = collected
+        if self.detector is not None:
+            self.watch(features, window, realised_us, residual)
+        strategy, fallback_reason = self.decide(features, window)
+        strategy = self.limit(strategy, fallback_reason, features, window)
+        switched = state.deployed is None or strategy.label != state.deployed.label
+        self.record(observed, features, window, strategy, fallback_reason, switched)
+        if switched:
+            self.apply(strategy, features)
+
+    def collect(self):
+        """``(observed, features, requests)``; ``None`` for an empty window."""
+        collector, requests = self.collector, self.window_requests
+        if collector.total_observed == 0:
+            requests.clear()
+            return None
+        observed = collector.total_observed
+        features = collector.collect()
+        collector.reset()
+        window = tuple(requests)
+        requests.clear()
+        return observed, features, window
+
+    def watch(self, features, window, realised_us, residual) -> None:
+        state, now, obs = self.state, self.sim.loop.now, self.keeper.obs
+        widx = state.windows
+        state.windows += 1
+        if self.buffer is not None and window:
+            self.buffer.add(ReplayWindow(
+                time_us=now,
+                features=features,
+                deployed=state.deployed.label if state.deployed is not None else "Shared",
+                realised_mean_us=realised_us,
+                requests=window,
+            ))
+        events = self.detector.update(now, features.to_array(), residual)
+        if events:
+            state.drifted = True
+        self.run.drift_events.extend(events)
+        if obs is not None:
+            obs.registry.counter("drift.windows").inc()
+            for event in events:
+                obs.registry.counter("drift.detections").inc()
+                obs.registry.counter(f"drift.{event.kind}_alarms").inc()
+                obs.trace.emit(
+                    now, "drift_detected", "keeper", "drift",
+                    args=event.to_dict(),
+                )
+        if state.update_degradation(self.detector.config, residual) and obs is not None:
+            obs.registry.counter("keeper.degradations").inc()
+        if self.governor is not None and self.governor.due(
+            widx, bool(events) or state.degraded
+        ):
+            self.retrain(widx)
+
+    def retrain(self, widx: int) -> None:
+        now, obs = self.sim.loop.now, self.keeper.obs
+        event = self.governor.attempt(
+            self.keeper.allocator, self.buffer, time_us=now, window_index=widx,
+        )
+        if event is None:
+            return
+        self.run.retrain_events.append(event)
+        if obs is not None:
+            obs.registry.counter("keeper.retrains").inc()
+            obs.registry.counter(
+                "keeper.promotions" if event.promoted else "keeper.rollbacks"
+            ).inc()
+            obs.trace.emit(
+                now, "keeper_retrain", "keeper", "keeper", args=event.to_dict(),
+            )
+        if event.promoted:
+            self.state.promote()
+            self.detector.reset()
+
+    def decide(self, features, window) -> tuple[Strategy, str | None]:
+        """Shared while degraded on persistent drift, else the keeper's
+        (possibly fallback) decision."""
+        state = self.state
+        if state.degraded:
+            self.run.degraded_windows += 1
+            strategy = Strategy(StrategyKind.SHARED)
+            config = self.detector.config
+            reason = (
+                "persistent drift: residual above "
+                f"{config.unhealthy_residual:g} for "
+                f"{config.degrade_after} consecutive windows"
+            )
+            self.keeper._log_fallback(self.sim, strategy, reason)
+            return strategy, reason
+        strategy, reason = self.keeper._decide(
+            self.sim, features, window, last_good=state.last_good
+        )
+        if reason is None:
+            state.last_good = strategy
+        return strategy, reason
+
+    def limit(self, strategy, fallback_reason, features, window) -> Strategy:
+        if not window or not self.state.suppresses(
+            strategy, fallback_reason,
+            lambda s: self.keeper._predict_us(window, s, features),
+            gap_windows=self.gap_windows, margin=self.margin,
+        ):
+            return strategy
+        self.run.suppressed_switches += 1
+        if self.keeper.obs is not None:
+            self.keeper.obs.registry.counter("keeper.suppressed_switches").inc()
+        return self.state.deployed
+
+    def record(self, observed, features, window, strategy, fallback_reason, switched) -> None:
+        run, state = self.run, self.state
+        run.decisions.append((self.sim.loop.now, features, strategy))
+        run.realised_us.append(None)
+        state.pending = len(run.decisions) - 1
+        state.predicted_us = (
+            self.keeper._predict_us(window, strategy, features)
+            if self.detector is not None and window else None
+        )
+        if self.keeper.obs is not None:
+            state.record = self.keeper._record_decision(
+                self.sim, features, strategy,
+                observed=observed, predicted_us=state.predicted_us,
+                fallback_reason=fallback_reason, switched=switched,
+            )
+
+    def apply(self, strategy: Strategy, features) -> None:
+        """Switch the live FTL; data already written stays where it is."""
+        self.state.deployed = strategy
+        if self.detector is not None:
+            self.state.last_switch = self.state.windows - 1
+        self.sim.controller.reallocate(
+            *self.keeper._allocation(strategy, features)
+        )

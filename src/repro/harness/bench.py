@@ -35,6 +35,7 @@ import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
+from ..schema import Schema
 from ..workloads.scenarios import SCENARIOS, build, lookup
 from . import lab
 
@@ -55,6 +56,11 @@ __all__ = [
 #: Bump when the document layout changes shape (not when scenarios or
 #: metrics are merely added); comparison refuses mismatched versions.
 SCHEMA_VERSION = 1
+
+BENCH_SCHEMA = Schema(
+    "bench document", SCHEMA_VERSION,
+    required=("created", "quick", "repeat", "python", "platform", "scenarios"),
+)
 
 #: Wall-clock metrics are skipped when both runs finished faster than
 #: this: below ~20ms a scenario is dominated by interpreter warm-up and
@@ -185,15 +191,14 @@ def run_bench(
     names = list(SCENARIOS) if scenarios is None else scenarios
     for name in names:
         lookup(name)  # fail before running anything
-    doc: dict = {
-        "schema_version": SCHEMA_VERSION,
-        "created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "quick": quick,
-        "repeat": max(1, repeat),
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "scenarios": {},
-    }
+    doc = BENCH_SCHEMA.stamp(
+        created=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        quick=quick,
+        repeat=max(1, repeat),
+        python=platform.python_version(),
+        platform=platform.platform(),
+        scenarios={},
+    )
     baseline_scenarios = (baseline or {}).get("scenarios", {})
     for name in names:
         entry = run_scenario(
@@ -221,33 +226,13 @@ def run_bench(
     return doc
 
 
-#: top-level fields every bench document carries (round-trip contract
-#: with run_bench — R007 checks writer and reader agree on this set)
-_BENCH_FIELDS = frozenset({
-    "schema_version", "created", "quick", "repeat", "python", "platform",
-    "scenarios",
-})
-
-
 def load_bench(doc: dict, *, side: str = "bench") -> dict:
     """Validate a bench result document produced by :func:`run_bench`.
 
-    The round-trip reader for the bench schema: refuses version
-    mismatches and structurally truncated documents so comparison never
-    operates on half a result.
+    Refuses version mismatches and structurally truncated documents so
+    comparison never operates on half a result.
     """
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(
-            f"{side} document has schema_version "
-            f"{doc.get('schema_version')!r}; this tool expects "
-            f"{SCHEMA_VERSION}"
-        )
-    missing = _BENCH_FIELDS - set(doc)
-    if missing:
-        raise ValueError(
-            f"{side} document is missing fields: {sorted(missing)}"
-        )
-    return doc
+    return BENCH_SCHEMA.load(doc, what=f"{side} document")
 
 
 def write_bench(doc: dict, out_dir) -> Path:

@@ -22,6 +22,7 @@ error (unknown scenario, unattributable fast-model scenario, bad path).
 
 from __future__ import annotations
 
+from ..schema import Schema
 from . import lab
 
 __all__ = [
@@ -33,45 +34,19 @@ __all__ = [
 #: Bump when the document layout changes shape.
 EXPLAIN_SCHEMA_VERSION = 1
 
-#: top-level fields of the explain document ("whatif"/"sanitizer" are
-#: present only when those passes ran; R007 round-trip contract)
-_EXPLAIN_FIELDS = frozenset({
-    "schema_version", "scenario", "quick", "requests", "makespan_us",
-    "total_latency_us", "summary", "critpath", "decisions", "whatif",
-    "sanitizer",
-})
+#: "whatif"/"sanitizer" are present only when those passes ran
+EXPLAIN_SCHEMA = Schema(
+    "explain document", EXPLAIN_SCHEMA_VERSION,
+    required=(
+        "scenario", "quick", "requests", "makespan_us", "total_latency_us",
+        "summary", "critpath", "decisions",
+    ),
+    optional=("whatif", "sanitizer"),
+    closed=True,
+)
 
-#: fields that must be present in every document (no optional passes)
-_EXPLAIN_REQUIRED = frozenset({
-    "schema_version", "scenario", "quick", "requests", "makespan_us",
-    "total_latency_us", "summary", "critpath", "decisions",
-})
-
-
-def load_explain(doc: dict) -> dict:
-    """Validate a saved explain document (round-trip reader).
-
-    Refuses schema_version mismatches, unknown top-level fields, and
-    documents missing the always-present core fields.
-    """
-    if doc.get("schema_version") != EXPLAIN_SCHEMA_VERSION:
-        raise ValueError(
-            f"explain document has schema_version "
-            f"{doc.get('schema_version')!r}; this tool reads version "
-            f"{EXPLAIN_SCHEMA_VERSION}"
-        )
-    public = {key for key in doc if not key.startswith("_")}
-    missing = _EXPLAIN_REQUIRED - public
-    if missing:
-        raise ValueError(
-            f"explain document is missing fields: {sorted(missing)}"
-        )
-    unknown = public - _EXPLAIN_FIELDS
-    if unknown:
-        raise ValueError(
-            f"explain document has unknown fields: {sorted(unknown)}"
-        )
-    return doc
+#: validate a saved explain document (round-trip reader)
+load_explain = EXPLAIN_SCHEMA.load
 
 
 def explain_scenario(
@@ -117,17 +92,16 @@ def explain_scenario(
         tolerance_us=tolerance_us,
         sanitizer=sanitizer,
     )
-    doc: dict = {
-        "schema_version": EXPLAIN_SCHEMA_VERSION,
-        "scenario": name,
-        "quick": quick,
-        "requests": len(requests),
-        "makespan_us": result.makespan_us,
-        "total_latency_us": result.total_latency_us,
-        "summary": result.summary(),
-        "critpath": report.to_dict(),
-        "decisions": explain_decisions(obs.decisions, result.breakdown),
-    }
+    doc = EXPLAIN_SCHEMA.stamp(
+        scenario=name,
+        quick=quick,
+        requests=len(requests),
+        makespan_us=result.makespan_us,
+        total_latency_us=result.total_latency_us,
+        summary=result.summary(),
+        critpath=report.to_dict(),
+        decisions=explain_decisions(obs.decisions, result.breakdown),
+    )
     if whatif:
         wreport = run_whatif(
             requests, cfg, sets, faults=faults, baseline=result, log=log,

@@ -45,15 +45,16 @@ _DEFAULT_MIGRATE_FRACTION = 0.25
 def _tight_slo_dict(tenants) -> dict:
     """Built-in near-unsatisfiable spec: guarantees a deterministic fleet
     page on any non-trivial run (the CI smoke asserts exactly that)."""
-    return {
-        "schema_version": 1,
-        "window_us": _DEFAULT_WINDOW_US,
-        "tenants": {
+    from ..obs.slo import SLO_SCHEMA
+
+    return SLO_SCHEMA.stamp(
+        window_us=_DEFAULT_WINDOW_US,
+        tenants={
             str(t): {"read_p95_us": 50.0, "write_p95_us": 50.0}
             for t in sorted(tenants)
         },
-        "failed_read_budget": 0.001,
-    }
+        failed_read_budget=0.001,
+    )
 
 
 def build_fleet_scenario(

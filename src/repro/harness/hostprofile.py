@@ -30,6 +30,7 @@ import pstats
 import time
 from pathlib import Path
 
+from ..schema import Schema
 from . import lab
 
 __all__ = [
@@ -42,33 +43,17 @@ __all__ = [
 #: Bump when the document layout changes shape.
 HOTPATH_SCHEMA_VERSION = 1
 
-#: top-level fields of the hot-path report (R007 round-trip contract
-#: with profile_scenario; hotpath_baseline.json diffs rely on these)
-_HOTPATH_FIELDS = frozenset({
-    "schema_version", "scenario", "kind", "quick", "requests", "wall_s",
-    "sim_makespan_us", "total_calls", "total_tottime_s", "top_by_tottime",
-    "top_by_cumtime",
-})
+#: the hot-path report (hotpath_baseline.json diffs rely on these fields)
+HOTPATH_SCHEMA = Schema(
+    "hot-path report", HOTPATH_SCHEMA_VERSION,
+    required=(
+        "scenario", "kind", "quick", "requests", "wall_s", "sim_makespan_us",
+        "total_calls", "total_tottime_s", "top_by_tottime", "top_by_cumtime",
+    ),
+)
 
-
-def load_profile(doc: dict) -> dict:
-    """Validate a hot-path report document (round-trip reader).
-
-    The vectorization PR diffs new reports against the pinned baseline;
-    this refuses version mismatches and truncated documents first.
-    """
-    if doc.get("schema_version") != HOTPATH_SCHEMA_VERSION:
-        raise ValueError(
-            f"hot-path report has schema_version "
-            f"{doc.get('schema_version')!r}; this tool reads version "
-            f"{HOTPATH_SCHEMA_VERSION}"
-        )
-    missing = _HOTPATH_FIELDS - set(doc)
-    if missing:
-        raise ValueError(
-            f"hot-path report is missing fields: {sorted(missing)}"
-        )
-    return doc
+#: validate a hot-path report document (round-trip reader)
+load_profile = HOTPATH_SCHEMA.load
 
 #: path prefixes stripped from file names in reports, longest first
 _REPO_ROOT = Path(__file__).resolve().parents[3]
@@ -168,19 +153,18 @@ def profile_scenario(
     wall_s = time.perf_counter() - t0_s
 
     stats = pstats.Stats(profiler)
-    report = {
-        "schema_version": HOTPATH_SCHEMA_VERSION,
-        "scenario": name,
-        "kind": kind,
-        "quick": quick,
-        "requests": len(requests),
-        "wall_s": wall_s,
-        "sim_makespan_us": result.makespan_us,
-        "total_calls": stats.total_calls,  # type: ignore[attr-defined]
-        "total_tottime_s": stats.total_tt,  # type: ignore[attr-defined]
-        "top_by_tottime": _entries(stats, key="tottime_s", top=top),
-        "top_by_cumtime": _entries(stats, key="cumtime_s", top=top),
-    }
+    report = HOTPATH_SCHEMA.stamp(
+        scenario=name,
+        kind=kind,
+        quick=quick,
+        requests=len(requests),
+        wall_s=wall_s,
+        sim_makespan_us=result.makespan_us,
+        total_calls=stats.total_calls,  # type: ignore[attr-defined]
+        total_tottime_s=stats.total_tt,  # type: ignore[attr-defined]
+        top_by_tottime=_entries(stats, key="tottime_s", top=top),
+        top_by_cumtime=_entries(stats, key="cumtime_s", top=top),
+    )
     return report, stats
 
 

@@ -16,6 +16,8 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
+from .. import schema
+
 __all__ = [
     "UsageError",
     "SHARED_FLAGS",
@@ -102,7 +104,7 @@ def emit(args, doc, text: str | None) -> None:
     """Print the ``--json`` document, or else the rendered ``text``
     (``None`` when the lab already printed its text as it ran)."""
     if args.json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(schema.dumps(doc))
     elif text is not None:
         print(text)
 
@@ -133,9 +135,6 @@ def writing(path):
 
 
 def write_json(path, doc) -> Path:
-    """Write ``doc`` to ``path`` with sorted keys and a trailing newline."""
-    path = Path(path)
-    with writing(path), open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    """Write ``doc`` to ``path`` as :func:`repro.schema.write_json` does."""
+    with writing(path):
+        return schema.write_json(path, doc)

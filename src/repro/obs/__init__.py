@@ -79,7 +79,7 @@ from .flightrecorder import FLIGHT_SCHEMA_VERSION, FlightRecorder
 from .profiler import UtilizationProfiler
 from .registry import DEFAULT_LATENCY_BUCKETS_US, Counter, Gauge, Histogram, MetricsRegistry, Series
 from .slo import SloAlert, SloSpec, SloSpecError, SloWatchdog
-from .telemetry import TELEMETRY_SCHEMA_VERSION, TelemetrySink
+from .telemetry import TELEMETRY_SCHEMA, TELEMETRY_SCHEMA_VERSION, TelemetrySink
 from .trace import EVENT_NAMES, NULL_RECORDER, NullRecorder, TraceEvent, TraceRecorder, match_pairs
 from .whatif import (
     DEFAULT_COUNTERFACTUALS,
@@ -287,11 +287,10 @@ class Observability:
         if self.attribution is not None:
             out["attribution"] = self.attribution.breakdown().to_dict()
         if self.telemetry is not None:
-            out["telemetry"] = {
-                "schema_version": TELEMETRY_SCHEMA_VERSION,
-                "interval_us": self.telemetry.interval_us,
-                "windows": len(self.telemetry.windows),
-            }
+            out["telemetry"] = TELEMETRY_SCHEMA.stamp(
+                interval_us=self.telemetry.interval_us,
+                windows=len(self.telemetry.windows),
+            )
         if self.slo is not None:
             out["slo"] = self.slo.summary()
         if self.flight_recorder is not None and self.flight_recorder.bundles:

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 
+from ..schema import Schema
 from .attribution import RequestAttribution
 
 __all__ = [
@@ -54,33 +55,18 @@ __all__ = [
 #: Bump when the report document layout changes shape.
 CRITPATH_SCHEMA_VERSION = 1
 
-#: top-level fields of BottleneckReport.to_dict (R007 round-trip
-#: contract; flight-recorder bundles persist these documents)
-_REPORT_FIELDS = frozenset({
-    "schema_version", "makespan_us", "critical_requests", "host_gap_us",
-    "internal_tail_us", "residual_us", "resources", "phase_totals_us",
-    "ranked", "steps",
-})
+#: the document of BottleneckReport.to_dict (flight-recorder bundles
+#: persist these documents)
+CRITPATH_SCHEMA = Schema(
+    "critical-path report", CRITPATH_SCHEMA_VERSION,
+    required=(
+        "makespan_us", "critical_requests", "host_gap_us", "internal_tail_us",
+        "residual_us", "resources", "phase_totals_us", "ranked", "steps",
+    ),
+)
 
-
-def load_report(doc: dict) -> dict:
-    """Validate a persisted bottleneck report (round-trip reader).
-
-    Flight-recorder bundles and explain documents embed these; refuse
-    version mismatches and truncated documents before interpreting one.
-    """
-    if doc.get("schema_version") != CRITPATH_SCHEMA_VERSION:
-        raise ValueError(
-            f"critical-path report has schema_version "
-            f"{doc.get('schema_version')!r}; this tool reads version "
-            f"{CRITPATH_SCHEMA_VERSION}"
-        )
-    missing = _REPORT_FIELDS - set(doc)
-    if missing:
-        raise ValueError(
-            f"critical-path report is missing fields: {sorted(missing)}"
-        )
-    return doc
+#: validate a persisted bottleneck report (round-trip reader)
+load_report = CRITPATH_SCHEMA.load
 
 #: float slack when matching completions against chain boundaries
 _TIME_EPSILON_US = 1e-9
@@ -222,23 +208,22 @@ class BottleneckReport:
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
-        return {
-            "schema_version": CRITPATH_SCHEMA_VERSION,
-            "makespan_us": self.makespan_us,
-            "critical_requests": self.critical_requests,
-            "host_gap_us": self.host_gap_us,
-            "internal_tail_us": self.internal_tail_us,
-            "residual_us": self.residual_us,
-            "resources": {
+        return CRITPATH_SCHEMA.stamp(
+            makespan_us=self.makespan_us,
+            critical_requests=self.critical_requests,
+            host_gap_us=self.host_gap_us,
+            internal_tail_us=self.internal_tail_us,
+            residual_us=self.residual_us,
+            resources={
                 name: dict(row) for name, row in sorted(self.resources.items())
             },
-            "phase_totals_us": {**self.phase_totals_us},
-            "ranked": [
+            phase_totals_us={**self.phase_totals_us},
+            ranked=[
                 {"resource": name, "critpath_us": critpath_us}
                 for name, critpath_us in self.ranked()
             ],
-            "steps": len(self.steps),
-        }
+            steps=len(self.steps),
+        )
 
     def format(self, top: int = 8) -> str:
         """Human-readable bottleneck table (embedded in ``repro explain``)."""

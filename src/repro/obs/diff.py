@@ -48,8 +48,10 @@ over the same inputs produce identical bytes (asserted in CI).
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
+
+from ..schema import Schema, write_json
+from .whatif import reset_completions
 
 __all__ = [
     "DIFF_SCHEMA_VERSION",
@@ -69,12 +71,13 @@ __all__ = [
 #: Bump when the report document layout changes shape.
 DIFF_SCHEMA_VERSION = 1
 
-#: top-level fields of every diff report (R007 round-trip contract —
-#: :func:`build_diff_report` writes them, :func:`load_diff` checks them)
-_DIFF_FIELDS = frozenset({
-    "schema_version", "kind", "label_a", "label_b", "identical",
-    "divergences", "regressions", "sections",
-})
+DIFF_SCHEMA = Schema(
+    "diff report", DIFF_SCHEMA_VERSION,
+    required=(
+        "kind", "label_a", "label_b", "identical", "divergences",
+        "regressions", "sections",
+    ),
+)
 
 #: report kinds the CLI and the loaders accept
 _DIFF_KINDS = frozenset({"bench", "run", "trace", "critpath", "fleet",
@@ -130,16 +133,15 @@ def build_diff_report(
         )
     if not sections:
         raise ValueError("a diff report needs at least one section")
-    return {
-        "schema_version": DIFF_SCHEMA_VERSION,
-        "kind": kind,
-        "label_a": label_a,
-        "label_b": label_b,
-        "identical": all(s.get("identical", False) for s in sections.values()),
-        "divergences": sum(s.get("divergences", 0) for s in sections.values()),
-        "regressions": sum(s.get("regressions", 0) for s in sections.values()),
-        "sections": dict(sections),
-    }
+    return DIFF_SCHEMA.stamp(
+        kind=kind,
+        label_a=label_a,
+        label_b=label_b,
+        identical=all(s.get("identical", False) for s in sections.values()),
+        divergences=sum(s.get("divergences", 0) for s in sections.values()),
+        regressions=sum(s.get("regressions", 0) for s in sections.values()),
+        sections=dict(sections),
+    )
 
 
 def load_diff(doc: dict, *, side: str = "diff") -> dict:
@@ -149,15 +151,7 @@ def load_diff(doc: dict, *, side: str = "diff") -> dict:
     mismatches, truncated documents, unknown kinds, and empty section
     maps, so forensics tooling never interprets half a report.
     """
-    if doc.get("schema_version") != DIFF_SCHEMA_VERSION:
-        raise ValueError(
-            f"{side} report has schema_version "
-            f"{doc.get('schema_version')!r}; this tool expects "
-            f"{DIFF_SCHEMA_VERSION}"
-        )
-    missing = _DIFF_FIELDS - set(doc)
-    if missing:
-        raise ValueError(f"{side} report is missing fields: {sorted(missing)}")
+    DIFF_SCHEMA.load(doc, what=f"{side} report")
     if doc["kind"] not in _DIFF_KINDS:
         raise ValueError(f"{side} report has unknown kind {doc['kind']!r}")
     if not isinstance(doc["sections"], dict) or not doc["sections"]:
@@ -168,13 +162,7 @@ def load_diff(doc: dict, *, side: str = "diff") -> dict:
 def write_diff(doc: dict, path) -> Path:
     """Serialise a validated report deterministically (sorted keys)."""
     load_diff(doc)
-    path = Path(path)
-    if path.parent != Path(""):
-        path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    return write_json(path, doc)
 
 
 # ----------------------------------------------------------------------
@@ -491,12 +479,6 @@ _RUN_METRICS = (
 )
 
 
-def _reset(requests) -> None:
-    # completion stamps are the only state a run leaves on the trace
-    for request in requests:
-        request.complete_us = -1.0
-
-
 def _observed_run(requests, cfg, sets, faults, trace_capacity: int):
     """One fully-observed simulation: result, event dicts, critpath doc."""
     from ..ssd.simulator import simulate  # lazy: obs must not import ssd at module load
@@ -508,7 +490,7 @@ def _observed_run(requests, cfg, sets, faults, trace_capacity: int):
     recorder = TraceRecorder(capacity=trace_capacity)
     collector = AttributionCollector()
     observed = Observability(trace=recorder, attribution=collector)
-    _reset(requests)
+    reset_completions(requests)
     result = simulate(
         requests, cfg, sets, record_latencies=True, obs=observed,
         faults=faults,
@@ -523,7 +505,7 @@ def _observed_run(requests, cfg, sets, faults, trace_capacity: int):
         collector.records, result.makespan_us
     ).to_dict()
     events = [event.to_dict() for event in recorder.events()]
-    _reset(requests)
+    reset_completions(requests)
     return result, events, critpath
 
 

@@ -21,8 +21,8 @@ layer above a :class:`repro.ssd.fleet.Fleet`:
   exhaustion across the fleet — dumps a flight-recorder bundle naming
   the offending device (the one with the worst fast burn);
 * :func:`build_fleet_report` / :func:`load_fleet` — the schema-versioned
-  ``fleet_report.json`` writer and its validating reader (round-trip
-  checked by the R007 lint).
+  ``fleet_report.json`` writer and its validating reader (declared once
+  as :data:`FLEET_SCHEMA`).
 
 Everything here is deterministic and carries no wall-clock timestamps:
 two runs of the same seeded scenario produce byte-identical reports.
@@ -30,12 +30,12 @@ two runs of the same seeded scenario produce byte-identical reports.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from ..schema import Schema, write_json
 from .registry import Counter, Gauge, Histogram, MetricsRegistry
 from .slo import SloSpec, SloWatchdog
 from .trace import NULL_RECORDER
@@ -54,6 +54,14 @@ __all__ = [
 ]
 
 FLEET_SCHEMA_VERSION = 1
+
+FLEET_SCHEMA = Schema(
+    "fleet document", FLEET_SCHEMA_VERSION,
+    required=(
+        "seed", "devices", "placement", "migrations", "rollup", "alerts",
+        "scenario",
+    ),
+)
 
 _SEVERITY_RANK = {"ok": 0, "warn": 1, "page": 2}
 
@@ -561,11 +569,10 @@ def build_fleet_report(fleet_result, *, seed: int, observer=None,
                     if a.severity == "page"
                 ),
             }
-    return {
-        "schema_version": FLEET_SCHEMA_VERSION,
-        "seed": seed,
-        "devices": devices,
-        "placement": {
+    return FLEET_SCHEMA.stamp(
+        seed=seed,
+        devices=devices,
+        placement={
             "initial": {
                 str(t): d
                 for t, d in sorted(fleet_result.placement_initial.items())
@@ -575,17 +582,11 @@ def build_fleet_report(fleet_result, *, seed: int, observer=None,
                 for t, d in sorted(fleet_result.placement_final.items())
             },
         },
-        "migrations": [m.to_dict() for m in fleet_result.migrations],
-        "rollup": rollup,
-        "alerts": alerts,
-        "scenario": dict(scenario) if scenario is not None else None,
-    }
-
-
-_FLEET_FIELDS = frozenset({
-    "schema_version", "seed", "devices", "placement", "migrations",
-    "rollup", "alerts", "scenario",
-})
+        migrations=[m.to_dict() for m in fleet_result.migrations],
+        rollup=rollup,
+        alerts=alerts,
+        scenario=dict(scenario) if scenario is not None else None,
+    )
 
 
 def load_fleet(doc: dict, *, side: str = "fleet") -> dict:
@@ -595,17 +596,7 @@ def load_fleet(doc: dict, *, side: str = "fleet") -> dict:
     mismatches and structurally truncated documents so downstream
     consumers never operate on half a report.
     """
-    if doc.get("schema_version") != FLEET_SCHEMA_VERSION:
-        raise ValueError(
-            f"{side} document has schema_version "
-            f"{doc.get('schema_version')!r}; this tool expects "
-            f"{FLEET_SCHEMA_VERSION}"
-        )
-    missing = _FLEET_FIELDS - set(doc)
-    if missing:
-        raise ValueError(
-            f"{side} document is missing fields: {sorted(missing)}"
-        )
+    FLEET_SCHEMA.load(doc, what=f"{side} document")
     for entry in doc["devices"]:
         if not isinstance(entry.get("device"), int):
             raise ValueError(f"{side} document has a malformed device entry")
@@ -623,6 +614,4 @@ def load_fleet(doc: dict, *, side: str = "fleet") -> dict:
 def write_fleet_report(doc: dict, path) -> None:
     """Serialise a validated report deterministically (sorted keys)."""
     load_fleet(doc)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc)

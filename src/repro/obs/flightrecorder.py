@@ -35,16 +35,19 @@ import json
 import shlex
 from pathlib import Path
 
+from ..schema import Schema
+
 __all__ = ["FlightRecorder", "FLIGHT_SCHEMA_VERSION", "load_manifest"]
 
 FLIGHT_SCHEMA_VERSION = 1
 
-#: fields of the bundle manifest (R007 round-trip contract; replay
-#: tooling reads these back from bundle directories)
-_MANIFEST_FIELDS = frozenset({
-    "schema_version", "trigger", "detail", "time_us", "context", "replay",
-    "bundle_files",
-})
+#: the bundle manifest (replay tooling reads it back from bundle directories)
+FLIGHT_SCHEMA = Schema(
+    "bundle manifest", FLIGHT_SCHEMA_VERSION,
+    required=(
+        "trigger", "detail", "time_us", "context", "replay", "bundle_files",
+    ),
+)
 
 
 def load_manifest(bundle_dir) -> dict:
@@ -54,23 +57,8 @@ def load_manifest(bundle_dir) -> dict:
     mismatches and truncated manifests so replay commands are never
     assembled from half a bundle.
     """
-    from pathlib import Path as _Path
-
-    path = _Path(bundle_dir) / "manifest.json"
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("schema_version") != FLIGHT_SCHEMA_VERSION:
-        raise ValueError(
-            f"bundle manifest has schema_version "
-            f"{doc.get('schema_version')!r}; this tool reads version "
-            f"{FLIGHT_SCHEMA_VERSION}"
-        )
-    missing = _MANIFEST_FIELDS - set(doc)
-    if missing:
-        raise ValueError(
-            f"bundle manifest is missing fields: {sorted(missing)}"
-        )
-    return doc
+    with open(Path(bundle_dir) / "manifest.json", encoding="utf-8") as fh:
+        return FLIGHT_SCHEMA.load(json.load(fh))
 
 
 class FlightRecorder:
@@ -181,13 +169,12 @@ class FlightRecorder:
             files.append("sanitizer_events.json")
         if self._write_last_good_diff(bundle, critpath_doc, phase_totals_us):
             files.append("diff.json")
-        manifest = {
-            "schema_version": FLIGHT_SCHEMA_VERSION,
-            "trigger": trigger,
-            "detail": detail,
-            "time_us": time_us,
-            "context": self.context,
-            "replay": {
+        manifest = FLIGHT_SCHEMA.stamp(
+            trigger=trigger,
+            detail=detail,
+            time_us=time_us,
+            context=self.context,
+            replay={
                 "argv": self.replay_argv,
                 "command": (
                     shlex.join(self.replay_argv)
@@ -199,8 +186,8 @@ class FlightRecorder:
                     if self.explain_argv else None
                 ),
             },
-            "bundle_files": sorted(files),
-        }
+            bundle_files=sorted(files),
+        )
         _write_json(bundle / "manifest.json", manifest)
         self.bundles.append(bundle)
         return bundle

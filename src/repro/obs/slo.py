@@ -33,6 +33,8 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 
+from ..schema import Schema
+
 __all__ = [
     "BurnWindow",
     "SloAlert",
@@ -44,6 +46,17 @@ __all__ = [
 ]
 
 SLO_SCHEMA_VERSION = 1
+
+#: a spec without a version is read as the current one
+SLO_SCHEMA = Schema(
+    "spec", SLO_SCHEMA_VERSION,
+    optional=(
+        "window_us", "tenants", "failed_read_budget", "gc_stall_fraction",
+        "keeper_health_floor", "burn",
+    ),
+    closed=True,
+    version_required=False,
+)
 
 #: recognised per-tenant latency targets -> allowed violation fraction
 TENANT_TARGET_KEYS: dict[str, float] = {
@@ -109,21 +122,10 @@ class SloSpec:
         actually has; a spec naming any other tenant is rejected with the
         ``unknown-tenant`` error code.
         """
-        if not isinstance(data, dict):
-            raise SloSpecError("bad-spec", "spec must be a JSON object")
-        version = data.get("schema_version", SLO_SCHEMA_VERSION)
-        if version != SLO_SCHEMA_VERSION:
-            raise SloSpecError(
-                "bad-spec",
-                f"spec has schema_version {version!r}; this build reads "
-                f"version {SLO_SCHEMA_VERSION}",
-            )
-        unknown = set(data) - {
-            "schema_version", "window_us", "tenants", "failed_read_budget",
-            "gc_stall_fraction", "keeper_health_floor", "burn",
-        }
-        if unknown:
-            raise SloSpecError("bad-spec", f"unknown keys: {sorted(unknown)}")
+        try:
+            SLO_SCHEMA.load(data)
+        except ValueError as exc:
+            raise SloSpecError("bad-spec", str(exc)) from None
         window_us = data.get("window_us")  # repro-lint: disable=R001 (spec field window_us is documented as microseconds)
         if not isinstance(window_us, (int, float)) or window_us <= 0:
             raise SloSpecError(
@@ -200,18 +202,17 @@ class SloSpec:
         return cls.from_dict(data, known_tenants=known_tenants)
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": SLO_SCHEMA_VERSION,
-            "window_us": self.window_us,
-            "tenants": {str(w): dict(t) for w, t in self.tenants.items()},
-            "failed_read_budget": self.failed_read_budget,
-            "gc_stall_fraction": self.gc_stall_fraction,
-            "keeper_health_floor": self.keeper_health_floor,
-            "burn": {
+        return SLO_SCHEMA.stamp(
+            window_us=self.window_us,
+            tenants={str(w): dict(t) for w, t in self.tenants.items()},
+            failed_read_budget=self.failed_read_budget,
+            gc_stall_fraction=self.gc_stall_fraction,
+            keeper_health_floor=self.keeper_health_floor,
+            burn={
                 "fast": vars(self.fast).copy(),
                 "slow": vars(self.slow).copy(),
             },
-        }
+        )
 
 
 def _burn_window(raw, default: BurnWindow, label: str) -> BurnWindow:

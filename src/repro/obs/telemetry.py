@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 
+from ..schema import Schema
 from .registry import Counter, Gauge, Histogram, MetricsRegistry
 
 __all__ = ["TelemetrySink", "TELEMETRY_SCHEMA_VERSION", "load_header"]
@@ -32,31 +33,14 @@ __all__ = ["TelemetrySink", "TELEMETRY_SCHEMA_VERSION", "load_header"]
 #: bump when the window record layout changes
 TELEMETRY_SCHEMA_VERSION = 1
 
-#: fields of the stream header record (R007 round-trip contract with
-#: TelemetrySink.header; the obs export summary emits a subset)
-_HEADER_FIELDS = frozenset({
-    "kind", "schema_version", "interval_us", "windows", "channels", "dies",
-})
+#: the stream header record; the obs export summary stamps a subset
+TELEMETRY_SCHEMA = Schema(
+    "telemetry header", TELEMETRY_SCHEMA_VERSION,
+    required=("kind", "interval_us", "windows", "channels", "dies"),
+)
 
-
-def load_header(doc: dict) -> dict:
-    """Validate a telemetry stream header (round-trip reader).
-
-    The first line of a ``to_jsonl`` stream must parse to this record;
-    consumers call this before trusting any window line.
-    """
-    if doc.get("schema_version") != TELEMETRY_SCHEMA_VERSION:
-        raise ValueError(
-            f"telemetry header has schema_version "
-            f"{doc.get('schema_version')!r}; this tool reads version "
-            f"{TELEMETRY_SCHEMA_VERSION}"
-        )
-    missing = _HEADER_FIELDS - set(doc)
-    if missing and doc.get("kind") == "header":
-        raise ValueError(
-            f"telemetry header is missing fields: {sorted(missing)}"
-        )
-    return doc
+#: validate a telemetry stream header, the first line of ``to_jsonl``
+load_header = TELEMETRY_SCHEMA.load
 
 
 class TelemetrySink:
@@ -198,14 +182,13 @@ class TelemetrySink:
     # ------------------------------------------------------------------
     def header(self) -> dict:
         """The stream's schema-versioned header record."""
-        return {
-            "kind": "header",
-            "schema_version": TELEMETRY_SCHEMA_VERSION,
-            "interval_us": self.interval_us,
-            "windows": len(self.windows),
-            "channels": len(self._channels),
-            "dies": len(self._dies),
-        }
+        return TELEMETRY_SCHEMA.stamp(
+            kind="header",
+            interval_us=self.interval_us,
+            windows=len(self.windows),
+            channels=len(self._channels),
+            dies=len(self._dies),
+        )
 
     def to_jsonl(self) -> str:
         """Header line followed by one JSON line per window."""

@@ -33,6 +33,8 @@ the baseline being explained.
 
 from __future__ import annotations
 
+from ..schema import Schema
+
 __all__ = [
     "WHATIF_SCHEMA_VERSION",
     "load_report",
@@ -47,26 +49,14 @@ __all__ = [
 #: Bump when the report document layout changes shape.
 WHATIF_SCHEMA_VERSION = 1
 
-#: top-level fields of WhatIfReport.to_dict (R007 round-trip contract)
-_WHATIF_FIELDS = frozenset({
-    "schema_version", "requests", "baseline", "counterfactuals",
-})
+#: the document of WhatIfReport.to_dict
+WHATIF_SCHEMA = Schema(
+    "what-if report", WHATIF_SCHEMA_VERSION,
+    required=("requests", "baseline", "counterfactuals"),
+)
 
-
-def load_report(doc: dict) -> dict:
-    """Validate a persisted what-if report (round-trip reader)."""
-    if doc.get("schema_version") != WHATIF_SCHEMA_VERSION:
-        raise ValueError(
-            f"what-if report has schema_version "
-            f"{doc.get('schema_version')!r}; this tool reads version "
-            f"{WHATIF_SCHEMA_VERSION}"
-        )
-    missing = _WHATIF_FIELDS - set(doc)
-    if missing:
-        raise ValueError(
-            f"what-if report is missing fields: {sorted(missing)}"
-        )
-    return doc
+#: validate a persisted what-if report (round-trip reader)
+load_report = WHATIF_SCHEMA.load
 
 
 class Counterfactual:
@@ -243,20 +233,19 @@ class WhatIfReport:
         return ranked[0] if ranked else None
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": WHATIF_SCHEMA_VERSION,
-            "requests": self.requests,
-            "baseline": {
+        return WHATIF_SCHEMA.stamp(
+            requests=self.requests,
+            baseline={
                 "total_latency_us": self.baseline_total_latency_us,
                 "makespan_us": self.baseline_makespan_us,
                 "mean_read_us": self.baseline_mean_read_us,
                 "mean_write_us": self.baseline_mean_write_us,
             },
-            "counterfactuals": [row.to_dict() for row in self.ranked()]
+            counterfactuals=[row.to_dict() for row in self.ranked()]
             + [
                 row.to_dict() for row in self.rows if row.status != "ok"
             ],
-        }
+        )
 
     def format(self) -> str:
         """Human-readable speedup table (embedded in ``repro explain``)."""
@@ -280,8 +269,9 @@ class WhatIfReport:
 
 
 # ----------------------------------------------------------------------
-def _reset(requests) -> None:
-    # completion stamps are the only state a run leaves on the trace
+def reset_completions(requests) -> None:
+    """Clear the completion stamps a simulation left on ``requests``
+    (the only state a run leaves on the trace), so it can be replayed."""
     for request in requests:
         request.complete_us = -1.0
 
@@ -289,7 +279,7 @@ def _reset(requests) -> None:
 def _simulate(requests, cfg, sets, faults):
     from ..ssd.simulator import simulate  # lazy: obs must not import ssd at module load
 
-    _reset(requests)
+    reset_completions(requests)
     result = simulate(requests, cfg, sets, faults=faults)
     return result
 
@@ -397,7 +387,7 @@ def run_whatif(
             best.verified = True
     # don't leave the last counterfactual's completion stamps on the
     # shared request objects
-    _reset(requests)
+    reset_completions(requests)
     return report
 
 

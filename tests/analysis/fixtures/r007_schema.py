@@ -1,4 +1,4 @@
-"""R007 golden fixture: a schema_version writer with no paired reader."""
+"""R007 golden fixture: a writer stamping schema_version by hand."""
 # repro-lint: module=repro.fixture.store
 
 STORE_SCHEMA_VERSION = 3

@@ -1,5 +1,7 @@
 """Periodic (multi-window) adaptation — the extension beyond Algorithm 2."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,9 @@ from repro.core import (
     StrategyLearner,
     StrategySpace,
 )
+from repro.core.drift import DriftConfig
+from repro.core.keeper import _PeriodicLoop, _WindowState
+from repro.core.strategies import Strategy, StrategyKind
 from repro.ssd import SSDConfig
 from repro.workloads import WorkloadSpec, synthesize_mix
 
@@ -194,3 +199,69 @@ class TestKeeperDecisionRoundTrip:
         assert restored == decision
         assert restored.predicted_mean_us is None
         assert restored.realised_mean_us is None
+
+
+class TestWindowTransitions:
+    """The periodic loop's transitions, one at a time (no simulation)."""
+
+    DRIFT = DriftConfig(degrade_after=3, unhealthy_residual=0.5)
+
+    def test_degradation_needs_drift_then_consecutive_unhealthy_windows(self):
+        undrifted = _WindowState()
+        for _ in range(5):
+            assert not undrifted.update_degradation(self.DRIFT, 1.0)
+        assert not undrifted.degraded
+        state = _WindowState(drifted=True)
+        armed = [state.update_degradation(self.DRIFT, r)
+                 for r in (1.0, 1.0, 0.0, 1.0, 1.0, None)]
+        assert armed == [False] * 6 and not state.degraded
+        assert state.update_degradation(self.DRIFT, 1.0)
+        assert state.degraded
+
+    def test_degradation_disarms_after_consecutive_healthy_windows(self):
+        state = _WindowState(drifted=True, degraded=True)
+        for residual in (0.0, 0.0, 1.0, 0.0, 0.0):
+            state.update_degradation(self.DRIFT, residual)
+        assert state.degraded
+        state.update_degradation(self.DRIFT, 0.0)
+        assert not state.degraded and not state.drifted
+
+    def test_promoted_retrain_disarms_and_resets_the_detector(self):
+        resets = []
+        loop = _PeriodicLoop(
+            keeper=SimpleNamespace(obs=None, allocator=None),
+            sim=SimpleNamespace(loop=SimpleNamespace(now=5.0)),
+            collector=None, window_requests=[],
+            detector=SimpleNamespace(reset=lambda: resets.append(True)),
+            governor=SimpleNamespace(
+                attempt=lambda *a, **k: SimpleNamespace(promoted=True)
+            ),
+            buffer=None, gap_windows=0, margin=0.0,
+            state=_WindowState(drifted=True, degraded=True, unhealthy=4),
+        )
+        loop.retrain(7)
+        state = loop.state
+        assert (state.degraded, state.drifted, state.unhealthy) == (False, False, 0)
+        assert resets == [True] and loop.run.retrains == 1
+
+    INCUMBENT = Strategy(StrategyKind.SHARED)
+    CHALLENGER = Strategy(StrategyKind.ISOLATED)
+
+    def suppresses(self, challenger_us, *, windows=2, fallback=None):
+        # the last switch was window 0; gap 2 covers windows 1 and 2
+        state = _WindowState(deployed=self.INCUMBENT, last_switch=0, windows=windows)
+        costs = {self.INCUMBENT: 100.0, self.CHALLENGER: challenger_us}
+        return state.suppresses(
+            self.CHALLENGER, fallback, costs.__getitem__,
+            gap_windows=2, margin=0.1,
+        )
+
+    def test_limiter_suppresses_a_small_win_inside_the_gap(self):
+        assert self.suppresses(95.0)
+        assert not self.suppresses(95.0, windows=3)  # gap elapsed
+
+    def test_limiter_deploys_a_win_reaching_the_margin(self):
+        assert not self.suppresses(90.0)
+
+    def test_limiter_never_suppresses_a_fallback(self):
+        assert not self.suppresses(200.0, fallback="unhealthy prediction: nan")

@@ -163,12 +163,12 @@ class TestCritpathMode:
         assert "ch0 moved +50.0us" in capsys.readouterr().out
 
     def test_accepts_explain_documents(self, tmp_path, capsys):
-        from repro.harness.explain import _EXPLAIN_REQUIRED
+        from repro.harness.explain import EXPLAIN_SCHEMA
 
         def explain_doc(service_us, makespan_us):
             from repro.harness.explain import EXPLAIN_SCHEMA_VERSION
 
-            doc = {field: None for field in _EXPLAIN_REQUIRED}
+            doc = {field: None for field in EXPLAIN_SCHEMA.required}
             doc.update({
                 "schema_version": EXPLAIN_SCHEMA_VERSION,
                 "scenario": "mix2_shared",
