@@ -8,10 +8,11 @@ somebody writes ``self.obs.counter(...)`` unguarded — the simulator then
 crashes with ``AttributeError`` the moment observability is off, and the
 "pay only when enabled" property silently became "always required".
 
-R003 flags every ``obs.* `` / ``faults.*`` / ``sanitizer.*`` attribute
-access (on a bare name or a ``self.``-attribute) inside ``repro.ssd`` /
-``repro.core`` that is not dominated by a ``None``-guard.  Recognised
-guards, checked on enclosing context:
+R003 flags every ``obs.*`` / ``faults.*`` / ``sanitizer.*`` /
+``attribution.*`` / ``probe.*`` attribute access (on a bare name or a
+``self.``-attribute) inside ``repro.ssd`` / ``repro.core`` that is not
+dominated by a ``None``-guard (in the device that is one seam, its
+``DeviceProbe``).  Recognised guards, checked on enclosing context:
 
 * ``if x is not None: ...`` / ``if x: ...`` (and the ``else`` of
   ``is None`` / ``not x``);
@@ -32,8 +33,8 @@ __all__ = ["OptInPurityRule"]
 
 #: attribute roots that must be None-guarded
 _GUARDED_ROOTS = frozenset({
-    "obs", "faults", "sanitizer", "attribution",
-    "_obs", "_faults", "_sanitizer", "_attribution",
+    "obs", "faults", "sanitizer", "attribution", "probe",
+    "_obs", "_faults", "_sanitizer", "_attribution", "_probe",
 })
 
 

@@ -221,8 +221,9 @@ def _cmd_ablations(scale: Scale) -> str:
 _STATS_TENANTS = range(4)
 
 
-def _cmd_stats(scale: Scale, args: argparse.Namespace, faults=None) -> str:
-    """Run one instrumented simulation and report/export its observability."""
+def _cmd_stats(scale: Scale, args: argparse.Namespace, faults=None) -> tuple:
+    """Run one instrumented simulation and export its observability;
+    returns the ``--json`` document (or ``None``) and the text report."""
     from ..obs import Observability, SloSpec, SloSpecError
     from .experiments import stats_run
 
@@ -264,52 +265,47 @@ def _cmd_stats(scale: Scale, args: argparse.Namespace, faults=None) -> str:
 
         sanitizer = Sanitizer()
     result = stats_run(scale, obs=obs, faults=faults, sanitizer=sanitizer)
-    notes: list[str] = []
-    if sanitizer is not None:
-        checks = ", ".join(f"{k} {v}" for k, v in sanitizer.stats().items())
-        notes.append(f"sanitizer: all invariants held ({checks})")
     if args.trace:
         written = obs.trace.write_jsonl(args.trace)
-        notes.append(f"wrote {written} trace events to {args.trace}")
+        lab.note(f"wrote {written} trace events to {args.trace}")
     if args.chrome_trace:
         written = obs.write_chrome_trace(args.chrome_trace)
-        notes.append(f"wrote chrome trace ({written} records) to {args.chrome_trace}")
+        lab.note(f"wrote chrome trace ({written} records) to {args.chrome_trace}")
     if args.metrics_out:
         with open(args.metrics_out, "w", encoding="utf-8") as fh:
             json.dump(obs.export(), fh, indent=2)
-        notes.append(f"wrote metrics to {args.metrics_out}")
+        lab.note(f"wrote metrics to {args.metrics_out}")
     if args.telemetry_out:
         windows = obs.telemetry.write_jsonl(args.telemetry_out)
-        notes.append(
-            f"wrote {windows} telemetry windows to {args.telemetry_out}"
-        )
+        lab.note(f"wrote {windows} telemetry windows to {args.telemetry_out}")
     if args.openmetrics:
         with open(args.openmetrics, "w", encoding="utf-8") as fh:
             fh.write(obs.registry.to_openmetrics())
-        notes.append(f"wrote OpenMetrics exposition to {args.openmetrics}")
+        lab.note(f"wrote OpenMetrics exposition to {args.openmetrics}")
     if obs.slo is not None:
         rollup = obs.slo.summary()
-        notes.append(
-            f"slo: {rollup['windows']} windows evaluated, "
-            f"{rollup['warn_alerts']} warn / {rollup['page_alerts']} page "
-            f"alerts"
-        )
-    if obs.flight_recorder is not None and obs.flight_recorder.bundles:
+        lab.note(f"slo: {rollup['windows']} windows evaluated, "
+                 f"{rollup['warn_alerts']} warn / {rollup['page_alerts']} page alerts")
+    if obs.flight_recorder is not None:
         for bundle in obs.flight_recorder.bundles:
-            notes.append(f"flight-recorder bundle: {bundle}")
+            lab.note(f"flight-recorder bundle: {bundle}")
+    doc = None
     if args.json:
-        payload = obs.export()
+        doc = obs.export()
         if result.alerts is not None:
-            payload["alerts"] = result.alerts
-        body = json.dumps(payload, indent=2)
-    else:
-        body = result.summary() + "\n\n" + format_metrics(obs.registry.snapshot())
-        if result.breakdown is not None:
-            body += "\n\n" + result.breakdown.format()
-    return "\n".join([*notes, "", body]) if notes else body
+            doc["alerts"] = result.alerts
+        if sanitizer is not None:
+            doc["sanitizer"] = sanitizer.stats()
+    parts = [result.summary(), format_metrics(obs.registry.snapshot())]
+    if result.breakdown is not None:
+        parts.append(result.breakdown.format())
+    if sanitizer is not None:
+        checks = ", ".join(f"{k} {v}" for k, v in sanitizer.stats().items())
+        parts.insert(0, f"sanitizer: all invariants held ({checks})")
+    return doc, "\n\n".join(parts)
 
 
-def _cmd_faults(scale: Scale, args: argparse.Namespace) -> str:
+def _cmd_faults(scale: Scale, args: argparse.Namespace) -> tuple:
     """The ``stats`` run with the seeded NAND fault model switched on."""
     from ..ssd.faults import FaultConfig
 
@@ -459,10 +455,13 @@ def run(args) -> int:
 
     names = list(_COMMANDS) if args.command == "all" else [args.command]
     for name in names:
-        print(banner(name))
+        if not args.json:
+            print(banner(name))
         if name in _INSTRUMENTED:
-            print(_INSTRUMENTED[name](scale, args))
+            doc, text = _INSTRUMENTED[name](scale, args)
+            lab.emit(args, doc, text)
         else:
             print(_COMMANDS[name](scale))
-        print()
+        if not args.json:
+            print()
     return 0

@@ -22,8 +22,9 @@ Three pillars, bundled by the :class:`Observability` facade:
   what-if profiling by exact re-simulation with scaled config knobs,
   surfaced as ``repro explain``.
 
-Everything is opt-in: components take ``obs=None`` and pay at most one
-``is not None`` branch per hot-path event when disabled.  Enable with::
+Everything is opt-in: the event-driven device sees the bundle only through
+one :class:`DeviceProbe` (:mod:`repro.obs.probe`), ``None`` on a bare
+device.  Enable with::
 
     from repro.obs import Observability
     obs = Observability(utilization_interval_us=500.0)
@@ -76,6 +77,7 @@ from .fleet import (
     write_fleet_report,
 )
 from .flightrecorder import FLIGHT_SCHEMA_VERSION, FlightRecorder
+from .probe import DeviceProbe
 from .profiler import UtilizationProfiler
 from .registry import DEFAULT_LATENCY_BUCKETS_US, Counter, Gauge, Histogram, MetricsRegistry, Series
 from .slo import SloAlert, SloSpec, SloSpecError, SloWatchdog
@@ -93,6 +95,7 @@ from .whatif import (
 
 __all__ = [
     "Observability",
+    "DeviceProbe",
     "TelemetrySink",
     "TELEMETRY_SCHEMA_VERSION",
     "SloSpec",
@@ -222,7 +225,7 @@ class Observability:
         if utilization_interval_us is not None and utilization_interval_us <= 0:
             raise ValueError("utilization_interval_us must be positive")
         self.utilization_interval_us = utilization_interval_us
-        #: attached by the simulator when profiling is enabled
+        #: attached by the device probe when profiling is enabled
         self.profiler: UtilizationProfiler | None = None
         #: keeper decision records (:class:`repro.core.keeper.KeeperDecision`)
         self.decisions: list = []
@@ -242,7 +245,7 @@ class Observability:
             self.slo = None
         else:
             raise TypeError("slo must be an SloSpec or SloWatchdog")
-        #: optional windowed telemetry sink (armed by the simulator)
+        #: optional windowed telemetry sink (armed by the device probe)
         if isinstance(telemetry, TelemetrySink):
             self.telemetry: TelemetrySink | None = telemetry
         elif telemetry is not None:
@@ -272,6 +275,21 @@ class Observability:
             )
 
     # ------------------------------------------------------------------
+    def device_probe(self, sim, sanitizer=None) -> DeviceProbe:
+        """The observer one :class:`~repro.ssd.simulator.SSDSimulator` calls."""
+        return DeviceProbe(self, sim, sanitizer)
+
+    def publish_fast_run(self, result, latencies_us: dict) -> None:
+        """Fold one fast-model run (no events to trace) into the registry;
+        ``latencies_us`` maps ``"read"``/``"write"`` to samples."""
+        reg = self.registry
+        reg.counter("fastmodel.requests").inc(result.requests)
+        reg.counter("fastmodel.subrequests").inc(result.subrequests)
+        reg.gauge("fastmodel.makespan_us").set(result.makespan_us)
+        for kind, samples in latencies_us.items():
+            if samples:
+                reg.histogram(f"fastmodel.{kind}_latency_us").observe_many(samples)
+
     def write_chrome_trace(self, path) -> int:
         """Export recorded events in Chrome trace format; returns count."""
         return write_chrome_trace(self.trace.events(), path)

@@ -32,12 +32,11 @@ validates that identity — through the runtime
 is reported with the correlated event trail), as a plain
 :class:`AttributionError` otherwise.
 
-Everything is opt-in with the same contract as ``obs`` / ``faults`` /
-``sanitizer``: components hold ``attribution=None`` and pay one
-``is not None`` branch per hook site when disabled; an enabled run's
-simulated timeline is untouched (the collector schedules no events and
-draws no randomness), so its latency summary is byte-identical to a
-disabled run's.
+Everything is opt-in: the simulator reaches the collector only through
+its :class:`~repro.obs.probe.DeviceProbe`, so a bare device pays nothing
+for it.  An enabled run's simulated timeline is untouched (the collector
+schedules no events and draws no randomness), so its latency summary is
+byte-identical to a disabled run's.
 
 When a :class:`~repro.obs.trace.TraceRecorder` is attached, each
 recorded request additionally emits Chrome-trace spans (``req_span``
@@ -84,13 +83,16 @@ class SubrequestSpan:
 
     One span is created per dispatched page when attribution is enabled;
     only the span of the *critical* page (the one completing last) is
-    recorded.  The span samples its die's ``gc_busy_time_us`` counter at
-    enqueue and grant, so the slice of the die wait spent behind
-    internal (GC-priority) work is separated out exactly.
+    recorded.  The span knows its die and its service times up front, so
+    its bound :meth:`die_granted` / :meth:`bus_granted` serve directly as
+    the resources' grant callbacks.  It samples its die's
+    ``gc_busy_time_us`` counter at enqueue and grant, so the slice of the
+    die wait spent behind internal (GC-priority) work is separated out
+    exactly.
     """
 
     __slots__ = (
-        "channel", "die",
+        "channel", "die", "die_resource",
         "die_enq_us", "die_grant_us", "die_wait_us", "gc_stall_us",
         "die_us", "ecc_retry_us",
         "bus_enq_us", "bus_grant_us", "bus_wait_us", "bus_us",
@@ -98,32 +100,37 @@ class SubrequestSpan:
         "_gc_mark_us",
     )
 
-    def __init__(self, channel: int, die: int = -1) -> None:
+    def __init__(self, channel: int, die: int = -1, die_resource=None, die_us: float = 0.0,
+                 ecc_retry_us: float = 0.0, bus_us: float = 0.0, buffer_us: float = 0.0) -> None:
         self.channel = channel
         #: die index the critical page occupied (``-1`` = DRAM buffer);
         #: the critical-path explainer keys its per-resource report on it
         self.die = die
+        #: the die's :class:`~repro.ssd.engine.Resource` (``None`` for a
+        #: DRAM-served page), sampled for GC busy time while queued
+        self.die_resource = die_resource
         self.die_enq_us = 0.0
         self.die_grant_us = 0.0
         self.die_wait_us = 0.0
         self.gc_stall_us = 0.0
-        self.die_us = 0.0
-        self.ecc_retry_us = 0.0
+        #: base die occupancy, ECC-retry surcharge and bus transfer time
+        self.die_us = die_us
+        self.ecc_retry_us = ecc_retry_us
         self.bus_enq_us = 0.0
         self.bus_grant_us = 0.0
         self.bus_wait_us = 0.0
-        self.bus_us = 0.0
-        self.buffer_us = 0.0
+        self.bus_us = bus_us
+        self.buffer_us = buffer_us
         self.end_us = 0.0
         self._gc_mark_us = 0.0
 
     # -- hooks the simulator calls at the matching simulation moments ----
-    def die_enqueued(self, now_us: float, die) -> None:
+    def die_enqueued(self, now_us: float) -> None:
         """The sub-request asked for its die at ``now_us``."""
         self.die_enq_us = now_us
-        self._gc_mark_us = die.gc_busy_time_us
+        self._gc_mark_us = self.die_resource.gc_busy_time_us
 
-    def die_granted(self, start_us: float, die) -> None:
+    def die_granted(self, start_us: float) -> None:
         """The die granted service at ``start_us``.
 
         The wait splits into time behind internal GC-priority work
@@ -133,7 +140,7 @@ class SubrequestSpan:
         """
         self.die_grant_us = start_us
         wait_us = start_us - self.die_enq_us
-        stall_us = die.gc_busy_time_us - self._gc_mark_us
+        stall_us = self.die_resource.gc_busy_time_us - self._gc_mark_us
         if stall_us > wait_us:
             stall_us = wait_us
         self.gc_stall_us = stall_us
@@ -370,11 +377,6 @@ class AttributionCollector:
         #: channel -> {"blocks", "moves", "retired"}: reclaim activity on
         #: that channel's planes (the *payer* side)
         self.gc_reclaims: dict[int, dict[str, int]] = {}
-
-    # ------------------------------------------------------------------
-    def span(self, channel: int, die: int = -1) -> SubrequestSpan:
-        """New timeline builder for one dispatched page."""
-        return SubrequestSpan(channel, die)
 
     # ------------------------------------------------------------------
     def note_gc_trigger(self, workload_id: int, work_items: int) -> None:

@@ -86,7 +86,7 @@ class FlightRecorder:
         self.telemetry_tail = telemetry_tail
         #: set by :class:`repro.obs.Observability` when carried by one
         self.obs = None
-        #: set by the simulator when a sanitizer is attached
+        #: set by the device probe when a sanitizer is attached
         self.sanitizer = None
         #: bundle directories written so far, oldest first
         self.bundles: list[Path] = []

@@ -48,7 +48,7 @@ class FTLController:
         *,
         load_fn: LoadFn | None = None,
         tenant_lpn_space: int | None = None,
-        obs=None,
+        probe=None,
         faults: FaultInjector | None = None,
         sanitizer=None,
     ) -> None:
@@ -57,9 +57,9 @@ class FTLController:
         self.config = config
         self.state = FlashArrayState(config)
         self.geometry = self.state.geometry
-        #: optional :class:`repro.obs.Observability`; the controller and its
-        #: GC publish counters into ``obs.registry`` when attached
-        self.obs = obs
+        #: optional :class:`repro.obs.probe.DeviceProbe` shared with the
+        #: simulator; told of GC triggers and reallocations
+        self._probe = probe
         #: optional :class:`repro.ssd.faults.FaultInjector`; when attached,
         #: programs and erases may fail and retire blocks
         self.faults = faults
@@ -71,53 +71,20 @@ class FTLController:
         self._planes_per_channel = (
             config.chips_per_channel * config.dies_per_chip * config.planes_per_die
         )
-        #: optional :class:`repro.obs.attribution.AttributionCollector`
-        #: carried by ``obs``; notes which tenant triggered GC work
-        self._attribution = obs.attribution if obs is not None else None
         self.gc = GarbageCollector(
-            self.state,
-            metrics=obs.registry if obs is not None else None,
-            faults=faults,
-            sanitizer=sanitizer,
-            attribution=self._attribution,
+            self.state, faults=faults, sanitizer=sanitizer, probe=probe
         )
         self.load_fn = load_fn or _idle_load
-        self.channel_sets = {wid: sorted(set(chs)) for wid, chs in channel_sets.items()}
-        for wid, chs in self.channel_sets.items():
-            if not chs:
-                raise ValueError(f"workload {wid} has an empty channel set")
-            for ch in chs:
-                if not 0 <= ch < config.channels:
-                    raise ValueError(f"workload {wid}: channel {ch} out of range")
-
-        n_tenants = len(self.channel_sets)
+        self.page_modes: dict[int, PageAllocMode] = {}
+        self._install(channel_sets, page_modes)
         if tenant_lpn_space is None:
-            tenant_lpn_space = config.logical_pages // max(1, n_tenants)
+            tenant_lpn_space = config.logical_pages // max(1, len(self.channel_sets))
         self.tenant_lpn_space = tenant_lpn_space
-
-        modes = dict(page_modes or {})
-        self.page_modes = {
-            wid: modes.get(wid, PageAllocMode.STATIC) for wid in self.channel_sets
-        }
-        viable = self._plane_viable if faults is not None else None
-        self._placers = {
-            wid: make_placer(
-                self.page_modes[wid], self.geometry, chs, self._probe_load, viable
-            )
-            for wid, chs in self.channel_sets.items()
-        }
-        # Static placers used for pre-seeding reads of never-written data,
-        # regardless of the tenant's write mode: pre-existing data is assumed
-        # striped across the tenant's channels.
-        self._seed_placers = {
-            wid: StaticPagePlacer(self.geometry, chs)
-            for wid, chs in self.channel_sets.items()
-        }
         #: pages pre-seeded on behalf of reads of cold data
         self.seeded_pages = 0
 
     # ------------------------------------------------------------------
-    def _probe_load(self, plane_index: int) -> tuple:
+    def _placement_load(self, plane_index: int) -> tuple:
         """Dynamic-placement load key: simulator load, then plane fullness."""
         return (*self.load_fn(plane_index), -self.state.planes[plane_index].free_pages)
 
@@ -164,10 +131,8 @@ class FTLController:
         else:
             ppn = self.state.write(glpn, plane)
         work.extend(self.gc.maybe_collect(plane))
-        if work:
-            attribution = self._attribution
-            if attribution is not None:
-                attribution.note_gc_trigger(workload_id, len(work))
+        if work and self._probe is not None:
+            self._probe.gc_trigger(workload_id, len(work))
         return ppn, work
 
     # ------------------------------------------------------------------
@@ -220,17 +185,7 @@ class FTLController:
             work.extend(self.gc.collect(plane))
         programmed = plane.next_page
         plane.begin_retire_active()  # raises if the plane is out of spares
-        mapping = self.state.mapping
-        moves = 0
-        for ppn in plane.pages_in_block(block):
-            lpn = mapping.reverse(ppn)
-            if lpn is None:
-                continue
-            mapping.unbind_ppn(ppn)
-            plane.invalidate(ppn)
-            new_ppn = plane.allocate_page()
-            mapping.bind(lpn, new_ppn)
-            moves += 1
+        moves = self.state.relocate(plane, block)
         plane.retire_block(block, programmed_pages=programmed)
         self.faults.note_retirement(plane.pages_per_block)
         if self.sanitizer is not None:
@@ -290,33 +245,40 @@ class FTLController:
         reads follow the new allocation.  The set of workload ids must not
         change (tenant address spaces are sized at construction).
         """
-        new_sets = {wid: sorted(set(chs)) for wid, chs in channel_sets.items()}
-        if set(new_sets) != set(self.channel_sets):
+        if set(channel_sets) != set(self.channel_sets):
             raise ValueError("reallocation must cover exactly the same workloads")
-        for wid, chs in new_sets.items():
+        self._install(channel_sets, page_modes)
+        if self._probe is not None:
+            self._probe.reallocated()
+
+    def _install(self, channel_sets: Mapping[int, Sequence[int]],
+                 page_modes: Mapping[int, PageAllocMode] | None) -> None:
+        """Validate a channel allocation, then make it current; a tenant
+        missing from ``page_modes`` keeps its mode (STATIC at first).  Seed
+        placers stripe never-written data statically whatever the mode."""
+        sets = {wid: sorted(set(chs)) for wid, chs in channel_sets.items()}
+        for wid, chs in sets.items():
             if not chs:
                 raise ValueError(f"workload {wid} has an empty channel set")
             for ch in chs:
                 if not 0 <= ch < self.config.channels:
                     raise ValueError(f"workload {wid}: channel {ch} out of range")
-        self.channel_sets = new_sets
-        if page_modes is not None:
-            modes = dict(page_modes)
-            self.page_modes = {
-                wid: modes.get(wid, self.page_modes[wid]) for wid in new_sets
-            }
+        modes = dict(page_modes or {})
+        self.channel_sets = sets
+        self.page_modes = {
+            wid: modes.get(wid, self.page_modes.get(wid, PageAllocMode.STATIC))
+            for wid in sets
+        }
         viable = self._plane_viable if self.faults is not None else None
         self._placers = {
             wid: make_placer(
-                self.page_modes[wid], self.geometry, chs, self._probe_load, viable
+                self.page_modes[wid], self.geometry, chs, self._placement_load, viable
             )
-            for wid, chs in new_sets.items()
+            for wid, chs in sets.items()
         }
         self._seed_placers = {
-            wid: StaticPagePlacer(self.geometry, chs) for wid, chs in new_sets.items()
+            wid: StaticPagePlacer(self.geometry, chs) for wid, chs in sets.items()
         }
-        if self.obs is not None:
-            self.obs.registry.counter("ftl.reallocations").inc()
 
     def mapped_pages(self) -> int:
         return self.state.mapped_pages()

@@ -73,8 +73,8 @@ class FastLatencyModel:
     ) -> None:
         self.config = config
         #: optional :class:`repro.obs.Observability`; the fast model has no
-        #: event stream to trace, but it publishes request counts and
-        #: latency histograms into the registry after each run
+        #: event stream to trace, but hands each run's request counts and
+        #: latencies to :meth:`~repro.obs.Observability.publish_fast_run`
         self.obs = obs
         self.geometry = Geometry(config)
         self.times = ServiceTimes.from_config(config)
@@ -177,17 +177,10 @@ class FastLatencyModel:
             subrequests=trace.total,
         )
         if self.obs is not None:
-            reg = self.obs.registry
-            reg.counter("fastmodel.requests").inc(n_req)
-            reg.counter("fastmodel.subrequests").inc(trace.total)
-            reg.gauge("fastmodel.makespan_us").set(result.makespan_us)
-            for op, name in (
-                (OpType.READ, "fastmodel.read_latency_us"),
-                (OpType.WRITE, "fastmodel.write_latency_us"),
-            ):
-                mask = trace.req_op == int(op)
-                if mask.any():
-                    reg.histogram(name).observe_many(latencies_us[mask].tolist())
+            self.obs.publish_fast_run(result, {
+                kind: latencies_us[trace.req_op == int(op)].tolist()
+                for kind, op in (("read", OpType.READ), ("write", OpType.WRITE))
+            })
         return result
 
     # ------------------------------------------------------------------

@@ -53,10 +53,9 @@ class GarbageCollector:
         self,
         state: FlashArrayState,
         *,
-        metrics=None,
         faults=None,
         sanitizer=None,
-        attribution=None,
+        probe=None,
     ) -> None:
         self.state = state
         #: optional :class:`repro.ssd.faults.FaultInjector`; when attached,
@@ -65,9 +64,9 @@ class GarbageCollector:
         #: optional :class:`repro.analysis.Sanitizer`; when attached, every
         #: reclaimed block re-checks conservation and mapping bijectivity
         self.sanitizer = sanitizer
-        #: optional :class:`repro.obs.attribution.AttributionCollector`;
-        #: when attached, every reclaim is noted against its channel
-        self.attribution = attribution
+        #: optional :class:`repro.obs.probe.DeviceProbe`; when attached,
+        #: every reclaim is reported against its channel
+        self._probe = probe
         cfg = state.config
         self._planes_per_channel = (
             cfg.chips_per_channel * cfg.dies_per_chip * cfg.planes_per_die
@@ -76,13 +75,6 @@ class GarbageCollector:
         self.collections = 0
         #: total valid pages copied (write amplification numerator)
         self.pages_moved = 0
-        # observability: pre-bound registry counters (None when disabled)
-        if metrics is not None:
-            self._c_collections = metrics.counter("ftl.gc.collections")
-            self._c_pages_moved = metrics.counter("ftl.gc.pages_moved")
-        else:
-            self._c_collections = None
-            self._c_pages_moved = None
 
     def pick_victim(self, plane: PlaneState) -> int | None:
         """Sealed block with the fewest valid pages, or None if no candidate.
@@ -126,21 +118,11 @@ class GarbageCollector:
         return items
 
     def _reclaim(self, plane: PlaneState, victim: int) -> GCWorkItem:
-        mapping = self.state.mapping
-        moves = 0
-        for ppn in plane.pages_in_block(victim):
-            lpn = mapping.reverse(ppn)
-            if lpn is None:
-                continue
-            mapping.unbind_ppn(ppn)
-            plane.invalidate(ppn)
-            new_ppn = plane.allocate_page()
-            mapping.bind(lpn, new_ppn)
-            moves += 1
+        moves = self.state.relocate(plane, victim)
+        channel = plane.plane_index // self._planes_per_channel
         retired = False
         if self.faults is not None and self.faults.erase_fails(
-            plane.plane_index // self._planes_per_channel,
-            plane.erase_count[victim],
+            channel, plane.erase_count[victim]
         ):
             plane.retire_block(victim)
             self.faults.note_retirement(plane.pages_per_block)
@@ -148,16 +130,9 @@ class GarbageCollector:
         else:
             plane.erase_block(victim)
             self.collections += 1
-            if self._c_collections is not None:
-                self._c_collections.inc()
         self.pages_moved += moves
-        if self._c_pages_moved is not None:
-            self._c_pages_moved.inc(moves)
+        if self._probe is not None:
+            self._probe.gc_reclaim(channel, moves, retired)
         if self.sanitizer is not None:
             self.sanitizer.after_gc(self.state, plane)
-        attribution = self.attribution
-        if attribution is not None:
-            attribution.note_gc_reclaim(
-                plane.plane_index // self._planes_per_channel, moves, retired
-            )
         return GCWorkItem(plane.plane_index, victim, moves, retired=retired)

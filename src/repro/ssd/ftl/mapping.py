@@ -318,6 +318,21 @@ class FlashArrayState:
             self.plane_of_ppn(old).invalidate(old)
         return ppn
 
+    def relocate(self, plane: PlaneState, block: int) -> int:
+        """Copy ``block``'s valid pages to ``plane``'s active block (GC
+        reclaim and program-failure retirement); returns the pages moved."""
+        mapping = self.mapping
+        moves = 0
+        for ppn in plane.pages_in_block(block):
+            lpn = mapping.reverse(ppn)
+            if lpn is None:
+                continue
+            mapping.unbind_ppn(ppn)
+            plane.invalidate(ppn)
+            mapping.bind(lpn, plane.allocate_page())
+            moves += 1
+        return moves
+
     def needs_gc(self, plane: PlaneState) -> bool:
         return plane.free_blocks < self.gc_threshold_blocks
 

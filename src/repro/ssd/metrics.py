@@ -237,8 +237,6 @@ def build_result(
     channel_wait_us: float = 0.0,
     events: int = 0,
     extras: dict | None = None,
-    breakdown: "LatencyBreakdown | None" = None,
-    alerts: "list[dict] | None" = None,
 ) -> SimulationResult:
     """Assemble a :class:`SimulationResult` from an accumulator."""
     per_workload = {
@@ -259,6 +257,4 @@ def build_result(
         channel_wait_us=channel_wait_us,
         events=events,
         extras=extras or {},
-        breakdown=breakdown,
-        alerts=alerts,
     )

@@ -25,7 +25,6 @@ from .config import SSDConfig
 from .controller import FTLController
 from .engine import PRIO_GC, PRIO_READ, PRIO_WRITE, EventLoop, Resource
 from .faults import FaultConfig, FaultInjector
-from .ftl.gc import GCWorkItem
 from .ftl.page_alloc import PageAllocMode
 from .metrics import LatencyAccumulator, SimulationResult, build_result
 from .request import IORequest, OpType
@@ -63,20 +62,15 @@ class SSDSimulator:
     record_latencies:
         keep raw per-request latency samples (enables percentiles).
     obs:
-        optional :class:`repro.obs.Observability`; when attached the run
-        emits structured trace events (``request_submit``,
-        ``subrequest_dispatch``, ``channel_acquire``/``release``,
-        ``gc_start``/``end``), publishes counters and latency histograms
-        into the registry, and — if ``utilization_interval_us`` is set —
-        samples per-channel/per-die utilization time series.  When the
-        bundle carries an :class:`~repro.obs.attribution.AttributionCollector`
-        (``Observability(attribution=True)``), every completed request's
-        latency is additionally decomposed into exact-sum phases along
-        its critical path and the run's result carries the aggregated
-        :class:`~repro.obs.attribution.LatencyBreakdown`.  ``None``
-        (the default) costs one pointer test per hook; attribution adds
-        no events and no randomness, so an attributed run's latencies
-        are identical to an unattributed one.
+        optional :class:`repro.obs.Observability`.  The device sees it
+        only through one :class:`~repro.obs.probe.DeviceProbe`, which it
+        calls at each simulation moment (submit, dispatch, read retry,
+        GC grant and end, request done or failed, arm, collect); the
+        probe emits the trace, feeds the registry, attribution,
+        telemetry and flight recorder, and samples utilization.  A probe
+        adds no events and no randomness, so an instrumented run's
+        latencies are identical to a bare one's.  ``None`` (the default)
+        costs one pointer test per hook.
     """
 
     def __init__(
@@ -119,7 +113,6 @@ class SSDSimulator:
             for d in range(config.dies)
         ]
         self._planes_per_die = config.planes_per_die
-        self.obs = obs
         #: optional :class:`repro.analysis.Sanitizer`; when attached the
         #: event loop, every resource, the mapping table and the GC check
         #: their invariants on each step.  ``None`` costs one pointer test.
@@ -134,40 +127,15 @@ class SSDSimulator:
             self.faults = faults
         else:
             self.faults = FaultInjector(faults)
-        self._trace = None
-        self._hist = None
-        #: optional :class:`~repro.obs.attribution.AttributionCollector`
-        #: carried by ``obs``; ``None`` costs one pointer test per page
-        self._attribution = obs.attribution if obs is not None else None
-        if self._attribution is not None and sanitizer is not None:
-            self._attribution.sanitizer = sanitizer
-        #: live registry handle — counters incremented as requests finish
-        #: so telemetry windows carry per-window deltas
-        self._registry = obs.registry if obs is not None else None
-        #: optional :class:`~repro.obs.telemetry.TelemetrySink` (armed in
-        #: :meth:`run` on weak loop events — never perturbs the run)
-        self._telemetry = obs.telemetry if obs is not None else None
-        #: lazily-created per-tenant latency histograms, telemetry only
-        self._tenant_hist = {} if self._telemetry is not None else None
-        #: optional :class:`~repro.obs.flightrecorder.FlightRecorder`
-        self._flightrec = obs.flight_recorder if obs is not None else None
-        if self._flightrec is not None and sanitizer is not None:
-            self._flightrec.sanitizer = sanitizer
-        if obs is not None:
-            if obs.trace.enabled:
-                self._trace = obs.trace
-                for res in (*self.channels, *self.dies):
-                    res.trace = self._trace
-            self._hist = {
-                OpType.READ: obs.registry.histogram("sim.read_latency_us"),
-                OpType.WRITE: obs.registry.histogram("sim.write_latency_us"),
-            }
+        #: the observer seam (:class:`repro.obs.probe.DeviceProbe`);
+        #: ``None`` on a bare device
+        self._probe = obs.device_probe(self, sanitizer) if obs is not None else None
         self.controller = FTLController(
             config,
             channel_sets,
             page_modes,
             load_fn=self._die_load,
-            obs=obs,
+            probe=self._probe,
             faults=self.faults,
             sanitizer=sanitizer,
         )
@@ -217,11 +185,10 @@ class SSDSimulator:
             "gc_busy_us": sum(d.gc_busy_time_us for d in self.dies),
         }
 
-    def _die_of_ppn(self, ppn: int) -> Resource:
-        return self.dies[self.controller.geometry.plane_index(ppn) // self._planes_per_die]
-
-    def _channel_of_ppn(self, ppn: int) -> Resource:
-        return self.channels[self.controller.geometry.channel_of(ppn)]
+    def _route(self, ppn: int) -> tuple[int, int]:
+        """``(channel, die index)`` that serve physical page ``ppn``."""
+        geom = self.controller.geometry
+        return geom.channel_of(ppn), geom.plane_index(ppn) // self._planes_per_die
 
     # ------------------------------------------------------------------
     def submit(self, req: IORequest) -> None:
@@ -234,14 +201,8 @@ class SSDSimulator:
         """
         if self.on_submit is not None:
             self.on_submit(req)
-        tr = self._trace
-        if tr is not None:
-            tr.emit(
-                self.loop.now, "request_submit", f"w{req.workload_id}",
-                "host", args={
-                    "op": req.op.name, "lpn": req.lpn, "len": req.length,
-                },
-            )
+        if self._probe is not None:
+            self._probe.submit(req)
         key = self._next_req_key
         self._next_req_key += 1
         flight = _InFlight(req)
@@ -261,17 +222,8 @@ class SSDSimulator:
         because fleet arrivals reach the device after preparation.  All
         samplers ride weak loop events, so arming never perturbs the run.
         """
-        obs = self.obs
-        if obs is not None and obs.utilization_interval_us is not None:
-            from ..obs.profiler import UtilizationProfiler
-
-            obs.profiler = UtilizationProfiler(obs.utilization_interval_us)
-            obs.profiler.attach(self.loop, self.channels, self.dies)
-        if self._telemetry is not None:
-            self._telemetry.attach(
-                self.loop, self._registry,
-                channels=self.channels, dies=self.dies,
-            )
+        if self._probe is not None:
+            self._probe.arm()
 
     def prepare(self, requests: Iterable[IORequest]) -> int:
         """Schedule ``requests`` at their arrival times; arm the samplers.
@@ -294,14 +246,8 @@ class SSDSimulator:
         try:
             self.loop.run()
         except Exception as exc:
-            if self._flightrec is not None:
-                trigger = (
-                    "sanitizer-invariant"
-                    if getattr(exc, "invariant", None) else "exception"
-                )
-                self._flightrec.dump_once(
-                    trigger, detail=str(exc), time_us=self.loop.now
-                )
+            if self._probe is not None:
+                self._probe.run_error(exc)
             raise
         return self.collect()
 
@@ -312,16 +258,8 @@ class SSDSimulator:
         request completed); fleet composition calls this once the composed
         loop reaches global quiescence.
         """
-        obs = self.obs
-        if obs is not None and obs.profiler is not None:
-            # flush the final partial window so the series covers the run
-            obs.profiler.flush()
-        if self._telemetry is not None:
-            self._telemetry.flush()
         if self._inflight:  # pragma: no cover - engine invariant
             raise RuntimeError(f"{len(self._inflight)} requests never completed")
-        attribution = self._attribution
-        watchdog = obs.slo if obs is not None else None
         result = build_result(
             self.acc,
             makespan_us=self.loop.now,
@@ -333,11 +271,6 @@ class SSDSimulator:
             die_wait_us=sum(d.wait_time_us for d in self.dies),
             channel_wait_us=sum(c.wait_time_us for c in self.channels),
             events=self.loop.events_processed,
-            breakdown=attribution.breakdown() if attribution is not None else None,
-            alerts=(
-                [a.to_dict() for a in watchdog.alerts]
-                if watchdog is not None else None
-            ),
             extras={
                 "seeded_pages": self.controller.seeded_pages,
                 "mapped_pages": self.controller.mapped_pages(),
@@ -357,37 +290,7 @@ class SSDSimulator:
                 ),
             },
         )
-        if obs is not None:
-            self._publish_metrics(result)
-        return result
-
-    def _publish_metrics(self, result: SimulationResult) -> None:
-        """End-of-run registry publication (only when obs is attached)."""
-        assert self.obs is not None
-        reg = self.obs.registry
-        reg.counter("sim.requests").value = self.requests_done
-        reg.counter("sim.subrequests").value = self.subrequests_done
-        reg.counter("sim.events").value = self.loop.events_processed
-        reg.counter("ftl.seeded_pages").value = self.controller.seeded_pages
-        reg.gauge("sim.makespan_us").set(result.makespan_us)
-        reg.gauge("sim.total_latency_us").set(result.total_latency_us)
-        reg.gauge("sim.channel_wait_us").set(result.channel_wait_us)
-        reg.gauge("sim.die_wait_us").set(result.die_wait_us)
-        elapsed_us = result.makespan_us
-        for res in (*self.channels, *self.dies):
-            reg.gauge(f"util.{res.name}.busy_fraction").set(
-                res.utilization(elapsed_us)
-            )
-        if self.buffer is not None:
-            self.buffer.stats.publish(reg)
-        if self.faults is not None:
-            self.faults.publish(reg)
-        if self.obs.profiler is not None:
-            self.obs.profiler.publish(reg)
-        if result.breakdown is not None:
-            reg.counter("attr.requests").value = result.breakdown.requests
-            for phase, total_us in result.breakdown.phase_totals_us.items():
-                reg.gauge(f"attr.{phase}").set(total_us)
+        return self._probe.collect(result) if self._probe is not None else result
 
     # ------------------------------------------------------------------
     def _via_buffer(self, key: int, req: IORequest, lpn: int) -> bool:
@@ -412,10 +315,8 @@ class SSDSimulator:
             dram_us = self.buffer.config.dram_latency_us
             done = self.loop.now + dram_us
             span = None
-            attribution = self._attribution
-            if attribution is not None:
-                span = attribution.span(-1, -1)
-                span.buffer_us = dram_us
+            if self._probe is not None:
+                span = self._probe.span(-1, buffer_us=dram_us)
             self.loop.schedule(done, lambda: self._complete_page(key, span=span))
             return True
         return False
@@ -423,8 +324,8 @@ class SSDSimulator:
     def _issue_background_write(self, wid: int, lpn: int) -> None:
         """Program an evicted dirty page; no host request completion."""
         ppn, gc_items = self.controller.place_write(wid, lpn)
-        die = self._die_of_ppn(ppn)
-        bus = self._channel_of_ppn(ppn)
+        channel, die_index = self._route(ppn)
+        die, bus = self.dies[die_index], self.channels[channel]
         t = self.times
         if gc_items:
             self._charge_gc(gc_items)
@@ -439,18 +340,14 @@ class SSDSimulator:
         geom = self.controller.geometry
         plane_index = geom.plane_index(ppn)
         channel = geom.channel_of(ppn)
-        die = self.dies[plane_index // self._planes_per_die]
-        bus = self.channels[channel]
+        die_index = plane_index // self._planes_per_die
+        die, bus = self.dies[die_index], self.channels[channel]
         t = self.times
-        if self._trace is not None:
-            self._dispatch_event(wid, lpn, ppn, "read", die, bus)
-
+        probe = self._probe
+        if probe is not None:
+            probe.dispatch("read", wid, lpn, ppn, die, bus)
         prio = self._read_prio
         die_us = t.read_die_us
-        span = None
-        attribution = self._attribution
-        if attribution is not None:
-            span = attribution.span(channel, plane_index // self._planes_per_die)
         unrecoverable = False
         if self.faults is not None:
             plane = self.controller.state.planes[plane_index]
@@ -461,13 +358,18 @@ class SSDSimulator:
                 # Each ECC retry re-senses the array: the die stays busy for
                 # one extra command+tR round per retry.
                 die_us = t.read_die_with_retries_us(outcome.retries)
-                if self._trace is not None:
-                    self._trace.emit(
-                        self.loop.now, "read_retry", die.name, "faults",
-                        args={"ppn": ppn, "retries": outcome.retries,
-                              "unrecoverable": outcome.unrecoverable},
-                    )
+                if probe is not None:
+                    probe.read_retry(die, ppn, outcome)
             unrecoverable = outcome.unrecoverable
+        span = on_die = on_bus = None
+        if probe is not None:
+            span = probe.span(
+                channel, die_index, die,
+                t.read_die_us, die_us - t.read_die_us, t.read_bus_us,
+            )
+        if span is not None:
+            on_die, on_bus = span.die_granted, span.bus_granted
+            span.die_enqueued(self.loop.now)
 
         def after_die() -> None:
             if unrecoverable:
@@ -478,69 +380,38 @@ class SSDSimulator:
             if span is not None:
                 span.bus_enqueued(self.loop.now)
             bus.acquire(
-                (prio, self.loop.now), t.read_bus_us, bus_granted,
+                (prio, self.loop.now), t.read_bus_us, on_bus,
                 lambda: self._complete_page(key, span=span),
             )
 
-        die_granted = bus_granted = None
-        if span is not None:
-            def die_granted(start: float) -> None:
-                span.die_granted(start, die)
-                span.die_us = t.read_die_us
-                span.ecc_retry_us = die_us - t.read_die_us
-
-            def bus_granted(start: float) -> None:
-                span.bus_granted(start)
-                span.bus_us = t.read_bus_us
-
-            span.die_enqueued(self.loop.now, die)
-        die.acquire((prio, self.loop.now), die_us, die_granted, after_die)
+        die.acquire((prio, self.loop.now), die_us, on_die, after_die)
 
     def _issue_write(self, key: int, wid: int, lpn: int) -> None:
         ppn, gc_items = self.controller.place_write(wid, lpn)
-        die = self._die_of_ppn(ppn)
-        bus = self._channel_of_ppn(ppn)
+        channel, die_index = self._route(ppn)
+        die, bus = self.dies[die_index], self.channels[channel]
         t = self.times
-        if self._trace is not None:
-            self._dispatch_event(wid, lpn, ppn, "write", die, bus)
+        probe = self._probe
+        if probe is not None:
+            probe.dispatch("write", wid, lpn, ppn, die, bus)
         if gc_items:
             self._charge_gc(gc_items)
-        span = None
-        attribution = self._attribution
-        if attribution is not None:
-            geom = self.controller.geometry
-            span = attribution.span(
-                geom.channel_of(ppn),
-                geom.plane_index(ppn) // self._planes_per_die,
-            )
+        span = on_die = on_bus = None
+        if probe is not None:
+            span = probe.span(channel, die_index, die, t.write_die_us, 0.0, t.write_bus_us)
+        if span is not None:
+            on_die, on_bus = span.die_granted, span.bus_granted
+            span.bus_enqueued(self.loop.now)
 
         def to_die() -> None:
             if span is not None:
-                span.die_enqueued(self.loop.now, die)
+                span.die_enqueued(self.loop.now)
             die.acquire(
-                (PRIO_WRITE, self.loop.now), t.write_die_us, die_granted,
+                (PRIO_WRITE, self.loop.now), t.write_die_us, on_die,
                 lambda: self._complete_page(key, span=span),
             )
 
-        bus_granted = die_granted = None
-        if span is not None:
-            def bus_granted(start: float) -> None:
-                span.bus_granted(start)
-                span.bus_us = t.write_bus_us
-
-            def die_granted(start: float) -> None:
-                span.die_granted(start, die)
-                span.die_us = t.write_die_us
-
-            span.bus_enqueued(self.loop.now)
-        bus.acquire((PRIO_WRITE, self.loop.now), t.write_bus_us, bus_granted, to_die)
-
-    def _dispatch_event(self, wid, lpn, ppn, op, die, bus) -> None:
-        """Emit one ``subrequest_dispatch`` trace record (tracing only)."""
-        self._trace.emit(
-            self.loop.now, "subrequest_dispatch", bus.name, "sim",
-            args={"wid": wid, "lpn": lpn, "ppn": ppn, "op": op, "die": die.name},
-        )
+        bus.acquire((PRIO_WRITE, self.loop.now), t.write_bus_us, on_bus, to_die)
 
     def _charge_gc(self, items: list) -> None:
         """Charge die time for FTL background work done on behalf of a write.
@@ -551,45 +422,22 @@ class SSDSimulator:
         being retired); both expose ``die_us(times)``.
         """
         t = self.times
-        tr = self._trace
+        probe = self._probe
         for item in items:
             die = self.dies[item.plane_index // self._planes_per_die]
             duration_us = item.die_us(t)
-            if tr is None:
 
-                def book(start, die=die, duration_us=duration_us):
-                    # booked at grant time so waiting host jobs can sample
-                    # the overlap (see Resource.gc_busy_time_us)
-                    die.gc_busy_time_us += duration_us
+            def on_grant(start, die=die, item=item, duration_us=duration_us):
+                # booked at grant time so waiting host jobs can sample
+                # the overlap (see Resource.gc_busy_time_us)
+                die.gc_busy_time_us += duration_us
+                if probe is not None:
+                    probe.gc_granted(start, die, item)
 
-                die.acquire((PRIO_GC, self.loop.now), duration_us, book)
-            else:
-                is_gc = isinstance(item, GCWorkItem)
-                retired = not is_gc or item.retired
-
-                def on_grant(start, die=die, item=item, duration_us=duration_us,
-                             is_gc=is_gc, retired=retired):
-                    die.gc_busy_time_us += duration_us
-                    if is_gc:
-                        tr.emit(
-                            start, "gc_start", die.name, "gc",
-                            args={"plane": item.plane_index, "block": item.block,
-                                  "moves": item.moves},
-                        )
-                    if retired:
-                        tr.emit(
-                            start, "block_retired", die.name, "faults",
-                            args={"plane": item.plane_index, "block": item.block,
-                                  "moves": item.moves},
-                        )
-
-                def gc_end(die=die):
-                    tr.emit(self.loop.now, "gc_end", die.name, "gc")
-
-                die.acquire(
-                    (PRIO_GC, self.loop.now), duration_us, on_grant,
-                    gc_end if is_gc else None,
-                )
+            die.acquire(
+                (PRIO_GC, self.loop.now), duration_us, on_grant,
+                probe.gc_end_hook(die, item) if probe is not None else None,
+            )
 
     def _complete_page(self, key: int, failed: bool = False, span=None) -> None:
         flight = self._inflight[key]
@@ -608,40 +456,19 @@ class SSDSimulator:
         if flight.remaining == 0:
             req = flight.request
             req.complete_us = flight.last_end_us
+            probe = self._probe
             if flight.failed:
                 # Unrecoverable read: the request surfaces as failed, and its
                 # latency is excluded from the success statistics.
                 self.failed_reads += 1
-                if self._registry is not None:
-                    self._registry.counter("sim.failed_reads").inc()
-                if self._flightrec is not None:
-                    self._flightrec.dump_once(
-                        "unrecoverable-read",
-                        detail=(
-                            f"wid={req.workload_id} lpn={req.lpn} "
-                            f"len={req.length}"
-                        ),
-                        time_us=self.loop.now,
-                    )
+                if probe is not None:
+                    probe.request_failed(req)
             else:
                 self.acc.add(req.workload_id, req.op, req.latency_us)
-                if self._hist is not None:
-                    self._hist[req.op].observe(req.latency_us)
-                if self._tenant_hist is not None:
-                    hist = self._tenant_hist.get((req.workload_id, req.op))
-                    if hist is None:
-                        kind = "read" if req.op is OpType.READ else "write"
-                        hist = self._registry.histogram(
-                            f"sim.tenant.{req.workload_id}.{kind}_latency_us"
-                        )
-                        self._tenant_hist[(req.workload_id, req.op)] = hist
-                    hist.observe(req.latency_us)
-                if self._attribution is not None and flight.span is not None:
-                    self._attribution.record(req, flight.span)
+                if probe is not None:
+                    probe.request_done(req, flight.span)
             del self._inflight[key]
             self.requests_done += 1
-            if self._registry is not None:
-                self._registry.counter("sim.requests").inc()
             if self.on_complete is not None:
                 self.on_complete(req)
 

@@ -18,6 +18,7 @@ GOLDEN = {
     "r001_units.py": "R001",
     "r002_determinism.py": "R002",
     "r003_purity.py": "R003",
+    "r003_probe.py": "R003",
     "r004_scheduling.py": "R004",
     "r005_seedflow.py": "R005",
     "r006_poolsmuggle.py": "R006",
@@ -52,6 +53,8 @@ class TestGoldenFixtures:
         assert module.module == "repro.ssd.fixture"
         module = ModuleSource.parse(FIXTURES / "r003_purity.py")
         assert module.module == "repro.core.fixture"
+        module = ModuleSource.parse(FIXTURES / "r003_probe.py")
+        assert module.module == "repro.ssd.fixture"
         # the interprocedural fixtures pin modules the same way: the R006
         # fixture maps itself into the harness namespace so its import of
         # repro.harness.sweep resolves against the real package
@@ -59,6 +62,14 @@ class TestGoldenFixtures:
         assert module.module == "repro.harness.fixture"
         module = ModuleSource.parse(FIXTURES / "r007_schema.py")
         assert module.module == "repro.fixture.store"
+
+
+def test_unguarded_device_probe_is_flagged():
+    # the device's one observer seam is opt-in like obs/faults/sanitizer:
+    # only the unguarded ``self._probe`` call in ``complete`` fires
+    [violation] = LintEngine(select=["R003"]).lint_file(FIXTURES / "r003_probe.py")
+    assert "'self._probe.request_done' without a None-guard" in violation.message
+    assert violation.line == 14
 
 
 class TestWaivers:

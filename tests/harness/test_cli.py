@@ -86,8 +86,9 @@ class TestTelemetryAndSlo:
             "--openmetrics", str(om),
             "--utilization-interval", "0",
         ]) == 0
-        out = capsys.readouterr().out
-        assert "telemetry" in out
+        # the "wrote N telemetry windows" note goes to stderr, like every
+        # lab's notes
+        assert "telemetry" in capsys.readouterr().err
         lines = jsonl.read_text().strip().splitlines()
         header = json.loads(lines[0])
         assert header["kind"] == "header"

@@ -209,6 +209,12 @@ JSON_RUNS = {
               "--chrome-trace", "{tmp}/fleet.chrome.json"],
     "diff": ["diff", "run", "--scenario", "mix2_shared", "--quick", "--json",
              "--out", "{tmp}/doc.json"],
+    "stats": ["stats", "--scale", "smoke", "--json",
+              "--metrics-out", "{tmp}/doc.json",
+              "--telemetry-out", "{tmp}/run.jsonl"],
+    "faults": ["faults", "--scale", "smoke", "--json", "--sanitize",
+               "--read-ber", "0.05", "--trace", "{tmp}/trace.jsonl",
+               "--slo", str(REPO / "examples/slo.json")],
 }
 
 

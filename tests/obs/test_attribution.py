@@ -46,16 +46,15 @@ def read_span(
 ):
     """Build a read-shaped span: die first, then bus, contiguous timeline."""
     die = FakeDie()
-    span = SubrequestSpan(channel)
-    span.die_enqueued(die_enq, die)
+    span = SubrequestSpan(
+        channel, -1, die, die_us=die_us, ecc_retry_us=ecc_us, bus_us=bus_us
+    )
+    span.die_enqueued(die_enq)
     die.gc_busy_time_us += gc_us
-    span.die_granted(die_grant, die)
-    span.die_us = die_us
-    span.ecc_retry_us = ecc_us
+    span.die_granted(die_grant)
     die_done = die_grant + die_us + ecc_us
     span.bus_enqueued(die_done if bus_enq is None else bus_enq)
     span.bus_granted(die_done if bus_grant is None else bus_grant)
-    span.bus_us = bus_us
     span.end_us = span.bus_grant_us + bus_us
     return span
 
@@ -195,7 +194,7 @@ class TestAttributionCollector:
 
     def test_buffer_hit_record(self):
         coll = AttributionCollector()
-        span = coll.span(-1)
+        span = SubrequestSpan(-1)
         span.buffer_us = 2.5
         span.end_us = 2.5
         req = FakeRequest(arrival_us=0.0, complete_us=2.5)
@@ -230,7 +229,7 @@ class TestTraceSpanEmission:
     def test_buffer_hit_emits_dram_span_only(self):
         trace = TraceRecorder()
         coll = AttributionCollector(trace=trace)
-        span = coll.span(-1)
+        span = SubrequestSpan(-1)
         span.buffer_us = 2.5
         span.end_us = 2.5
         coll.record(FakeRequest(complete_us=2.5), span)
@@ -259,7 +258,7 @@ class TestBreakdownEdgeCases:
         # a record whose every phase is zero: requests > 0 but the total
         # attributed latency is 0 — fractions must not divide by zero
         coll = AttributionCollector()
-        span = coll.span(0)
+        span = SubrequestSpan(0)
         coll.record(FakeRequest(arrival_us=5.0, complete_us=5.0), span)
         bd = coll.breakdown()
         assert bd.requests == 1

@@ -16,11 +16,13 @@ import dataclasses
 import hashlib
 import json
 import math
+import tempfile
 
 import pytest
 
 from repro.analysis import Sanitizer
-from repro.obs import Observability
+from repro.obs import FlightRecorder, Observability, SloSpec
+from repro.obs.flightrecorder import load_manifest
 from repro.ssd import FaultConfig, SSDConfig
 from repro.ssd.buffer import BufferConfig
 from repro.ssd.fleet import Fleet, MigrationPlan
@@ -164,6 +166,76 @@ def case_obs() -> dict:
     }
 
 
+def case_obs_buffer() -> dict:
+    """Buffer, trace, attribution and telemetry: the DRAM-span path, the
+    lazily created per-tenant histograms and a mid-run reallocation."""
+    obs = Observability(
+        trace=True, trace_capacity=200_000, attribution=True, telemetry=500.0,
+    )
+    sim = SSDSimulator(
+        SSDConfig.small(), SPLIT_SETS, record_latencies=True, obs=obs,
+        buffer=BufferConfig(capacity_pages=64),
+    )
+    sim.loop.schedule(
+        100_000.0, lambda: sim.controller.reallocate(SHARED_SETS)
+    )
+    result = sim.run(mix(1_500, seed=9, footprint_pages=200))
+    assert result.extras["buffer_dirty_evictions"] > 0
+    assert obs.trace.evicted == 0
+    windows = [
+        {k: v for k, v in w.items() if k != "events"}
+        for w in obs.telemetry.windows
+    ]
+    return {
+        "result": result_doc(result),
+        "trace": trace_doc(obs.trace),
+        "telemetry": canonical(windows),
+        "registry": canonical(obs.registry.snapshot()),
+    }
+
+
+def case_obs_flight() -> dict:
+    """Unrecoverable reads under faults, with the flight recorder, an SLO
+    that pages and the sanitizer all attached."""
+    slo = SloSpec.from_dict({
+        "window_us": 500.0,
+        "tenants": {"0": {"write_p95_us": 200.0}},
+        "failed_read_budget": 0.01,
+        "burn": {
+            "fast": {"windows": 2, "warn_burn": 1.5, "page_burn": 3.0},
+            "slow": {"windows": 6, "warn_burn": 1.0, "page_burn": 2.0},
+        },
+    })
+    with tempfile.TemporaryDirectory() as tmp:
+        obs = Observability(
+            trace=True, trace_capacity=200_000, attribution=True, slo=slo,
+            flight_recorder=FlightRecorder(tmp),
+        )
+        sim = SSDSimulator(
+            gc_device(), SPLIT_SETS, record_latencies=True, faults=faults(),
+            obs=obs, sanitizer=Sanitizer(),
+        )
+        result = sim.run(mix(2_000, seed=10, footprint_pages=300))
+        bundles = []
+        for path in obs.flight_recorder.bundles:
+            manifest = load_manifest(path)
+            metrics = json.loads((path / "metrics.json").read_text())
+            bundles.append([
+                manifest["trigger"], manifest["detail"],
+                repr(manifest["time_us"]), manifest["bundle_files"],
+                canonical(metrics),
+            ])
+    triggers = {bundle[0] for bundle in bundles}
+    assert result.failed_reads > 0 and "unrecoverable-read" in triggers
+    assert "slo-page" in triggers
+    return {
+        "result": result_doc(result),
+        "trace": trace_doc(obs.trace),
+        "registry": canonical(obs.registry.snapshot()),
+        "bundles": bundles,
+    }
+
+
 def case_sanitized() -> dict:
     sanitizer = Sanitizer()
     sim = SSDSimulator(
@@ -229,6 +301,8 @@ CASES = {
     "read_priority": case_read_priority,
     "buffer": case_buffer,
     "obs": case_obs,
+    "obs_buffer": case_obs_buffer,
+    "obs_flight": case_obs_flight,
     "sanitized": case_sanitized,
     "keeper": case_keeper,
     "fleet": case_fleet,
@@ -241,6 +315,8 @@ DIGESTS = {
     "gc_faults": "bc1bc9df01121fd2",
     "keeper": "05345fff53cb50ac",
     "obs": "1a7f567739e095a2",
+    "obs_buffer": "ab8791ca43ffe8ac",
+    "obs_flight": "50abd55ab2661cb2",
     "read_priority": "f47fbbbba12128c3",
     "sanitized": "1f2a2d03e422b8d6",
     "static": "55636344363bb082",
