@@ -36,6 +36,7 @@ from .labeler import (
     Dataset,
     LabeledSample,
     LabelerConfig,
+    WindowReplay,
     best_strategy,
     generate_dataset,
     label_sample,
@@ -67,6 +68,7 @@ __all__ = [
     "random_mix",
     "random_specs",
     "sweep_strategies",
+    "WindowReplay",
     "QualityReport",
     "evaluate_learner",
     "holdout_samples",

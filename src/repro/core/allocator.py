@@ -19,15 +19,11 @@ argmax can land on an overloading split) into near-optimal picks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from ..ssd.config import SSDConfig
-from ..ssd.fastmodel import fast_sweep
-from ..ssd.request import IORequest
 from .features import FeatureVector
-from .hybrid import PagePolicy, page_modes_for
+from .labeler import WindowReplay
 from .learner import StrategyLearner
 from .strategies import Strategy
 
@@ -140,38 +136,20 @@ class ChannelAllocator:
 def verified_allocate(
     allocator: ChannelAllocator,
     features: FeatureVector,
-    window: Sequence[IORequest],
-    config: SSDConfig,
+    replay: WindowReplay | None,
     *,
     top_k: int = 3,
-    page_policy: PagePolicy = PagePolicy.HYBRID,
-    faults=None,
 ) -> Strategy:
     """Pick among the network's top-k strategies by replaying the window.
 
-    The candidates' channel sets are evaluated in one vectorised fast-model
-    sweep over the requests actually observed during the collection window;
-    the strategy with the lowest mean-read + mean-write latency wins.  The
-    decision (with the verified winner) is appended to the allocator's log.
+    Each candidate is scored on ``replay``, the fast-model replay of the
+    requests actually observed during the collection window; the first
+    candidate with the lowest mean-read + mean-write latency wins.  An empty
+    (or absent) replay leaves the network's argmax.  The decision (with the
+    verified winner) is appended to the allocator's log.
     """
-    if not window:
+    if not replay:
         return allocator.allocate(features)
-    candidates = allocator.top_k(features, top_k)
-    write_dominated = features.write_dominated()
-    results = fast_sweep(
-        window,
-        config,
-        (s.channel_sets(config.channels, write_dominated) for s in candidates),
-        page_modes_for(page_policy, features),
-        faults=faults,
-    )
-    best: Strategy | None = None
-    best_cost = float("inf")
-    for strategy, result in zip(candidates, results):
-        cost = result.write.mean_us + result.read.mean_us
-        if cost < best_cost:
-            best_cost = cost
-            best = strategy
-    assert best is not None
+    best = min(allocator.top_k(features, top_k), key=replay.cost_us)
     allocator.decisions.append((features, best))
     return best

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from ..ssd.config import SSDConfig
-from ..ssd.fastmodel import fast_simulate
 from ..ssd.faults import FaultConfig
 from ..ssd.metrics import SimulationResult
 from ..ssd.request import IORequest, OpType
@@ -31,6 +30,7 @@ from .allocator import ChannelAllocator, verified_allocate
 from .drift import DriftConfig, DriftDetector, DriftEvent
 from .features import FeaturesCollector, FeatureVector
 from .hybrid import PagePolicy, page_modes_for
+from .labeler import WindowReplay, allocation
 from .online import ReplayBuffer, ReplayWindow, RetrainConfig, RetrainEvent, RetrainGovernor
 from .strategies import Strategy, StrategyKind
 
@@ -42,10 +42,11 @@ class KeeperDecision:
     """Structured log record of one keeper decision (observability).
 
     ``predicted_mean_us`` is the fast-model estimate of the chosen
-    strategy's mean request latency on the observed window (filled when
-    the keeper has the window's requests, i.e. one-shot runs with
-    observability attached); ``realised_mean_us`` is the measured mean —
-    per adaptation window in periodic runs, over the whole run for the
+    strategy's mean request latency on the observed window, filled when
+    the keeper replays the window's requests: one-shot runs with
+    observability attached, and periodic runs with a drift detector (every
+    adaptive run); ``realised_mean_us`` is the measured mean — per
+    adaptation window in periodic runs, over the whole run for the
     one-shot workflow.
     """
 
@@ -213,7 +214,7 @@ class SSDKeeper:
         self,
         sim: SSDSimulator,
         features: FeatureVector,
-        window_requests: Sequence[IORequest],
+        replay: WindowReplay | None,
         last_good: Strategy | None = None,
     ) -> tuple[Strategy, str | None]:
         """Choose the strategy to deploy, degrading gracefully when needed.
@@ -249,13 +250,7 @@ class SSDKeeper:
             return strategy, reason
         if self.verify_top_k:
             strategy = verified_allocate(
-                self.allocator,
-                features,
-                window_requests,
-                self.config,
-                top_k=self.verify_top_k,
-                page_policy=self.page_policy,
-                faults=self.faults,
+                self.allocator, features, replay, top_k=self.verify_top_k
             )
         else:
             strategy = self.allocator.allocate(features)
@@ -278,18 +273,16 @@ class SSDKeeper:
 
     def _allocation(self, strategy: Strategy, features: FeatureVector):
         """``(channel_sets, page_modes)`` deploying ``strategy`` for ``features``."""
-        return (
-            strategy.channel_sets(self.config.channels, features.write_dominated()),
-            page_modes_for(self.page_policy, features),
-        )
+        return allocation(strategy, features, self.config.channels, self.page_policy)
 
-    def _predict_us(self, window, strategy: Strategy, features: FeatureVector) -> float:
-        """Fast-model mean latency of ``window`` with ``strategy`` deployed."""
-        replay = fast_simulate(
-            list(window), self.config, *self._allocation(strategy, features),
-            faults=self.faults,
+    def _replay(self, window, features: FeatureVector) -> WindowReplay | None:
+        """The window's one fast-model replay; ``None`` if it was not kept."""
+        if not window:
+            return None
+        return WindowReplay(
+            window, features, self.config,
+            page_policy=self.page_policy, faults=self.faults,
         )
-        return replay.mean_total_us
 
     def _log_fallback(self, sim: SSDSimulator, strategy: Strategy, reason: str) -> None:
         if self.obs is not None:
@@ -367,19 +360,14 @@ class SSDKeeper:
             if collector.total_observed == 0:
                 return  # nothing observed: stay on Shared
             features = collector.collect()
-            strategy, fallback_reason = self._decide(
-                sim, features, window_requests
-            )
+            replay = self._replay(window_requests, features)
+            strategy, fallback_reason = self._decide(sim, features, replay)
             sim.controller.reallocate(*self._allocation(strategy, features))
             outcome.features, outcome.strategy = features, strategy
             outcome.switched_at_us = sim.loop.now
             outcome.fallback_reason = fallback_reason
             if self.obs is not None:
-                predicted_us = None
-                if window_requests:
-                    predicted_us = self._predict_us(
-                        window_requests, strategy, features
-                    )
+                predicted_us = replay.result(strategy).mean_total_us if replay else None
                 self._record_decision(
                     sim, features, strategy,
                     observed=len(window_requests), predicted_us=predicted_us,
@@ -654,10 +642,7 @@ class _PeriodicLoop:
             detector = DriftDetector(drift)
         governor = buffer = None
         if retrain is not None:
-            governor = RetrainGovernor(
-                keeper.config, retrain,
-                page_policy=keeper.page_policy, faults=keeper.faults,
-            )
+            governor = RetrainGovernor(retrain)
             buffer = ReplayBuffer(retrain.capacity)
         collector = FeaturesCollector(
             keeper.allocator.space.n_tenants,
@@ -699,18 +684,18 @@ class _PeriodicLoop:
         collected = self.collect()
         if collected is None:
             return  # no traffic: the previous allocation stays
-        observed, features, window = collected
+        observed, features, replay = collected
         if self.detector is not None:
-            self.watch(features, window, realised_us, residual)
-        strategy, fallback_reason = self.decide(features, window)
-        strategy = self.limit(strategy, fallback_reason, features, window)
+            self.watch(features, replay, realised_us, residual)
+        strategy, fallback_reason = self.decide(features, replay)
+        strategy = self.limit(strategy, fallback_reason, replay)
         switched = state.deployed is None or strategy.label != state.deployed.label
-        self.record(observed, features, window, strategy, fallback_reason, switched)
+        self.record(observed, features, replay, strategy, fallback_reason, switched)
         if switched:
             self.apply(strategy, features)
 
     def collect(self):
-        """``(observed, features, requests)``; ``None`` for an empty window."""
+        """``(observed, features, replay)``; ``None`` for an empty window."""
         collector, requests = self.collector, self.window_requests
         if collector.total_observed == 0:
             requests.clear()
@@ -718,21 +703,21 @@ class _PeriodicLoop:
         observed = collector.total_observed
         features = collector.collect()
         collector.reset()
-        window = tuple(requests)
+        replay = self.keeper._replay(requests, features)
         requests.clear()
-        return observed, features, window
+        return observed, features, replay
 
-    def watch(self, features, window, realised_us, residual) -> None:
+    def watch(self, features, replay, realised_us, residual) -> None:
         state, now, obs = self.state, self.sim.loop.now, self.keeper.obs
         widx = state.windows
         state.windows += 1
-        if self.buffer is not None and window:
+        if self.buffer is not None and replay:
             self.buffer.add(ReplayWindow(
                 time_us=now,
                 features=features,
                 deployed=state.deployed.label if state.deployed is not None else "Shared",
                 realised_mean_us=realised_us,
-                requests=window,
+                replay=replay,
             ))
         events = self.detector.update(now, features.to_array(), residual)
         if events:
@@ -774,7 +759,7 @@ class _PeriodicLoop:
             self.state.promote()
             self.detector.reset()
 
-    def decide(self, features, window) -> tuple[Strategy, str | None]:
+    def decide(self, features, replay) -> tuple[Strategy, str | None]:
         """Shared while degraded on persistent drift, else the keeper's
         (possibly fallback) decision."""
         state = self.state
@@ -790,16 +775,16 @@ class _PeriodicLoop:
             self.keeper._log_fallback(self.sim, strategy, reason)
             return strategy, reason
         strategy, reason = self.keeper._decide(
-            self.sim, features, window, last_good=state.last_good
+            self.sim, features, replay, last_good=state.last_good
         )
         if reason is None:
             state.last_good = strategy
         return strategy, reason
 
-    def limit(self, strategy, fallback_reason, features, window) -> Strategy:
-        if not window or not self.state.suppresses(
+    def limit(self, strategy, fallback_reason, replay) -> Strategy:
+        if not replay or not self.state.suppresses(
             strategy, fallback_reason,
-            lambda s: self.keeper._predict_us(window, s, features),
+            lambda s: replay.result(s).mean_total_us,
             gap_windows=self.gap_windows, margin=self.margin,
         ):
             return strategy
@@ -808,14 +793,14 @@ class _PeriodicLoop:
             self.keeper.obs.registry.counter("keeper.suppressed_switches").inc()
         return self.state.deployed
 
-    def record(self, observed, features, window, strategy, fallback_reason, switched) -> None:
+    def record(self, observed, features, replay, strategy, fallback_reason, switched) -> None:
         run, state = self.run, self.state
         run.decisions.append((self.sim.loop.now, features, strategy))
         run.realised_us.append(None)
         state.pending = len(run.decisions) - 1
         state.predicted_us = (
-            self.keeper._predict_us(window, strategy, features)
-            if self.detector is not None and window else None
+            replay.result(strategy).mean_total_us
+            if self.detector is not None and replay else None
         )
         if self.keeper.obs is not None:
             state.record = self.keeper._record_decision(

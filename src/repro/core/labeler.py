@@ -17,20 +17,23 @@ import zlib
 import numpy as np
 
 from ..ssd.config import SSDConfig
-from ..ssd.fastmodel import fast_sweep
+from ..ssd.fastmodel import FastLatencyModel, PreparedTrace
+from ..ssd.faults import FaultConfig
 from ..ssd.metrics import SimulationResult
 from ..ssd.simulator import simulate
 from ..workloads.mixer import MixedWorkload, synthesize_mix
 from ..workloads.spec import WorkloadSpec
 from .features import N_INTENSITY_LEVELS, FeatureVector, features_of_mix
 from .hybrid import PagePolicy, page_modes_for
-from .strategies import StrategySpace
+from .strategies import Strategy, StrategySpace
 
 __all__ = [
     "LabelerConfig",
     "LabeledSample",
     "Dataset",
     "sweep_strategies",
+    "allocation",
+    "WindowReplay",
     "objective_us",
     "pick_label",
     "best_strategy",
@@ -40,14 +43,8 @@ __all__ = [
     "generate_dataset",
 ]
 
-
-def _event_sweep(requests, config, strategy_sets, page_modes):
-    """One event-driven simulation per channel-set mapping."""
-    return [simulate(requests, config, sets, page_modes) for sets in strategy_sets]
-
-
-#: engine name -> sweep callable (requests, config, strategy sets, page modes)
-_ENGINES: dict[str, Callable] = {"fast": fast_sweep, "event": _event_sweep}
+#: simulators a label sweep can run on: the vectorised fast model or the DES
+_ENGINES = ("fast", "event")
 
 
 @dataclass(frozen=True)
@@ -193,13 +190,73 @@ def sweep_strategies(
     space: StrategySpace,
     config: LabelerConfig,
 ) -> list[SimulationResult]:
-    """Simulate ``mixed`` under every strategy in ``space``, in its order."""
-    write_dominated = features.write_dominated()
-    strategy_sets = (
-        strategy.channel_sets(space.n_channels, write_dominated) for strategy in space
+    """Simulate ``mixed`` under every strategy in ``space``, in its order,
+    drawing each strategy only once the previous one is simulated."""
+    if config.engine == "event":
+        ssd, policy = config.ssd, config.page_policy
+        return [
+            simulate(mixed.requests, ssd, *allocation(s, features, ssd.channels, policy))
+            for s in space
+        ]
+    replay = WindowReplay(mixed.requests, features, config.ssd, page_policy=config.page_policy)
+    return [replay.result(s) for s in space]
+
+
+def allocation(
+    strategy: Strategy, features: FeatureVector, n_channels: int, page_policy: PagePolicy
+) -> tuple[dict[int, list[int]], dict]:
+    """``(channel_sets, page_modes)`` deploying ``strategy`` for ``features``."""
+    return (
+        strategy.channel_sets(n_channels, features.write_dominated()),
+        page_modes_for(page_policy, features),
     )
-    page_modes = page_modes_for(config.page_policy, features)
-    return _ENGINES[config.engine](mixed.requests, config.ssd, strategy_sets, page_modes)
+
+
+class WindowReplay:
+    """One request window replayed on the fast model, scored per strategy.
+
+    Every strategy runs one :class:`~repro.ssd.fastmodel.PreparedTrace`, so
+    tenant groups that strategies share are simulated once, and each
+    strategy's result is memoised.  The label sweep, verified allocation,
+    the keeper's limiter and predictions, and retraining's labels and shadow
+    validation all score a window through its replay.  ``len()`` is the
+    window's request count.
+    """
+
+    def __init__(
+        self,
+        requests,
+        features: FeatureVector,
+        config: SSDConfig,
+        *,
+        page_policy: PagePolicy = PagePolicy.HYBRID,
+        faults: FaultConfig | None = None,
+    ) -> None:
+        self.features = features
+        self.config = config
+        self.page_policy = page_policy
+        self.faults = faults
+        self._trace = PreparedTrace(requests)
+        self._results: dict[Strategy, SimulationResult] = {}
+
+    def __len__(self) -> int:
+        return self._trace.n_req
+
+    def result(self, strategy: Strategy) -> SimulationResult:
+        """The window simulated with ``strategy`` deployed (memoised)."""
+        result = self._results.get(strategy)
+        if result is None:
+            sets, modes = allocation(
+                strategy, self.features, self.config.channels, self.page_policy
+            )
+            result = self._results[strategy] = FastLatencyModel(
+                self.config, sets, modes, faults=self.faults
+            ).run(self._trace)
+        return result
+
+    def cost_us(self, strategy: Strategy) -> float:
+        """Mean write + mean read latency with ``strategy`` deployed."""
+        return objective_us(self.result(strategy), "mean-sum")
 
 
 def objective_us(result: SimulationResult, objective: str) -> float:
@@ -335,7 +392,6 @@ def _snap_to_grid(shares: np.ndarray, grid: float) -> np.ndarray:
     while units.sum() < units_total:
         remainders = raw - units
         units[int(np.argmax(remainders))] += 1
-        raw = raw  # remainders shrink as units grow; loop terminates
     while units.sum() > units_total:
         # Over-allocation can only come from the >=1 floor; shave the
         # largest allocation that stays positive.

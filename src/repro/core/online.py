@@ -5,16 +5,17 @@ adaptive keeper refresh it **without ever trusting a fresh model
 blindly**:
 
 * a :class:`ReplayBuffer` harvests one :class:`ReplayWindow` per
-  adaptation window — the observed feature vector, the requests of the
-  window, the strategy that was actually deployed, and the realised mean
-  latency;
+  adaptation window — the observed feature vector, the keeper's
+  :class:`~repro.core.labeler.WindowReplay` of the window's requests, the
+  strategy that was actually deployed, and the realised mean latency;
 * on a retrain trigger the :class:`RetrainGovernor` labels the buffered
-  training windows by an exhaustive fast-model sweep (the same
+  training windows by scoring every strategy on their replays (the same
   Algorithm-1 objective the offline labeler uses), fine-tunes a **clone**
   of the live learner on them, and then *shadow-validates* the candidate
   against the incumbent on held-back replay windows the candidate never
   trained on: each model predicts a strategy per window and the window's
-  requests are replayed under it with the fast model;
+  replay scores it.  The replays are the ones the keeper already scored
+  its decisions on, so a (window, strategy) pair is simulated once;
 * the candidate is **promoted** only when its held-back cost is no worse
   than the incumbent's (within ``promote_margin``) and its predictions
   are healthy; otherwise it is **rolled back** and the live model is
@@ -35,13 +36,9 @@ from typing import Sequence
 import numpy as np
 
 from ..nn.training import Trainer
-from ..ssd.config import SSDConfig
-from ..ssd.fastmodel import fast_simulate, fast_sweep
-from ..ssd.request import IORequest
 from .allocator import ChannelAllocator
 from .features import FeatureVector
-from .hybrid import PagePolicy, page_modes_for
-from .labeler import pick_label
+from .labeler import WindowReplay, pick_label
 from .learner import StrategyLearner
 
 __all__ = [
@@ -62,9 +59,11 @@ class ReplayWindow:
     #: label of the strategy that was live during the window
     deployed: str
     realised_mean_us: float | None
-    requests: tuple[IORequest, ...]
-    #: best-strategy class index from the fast-model sweep (labelled
-    #: lazily at retrain time, then memoised)
+    #: fast-model replay of the window's requests; dropped once the
+    #: window is labelled, since training needs only the label
+    replay: WindowReplay | None
+    #: best-strategy class index over the replay (labelled lazily at
+    #: retrain time, then memoised)
     label: int | None = None
 
 
@@ -180,18 +179,8 @@ class RetrainEvent:
 class RetrainGovernor:
     """Labels replay windows, trains candidates, and arbitrates promotion."""
 
-    def __init__(
-        self,
-        config: SSDConfig,
-        retrain: RetrainConfig,
-        *,
-        page_policy: PagePolicy = PagePolicy.HYBRID,
-        faults=None,
-    ) -> None:
-        self.config = config
+    def __init__(self, retrain: RetrainConfig) -> None:
         self.retrain = retrain
-        self.page_policy = page_policy
-        self.faults = faults
         self._last_attempt_window: int | None = None
 
     # ------------------------------------------------------------------
@@ -211,44 +200,20 @@ class RetrainGovernor:
         )
 
     # ------------------------------------------------------------------
-    def _window_cost_us(
-        self, window: ReplayWindow, strategy_sets, page_modes
-    ) -> float:
-        result = fast_simulate(
-            list(window.requests), self.config, strategy_sets, page_modes,
-            faults=self.faults,
-        )
-        return result.read.mean_us + result.write.mean_us
-
     def _label_window(self, window: ReplayWindow, space) -> int:
-        """Best strategy index for the window by exhaustive fast sweep."""
-        if window.label is not None:
-            return window.label
-        write_dominated = window.features.write_dominated()
-        results = fast_sweep(
-            window.requests,
-            self.config,
-            (s.channel_sets(space.n_channels, write_dominated) for s in space),
-            page_modes_for(self.page_policy, window.features),
-            faults=self.faults,
-        )
-        costs = [r.read.mean_us + r.write.mean_us for r in results]
-        window.label = pick_label(costs, self.retrain.tie_epsilon)
+        """Best strategy index for the window over every strategy."""
+        if window.label is None:
+            costs = [window.replay.cost_us(s) for s in space]
+            window.label = pick_label(costs, self.retrain.tie_epsilon)
+            window.replay = None
         return window.label
 
     def _model_cost_us(
         self, learner: StrategyLearner, windows: Sequence[ReplayWindow]
     ) -> float:
         """Mean held-back cost of deploying ``learner``'s predictions."""
-        total_us = 0.0
-        for window in windows:
-            strategy = learner.predict(window.features)
-            sets = strategy.channel_sets(
-                learner.space.n_channels, window.features.write_dominated()
-            )
-            page_modes = page_modes_for(self.page_policy, window.features)
-            total_us += self._window_cost_us(window, sets, page_modes)
-        return total_us / len(windows)
+        costs_us = (w.replay.cost_us(learner.predict(w.features)) for w in windows)
+        return sum(costs_us) / len(windows)
 
     # ------------------------------------------------------------------
     def attempt(
@@ -267,8 +232,8 @@ class RetrainGovernor:
         """
         cfg = self.retrain
         train_windows, holdback = buffer.split(cfg.holdback)
-        train_windows = [w for w in train_windows if w.requests]
-        holdback = [w for w in holdback if w.requests]
+        train_windows = [w for w in train_windows if w.label is not None or w.replay]
+        holdback = [w for w in holdback if w.replay]
         if len(train_windows) < cfg.min_train_windows or not holdback:
             return None
         self._last_attempt_window = window_index

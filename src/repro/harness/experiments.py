@@ -28,7 +28,7 @@ from ..core.allocator import ChannelAllocator
 from ..core.features import N_INTENSITY_LEVELS, features_of_mix
 from ..core.hybrid import PagePolicy
 from ..core.keeper import SSDKeeper
-from ..core.labeler import Dataset, LabelerConfig, generate_dataset, random_specs
+from ..core.labeler import Dataset, LabelerConfig, generate_dataset, objective_us, random_specs
 from ..core.learner import StrategyLearner
 from ..core.strategies import StrategySpace
 from ..ssd.config import SSDConfig
@@ -172,7 +172,7 @@ def _fig2_build(scale: Scale) -> dict:
                 entry = sums[strategy.label]
                 entry[0] += result.write.mean_us
                 entry[1] += result.read.mean_us
-                entry[2] += result.write.mean_us + result.read.mean_us
+                entry[2] += objective_us(result, "mean-sum")
         for label, (w, r, t) in sums.items():
             reps = scale.fig2_replications
             write_latency_us[label].append(w / reps)
@@ -387,7 +387,7 @@ def _fig5_build(scale: Scale, cache: ArtifactCache) -> dict:
             rows[tag] = {
                 "mean_write_us": result.write.mean_us,
                 "mean_read_us": result.read.mean_us,
-                "mean_total_us": result.write.mean_us + result.read.mean_us,
+                "mean_total_us": objective_us(result, "mean-sum"),
                 "total_latency_s": result.total_latency_us / 1e6,
             }
 

@@ -52,7 +52,7 @@ from .metrics import LatencyAccumulator, SimulationResult, build_result
 from .request import IORequest, OpType
 from .timing import ServiceTimes
 
-__all__ = ["FastLatencyModel", "fast_simulate", "fast_sweep"]
+__all__ = ["FastLatencyModel", "PreparedTrace", "fast_simulate", "fast_sweep"]
 
 #: one tenant of a group: (workload id, channel ranks, page mode)
 _GroupTenant = tuple[int, tuple[int, ...], PageAllocMode]
@@ -128,15 +128,15 @@ class FastLatencyModel:
         return planes[np.arange(count, dtype=np.int64) % len(planes)]
 
     # ------------------------------------------------------------------
-    def run(self, requests: Iterable[IORequest] | _PreparedTrace) -> SimulationResult:
+    def run(self, requests: Iterable[IORequest] | PreparedTrace) -> SimulationResult:
         """Approximately simulate ``requests``; same result type as the DES.
 
-        ``requests`` may be a sweep's :class:`_PreparedTrace`, whose memo
+        ``requests`` may be a sweep's :class:`PreparedTrace`, whose memo
         then supplies the end times of tenant groups an earlier strategy of
         the sweep already simulated.
         """
         trace = (
-            requests if isinstance(requests, _PreparedTrace) else _PreparedTrace(requests)
+            requests if isinstance(requests, PreparedTrace) else PreparedTrace(requests)
         )
         n_req = trace.n_req
         if n_req == 0:
@@ -206,7 +206,7 @@ class FastLatencyModel:
             )
 
     def _group_ends(
-        self, trace: _PreparedTrace, group: tuple[_GroupTenant, ...]
+        self, trace: PreparedTrace, group: tuple[_GroupTenant, ...]
     ) -> tuple[np.ndarray, np.ndarray]:
         """Positions and end times of one group's sub-requests, on its own."""
         in_group = trace.sub_wid == group[0][0]
@@ -289,13 +289,14 @@ class FastLatencyModel:
         return ends_us
 
 
-class _PreparedTrace:
+class PreparedTrace:
     """A trace sorted and expanded to sub-requests once, for a whole sweep.
 
     Also holds the sweep's memo: group key -> (sub-request positions, end
     times), filled by :meth:`FastLatencyModel.run`.  The key leaves out the
     device configuration and fault model, so every model that runs one
-    prepared trace must share them, as the models of one sweep do.
+    prepared trace must share them, as the models of one sweep (or of one
+    :class:`repro.core.labeler.WindowReplay`) do.
     """
 
     def __init__(self, requests: Iterable[IORequest]) -> None:
@@ -410,7 +411,7 @@ def fast_sweep(
     to separate :func:`fast_simulate` calls.  ``strategy_sets`` is consumed
     lazily, one strategy simulated before the next is drawn.
     """
-    trace = _PreparedTrace(requests)
+    trace = PreparedTrace(requests)
     return [
         FastLatencyModel(
             config, sets, page_modes, record_latencies=record_latencies,

@@ -15,11 +15,14 @@ from repro.core import (
     StrategyLearner,
     StrategySpace,
 )
+from repro.core import features as features_mod, labeler
 from repro.core.drift import DriftConfig
 from repro.core.keeper import _PeriodicLoop, _WindowState
 from repro.core.strategies import Strategy, StrategyKind
-from repro.ssd import SSDConfig
-from repro.workloads import WorkloadSpec, synthesize_mix
+from repro.harness.driftlab import heuristic_allocator, lab_configs
+from repro.ssd import FastLatencyModel, SSDConfig
+from repro.ssd.fastmodel import PreparedTrace
+from repro.workloads import WorkloadSpec, build_scenario, synthesize_mix
 
 
 def make_allocator(seed=0):
@@ -265,3 +268,48 @@ class TestWindowTransitions:
 
     def test_limiter_never_suppresses_a_fallback(self):
         assert not self.suppresses(200.0, fallback="unhealthy prediction: nan")
+
+
+def test_one_replay_per_keeper_window(monkeypatch):
+    """Every step of a keeper window scores strategies on one prepared
+    trace, no (window, strategy) pair is simulated twice, and the label
+    sweep still runs the fast model once per strategy, drawn lazily."""
+    traces, runs = [], []
+    init, run = PreparedTrace.__init__, FastLatencyModel.run
+
+    def counted_init(self, requests):
+        init(self, requests)
+        traces.append(self)  # kept alive, so ids stay unique
+
+    def counted_run(self, trace):
+        runs.append((id(trace), repr(sorted(self.channel_sets.items())),
+                     repr(sorted(self.page_modes.items()))))
+        return run(self, trace)
+
+    monkeypatch.setattr(PreparedTrace, "__init__", counted_init)
+    monkeypatch.setattr(FastLatencyModel, "run", counted_run)
+    keeper = SSDKeeper(
+        heuristic_allocator(), SSDConfig.small(),
+        collect_window_us=10_000.0, intensity_quantum=50.0, verify_top_k=3,
+    )
+    drift, retrain = lab_configs()
+    requests = build_scenario(
+        "migrating_hotspot", seed=3, phases=4, phase_us=25_000.0
+    ).requests
+    result = keeper.run_adaptive(requests, drift=drift, retrain=retrain)
+    assert result.retrains >= 1
+    assert len(traces) == len(result.decisions)  # windows with traffic
+    assert len(runs) == len(set(runs))
+
+    class CountingSpace(StrategySpace):
+        def __iter__(self):
+            for i, strategy in enumerate(super().__iter__()):
+                assert len(runs) == i
+                yield strategy
+
+    cfg = labeler.LabelerConfig(window_requests_max=600)
+    mix = labeler.random_mix(cfg, np.random.default_rng(4))
+    fv = features_mod.features_of_mix(mix, intensity_quantum=cfg.intensity_quantum)
+    runs.clear()
+    space = CountingSpace(cfg.ssd.channels, cfg.n_tenants)
+    assert len(labeler.sweep_strategies(mix, fv, space, cfg)) == len(runs) == len(space)

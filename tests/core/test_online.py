@@ -10,6 +10,7 @@ from repro.core import (
     RetrainConfig,
     RetrainEvent,
     RetrainGovernor,
+    WindowReplay,
 )
 from repro.harness.driftlab import heuristic_allocator
 from repro.ssd import SSDConfig
@@ -29,12 +30,13 @@ def make_window(index, write_heavy, *, requests_per_window=60):
     collector = FeaturesCollector(4, intensity_quantum=50.0)
     for req in mixed.requests:
         collector.observe(req)
+    features = collector.collect()
     return ReplayWindow(
         time_us=float(index) * 10_000.0,
-        features=collector.collect(),
+        features=features,
         deployed="Shared",
         realised_mean_us=150.0,
-        requests=tuple(mixed.requests),
+        replay=WindowReplay(mixed.requests, features, SSDConfig.small()),
     )
 
 
@@ -110,7 +112,7 @@ class TestRetrainConfig:
 
 class TestGovernorDue:
     def make(self, **kwargs):
-        return RetrainGovernor(SSDConfig.small(), RetrainConfig(**kwargs))
+        return RetrainGovernor(RetrainConfig(**kwargs))
 
     def test_drift_triggers(self):
         governor = self.make()
@@ -135,7 +137,7 @@ class TestGovernorAttempt:
         kwargs.setdefault("min_train_windows", 3)
         kwargs.setdefault("holdback", 2)
         kwargs.setdefault("iterations", 10)
-        governor = RetrainGovernor(SSDConfig.small(), RetrainConfig(**kwargs))
+        governor = RetrainGovernor(RetrainConfig(**kwargs))
         return governor.attempt(
             allocator, buffer, time_us=99_000.0, window_index=9
         )
@@ -146,7 +148,6 @@ class TestGovernorAttempt:
 
     def test_short_data_does_not_burn_the_gap(self):
         governor = RetrainGovernor(
-            SSDConfig.small(),
             RetrainConfig(min_train_windows=3, holdback=2, min_gap_windows=5),
         )
         allocator = heuristic_allocator()

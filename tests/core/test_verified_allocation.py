@@ -10,6 +10,7 @@ from repro.core import (
     SSDKeeper,
     StrategyLearner,
     StrategySpace,
+    WindowReplay,
     verified_allocate,
 )
 from repro.ssd import SSDConfig
@@ -82,7 +83,7 @@ class TestVerifiedAllocate:
         fv = FeatureVector(15, (0, 0, 1, 1), (0.25, 0.25, 0.25, 0.25))
         assert allocator.allocate(fv).label == "1:7"  # unverified pick
         verified = verified_allocate(
-            allocator, fv, window, config, top_k=3
+            allocator, fv, WindowReplay(window, fv, config), top_k=3
         )
         assert verified.label != "1:7"
 
@@ -90,7 +91,7 @@ class TestVerifiedAllocate:
         config = SSDConfig.small()
         allocator = biased_allocator("1:7", "Shared")
         fv = FeatureVector(15, (0, 0, 1, 1), (0.25, 0.25, 0.25, 0.25))
-        assert verified_allocate(allocator, fv, [], config).label == "1:7"
+        assert verified_allocate(allocator, fv, WindowReplay([], fv, config)).label == "1:7"
 
     def test_decision_logged(self):
         config = SSDConfig.small()
@@ -98,7 +99,7 @@ class TestVerifiedAllocate:
         window = read_heavy_window(config, total=300)
         fv = FeatureVector(15, (0, 0, 1, 1), (0.25, 0.25, 0.25, 0.25))
         n_before = len(allocator.decisions)
-        verified_allocate(allocator, fv, window, config, top_k=2)
+        verified_allocate(allocator, fv, WindowReplay(window, fv, config), top_k=2)
         assert len(allocator.decisions) == n_before + 1
 
 

@@ -65,12 +65,18 @@ def reference(requests, sets, modes, *, faults=None, record=False):
     )
 
 
-def draw_mix(seed, level, policy=PagePolicy.HYBRID):
+def draw_window(seed, level):
     rng = np.random.default_rng(seed)
     specs, total = labeler.random_specs(LABELER, rng, intensity_level=level)
     mix = labeler.synthesize_mix(specs, total_requests=total, seed=seed)
-    fv = features.features_of_mix(mix, intensity_quantum=LABELER.intensity_quantum)
-    return mix.requests, fv.write_dominated(), page_modes_for(policy, fv)
+    return mix.requests, features.features_of_mix(
+        mix, intensity_quantum=LABELER.intensity_quantum
+    )
+
+
+def draw_mix(seed, level, policy=PagePolicy.HYBRID):
+    requests, fv = draw_window(seed, level)
+    return requests, fv.write_dominated(), page_modes_for(policy, fv)
 
 
 def all_sets(write_dominated):
@@ -111,6 +117,37 @@ def test_sweep_matches_one_shared_pass_for_all_strategies(
         if record:
             assert result.read.samples == expected.read.samples
             assert result.write.samples == expected.write.samples
+
+
+@settings(max_examples=6)
+@given(
+    seed=st.integers(0, 2**16),
+    level=st.integers(0, 19),
+    policy=st.sampled_from(list(PagePolicy)),
+    faulted=st.booleans(),
+    top_k=st.lists(st.integers(0, len(SPACE) - 1), min_size=1, max_size=4),
+    order=st.permutations(range(len(SPACE))),
+)
+def test_window_replay_matches_fast_simulate_in_any_order(
+    seed, level, policy, faulted, top_k, order
+):
+    # a verified allocation's top-k (repeats allowed) first, then the whole
+    # space in any order, as a window's label sweep would follow it
+    requests, fv = draw_window(seed, level)
+    faults = FAULTS if faulted else None
+    replay = labeler.WindowReplay(requests, fv, CONFIG, page_policy=policy, faults=faults)
+    assert len(replay) == len(requests)
+    modes = page_modes_for(policy, fv)
+    first = {}
+    for strategy in [SPACE[i] for i in top_k + order]:
+        result = replay.result(strategy)
+        assert first.setdefault(strategy, result) is result
+        sets = strategy.channel_sets(SPACE.n_channels, fv.write_dominated())
+        expected = fast_simulate(requests, CONFIG, sets, modes, faults=faults)
+        assert result == expected
+        assert result.per_workload == expected.per_workload
+        assert replay.cost_us(strategy) == labeler.objective_us(expected, "mean-sum")
+    assert len(first) == len(SPACE)
 
 
 @pytest.mark.parametrize("widths", [(2, 2, 2, 2), (4, 2, 1, 1), (1, 5, 1, 1)])
