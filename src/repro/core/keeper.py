@@ -29,7 +29,7 @@ from ..ssd.simulator import SSDSimulator
 from .allocator import ChannelAllocator, verified_allocate
 from .drift import DriftConfig, DriftDetector, DriftEvent
 from .features import FeaturesCollector, FeatureVector
-from .hybrid import PagePolicy, page_modes_for
+from .hybrid import PagePolicy
 from .labeler import WindowReplay, allocation
 from .online import ReplayBuffer, ReplayWindow, RetrainConfig, RetrainEvent, RetrainGovernor
 from .strategies import Strategy, StrategyKind
@@ -482,7 +482,7 @@ class SSDKeeper:
         strategy: Strategy,
         features: FeatureVector,
         *,
-        page_policy: PagePolicy | None = None,
+        page_policy: PagePolicy = PagePolicy.ALL_STATIC,
     ) -> SimulationResult:
         """Run the same trace under one fixed strategy (no adaptation).
 
@@ -490,11 +490,8 @@ class SSDKeeper:
         the device's default static placement, or SSDKeeper's chosen
         strategy with hybrid placement.
         """
-        channel_sets = strategy.channel_sets(
-            self.config.channels, features.write_dominated()
-        )
-        modes = (
-            page_modes_for(page_policy, features) if page_policy is not None else None
+        channel_sets, modes = allocation(
+            strategy, features, self.config.channels, page_policy
         )
         sim = SSDSimulator(
             self.config,

@@ -36,6 +36,21 @@ group's end times under that key and every strategy stitches its groups'
 end times together, so the 42 strategies of the four-tenant space cost
 about 33 group passes (roughly 12 traces' worth of bookings), and the
 results equal a single pass of every sub-request over shared timelines.
+
+Booking is one loop per group pass over the sub-requests, calling each
+resource's bound :meth:`_GapTimeline.place`.  Almost every booking lands
+at the tail: on an ``offline_label`` pass (seed 7) only 0.7% of the calls
+that find remembered gaps fit one.  So ``place`` scans its gaps only when
+the last one could hold the job from its request time.  Gap ends ascend and
+a candidate start is never before the request time, so when the last gap
+fails no earlier gap fits either (rounded subtraction is monotone), and the
+skip leaves every booking, tail and gap list as the full scan would.
+
+A prepared trace also sorts its requests once into (tenant, op) streams --
+tenants ascending, READ before WRITE, trace order within a stream -- with
+each stream's slice bounds.  A run gathers its request latencies in that
+order once and builds every stream's statistics from a contiguous slice;
+the streams keep the insertion order the per-op totals are summed in.
 """
 
 from __future__ import annotations
@@ -163,12 +178,9 @@ class FastLatencyModel:
         latencies_us = req_end_us - trace.req_arrival_us
 
         acc = LatencyAccumulator(record_latencies=self.record_latencies)
-        for wid in sorted(self.channel_sets):
-            for op in (OpType.READ, OpType.WRITE):
-                mask = (trace.req_wid == wid) & (trace.req_op == int(op))
-                if not mask.any():
-                    continue
-                acc.set_stats(wid, op, _bulk_stats(latencies_us[mask], self.record_latencies))
+        grouped_us = latencies_us[trace.stream_order]
+        for wid, op, lo, hi in trace.streams:
+            acc.set_stats(wid, op, _bulk_stats(grouped_us[lo:hi], self.record_latencies))
 
         result = build_result(
             acc,
@@ -267,26 +279,21 @@ class FastLatencyModel:
         if self.fault_expectation is not None:
             read_die *= self.fault_expectation.read_die_multiplier
             write_die *= self.fault_expectation.write_die_multiplier
-        dies = [_GapTimeline() for _ in range(n_channels * self._dies_per_channel)]
-        chans = [_GapTimeline() for _ in range(n_channels)]
-        ends_us = np.empty(len(arrival))
-        arrival_l = arrival.tolist()
-        op_l = op.tolist()
-        die_l = die_idx.tolist()
-        chan_l = chan_idx.tolist()
+        die_place = [
+            _GapTimeline().place for _ in range(n_channels * self._dies_per_channel)
+        ]
+        chan_place = [_GapTimeline().place for _ in range(n_channels)]
         write_code = int(OpType.WRITE)
-        for i in range(len(arrival_l)):
-            a = arrival_l[i]
-            die = dies[die_l[i]]
-            chan = chans[chan_l[i]]
-            if op_l[i] == write_code:
-                be = chan.place(a, write_bus)
-                e = die.place(be, write_die)
+        ends_us: list[float] = []
+        append = ends_us.append
+        for a, o, d, c in zip(
+            arrival.tolist(), op.tolist(), die_idx.tolist(), chan_idx.tolist()
+        ):
+            if o == write_code:
+                append(die_place[d](chan_place[c](a, write_bus), write_die))
             else:
-                de = die.place(a, read_die)
-                e = chan.place(de, read_bus)
-            ends_us[i] = e
-        return ends_us
+                append(chan_place[c](die_place[d](a, read_die), read_bus))
+        return np.array(ends_us, dtype=float)
 
 
 class PreparedTrace:
@@ -320,6 +327,18 @@ class PreparedTrace:
         self.workload_ids: set[int] = set(np.unique(self.sub_wid).tolist())
         self.memo: dict = {}
 
+        # (tenant, op) streams in the order their stats are installed
+        key = self.req_wid * 2 + self.req_op
+        self.stream_order = np.argsort(key, kind="stable")
+        keys, lows, counts = np.unique(
+            key[self.stream_order], return_index=True, return_counts=True
+        )
+        #: (workload id, op, lo, hi) of each stream's slice
+        self.streams: list[tuple[int, OpType, int, int]] = [
+            (k // 2, OpType(k % 2), lo, lo + n)
+            for k, lo, n in zip(keys.tolist(), lows.tolist(), counts.tolist())
+        ]
+
 
 class _GapTimeline:
     """Single-server busy timeline with idle-gap backfilling.
@@ -348,6 +367,9 @@ class _GapTimeline:
             prune_before = rt - self._PRUNE_HORIZON
             while gaps and gaps[0][1] <= prune_before:
                 gaps.pop(0)
+        # Gap ends ascend and every candidate start is >= rt, so when the
+        # last gap cannot hold ``dur`` from ``rt`` no gap can.
+        if gaps and gaps[-1][1] - rt >= dur:
             for gi in range(len(gaps)):
                 gap = gaps[gi]
                 gap_start = gap[0]
