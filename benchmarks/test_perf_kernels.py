@@ -41,7 +41,7 @@ def test_fast_model_throughput(benchmark):
     config = SSDConfig.small()
     trace = make_trace(2000)
 
-    result = benchmark(lambda: FastLatencyModel(config, SETS).run(list(trace)))
+    result = benchmark(lambda: FastLatencyModel(config, list(trace)).run(SETS))
     assert result.requests == 2000
 
 

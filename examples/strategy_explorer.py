@@ -12,11 +12,11 @@ datacenter node.
 Run:  python examples/strategy_explorer.py
 """
 
-from repro.core import StrategySpace
+from repro.core import StrategySpace, WindowReplay
 from repro.core.features import features_of_mix
 from repro.core.hybrid import PagePolicy, page_modes_for
 from repro.harness import format_table
-from repro.ssd import SSDConfig, fast_simulate, simulate
+from repro.ssd import SSDConfig, simulate
 from repro.workloads import WorkloadSpec, clone, synthesize_mix
 
 #: Describe your tenants here.
@@ -46,16 +46,12 @@ def main() -> None:
         print(f"  {spec.describe()}")
     print(f"\nsweeping {len(space)} strategies with the fast model...")
 
-    write_dominated = features.write_dominated()
-    page_modes = page_modes_for(PagePolicy.HYBRID, features)
-    ranking = []
-    for strategy in space:
-        sets = strategy.channel_sets(config.channels, write_dominated)
-        result = fast_simulate(clone(mixed.requests), config, sets, page_modes)
-        ranking.append(
-            (strategy, result.write.mean_us + result.read.mean_us, result)
-        )
-    ranking.sort(key=lambda row: row[1])
+    # one fast model for the mix, run once per strategy
+    replay = WindowReplay(mixed.requests, features, config, page_policy=PagePolicy.HYBRID)
+    ranking = sorted(
+        ((s, replay.cost_us(s), replay.result(s)) for s in space),
+        key=lambda row: row[1],
+    )
 
     rows = []
     for rank, (strategy, cost, result) in enumerate(ranking[:8], start=1):
@@ -77,6 +73,8 @@ def main() -> None:
     ))
 
     print("\nconfirming the podium with the exact event-driven engine...")
+    write_dominated = features.write_dominated()
+    page_modes = page_modes_for(PagePolicy.HYBRID, features)
     rows = []
     for strategy, _, _ in ranking[:3]:
         sets = strategy.channel_sets(config.channels, write_dominated)

@@ -17,7 +17,7 @@ import zlib
 import numpy as np
 
 from ..ssd.config import SSDConfig
-from ..ssd.fastmodel import FastLatencyModel, PreparedTrace
+from ..ssd.fastmodel import FastLatencyModel
 from ..ssd.faults import FaultConfig
 from ..ssd.metrics import SimulationResult
 from ..ssd.simulator import simulate
@@ -215,8 +215,8 @@ def allocation(
 class WindowReplay:
     """One request window replayed on the fast model, scored per strategy.
 
-    Every strategy runs one :class:`~repro.ssd.fastmodel.PreparedTrace`, so
-    tenant groups that strategies share are simulated once, and each
+    Every strategy runs on one :class:`~repro.ssd.fastmodel.FastLatencyModel`,
+    so tenant groups that strategies share are simulated once, and each
     strategy's result is memoised.  The label sweep, verified allocation,
     the keeper's limiter and predictions, and retraining's labels and shadow
     validation all score a window through its replay.  ``len()`` is the
@@ -235,12 +235,11 @@ class WindowReplay:
         self.features = features
         self.config = config
         self.page_policy = page_policy
-        self.faults = faults
-        self._trace = PreparedTrace(requests)
+        self._model = FastLatencyModel(config, requests, faults=faults)
         self._results: dict[Strategy, SimulationResult] = {}
 
     def __len__(self) -> int:
-        return self._trace.n_req
+        return self._model.n_req
 
     def result(self, strategy: Strategy) -> SimulationResult:
         """The window simulated with ``strategy`` deployed (memoised)."""
@@ -249,9 +248,7 @@ class WindowReplay:
             sets, modes = allocation(
                 strategy, self.features, self.config.channels, self.page_policy
             )
-            result = self._results[strategy] = FastLatencyModel(
-                self.config, sets, modes, faults=self.faults
-            ).run(self._trace)
+            result = self._results[strategy] = self._model.run(sets, modes)
         return result
 
     def cost_us(self, strategy: Strategy) -> float:

@@ -279,17 +279,6 @@ class Observability:
         """The observer one :class:`~repro.ssd.simulator.SSDSimulator` calls."""
         return DeviceProbe(self, sim, sanitizer)
 
-    def publish_fast_run(self, result, latencies_us: dict) -> None:
-        """Fold one fast-model run (no events to trace) into the registry;
-        ``latencies_us`` maps ``"read"``/``"write"`` to samples."""
-        reg = self.registry
-        reg.counter("fastmodel.requests").inc(result.requests)
-        reg.counter("fastmodel.subrequests").inc(result.subrequests)
-        reg.gauge("fastmodel.makespan_us").set(result.makespan_us)
-        for kind, samples in latencies_us.items():
-            if samples:
-                reg.histogram(f"fastmodel.{kind}_latency_us").observe_many(samples)
-
     def write_chrome_trace(self, path) -> int:
         """Export recorded events in Chrome trace format; returns count."""
         return write_chrome_trace(self.trace.events(), path)

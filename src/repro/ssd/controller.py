@@ -256,13 +256,7 @@ class FTLController:
         """Validate a channel allocation, then make it current; a tenant
         missing from ``page_modes`` keeps its mode (STATIC at first).  Seed
         placers stripe never-written data statically whatever the mode."""
-        sets = {wid: sorted(set(chs)) for wid, chs in channel_sets.items()}
-        for wid, chs in sets.items():
-            if not chs:
-                raise ValueError(f"workload {wid} has an empty channel set")
-            for ch in chs:
-                if not 0 <= ch < self.config.channels:
-                    raise ValueError(f"workload {wid}: channel {ch} out of range")
+        sets = self.geometry.checked_channel_sets(channel_sets)
         modes = dict(page_modes or {})
         self.channel_sets = sets
         self.page_modes = {

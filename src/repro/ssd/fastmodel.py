@@ -22,20 +22,25 @@ strategy-*ranking* agreement against the DES in
   tenant's planes (captures the load spreading, not the instantaneous-load
   adaptivity).
 
-Sweeps (:func:`fast_sweep`) prepare the trace once -- sort, request and
-sub-request arrays, ``reduceat`` starts -- and simulate it *per tenant
-group*: tenants whose channel sets overlap (transitively) form a group, and
-no other group touches the dies and channels of its channel union.  Every
-resource is a fresh timeline that sees only its own group's bookings, in
-trace order, so a group's page end times depend only on its tenants, their
-channel sets relabelled to ranks within the union (an order-preserving
-relabelling maps resources one-to-one and keeps each resource's booking
-sequence), their page modes and the service times -- never on which
-channel ids the strategy hands out.  The prepared trace memoises each
-group's end times under that key and every strategy stitches its groups'
-end times together, so the 42 strategies of the four-tenant space cost
-about 33 group passes (roughly 12 traces' worth of bookings), and the
-results equal a single pass of every sub-request over shared timelines.
+A :class:`FastLatencyModel` is one trace prepared on one device: its
+constructor sorts the trace and expands it to sub-requests, splits it into
+(tenant, op) streams and fixes the service times (fault derating included),
+once.  :meth:`FastLatencyModel.run` then scores one channel allocation, so a
+strategy sweep is one model and one ``run`` per strategy.  A run simulates
+the trace *per tenant group*: tenants whose channel sets overlap
+(transitively) form a group, and no other group touches the dies and
+channels of its channel union.  Every resource is a fresh timeline that
+sees only its own group's bookings, in trace order, so a group's page end
+times depend only on its tenants, their channel sets relabelled to ranks
+within the union (an order-preserving relabelling maps resources
+one-to-one and keeps each resource's booking sequence), their page modes
+and the service times -- never on which channel ids the strategy hands
+out.  The model memoises each group's end times under that key (the trace
+and the device are the model's own, so the key needs nothing else) and
+every run stitches its groups' end times together, so the 42 strategies of
+the four-tenant space cost about 33 group passes (roughly 12 traces' worth
+of bookings), and the results equal a single pass of every sub-request over
+shared timelines.
 
 Booking is one loop per group pass over the sub-requests, calling each
 resource's bound :meth:`_GapTimeline.place`.  Almost every booking lands
@@ -46,11 +51,10 @@ a candidate start is never before the request time, so when the last gap
 fails no earlier gap fits either (rounded subtraction is monotone), and the
 skip leaves every booking, tail and gap list as the full scan would.
 
-A prepared trace also sorts its requests once into (tenant, op) streams --
-tenants ascending, READ before WRITE, trace order within a stream -- with
-each stream's slice bounds.  A run gathers its request latencies in that
-order once and builds every stream's statistics from a contiguous slice;
-the streams keep the insertion order the per-op totals are summed in.
+A run gathers its request latencies in (tenant, op) stream order -- tenants
+ascending, READ before WRITE, trace order within a stream -- once and
+builds every stream's statistics from a contiguous slice; the streams keep
+the insertion order the per-op totals are summed in.
 """
 
 from __future__ import annotations
@@ -67,47 +71,122 @@ from .metrics import LatencyAccumulator, SimulationResult, build_result
 from .request import IORequest, OpType
 from .timing import ServiceTimes
 
-__all__ = ["FastLatencyModel", "PreparedTrace", "fast_simulate", "fast_sweep"]
+__all__ = ["FastLatencyModel", "fast_simulate"]
 
 #: one tenant of a group: (workload id, channel ranks, page mode)
 _GroupTenant = tuple[int, tuple[int, ...], PageAllocMode]
 
 
 class FastLatencyModel:
-    """Approximate trace simulation with numpy-prepared timelines."""
+    """One trace prepared on one device, simulated per channel allocation.
+
+    ``faults`` derates the service times by their expected values (the
+    fast model has no per-block state to sample against; see
+    :class:`~repro.ssd.faults.FaultExpectation`).
+    """
 
     def __init__(
         self,
         config: SSDConfig,
-        channel_sets: Mapping[int, Sequence[int]],
-        page_modes: Mapping[int, PageAllocMode] | None = None,
+        requests: Iterable[IORequest],
         *,
-        record_latencies: bool = False,
-        obs=None,
         faults: FaultConfig | None = None,
+        record_latencies: bool = False,
     ) -> None:
         self.config = config
-        #: optional :class:`repro.obs.Observability`; the fast model has no
-        #: event stream to trace, but hands each run's request counts and
-        #: latencies to :meth:`~repro.obs.Observability.publish_fast_run`
-        self.obs = obs
         self.geometry = Geometry(config)
-        self.times = ServiceTimes.from_config(config)
-        self.channel_sets = {wid: sorted(set(chs)) for wid, chs in channel_sets.items()}
-        modes = dict(page_modes or {})
-        self.page_modes = {
-            wid: modes.get(wid, PageAllocMode.STATIC) for wid in self.channel_sets
-        }
         self.record_latencies = record_latencies
-        #: expected-value service-time derating under fault injection (the
-        #: fast model has no per-block state to sample against; see
-        #: :class:`~repro.ssd.faults.FaultExpectation`)
-        self.fault_expectation = (
-            FaultExpectation.from_config(faults) if faults is not None else None
-        )
+        times = ServiceTimes.from_config(config)
+        read_die_us, write_die_us = times.read_die_us, times.write_die_us
+        if faults is not None:
+            expected = FaultExpectation.from_config(faults)
+            read_die_us = read_die_us * expected.read_die_multiplier
+            write_die_us = write_die_us * expected.write_die_multiplier
+        #: per-page service: read die, read bus, write bus, write die
+        self._service_us = (read_die_us, times.read_bus_us, times.write_bus_us, write_die_us)
         c = config
         self._dies_per_channel = c.chips_per_channel * c.dies_per_chip
         self._planes_per_channel = self._dies_per_channel * c.planes_per_die
+
+        ordered = sorted(requests, key=lambda r: r.arrival_us)
+        self.n_req = n_req = len(ordered)
+        lengths = np.array([r.length for r in ordered], dtype=np.int64)
+        self.req_arrival_us = np.array([r.arrival_us for r in ordered])
+        req_op = np.array([int(r.op) for r in ordered], dtype=np.int8)
+        req_wid = np.array([r.workload_id for r in ordered], dtype=np.int64)
+        req_lpn = np.array([r.lpn for r in ordered], dtype=np.int64)
+
+        # Expand to sub-requests.
+        self.total = total = int(lengths.sum())
+        self.starts = np.cumsum(lengths) - lengths
+        req_index = np.repeat(np.arange(n_req), lengths)
+        offsets = np.arange(total, dtype=np.int64) - np.repeat(self.starts, lengths)
+        self.sub_lpn = req_lpn[req_index] + offsets
+        self.sub_arrival_us = self.req_arrival_us[req_index]
+        self.sub_op = req_op[req_index]
+        self.sub_wid = req_wid[req_index]
+        self.workload_ids: set[int] = set(np.unique(self.sub_wid).tolist())
+        #: group key -> (sub-request positions, end times), filled by runs
+        self._memo: dict = {}
+
+        # (tenant, op) streams in the order their stats are installed
+        key = req_wid * 2 + req_op
+        self.stream_order = np.argsort(key, kind="stable")
+        keys, lows, counts = np.unique(
+            key[self.stream_order], return_index=True, return_counts=True
+        )
+        #: (workload id, op, lo, hi) of each stream's slice
+        self.streams: list[tuple[int, OpType, int, int]] = [
+            (k // 2, OpType(k % 2), lo, lo + n)
+            for k, lo, n in zip(keys.tolist(), lows.tolist(), counts.tolist())
+        ]
+
+    # ------------------------------------------------------------------
+    def run(
+        self,
+        channel_sets: Mapping[int, Sequence[int]],
+        page_modes: Mapping[int, PageAllocMode] | None = None,
+    ) -> SimulationResult:
+        """Simulate the trace with ``channel_sets`` deployed (a tenant
+        missing from ``page_modes`` is STATIC); same result type as the DES.
+        """
+        sets = self.geometry.checked_channel_sets(channel_sets)
+        modes = {wid: (page_modes or {}).get(wid, PageAllocMode.STATIC) for wid in sets}
+        n_req = self.n_req
+        if n_req == 0:
+            return build_result(
+                LatencyAccumulator(self.record_latencies),
+                makespan_us=0.0,
+                requests=0,
+                subrequests=0,
+            )
+        unknown = self.workload_ids - set(sets)
+        if unknown:
+            raise KeyError(f"unknown workload ids in trace: {sorted(unknown)}")
+
+        ends_us = np.empty(self.total)
+        for group in _groups(sets, modes, self.workload_ids):
+            hit = self._memo.get(group)
+            if hit is None:
+                hit = self._memo[group] = self._group_ends(group)
+            positions, group_ends_us = hit
+            ends_us[positions] = group_ends_us
+
+        # Request latency = slowest page.
+        req_end_us = np.maximum.reduceat(ends_us, self.starts)
+        latencies_us = req_end_us - self.req_arrival_us
+
+        acc = LatencyAccumulator(record_latencies=self.record_latencies)
+        grouped_us = latencies_us[self.stream_order]
+        for wid, op, lo, hi in self.streams:
+            acc.set_stats(wid, op, _bulk_stats(grouped_us[lo:hi], self.record_latencies))
+
+        return build_result(
+            acc,
+            makespan_us=float(req_end_us.max()),
+            requests=n_req,
+            subrequests=self.total,
+        )
 
     # ------------------------------------------------------------------
     def _static_planes(self, lpns: np.ndarray, channels: Sequence[int]) -> np.ndarray:
@@ -143,91 +222,17 @@ class FastLatencyModel:
         return planes[np.arange(count, dtype=np.int64) % len(planes)]
 
     # ------------------------------------------------------------------
-    def run(self, requests: Iterable[IORequest] | PreparedTrace) -> SimulationResult:
-        """Approximately simulate ``requests``; same result type as the DES.
-
-        ``requests`` may be a sweep's :class:`PreparedTrace`, whose memo
-        then supplies the end times of tenant groups an earlier strategy of
-        the sweep already simulated.
-        """
-        trace = (
-            requests if isinstance(requests, PreparedTrace) else PreparedTrace(requests)
-        )
-        n_req = trace.n_req
-        if n_req == 0:
-            return build_result(
-                LatencyAccumulator(self.record_latencies),
-                makespan_us=0.0,
-                requests=0,
-                subrequests=0,
-            )
-        unknown = trace.workload_ids - set(self.channel_sets)
-        if unknown:
-            raise KeyError(f"unknown workload ids in trace: {sorted(unknown)}")
-
-        ends_us = np.empty(trace.total)
-        for group in self._groups(trace.workload_ids):
-            hit = trace.memo.get(group)
-            if hit is None:
-                hit = trace.memo[group] = self._group_ends(trace, group)
-            positions, group_ends_us = hit
-            ends_us[positions] = group_ends_us
-
-        # Request latency = slowest page.
-        req_end_us = np.maximum.reduceat(ends_us, trace.starts)
-        latencies_us = req_end_us - trace.req_arrival_us
-
-        acc = LatencyAccumulator(record_latencies=self.record_latencies)
-        grouped_us = latencies_us[trace.stream_order]
-        for wid, op, lo, hi in trace.streams:
-            acc.set_stats(wid, op, _bulk_stats(grouped_us[lo:hi], self.record_latencies))
-
-        result = build_result(
-            acc,
-            makespan_us=float(req_end_us.max()),
-            requests=n_req,
-            subrequests=trace.total,
-        )
-        if self.obs is not None:
-            self.obs.publish_fast_run(result, {
-                kind: latencies_us[trace.req_op == int(op)].tolist()
-                for kind, op in (("read", OpType.READ), ("write", OpType.WRITE))
-            })
-        return result
-
-    # ------------------------------------------------------------------
-    def _groups(self, workload_ids: set[int]) -> Iterator[tuple[_GroupTenant, ...]]:
-        """The trace's tenants grouped by (transitively) overlapping channels.
-
-        Each group is its tenants in id order, every one with its channel
-        set relabelled to ranks within the group's channel union.
-        """
-        groups: list[tuple[list[int], set[int]]] = []
-        for wid in sorted(workload_ids):
-            members, union = [wid], set(self.channel_sets[wid])
-            for other in [g for g in groups if g[1] & union]:
-                groups.remove(other)
-                members += other[0]
-                union |= other[1]
-            groups.append((members, union))
-        for members, union in groups:
-            rank = {ch: r for r, ch in enumerate(sorted(union))}
-            yield tuple(
-                (wid, tuple(rank[ch] for ch in self.channel_sets[wid]), self.page_modes[wid])
-                for wid in sorted(members)
-            )
-
     def _group_ends(
-        self, trace: PreparedTrace, group: tuple[_GroupTenant, ...]
+        self, group: tuple[_GroupTenant, ...]
     ) -> tuple[np.ndarray, np.ndarray]:
         """Positions and end times of one group's sub-requests, on its own."""
-        in_group = trace.sub_wid == group[0][0]
+        in_group = self.sub_wid == group[0][0]
         for wid, _, _ in group[1:]:
-            in_group |= trace.sub_wid == wid
+            in_group |= self.sub_wid == wid
         positions = np.flatnonzero(in_group)
-        sub_wid = trace.sub_wid[positions]
-        sub_op = trace.sub_op[positions]
-        sub_lpn = trace.sub_lpn[positions]
+        sub_wid = self.sub_wid[positions]
+        sub_op = self.sub_op[positions]
+        sub_lpn = self.sub_lpn[positions]
         is_write_op = sub_op == int(OpType.WRITE)
 
         # Placement: plane index per sub-request, on the relabelled channels.
@@ -249,7 +254,7 @@ class FastLatencyModel:
         chan_idx = plane_idx // self._planes_per_channel
         n_channels = 1 + max(max(channels) for _, channels, _ in group)
         ends_us = self._timeline_us(
-            trace.sub_arrival_us[positions], sub_op, die_idx, chan_idx, n_channels
+            self.sub_arrival_us[positions], sub_op, die_idx, chan_idx, n_channels
         )
         return positions, ends_us
 
@@ -271,14 +276,7 @@ class FastLatencyModel:
         behaviour of the event-driven engine instead of cascading phantom
         queueing.  The pass covers channels ``0 .. n_channels - 1``.
         """
-        t = self.times
-        read_die = t.read_die_us
-        read_bus = t.read_bus_us
-        write_bus = t.write_bus_us
-        write_die = t.write_die_us
-        if self.fault_expectation is not None:
-            read_die *= self.fault_expectation.read_die_multiplier
-            write_die *= self.fault_expectation.write_die_multiplier
+        read_die, read_bus, write_bus, write_die = self._service_us
         die_place = [
             _GapTimeline().place for _ in range(n_channels * self._dies_per_channel)
         ]
@@ -296,48 +294,30 @@ class FastLatencyModel:
         return np.array(ends_us, dtype=float)
 
 
-class PreparedTrace:
-    """A trace sorted and expanded to sub-requests once, for a whole sweep.
+def _groups(
+    channel_sets: dict[int, list[int]],
+    page_modes: dict[int, PageAllocMode],
+    workload_ids: set[int],
+) -> Iterator[tuple[_GroupTenant, ...]]:
+    """The trace's tenants grouped by (transitively) overlapping channels.
 
-    Also holds the sweep's memo: group key -> (sub-request positions, end
-    times), filled by :meth:`FastLatencyModel.run`.  The key leaves out the
-    device configuration and fault model, so every model that runs one
-    prepared trace must share them, as the models of one sweep (or of one
-    :class:`repro.core.labeler.WindowReplay`) do.
+    Each group is its tenants in id order, every one with its channel set
+    relabelled to ranks within the group's channel union.
     """
-
-    def __init__(self, requests: Iterable[IORequest]) -> None:
-        ordered = sorted(requests, key=lambda r: r.arrival_us)
-        self.n_req = n_req = len(ordered)
-        lengths = np.array([r.length for r in ordered], dtype=np.int64)
-        self.req_arrival_us = np.array([r.arrival_us for r in ordered])
-        self.req_op = np.array([int(r.op) for r in ordered], dtype=np.int8)
-        self.req_wid = np.array([r.workload_id for r in ordered], dtype=np.int64)
-        req_lpn = np.array([r.lpn for r in ordered], dtype=np.int64)
-
-        # Expand to sub-requests.
-        self.total = total = int(lengths.sum())
-        self.starts = np.cumsum(lengths) - lengths
-        req_index = np.repeat(np.arange(n_req), lengths)
-        offsets = np.arange(total, dtype=np.int64) - np.repeat(self.starts, lengths)
-        self.sub_lpn = req_lpn[req_index] + offsets
-        self.sub_arrival_us = self.req_arrival_us[req_index]
-        self.sub_op = self.req_op[req_index]
-        self.sub_wid = self.req_wid[req_index]
-        self.workload_ids: set[int] = set(np.unique(self.sub_wid).tolist())
-        self.memo: dict = {}
-
-        # (tenant, op) streams in the order their stats are installed
-        key = self.req_wid * 2 + self.req_op
-        self.stream_order = np.argsort(key, kind="stable")
-        keys, lows, counts = np.unique(
-            key[self.stream_order], return_index=True, return_counts=True
+    groups: list[tuple[list[int], set[int]]] = []
+    for wid in sorted(workload_ids):
+        members, union = [wid], set(channel_sets[wid])
+        for other in [g for g in groups if g[1] & union]:
+            groups.remove(other)
+            members += other[0]
+            union |= other[1]
+        groups.append((members, union))
+    for members, union in groups:
+        rank = {ch: r for r, ch in enumerate(sorted(union))}
+        yield tuple(
+            (wid, tuple(rank[ch] for ch in channel_sets[wid]), page_modes[wid])
+            for wid in sorted(members)
         )
-        #: (workload id, op, lo, hi) of each stream's slice
-        self.streams: list[tuple[int, OpType, int, int]] = [
-            (k // 2, OpType(k % 2), lo, lo + n)
-            for k, lo, n in zip(keys.tolist(), lows.tolist(), counts.tolist())
-        ]
 
 
 class _GapTimeline:
@@ -415,34 +395,6 @@ def _bulk_stats(latencies_us: np.ndarray, record: bool):
     return stats
 
 
-def fast_sweep(
-    requests: Iterable[IORequest],
-    config: SSDConfig,
-    strategy_sets: Iterable[Mapping[int, Sequence[int]]],
-    page_modes: Mapping[int, PageAllocMode] | None = None,
-    *,
-    faults: FaultConfig | None = None,
-    record_latencies: bool = False,
-    obs=None,
-) -> list[SimulationResult]:
-    """Simulate ``requests`` under each channel-set mapping of ``strategy_sets``.
-
-    The trace is prepared once and each tenant group is simulated once per
-    distinct key (see the module docstring); every strategy still gets its
-    own :meth:`FastLatencyModel.run` on the full trace, with results equal
-    to separate :func:`fast_simulate` calls.  ``strategy_sets`` is consumed
-    lazily, one strategy simulated before the next is drawn.
-    """
-    trace = PreparedTrace(requests)
-    return [
-        FastLatencyModel(
-            config, sets, page_modes, record_latencies=record_latencies,
-            obs=obs, faults=faults,
-        ).run(trace)
-        for sets in strategy_sets
-    ]
-
-
 def fast_simulate(
     requests: Iterable[IORequest],
     config: SSDConfig,
@@ -450,12 +402,9 @@ def fast_simulate(
     page_modes: Mapping[int, PageAllocMode] | None = None,
     *,
     record_latencies: bool = False,
-    obs=None,
     faults: FaultConfig | None = None,
 ) -> SimulationResult:
-    """One-strategy :func:`fast_sweep`."""
-    [result] = fast_sweep(
-        requests, config, [channel_sets], page_modes,
-        faults=faults, record_latencies=record_latencies, obs=obs,
-    )
-    return result
+    """One-call twin of :func:`~repro.ssd.simulator.simulate` on the fast model."""
+    return FastLatencyModel(
+        config, requests, faults=faults, record_latencies=record_latencies
+    ).run(channel_sets, page_modes)

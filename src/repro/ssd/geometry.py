@@ -17,7 +17,7 @@ and striding by ``pages_per_plane`` moves to the next plane.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator, Mapping
 
 from .config import SSDConfig
 
@@ -110,6 +110,20 @@ class Geometry:
     # ------------------------------------------------------------------
     # Enumeration helpers
     # ------------------------------------------------------------------
+    def checked_channel_sets(
+        self, channel_sets: Mapping[int, Iterable[int]]
+    ) -> dict[int, list[int]]:
+        """Each tenant's channel set as sorted distinct channel ids; raises
+        ``ValueError`` for an empty set or a channel out of range."""
+        sets = {wid: sorted(set(chs)) for wid, chs in channel_sets.items()}
+        for wid, chs in sets.items():
+            if not chs:
+                raise ValueError(f"workload {wid} has an empty channel set")
+            for ch in chs:
+                if not 0 <= ch < self.config.channels:
+                    raise ValueError(f"workload {wid}: channel {ch} out of range")
+        return sets
+
     def planes_in_channels(self, channels: list[int]) -> list[int]:
         """Flat plane indices belonging to the given channel set, sorted."""
         per_channel = self.config.planes // self.config.channels

@@ -20,8 +20,7 @@ from repro.core.drift import DriftConfig
 from repro.core.keeper import _PeriodicLoop, _WindowState
 from repro.core.strategies import Strategy, StrategyKind
 from repro.harness.driftlab import heuristic_allocator, lab_configs
-from repro.ssd import FastLatencyModel, SSDConfig
-from repro.ssd.fastmodel import PreparedTrace
+from repro.ssd import FastLatencyModel, PageAllocMode, SSDConfig
 from repro.workloads import WorkloadSpec, build_scenario, synthesize_mix
 
 
@@ -271,22 +270,25 @@ class TestWindowTransitions:
 
 
 def test_one_replay_per_keeper_window(monkeypatch):
-    """Every step of a keeper window scores strategies on one prepared
-    trace, no (window, strategy) pair is simulated twice, and the label
-    sweep still runs the fast model once per strategy, drawn lazily."""
-    traces, runs = [], []
-    init, run = PreparedTrace.__init__, FastLatencyModel.run
+    """Every step of a keeper window scores strategies on one fast model,
+    no (window, strategy) pair is simulated twice, and the label sweep
+    still runs the fast model once per strategy, drawn lazily."""
+    models, runs = [], []
+    init, run = FastLatencyModel.__init__, FastLatencyModel.run
 
-    def counted_init(self, requests):
-        init(self, requests)
-        traces.append(self)  # kept alive, so ids stay unique
+    def counted_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        models.append(self)  # kept alive, so ids stay unique
 
-    def counted_run(self, trace):
-        runs.append((id(trace), repr(sorted(self.channel_sets.items())),
-                     repr(sorted(self.page_modes.items()))))
-        return run(self, trace)
+    def counted_run(self, channel_sets, page_modes=None):
+        modes = page_modes or {}
+        runs.append((id(self), repr(sorted(
+            (wid, sorted(set(chs)), modes.get(wid, PageAllocMode.STATIC))
+            for wid, chs in channel_sets.items()
+        ))))
+        return run(self, channel_sets, page_modes)
 
-    monkeypatch.setattr(PreparedTrace, "__init__", counted_init)
+    monkeypatch.setattr(FastLatencyModel, "__init__", counted_init)
     monkeypatch.setattr(FastLatencyModel, "run", counted_run)
     keeper = SSDKeeper(
         heuristic_allocator(), SSDConfig.small(),
@@ -298,7 +300,7 @@ def test_one_replay_per_keeper_window(monkeypatch):
     ).requests
     result = keeper.run_adaptive(requests, drift=drift, retrain=retrain)
     assert result.retrains >= 1
-    assert len(traces) == len(result.decisions)  # windows with traffic
+    assert len(models) == len(result.decisions)  # windows with traffic
     assert len(runs) == len(set(runs))
 
     class CountingSpace(StrategySpace):

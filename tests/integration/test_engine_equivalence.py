@@ -47,9 +47,10 @@ class TestUncontendedEquivalence:
         des = SSDSimulator(CONFIG, SETS).run(
             [IORequest(r.arrival_us, r.workload_id, r.op, r.lpn, r.length) for r in reqs]
         )
-        fast = FastLatencyModel(CONFIG, SETS).run(
-            [IORequest(r.arrival_us, r.workload_id, r.op, r.lpn, r.length) for r in reqs]
-        )
+        fast = FastLatencyModel(
+            CONFIG,
+            [IORequest(r.arrival_us, r.workload_id, r.op, r.lpn, r.length) for r in reqs],
+        ).run(SETS)
         assert fast.total_latency_us == pytest.approx(
             des.total_latency_us, rel=1e-12
         )
@@ -87,9 +88,10 @@ class TestContendedAgreement:
         des = SSDSimulator(CONFIG, SETS).run(
             [IORequest(r.arrival_us, r.workload_id, r.op, r.lpn, r.length) for r in reqs]
         )
-        fast = FastLatencyModel(CONFIG, SETS).run(
-            [IORequest(r.arrival_us, r.workload_id, r.op, r.lpn, r.length) for r in reqs]
-        )
+        fast = FastLatencyModel(
+            CONFIG,
+            [IORequest(r.arrival_us, r.workload_id, r.op, r.lpn, r.length) for r in reqs],
+        ).run(SETS)
         assert fast.total_latency_us == pytest.approx(
             des.total_latency_us, rel=0.35
         )

@@ -1,18 +1,23 @@
 """Examples stay importable and their cheap paths run.
 
 The full examples take minutes (they train models); here we compile all of
-them and exercise the quickstart end to end with a reduced workload by
-reusing its building blocks.
+them, exercise the quickstart end to end with a reduced workload by reusing
+its building blocks, and run the strategy explorer (seconds) as it ships.
 """
 
+import hashlib
+import importlib.util
 from pathlib import Path
 import py_compile
 
 import pytest
 
-EXAMPLES = sorted(
-    (Path(__file__).resolve().parent.parent.parent / "examples").glob("*.py")
-)
+EXAMPLES_DIR = Path(__file__).resolve().parent.parent.parent / "examples"
+EXAMPLES = sorted(EXAMPLES_DIR.glob("*.py"))
+
+#: sha256 of the strategy explorer's stdout; its mix and every strategy's
+#: simulation are seeded, so the report is the same on every run
+EXPLORER_STDOUT_SHA256 = "ac18649acd51e537ae911543762755eaa14e029694201a14c539f10d3e0733ee"
 
 
 class TestExamples:
@@ -53,3 +58,16 @@ class TestExamples:
             ).total_latency_us
         assert len(totals) == 8
         assert all(v > 0 for v in totals.values())
+
+    def test_strategy_explorer_runs(self, capsys):
+        spec = importlib.util.spec_from_file_location(
+            "strategy_explorer", EXAMPLES_DIR / "strategy_explorer.py"
+        )
+        explorer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(explorer)
+        explorer.main()
+        out = capsys.readouterr().out
+        assert "Fast-model ranking (top 8 of 42)" in out
+        assert "Event-driven confirmation (top 3)" in out
+        assert "recommended allocation for this mix:" in out
+        assert hashlib.sha256(out.encode()).hexdigest() == EXPLORER_STDOUT_SHA256

@@ -23,7 +23,6 @@ from repro.core import (
 )
 from repro.obs import Observability, match_pairs
 from repro.ssd import SSDConfig, SSDSimulator
-from repro.ssd.fastmodel import fast_simulate
 from repro.workloads import WorkloadSpec, synthesize_mix
 
 
@@ -231,20 +230,6 @@ class TestKeeperDecisionLogging:
     def test_switch_counter_published(self, keeper_run):
         obs, _ = keeper_run
         assert obs.registry.snapshot()["counters"]["keeper.switches"] == 1
-
-
-class TestFastModelInstrumentation:
-    def test_fast_model_publishes_into_same_registry(self):
-        config = SSDConfig.small()
-        obs = Observability(trace=False)
-        trace = mixed_trace(total=200, seed=3)
-        result = fast_simulate(
-            trace, config, shared_sets(config), obs=obs
-        )
-        snap = obs.registry.snapshot()
-        assert snap["counters"]["fastmodel.requests"] == 200
-        hist = snap["histograms"]["fastmodel.read_latency_us"]
-        assert hist["count"] == result.read.count
 
 
 class TestTrainingInstrumentation:

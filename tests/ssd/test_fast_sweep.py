@@ -1,10 +1,11 @@
 """Fast-model sweeps: per-group timeline reuse must equal one shared pass.
 
-``fast_sweep`` simulates each group of tenants that share channels on its
-own, relabels channel ids to ranks within the group, and reuses a group's
-end times across strategies.  The reference below is the whole-trace pass
-it replaces: every sub-request placed on its real channels and booked in
-arrival order on one shared set of timelines.
+A sweep is one :class:`FastLatencyModel` and one ``run`` per strategy.  A
+run simulates each group of tenants that share channels on its own,
+relabels channel ids to ranks within the group, and the model reuses a
+group's end times across strategies.  The reference below is the
+whole-trace pass it replaces: every sub-request placed on its real channels
+and booked in arrival order on one shared set of timelines.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from repro.core import features, labeler
 from repro.core.hybrid import PagePolicy, page_modes_for
 from repro.core.strategies import StrategySpace
 from repro.ssd import FastLatencyModel, FaultConfig, IORequest, OpType, SSDConfig
-from repro.ssd.fastmodel import _bulk_stats, fast_simulate, fast_sweep
+from repro.ssd.fastmodel import _bulk_stats, fast_simulate
 from repro.ssd.ftl.page_alloc import PageAllocMode
 from repro.ssd.metrics import LatencyAccumulator, build_result
 
@@ -28,19 +29,28 @@ LABELER = labeler.LabelerConfig(window_requests_max=600)
 FAULTS = FaultConfig(seed=5, read_ber=0.05, program_fail_rate=0.002)
 
 
+def sweep(requests, strategy_sets, modes=None, *, faults=None, record=False):
+    """One model for the trace, one run per channel-set mapping."""
+    model = FastLatencyModel(CONFIG, requests, faults=faults, record_latencies=record)
+    return [model.run(sets, modes) for sets in strategy_sets]
+
+
 def reference(requests, sets, modes, *, faults=None, record=False):
     """The whole trace booked in arrival order on one set of timelines."""
-    model = FastLatencyModel(CONFIG, sets, modes, record_latencies=record, faults=faults)
+    # a model with no trace, used only for its placement and booking helpers
+    model = FastLatencyModel(CONFIG, [], faults=faults)
+    sets = {w: sorted(set(chans)) for w, chans in sets.items()}
+    modes = {w: (modes or {}).get(w, PageAllocMode.STATIC) for w in sets}
     ordered = sorted(requests, key=lambda r: r.arrival_us)
     pages = [(r, r.lpn + k) for r in ordered for k in range(r.length)]
     wid = np.array([r.workload_id for r, _ in pages])
     is_write = np.array([r.op is OpType.WRITE for r, _ in pages])
     lpn = np.array([p for _, p in pages], dtype=np.int64)
     plane = np.empty(len(pages), dtype=np.int64)
-    for w, chans in model.channel_sets.items():
+    for w, chans in sets.items():
         reads, writes = (wid == w) & ~is_write, (wid == w) & is_write
         plane[reads] = model._static_planes(lpn[reads], chans)
-        if model.page_modes[w] is PageAllocMode.STATIC:
+        if modes[w] is PageAllocMode.STATIC:
             plane[writes] = model._static_planes(lpn[writes], chans)
         else:
             plane[writes] = model._sequence_planes(int(writes.sum()), chans)
@@ -54,7 +64,7 @@ def reference(requests, sets, modes, *, faults=None, record=False):
         req_end[id(r)] = max(req_end.get(id(r), end), end)
     latency = np.array([req_end[id(r)] - r.arrival_us for r in ordered])
     acc = LatencyAccumulator(record_latencies=record)
-    for w in sorted(model.channel_sets):
+    for w in sorted(sets):
         for op in (OpType.READ, OpType.WRITE):
             mask = np.array([r.workload_id == w and r.op is op for r in ordered])
             if mask.any():
@@ -106,9 +116,7 @@ def test_sweep_matches_one_shared_pass_for_all_strategies(
     requests, write_dominated, modes = draw_mix(seed, level, policy)
     faults = FAULTS if faulted else None
     sets = all_sets(write_dominated)
-    results = fast_sweep(
-        requests, CONFIG, iter(sets), modes, faults=faults, record_latencies=record
-    )
+    results = sweep(requests, sets, modes, faults=faults, record=record)
     assert len(results) == len(SPACE) == 42
     for strategy_sets, result in zip(sets, results):
         expected = reference(requests, strategy_sets, modes, faults=faults, record=record)
@@ -166,8 +174,8 @@ def test_swapping_channel_blocks_keeps_each_tenants_stats(widths):
 def test_reverse_order_sweep_gives_identical_results():
     requests, write_dominated, modes = draw_mix(11, 12)
     sets = all_sets(write_dominated)
-    forward = fast_sweep(requests, CONFIG, sets, modes, record_latencies=True)
-    backward = fast_sweep(requests, CONFIG, sets[::-1], modes, record_latencies=True)
+    forward = sweep(requests, sets, modes, record=True)
+    backward = sweep(requests, sets[::-1], modes, record=True)
     assert backward[::-1] == forward
 
 
@@ -194,34 +202,18 @@ def test_a_sweep_simulates_each_group_and_width_once(monkeypatch):
     passes = []
     group_ends = FastLatencyModel._group_ends
 
-    def counted(self, trace, group):
+    def counted(self, group):
         passes.append(group)
-        return group_ends(self, trace, group)
+        return group_ends(self, group)
 
     monkeypatch.setattr(FastLatencyModel, "_group_ends", counted)
-    fast_sweep(requests, CONFIG, all_sets(write_dominated), modes)
+    sweep(requests, all_sets(write_dominated), modes)
     assert len(passes) == len(set(passes)) == 1 + 4 * 5 + 2 * 6
-
-
-def test_strategies_are_drawn_lazily(monkeypatch):
-    requests, write_dominated, modes = draw_mix(2, 6)
-    runs = []
-    run = FastLatencyModel.run
-    monkeypatch.setattr(
-        FastLatencyModel, "run", lambda self, trace: runs.append(1) or run(self, trace)
-    )
-
-    def sets():
-        for i, strategy_sets in enumerate(all_sets(write_dominated)):
-            assert len(runs) == i
-            yield strategy_sets
-
-    assert len(fast_sweep(requests, CONFIG, sets(), modes)) == len(SPACE)
 
 
 def test_empty_trace():
     sets = all_sets([True, False, True, False])
-    results = fast_sweep([], CONFIG, sets, None)
+    results = sweep([], sets)
     assert len(results) == len(sets)
     assert all(r == fast_simulate([], CONFIG, sets[0]) for r in results)
     assert all(r.requests == 0 and r.makespan_us == 0.0 for r in results)
@@ -233,5 +225,5 @@ def test_unknown_workload_id_raises():
         IORequest(arrival_us=1.0, workload_id=9, op=OpType.WRITE, lpn=4),
     ]
     with pytest.raises(KeyError, match="9"):
-        fast_sweep(requests, CONFIG, all_sets([True, False, True, False]))
+        sweep(requests, all_sets([True, False, True, False]))
 

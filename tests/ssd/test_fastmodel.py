@@ -43,6 +43,16 @@ class TestExactCases:
             fast_simulate([read(0.0, 0, wid=5)], small_config, shared_sets(1))
 
 
+@pytest.mark.parametrize("engine", [simulate, fast_simulate], ids=["event", "fast"])
+@pytest.mark.parametrize(
+    "sets", [{0: [9]}, {0: [-1]}, {0: []}], ids=["past-last", "negative", "empty"]
+)
+def test_both_engines_reject_invalid_channel_sets(engine, sets, small_config):
+    trace = [read(0.0, 0), write(1.0, 8), read(2.0, 3, length=2)]
+    with pytest.raises(ValueError, match="out of range|empty channel set"):
+        engine(trace, small_config, sets)
+
+
 class TestDESAgreement:
     """The fast model must track the exact engine closely on light loads
     and preserve ordering on heavy loads (its job is ranking strategies)."""

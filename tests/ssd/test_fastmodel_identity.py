@@ -23,8 +23,7 @@ import pytest
 from repro.core import features, labeler
 from repro.core.hybrid import PagePolicy, page_modes_for
 from repro.core.strategies import StrategySpace
-from repro.ssd import FaultConfig, SSDConfig
-from repro.ssd.fastmodel import fast_sweep
+from repro.ssd import FastLatencyModel, FaultConfig, SSDConfig
 from repro.workloads.mixer import synthesize_mix
 
 CONFIG = SSDConfig.small()
@@ -112,9 +111,12 @@ def case_all_dynamic():
 def case_recorded():
     """Latency samples on; every other case runs with them off."""
     requests, fv = window(10, 10)
-    sets = (s.channel_sets(CONFIG.channels, fv.write_dominated()) for s in SPACE)
+    model = FastLatencyModel(CONFIG, requests, record_latencies=True)
     modes = page_modes_for(PagePolicy.HYBRID, fv)
-    results = fast_sweep(requests, CONFIG, sets, modes, record_latencies=True)
+    results = [
+        model.run(s.channel_sets(CONFIG.channels, fv.write_dominated()), modes)
+        for s in SPACE
+    ]
     assert all(r.read.samples and r.write.samples for r in results)
     return results
 

@@ -52,8 +52,8 @@ class TestEngineWriteSpreading:
             small_config, {0: list(range(8))}, {0: PageAllocMode.DYNAMIC}
         ).run([IORequest(r.arrival_us, r.workload_id, r.op, r.lpn) for r in reqs])
         fast = FastLatencyModel(
-            small_config, {0: list(range(8))}, {0: PageAllocMode.DYNAMIC}
-        ).run([IORequest(r.arrival_us, r.workload_id, r.op, r.lpn) for r in reqs])
+            small_config, [IORequest(r.arrival_us, r.workload_id, r.op, r.lpn) for r in reqs]
+        ).run({0: list(range(8))}, {0: PageAllocMode.DYNAMIC})
         # A simultaneous 64-write burst over 16 dies: both engines should
         # land within 2x of each other (no single-channel pathologies).
         ratio = fast.write.mean_us / des.write.mean_us
