@@ -356,11 +356,6 @@ class LintEngine:
         violations.sort(key=lambda v: (v.line, v.col, v.rule, v.message))
         return _fingerprint({str(module.path): module}, violations)
 
-    def lint_module(self, module: ModuleSource) -> list[Violation]:
-        violations = self._file_violations(module, self._split_rules()[0])
-        violations.sort(key=lambda v: (v.line, v.col, v.rule, v.message))
-        return violations
-
     def lint_paths(
         self,
         paths: Iterable[Path | str],

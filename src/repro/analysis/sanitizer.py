@@ -18,9 +18,9 @@ every step:
   matching ``PPN→LPN`` entry and vice versa, checked incrementally on
   ``bind``/``unbind`` and in full after every GC pass;
 * **capacity conservation** — per plane,
-  ``live + dead + retired + free == total`` pages, and block-level
-  validity counts sum to the live count, after every program, retire and
-  GC step.
+  ``live + dead + retired + free == total`` pages, block-level validity
+  counts sum to the live count, and no retired block is sealed, free or
+  active, after every retire and GC step.
 
 A failed check raises :class:`SanitizerError` naming the invariant,
 with the most recent hook events appended so the report is correlated
@@ -252,7 +252,9 @@ class Sanitizer:
     # Plane capacity conservation
     # ------------------------------------------------------------------
     def check_plane(self, plane: "PlaneState") -> None:
-        """Assert ``live + dead + retired + free == total`` for ``plane``."""
+        """Assert ``live + dead + retired + free == total`` for ``plane``,
+        that its block valid counts sum to its live pages, and that no
+        retired (bad) block is sealed, free or active."""
         self.conservation_checks += 1
         live, dead = plane.live_pages, plane.dead_pages
         retired, free = plane.retired_pages, plane.free_pages
@@ -270,6 +272,17 @@ class Sanitizer:
                 f"plane {plane.plane_index}: per-block valid counts sum to "
                 f"{valid_sum} but live_pages is {live}",
             )
+        # shadow check reads the raw free pool on purpose
+        for block in plane.bad_blocks:
+            for pool, where in ((plane.sealed_blocks(), "sealed"),
+                                (plane._free_blocks, "in the free pool"),
+                                ((plane.active_block,), "the active block")):
+                if block in pool:
+                    self._fail(
+                        "capacity-conservation",
+                        f"plane {plane.plane_index}: retired block {block} "
+                        f"is {where}",
+                    )
 
     def after_gc(self, state: "FlashArrayState", plane: "PlaneState") -> None:
         """Full sweep after one GC pass: plane conservation + bijection."""

@@ -136,10 +136,6 @@ class LabeledSample:
     label: int
     total_latencies_us: list[float]
 
-    @property
-    def best_latency_us(self) -> float:
-        return self.total_latencies_us[self.label]
-
 
 @dataclass
 class Dataset:

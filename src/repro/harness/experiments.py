@@ -530,9 +530,11 @@ def stats_run(
 
     A four-tenant synthetic mix (two write-dominated, two read-dominated
     tenants) plays on the small Table-I device under the Shared
-    allocation while every observability hook fires: structured tracing,
-    latency histograms, and — when ``obs.utilization_interval_us`` is
-    set — the per-channel utilization profile.  ``faults`` (an optional
+    allocation while ``obs``'s hooks fire: structured tracing, latency
+    histograms, attribution and — when ``obs.telemetry`` is set —
+    telemetry windows and the per-channel / per-die utilization view
+    they give.  Every hook is a pure observer, so the simulated result
+    equals a bare run's.  ``faults`` (an optional
     :class:`~repro.ssd.faults.FaultConfig`) switches on the seeded NAND
     fault model.  Returns the
     :class:`~repro.ssd.metrics.SimulationResult`.

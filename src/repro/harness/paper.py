@@ -220,6 +220,9 @@ def _cmd_ablations(scale: Scale) -> str:
 #: :func:`repro.harness.experiments.stats_run` — a fixed 4-workload mix)
 _STATS_TENANTS = range(4)
 
+#: ``stats``/``faults`` sampling interval (simulated us) without ``--slo``
+_DEFAULT_INTERVAL_US = 500.0
+
 
 def _cmd_stats(scale: Scale, args: argparse.Namespace, faults=None) -> tuple:
     """Run one instrumented simulation and export its observability;
@@ -227,7 +230,6 @@ def _cmd_stats(scale: Scale, args: argparse.Namespace, faults=None) -> tuple:
     from ..obs import Observability, SloSpec, SloSpecError
     from .experiments import stats_run
 
-    interval_us = args.utilization_interval  # repro-lint: disable=R001 (--utilization-interval is documented as microseconds)
     slo_spec = None
     if args.slo:
         try:
@@ -238,10 +240,8 @@ def _cmd_stats(scale: Scale, args: argparse.Namespace, faults=None) -> tuple:
         except SloSpecError as exc:
             raise lab.UsageError(f"cannot load SLO spec: {exc}") from None
     telemetry = args.telemetry_interval  # repro-lint: disable=R001 (--telemetry-interval is documented as microseconds)
-    if telemetry is None and (args.telemetry_out or args.openmetrics):
-        # an export was requested without an explicit interval: sample at
-        # the SLO window (when given) or the utilization interval
-        telemetry = slo_spec.window_us if slo_spec is not None else 500.0
+    if telemetry is None:
+        telemetry = slo_spec.window_us if slo_spec is not None else _DEFAULT_INTERVAL_US
     flight = None
     if args.flight_dir:
         from ..obs import FlightRecorder
@@ -253,9 +253,8 @@ def _cmd_stats(scale: Scale, args: argparse.Namespace, faults=None) -> tuple:
             replay_argv=["python", "-m", "repro", *args.argv],
         )
     obs = Observability(
-        utilization_interval_us=interval_us if interval_us > 0 else None,
         attribution=True,
-        telemetry=telemetry,
+        telemetry=telemetry or None,
         slo=slo_spec,
         flight_recorder=flight,
     )
@@ -361,25 +360,18 @@ def add_arguments(parser) -> None:
         help="write the full metrics/utilization export as JSON",
     )
     obs_group.add_argument(
-        "--utilization-interval",
-        metavar="US",
-        type=float,
-        default=500.0,
-        help="per-channel/die utilization sampling interval in simulated "
-        "microseconds (0 disables; default 500)",
-    )
-    obs_group.add_argument(
         "--telemetry-out",
         metavar="PATH",
         help="stream delta-encoded telemetry windows to PATH as "
-        "schema-versioned JSONL (enables telemetry sampling)",
+        "schema-versioned JSONL",
     )
     obs_group.add_argument(
         "--telemetry-interval",
         metavar="US",
         type=float,
-        help="telemetry window length in simulated microseconds (default: "
-        "the SLO spec's window_us, else 500)",
+        help="telemetry and utilization sampling interval in simulated "
+        "microseconds (0 disables; default: the SLO spec's window_us, "
+        "else 500)",
     )
     lab.add_shared(obs_group, "--slo")
     obs_group.add_argument(
@@ -439,10 +431,13 @@ def add_arguments(parser) -> None:
 
 def run(args) -> int:
     """Regenerate ``args.command`` (``all``: every table and figure)."""
-    if args.utilization_interval < 0:
-        raise lab.UsageError("--utilization-interval must be >= 0 (0 disables)")
-    if args.telemetry_interval is not None and args.telemetry_interval <= 0:
-        raise lab.UsageError("--telemetry-interval must be > 0")
+    if args.telemetry_interval is not None and args.telemetry_interval < 0:
+        raise lab.UsageError("--telemetry-interval must be >= 0 (0 disables)")
+    if args.telemetry_interval == 0 and (args.slo or args.telemetry_out or args.openmetrics):
+        raise lab.UsageError(
+            "--telemetry-interval 0 disables the windows that --slo, "
+            "--telemetry-out and --openmetrics need"
+        )
     # Fail fast on unwritable export paths: the simulation itself can take
     # minutes at larger scales, so probe before running (append mode leaves
     # any existing export intact if a later step dies).

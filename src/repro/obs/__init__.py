@@ -1,17 +1,19 @@
 """``repro.obs`` — zero-dependency observability subsystem.
 
-Three pillars, bundled by the :class:`Observability` facade:
+The pillars, bundled by the :class:`Observability` facade:
 
 * **metrics registry** (:mod:`repro.obs.registry`) — counters, gauges,
   fixed-bucket latency histograms (p50/p95/p99), and series that the
-  simulator, FTL, GC, buffer, fast model, keeper, and training loop
+  simulator, FTL, GC, buffer, fault model, keeper, and training loop
   publish into;
 * **structured tracing** (:mod:`repro.obs.trace`,
   :mod:`repro.obs.chrometrace`) — ring-buffered event records with JSONL
   and ``chrome://tracing`` exporters;
-* **utilization profiling** (:mod:`repro.obs.profiler`) — per-channel /
-  per-die busy-fraction and queue-depth time series on a configurable
-  simulated-time interval;
+* **windowed telemetry** (:mod:`repro.obs.telemetry`) — the one sampler
+  on the event loop: delta-encoded windows over the registry and every
+  channel / die, whose per-window busy fraction and queue depth form the
+  utilization view, evaluated by the SLO watchdog (:mod:`repro.obs.slo`)
+  and dumped by the flight recorder (:mod:`repro.obs.flightrecorder`);
 * **latency attribution** (:mod:`repro.obs.attribution`) — exact-sum
   decomposition of every completed request's latency into named phases
   (queue waits, bus transfer, die busy, GC stall, ECC retries, buffer
@@ -22,17 +24,18 @@ Three pillars, bundled by the :class:`Observability` facade:
   what-if profiling by exact re-simulation with scaled config knobs,
   surfaced as ``repro explain``.
 
-Everything is opt-in: the event-driven device sees the bundle only through
-one :class:`DeviceProbe` (:mod:`repro.obs.probe`), ``None`` on a bare
-device.  Enable with::
+Everything is opt-in and none of it perturbs the run: the event-driven
+device sees the bundle only through one :class:`DeviceProbe`
+(:mod:`repro.obs.probe`), ``None`` on a bare device, and the telemetry
+sampler ticks on weak loop events.  Enable with::
 
     from repro.obs import Observability
-    obs = Observability(utilization_interval_us=500.0)
+    obs = Observability(telemetry=500.0)
     sim = SSDSimulator(config, channel_sets, obs=obs)
     result = sim.run(trace)
     obs.trace.write_jsonl("run.jsonl")
     obs.write_chrome_trace("run.chrome.json")
-    print(obs.registry.to_json(indent=2))
+    print(obs.export()["utilization"]["channel_busy"])
 """
 
 from __future__ import annotations
@@ -78,7 +81,6 @@ from .fleet import (
 )
 from .flightrecorder import FLIGHT_SCHEMA_VERSION, FlightRecorder
 from .probe import DeviceProbe
-from .profiler import UtilizationProfiler
 from .registry import DEFAULT_LATENCY_BUCKETS_US, Counter, Gauge, Histogram, MetricsRegistry, Series
 from .slo import SloAlert, SloSpec, SloSpecError, SloWatchdog
 from .telemetry import TELEMETRY_SCHEMA, TELEMETRY_SCHEMA_VERSION, TelemetrySink
@@ -144,7 +146,6 @@ __all__ = [
     "NULL_RECORDER",
     "EVENT_NAMES",
     "match_pairs",
-    "UtilizationProfiler",
     "to_chrome_trace",
     "write_chrome_trace",
     "DIFF_SCHEMA_VERSION",
@@ -160,7 +161,7 @@ __all__ = [
 
 
 class Observability:
-    """Bundle of registry + trace recorder + profiling config.
+    """Bundle of registry + trace recorder + the optional pillars.
 
     Parameters
     ----------
@@ -172,10 +173,6 @@ class Observability:
         pre-configured :class:`TraceRecorder`.
     trace_capacity / trace_sample_every:
         Ring-buffer size and 1-in-N sampling for the default recorder.
-    utilization_interval_us:
-        When set, the simulator attaches a :class:`UtilizationProfiler`
-        sampling every that many simulated microseconds (found afterwards
-        on :attr:`profiler`).
     attribution:
         ``True`` attaches an :class:`AttributionCollector` (found on
         :attr:`attribution`): every completed request's latency is
@@ -186,9 +183,10 @@ class Observability:
     telemetry:
         A sampling interval in simulated microseconds (or a
         pre-configured :class:`TelemetrySink`): the simulator arms the
-        sink to emit delta-encoded windows over the registry on weak
-        loop events (never perturbing the run).  ``None`` (default)
-        costs nothing.
+        sink to emit delta-encoded windows over the registry and the
+        device's channels and dies on weak loop events (never perturbing
+        the run); the windows also give the per-channel / per-die
+        utilization view.  ``None`` (default) costs nothing.
     slo:
         An :class:`SloSpec` (or pre-built :class:`SloWatchdog`): each
         telemetry window is evaluated for burn-rate alerting.  Implies
@@ -207,7 +205,6 @@ class Observability:
         trace: "bool | TraceRecorder" = True,
         trace_capacity: int = 65_536,
         trace_sample_every: int = 1,
-        utilization_interval_us: float | None = None,
         attribution: "bool | AttributionCollector" = False,
         telemetry: "float | TelemetrySink | None" = None,
         slo: "SloSpec | SloWatchdog | None" = None,
@@ -222,11 +219,6 @@ class Observability:
             )
         else:
             self.trace = NULL_RECORDER
-        if utilization_interval_us is not None and utilization_interval_us <= 0:
-            raise ValueError("utilization_interval_us must be positive")
-        self.utilization_interval_us = utilization_interval_us
-        #: attached by the device probe when profiling is enabled
-        self.profiler: UtilizationProfiler | None = None
         #: keeper decision records (:class:`repro.core.keeper.KeeperDecision`)
         self.decisions: list = []
         #: optional per-request latency attribution sink
@@ -287,8 +279,8 @@ class Observability:
         """Registry snapshot plus utilization, attribution, fault and
         keeper summaries (each section present only when populated)."""
         out = self.registry.snapshot()
-        if self.profiler is not None:
-            out["utilization"] = self.profiler.to_dict()
+        if self.telemetry is not None:
+            out["utilization"] = self.telemetry.utilization()
         if self.decisions:
             out["keeper_decisions"] = [d.to_dict() for d in self.decisions]
         if self.attribution is not None:

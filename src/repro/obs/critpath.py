@@ -167,12 +167,6 @@ class BottleneckReport:
         self.residual_us = residual_us
 
     # ------------------------------------------------------------------
-    def resource_total_us(self, name: str) -> float:
-        row = self.resources.get(name)
-        if row is None:
-            return 0.0
-        return sum(bucket_us for bucket_us in row.values())
-
     def total_us(self) -> float:
         """Sum over every bucket; equals the makespan by construction."""
         device_us = math.fsum(  # repro-lint: disable=R001 (fsum over the *_us bucket rows)

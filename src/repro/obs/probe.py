@@ -5,9 +5,9 @@ controller's garbage collector share one ``_probe`` (``None`` on a bare
 device) and call it at the simulation moments below.  Everything
 pillar-specific lives here: latency histograms (per tenant, created on
 first use, when telemetry is armed), ``sim.*``/``ftl.*`` counters, trace
-records, attribution spans, flight-recorder triggers, the samplers and
-the end-of-run publication, the split :class:`repro.obs.fleet.FleetObserver`
-keeps with the fleet substrate.  A probe schedules no events and draws no
+records, attribution spans, flight-recorder triggers, the telemetry
+sampler and the end-of-run publication, the split
+:class:`repro.obs.fleet.FleetObserver` keeps with the fleet substrate.  A probe schedules no events and draws no
 randomness, so an instrumented run simulates exactly what a bare one does.
 """
 
@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .attribution import SubrequestSpan
-from .profiler import UtilizationProfiler
 
 __all__ = ["DeviceProbe"]
 
@@ -153,22 +152,17 @@ class DeviceProbe:
 
     # -- run boundaries -------------------------------------------------
     def arm(self) -> None:
-        """Attach the profiler and telemetry samplers (weak loop events)."""
-        obs, sim = self.obs, self.sim
-        if obs.utilization_interval_us is not None:
-            obs.profiler = UtilizationProfiler(obs.utilization_interval_us)
-            obs.profiler.attach(self._loop, sim.channels, sim.dies)
+        """Attach the telemetry sampler (weak loop events)."""
         if self.telemetry is not None:
+            sim = self.sim
             self.telemetry.attach(
                 self._loop, self.registry, channels=sim.channels, dies=sim.dies,
             )
 
     def collect(self, result):
-        """Flush the samplers' final partial windows, add the attribution
+        """Flush the sampler's final partial window, add the attribution
         breakdown and SLO alerts to ``result``, and publish the run."""
         obs, sim, reg = self.obs, self.sim, self.registry
-        if obs.profiler is not None:
-            obs.profiler.flush()
         if self.telemetry is not None:
             self.telemetry.flush()
         result = replace(
@@ -190,13 +184,30 @@ class DeviceProbe:
             sim.buffer.stats.publish(reg)
         if sim.faults is not None:
             sim.faults.publish(reg)
-        if obs.profiler is not None:
-            obs.profiler.publish(reg)
+        if self.telemetry is not None:
+            _publish_utilization(
+                self.telemetry.utilization(), len(sim.channels), len(sim.dies), reg
+            )
         if result.breakdown is not None:
             reg.counter("attr.requests").value = result.breakdown.requests
             for phase, total_us in result.breakdown.phase_totals_us.items():
                 reg.gauge(f"attr.{phase}").set(total_us)
         return result
+
+
+def _publish_utilization(util: dict, channels: int, dies: int, reg) -> None:
+    """Copy the utilization view into ``reg`` as per-resource series."""
+    times_us = util["times_us"]
+    for ch in range(channels):
+        busy = reg.series(f"util.channel.{ch}.busy")
+        queue = reg.series(f"util.channel.{ch}.queue")
+        for t, busy_row, queue_row in zip(times_us, util["channel_busy"], util["channel_queue"]):
+            busy.append(t, busy_row[ch])
+            queue.append(t, float(queue_row[ch]))
+    for d in range(dies):
+        busy = reg.series(f"util.die.{d}.busy")
+        for t, busy_row in zip(times_us, util["die_busy"]):
+            busy.append(t, busy_row[d])
 
 
 def _is_gc_item(item) -> bool:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import bisect
 import json
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 __all__ = [
     "Counter",
@@ -124,11 +124,6 @@ class Histogram:
             self.min = value
         if value > self.max:
             self.max = value
-
-    def observe_many(self, values: Iterable[float]) -> None:
-        """Bulk ``observe`` (the fast model publishes whole arrays)."""
-        for v in values:
-            self.observe(v)
 
     @property
     def mean(self) -> float:

@@ -3,11 +3,12 @@
 A :class:`TelemetrySink` samples the :class:`~repro.obs.registry.MetricsRegistry`
 on a fixed simulated-time interval and closes each interval into a
 **delta-encoded window**: counter increments, histogram bucket-count
-deltas, current gauge values, and per-resource busy/GC/wait time deltas.
-Windows stream to a schema-versioned JSONL file (one header record, one
-record per window) — exactly the in-run training input the generative
-storage-model line of work consumes, and the evaluation substrate for the
-SLO watchdog (:mod:`repro.obs.slo`).
+deltas, current gauge values, per-resource busy/GC/wait time deltas and
+per-resource queue depth at window close.  Windows stream to a
+schema-versioned JSONL file (one header record, one record per window) —
+exactly the in-run training input the generative storage-model line of
+work consumes, and the evaluation substrate for the SLO watchdog
+(:mod:`repro.obs.slo`).
 
 The sink schedules its ticks as **weak events**
 (:meth:`repro.ssd.engine.EventLoop.every`): they fire while real work is
@@ -15,6 +16,15 @@ pending and are dropped once only samplers remain, so an armed sink never
 extends the run's makespan — a telemetry-on run is byte-identical to a
 telemetry-off run.  A final :meth:`flush` closes the partial tail window
 after the loop drains.
+
+The sink is also the device's utilization sampler: :meth:`utilization`
+turns the windows into per-channel / per-die busy-fraction and
+queue-depth rows (busy-us delta over the window span), the data behind
+the paper's Figure-2-style conflict plots.  Busy time is *booked* at
+grant time (the engine charges the whole service duration up front), so
+one window's fraction may exceed 1.0 right after a long grant and dip
+below on the next; over any horizon longer than a few service times the
+rows integrate to the true utilization.
 
 A window's ``events`` field is the number of heap events the loop
 dispatched in it (:attr:`repro.ssd.engine.EventLoop.events_processed`):
@@ -31,7 +41,7 @@ from .registry import Counter, Gauge, Histogram, MetricsRegistry
 __all__ = ["TelemetrySink", "TELEMETRY_SCHEMA_VERSION", "load_header"]
 
 #: bump when the window record layout changes
-TELEMETRY_SCHEMA_VERSION = 1
+TELEMETRY_SCHEMA_VERSION = 2
 
 #: the stream header record; the obs export summary stamps a subset
 TELEMETRY_SCHEMA = Schema(
@@ -41,6 +51,22 @@ TELEMETRY_SCHEMA = Schema(
 
 #: validate a telemetry stream header, the first line of ``to_jsonl``
 load_header = TELEMETRY_SCHEMA.load
+
+
+def _resource_totals(channels, dies) -> dict[str, list[float]]:
+    """Cumulative per-resource totals; a window records their deltas."""
+    return {
+        "channel_busy_us": [c.busy_time_us for c in channels],
+        "die_busy_us": [d.busy_time_us for d in dies],
+        "gc_busy_us": [d.gc_busy_time_us for d in dies],
+        "channel_wait_us": [c.wait_time_us for c in channels],
+        "die_wait_us": [d.wait_time_us for d in dies],
+    }
+
+
+def _outstanding(resources) -> list[int]:
+    """Jobs outstanding per resource: the holder plus its waiters."""
+    return [r.queue_depth + (1 if r.busy else 0) for r in resources]
 
 
 class TelemetrySink:
@@ -94,13 +120,7 @@ class TelemetrySink:
                 self._last_hist[name] = (
                     list(metric.counts), metric.total, metric.count
                 )
-        self._last_res = {
-            "channel_busy_us": [c.busy_time_us for c in self._channels],
-            "die_busy_us": [d.busy_time_us for d in self._dies],
-            "gc_busy_us": [d.gc_busy_time_us for d in self._dies],
-            "channel_wait_us": [c.wait_time_us for c in self._channels],
-            "die_wait_us": [d.wait_time_us for d in self._dies],
-        }
+        self._last_res = _resource_totals(self._channels, self._dies)
 
     def _sample(self) -> None:
         self._record_window(self._loop.now)
@@ -149,17 +169,13 @@ class TelemetrySink:
         }
         resources = {}
         if self._channels or self._dies:
-            current = {
-                "channel_busy_us": [c.busy_time_us for c in self._channels],
-                "die_busy_us": [d.busy_time_us for d in self._dies],
-                "gc_busy_us": [d.gc_busy_time_us for d in self._dies],
-                "channel_wait_us": [c.wait_time_us for c in self._channels],
-                "die_wait_us": [d.wait_time_us for d in self._dies],
-            }
+            current = _resource_totals(self._channels, self._dies)
             resources = {
                 key: [v - lv for v, lv in zip(vals, self._last_res[key])]
                 for key, vals in current.items()
             }
+            resources["channel_queue"] = _outstanding(self._channels)
+            resources["die_queue"] = _outstanding(self._dies)
             self._last_res = current
         events = self._loop.events_processed - self._last_events
         self._last_events = self._loop.events_processed
@@ -180,6 +196,26 @@ class TelemetrySink:
             self.watchdog.observe(window)
 
     # ------------------------------------------------------------------
+    def utilization(self) -> dict:
+        """Per-window busy fraction and queue depth of every channel and
+        die: one row per window, stamped with the window's end time."""
+        rows = [w for w in self.windows if w["resources"]]
+
+        def fractions(key):
+            return [
+                [busy / (w["t_end_us"] - w["t_start_us"]) for busy in w["resources"][key]]
+                for w in rows
+            ]
+
+        return {
+            "interval_us": self.interval_us,
+            "times_us": [w["t_end_us"] for w in rows],
+            "channel_busy": fractions("channel_busy_us"),
+            "die_busy": fractions("die_busy_us"),
+            "channel_queue": [list(w["resources"]["channel_queue"]) for w in rows],
+            "die_queue": [list(w["resources"]["die_queue"]) for w in rows],
+        }
+
     def header(self) -> dict:
         """The stream's schema-versioned header record."""
         return TELEMETRY_SCHEMA.stamp(

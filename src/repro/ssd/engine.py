@@ -180,12 +180,6 @@ class EventLoop:
         """Number of pending events that keep the loop alive."""
         return len(self._heap) - self._weak_pending + self._unfed
 
-    def peek_when(self) -> float | None:
-        """Absolute time of the next pending event, or ``None`` when empty."""
-        if not self._heap:
-            return None
-        return self._heap[0][0]
-
     def step(self) -> bool:
         """Dispatch exactly one pending event (weak or strong).
 

@@ -75,10 +75,6 @@ class FaultConfig:
         if self.wear_coupling < 0:
             raise ValueError("wear_coupling must be non-negative")
 
-    @property
-    def any_enabled(self) -> bool:
-        return bool(self.read_ber or self.program_fail_rate or self.erase_fail_rate)
-
     # ------------------------------------------------------------------
     def expected_read_retries(self) -> float:
         """Expected ECC retries per read at zero wear (for the fast model)."""
@@ -211,10 +207,6 @@ class FaultInjector:
         self.lost_pages += pages_lost
 
     # ------------------------------------------------------------------
-    def channel_error_rate(self, channel: int) -> float:
-        health = self._channels.get(channel)
-        return health.error_rate if health is not None else 0.0
-
     def worst_channel(self) -> tuple[int, float]:
         """(channel, error_rate) of the unhealthiest channel seen so far."""
         worst, rate = -1, 0.0

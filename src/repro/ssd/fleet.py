@@ -128,10 +128,6 @@ class FleetResult:
     makespan_us: float = 0.0
     events: int = 0
 
-    def tenant_completions(self, tenant: int) -> int:
-        """Total completions of ``tenant`` across every device."""
-        return sum(per.get(tenant, 0) for per in self.completions)
-
 
 class Fleet:
     """N simulators, a placement map, and a migration primitive.

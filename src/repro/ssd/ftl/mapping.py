@@ -228,19 +228,6 @@ class PlaneState:
             raise ValueError(f"PPN {ppn} not in plane {self.plane_index}")
         return offset // self.pages_per_block
 
-    def check_invariants(self) -> None:
-        """Assert the accounting identity; used by tests."""
-        used = self.live_pages + self.dead_pages + self.retired_pages
-        assert used + self.free_pages == self.total_pages, (
-            f"plane {self.plane_index}: live {self.live_pages} + dead "
-            f"{self.dead_pages} + retired {self.retired_pages} + free "
-            f"{self.free_pages} != {self.total_pages}"
-        )
-        assert sum(self.valid_count) == self.live_pages
-        assert not self.bad_blocks & self._sealed, "bad block still sealed"
-        assert not self.bad_blocks & set(self._free_blocks), "bad block in free pool"
-        assert self.active_block not in self.bad_blocks, "active block is bad"
-
 
 class MappingTable:
     """Bidirectional LPN↔PPN map with overwrite semantics."""

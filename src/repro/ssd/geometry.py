@@ -17,7 +17,7 @@ and striding by ``pages_per_plane`` moves to the next plane.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .config import SSDConfig
 
@@ -34,14 +34,6 @@ class PhysicalAddress:
     plane: int
     block: int
     page: int
-
-    def plane_key(self) -> tuple[int, int, int, int]:
-        """Key identifying the plane that holds this page."""
-        return (self.channel, self.chip, self.die, self.plane)
-
-    def die_key(self) -> tuple[int, int, int]:
-        """Key identifying the die that executes commands for this page."""
-        return (self.channel, self.chip, self.die)
 
 
 class Geometry:
@@ -92,11 +84,6 @@ class Geometry:
         """Channel index of a PPN without a full unpack."""
         return ppn // self._channel_stride
 
-    def chip_of(self, ppn: int) -> tuple[int, int]:
-        """(channel, chip) pair of a PPN without a full unpack."""
-        channel, rem = divmod(ppn, self._channel_stride)
-        return channel, rem // self._chip_stride
-
     def plane_index(self, ppn: int) -> int:
         """Flat plane index (0 .. planes-1) of a PPN."""
         return ppn // self._plane_stride
@@ -134,14 +121,6 @@ class Geometry:
             start = ch * per_channel
             out.extend(range(start, start + per_channel))
         return out
-
-    def iter_dies(self) -> Iterator[tuple[int, int, int]]:
-        """Yield every (channel, chip, die) key in the device."""
-        c = self.config
-        for channel in range(c.channels):
-            for chip in range(c.chips_per_channel):
-                for die in range(c.dies_per_chip):
-                    yield (channel, chip, die)
 
     # ------------------------------------------------------------------
     def _check(self, addr: PhysicalAddress) -> None:

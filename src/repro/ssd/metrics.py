@@ -187,12 +187,6 @@ class SimulationResult:
         n = self.read.count + self.write.count
         return self.total_latency_us / n if n else 0.0
 
-    def workload_total_us(self, workload_id: int) -> float:
-        pair = self.per_workload.get(workload_id)
-        if pair is None:
-            return 0.0
-        return pair[0].total_us + pair[1].total_us
-
     def summary(self) -> str:
         """One-line human-readable digest.
 

@@ -216,17 +216,17 @@ class SSDSimulator:
                 self._issue_write(key, req.workload_id, lpn)
 
     def arm_observers(self) -> None:
-        """Attach the profiler/telemetry samplers to this device's loop.
+        """Attach the telemetry sampler to this device's loop.
 
         Called by :meth:`prepare` for solo runs; a fleet calls it directly
-        because fleet arrivals reach the device after preparation.  All
-        samplers ride weak loop events, so arming never perturbs the run.
+        because fleet arrivals reach the device after preparation.  The
+        sampler rides weak loop events, so arming never perturbs the run.
         """
         if self._probe is not None:
             self._probe.arm()
 
     def prepare(self, requests: Iterable[IORequest]) -> int:
-        """Schedule ``requests`` at their arrival times; arm the samplers.
+        """Schedule ``requests`` at their arrival times; arm the sampler.
 
         Returns the number of requests scheduled.  Together with
         :meth:`collect` this is the decomposed form of :meth:`run` used by
@@ -252,7 +252,7 @@ class SSDSimulator:
         return self.collect()
 
     def collect(self) -> SimulationResult:
-        """Flush samplers and assemble the :class:`SimulationResult`.
+        """Flush the sampler and assemble the :class:`SimulationResult`.
 
         Requires the device's loop to have drained (every in-flight
         request completed); fleet composition calls this once the composed

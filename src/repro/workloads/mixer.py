@@ -35,9 +35,6 @@ class MixedWorkload:
     def n_tenants(self) -> int:
         return len(self.specs)
 
-    def count_for(self, workload_id: int) -> int:
-        return sum(1 for r in self.requests if r.workload_id == workload_id)
-
     def proportions(self) -> list[float]:
         """Per-tenant share of the merged request count (sums to 1)."""
         total = len(self.requests)

@@ -60,10 +60,6 @@ class WorkloadSpec:
             raise ValueError("burstiness must be >= 1")
 
     @property
-    def read_ratio(self) -> float:
-        return 1.0 - self.write_ratio
-
-    @property
     def is_write_dominated(self) -> bool:
         """The paper's binary R/W characteristic (0=write, 1=read)."""
         return self.write_ratio > 0.5
@@ -71,12 +67,6 @@ class WorkloadSpec:
     @property
     def mean_interarrival_us(self) -> float:
         return 1e6 / self.rate_rps  # repro-lint: disable=R001 (1/rps is seconds, so 1e6/rps is microseconds)
-
-    def scaled_rate(self, factor: float) -> "WorkloadSpec":
-        """Copy with the arrival rate multiplied by ``factor``."""
-        if factor <= 0:
-            raise ValueError("factor must be positive")
-        return replace(self, rate_rps=self.rate_rps * factor)
 
     def with_name(self, name: str) -> "WorkloadSpec":
         return replace(self, name=name)

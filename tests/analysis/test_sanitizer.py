@@ -143,6 +143,23 @@ class TestCapacityConservation:
             Sanitizer().check_plane(plane)
         assert exc.value.invariant == "capacity-conservation"
 
+    @pytest.mark.parametrize("pool", ["sealed", "free", "active"])
+    def test_retired_block_still_in_a_pool_detected(self, pool):
+        state = small_state()
+        plane = state.planes[0]
+        for lpn in range(6):
+            state.write(lpn, plane)
+        block = {
+            "sealed": min(plane.sealed_blocks()),
+            "free": plane.blocks - 1,
+            "active": plane.active_block,
+        }[pool]
+        plane.bad_blocks.add(block)  # marked bad but never taken out of use
+        with pytest.raises(SanitizerError) as exc:
+            Sanitizer().check_plane(plane)
+        assert exc.value.invariant == "capacity-conservation"
+        assert f"retired block {block}" in exc.value.detail
+
     def test_clean_plane_passes(self):
         state = small_state()
         plane = state.planes[0]

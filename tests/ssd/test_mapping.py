@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 import pytest
 
+from repro.analysis import Sanitizer
 from repro.ssd import Geometry, SSDConfig
 from repro.ssd.ftl.mapping import FlashArrayState, MappingTable, PlaneState
 
@@ -62,7 +63,7 @@ class TestPlaneState:
         plane = PlaneState(0, tiny_geometry())
         assert plane.free_pages == plane.total_pages == 16
         assert plane.live_pages == 0
-        plane.check_invariants()
+        Sanitizer().check_plane(plane)
 
     def test_sequential_allocation_within_block(self):
         plane = PlaneState(0, tiny_geometry())
@@ -70,7 +71,7 @@ class TestPlaneState:
         assert ppns == sorted(ppns)
         # First block's pages are consecutive.
         assert ppns[1] - ppns[0] == 1
-        plane.check_invariants()
+        Sanitizer().check_plane(plane)
 
     def test_allocation_rolls_to_next_block(self):
         plane = PlaneState(0, tiny_geometry())
@@ -78,7 +79,7 @@ class TestPlaneState:
             plane.allocate_page()
         assert plane.live_pages == 5
         assert len(plane.sealed_blocks()) == 1
-        plane.check_invariants()
+        Sanitizer().check_plane(plane)
 
     def test_fills_completely_then_raises(self):
         plane = PlaneState(0, tiny_geometry())
@@ -99,7 +100,7 @@ class TestPlaneState:
         plane.erase_block(block0)
         assert plane.erase_count[block0] == 1
         assert plane.free_blocks >= 1
-        plane.check_invariants()
+        Sanitizer().check_plane(plane)
 
     def test_erase_rejects_valid_pages(self):
         plane = PlaneState(0, tiny_geometry())
@@ -136,7 +137,7 @@ class TestPlaneState:
             if not plane.has_free_page():
                 break
             state.write(lpn, plane)
-            plane.check_invariants()
+            Sanitizer().check_plane(plane)
         # Mapping stays bijective.
         seen = set()
         for lpn in set(ops):

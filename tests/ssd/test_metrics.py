@@ -181,9 +181,11 @@ class TestSimulationResult:
 
     def test_per_workload_breakdown(self):
         result = self.make_result()
-        assert result.workload_total_us(0) == 210.0
-        assert result.workload_total_us(1) == 30.0
-        assert result.workload_total_us(9) == 0.0
+        totals = {
+            wid: read.total_us + write.total_us
+            for wid, (read, write) in result.per_workload.items()
+        }
+        assert totals == {0: 210.0, 1: 30.0}
 
     def test_means(self):
         result = self.make_result()

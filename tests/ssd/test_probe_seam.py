@@ -19,7 +19,7 @@ SSD = Path(repro.__file__).resolve().parent / "ssd"
 
 #: attributes that name an observability pillar of ``Observability``
 PILLARS = frozenset({
-    "registry", "telemetry", "flight_recorder", "attribution", "profiler", "slo",
+    "registry", "telemetry", "flight_recorder", "attribution", "slo",
 })
 
 

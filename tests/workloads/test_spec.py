@@ -1,8 +1,11 @@
 """WorkloadSpec validation and derived properties."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.workloads import WorkloadSpec
+from repro.ssd import OpType
+from repro.workloads import WorkloadSpec, generate
 
 
 def spec(**kwargs):
@@ -13,7 +16,10 @@ def spec(**kwargs):
 
 class TestDerived:
     def test_read_ratio_complements(self):
-        assert spec(write_ratio=0.3).read_ratio == pytest.approx(0.7)
+        # the generator draws reads at 1 - write_ratio
+        stream = generate(spec(write_ratio=0.3), 4000, workload_id=0, seed=1)
+        reads = sum(1 for r in stream if r.op is OpType.READ)
+        assert reads / len(stream) == pytest.approx(0.7, abs=0.03)
 
     def test_write_dominated_boundary(self):
         assert not spec(write_ratio=0.5).is_write_dominated
@@ -23,10 +29,11 @@ class TestDerived:
         assert spec(rate_rps=1000).mean_interarrival_us == pytest.approx(1000.0)
 
     def test_scaled_rate(self):
-        doubled = spec(rate_rps=100).scaled_rate(2.0)
-        assert doubled.rate_rps == 200
+        base = spec(rate_rps=100)
+        doubled = replace(base, rate_rps=base.rate_rps * 2.0)
+        assert doubled.mean_interarrival_us == base.mean_interarrival_us / 2
         with pytest.raises(ValueError):
-            spec().scaled_rate(0.0)
+            replace(base, rate_rps=0.0)
 
     def test_with_name(self):
         assert spec().with_name("other").name == "other"
