@@ -18,9 +18,10 @@ every step:
   matching ``PPN→LPN`` entry and vice versa, checked incrementally on
   ``bind``/``unbind`` and in full after every GC pass;
 * **capacity conservation** — per plane,
-  ``live + dead + retired + free == total`` pages, block-level validity
-  counts sum to the live count, and no retired block is sealed, free or
-  active, after every retire and GC step.
+  ``live + dead + retired + free == total`` pages and block-level validity
+  counts sum to the live count after every host program, retire and GC
+  step; no retired block is active after a program, nor sealed, free or
+  active after a retire or GC step.
 
 A failed check raises :class:`SanitizerError` naming the invariant,
 with the most recent hook events appended so the report is correlated
@@ -252,9 +253,20 @@ class Sanitizer:
     # Plane capacity conservation
     # ------------------------------------------------------------------
     def check_plane(self, plane: "PlaneState") -> None:
-        """Assert ``live + dead + retired + free == total`` for ``plane``,
-        that its block valid counts sum to its live pages, and that no
+        """Assert ``plane``'s page books (:meth:`_check_books`) and that no
         retired (bad) block is sealed, free or active."""
+        self._check_books(plane)
+        # shadow check reads the raw free pool on purpose
+        for block in plane.bad_blocks:
+            for pool, where in ((plane.sealed_blocks(), "sealed"),
+                                (plane._free_blocks, "in the free pool"),
+                                ((plane.active_block,), "the active block")):
+                if block in pool:
+                    self._retired_block_in(plane, block, where)
+
+    def _check_books(self, plane: "PlaneState") -> None:
+        """Assert ``live + dead + retired + free == total`` for ``plane``
+        and that its block valid counts sum to its live pages."""
         self.conservation_checks += 1
         live, dead = plane.live_pages, plane.dead_pages
         retired, free = plane.retired_pages, plane.free_pages
@@ -272,17 +284,23 @@ class Sanitizer:
                 f"plane {plane.plane_index}: per-block valid counts sum to "
                 f"{valid_sum} but live_pages is {live}",
             )
-        # shadow check reads the raw free pool on purpose
-        for block in plane.bad_blocks:
-            for pool, where in ((plane.sealed_blocks(), "sealed"),
-                                (plane._free_blocks, "in the free pool"),
-                                ((plane.active_block,), "the active block")):
-                if block in pool:
-                    self._fail(
-                        "capacity-conservation",
-                        f"plane {plane.plane_index}: retired block {block} "
-                        f"is {where}",
-                    )
+
+    def _retired_block_in(self, plane: "PlaneState", block: int, where: str) -> None:
+        self._fail(
+            "capacity-conservation",
+            f"plane {plane.plane_index}: retired block {block} is {where}",
+        )
+
+    def after_program(self, plane: "PlaneState") -> None:
+        """Books of the plane a host write was just programmed into, and
+        its active block not retired.  Only retires and GC passes move
+        blocks between the bad-block table and the pools, and both run the
+        full :meth:`check_plane`; a program can at most activate a retired
+        block, so the pool scans are left to those sweeps."""
+        self._record(f"program plane={plane.plane_index}")
+        self._check_books(plane)
+        if plane.active_block in plane.bad_blocks:
+            self._retired_block_in(plane, plane.active_block, "the active block")
 
     def after_gc(self, state: "FlashArrayState", plane: "PlaneState") -> None:
         """Full sweep after one GC pass: plane conservation + bijection."""

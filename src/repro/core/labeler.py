@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
+import math
 import zlib
 
 import numpy as np
@@ -45,6 +46,10 @@ __all__ = [
 
 #: simulators a label sweep can run on: the vectorised fast model or the DES
 _ENGINES = ("fast", "event")
+
+#: relative slack on a bounded label's skip test, far above the rounding
+#: by which a per-group cost floor can exceed the pooled cost
+_FLOOR_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -217,6 +222,23 @@ class WindowReplay:
     the keeper's limiter and predictions, and retraining's labels and shadow
     validation all score a window through its replay.  ``len()`` is the
     window's request count.
+
+    :meth:`label` is Algorithm 1's argmin for a retraining window without
+    simulating every strategy.  Every strategy replays the same trace, so
+    its mean-sum cost is a sum over its tenant groups: each group adds its
+    tenants' read-latency total over the window's read count and its
+    write-latency total over the write count.  A group already simulated
+    adds its exact share; any other adds a floor, since no read completes
+    sooner than one die read plus one bus transfer and no write sooner
+    than one transfer plus one program (fault-derated, as the model
+    runs).  A strategy whose floor lies above the band around the best
+    cost so far cannot be in the label's band, so it is skipped.  The
+    skip test keeps a relative margin of ``_FLOOR_MARGIN``: summing per
+    group rounds differently from the run's per-stream totals, and no
+    strategy inside the band may be skipped on that rounding.  Every
+    strategy not skipped is simulated with the deployment its floor was
+    taken over and scored as :meth:`cost_us` scores it, so the label is
+    bit-identical to ``pick_label`` over the full sweep.
     """
 
     def __init__(
@@ -237,19 +259,49 @@ class WindowReplay:
     def __len__(self) -> int:
         return self._model.n_req
 
+    def _deploy(self, strategy: Strategy) -> tuple[dict[int, list[int]], dict]:
+        """Channel sets and page modes with ``strategy`` deployed."""
+        return allocation(
+            strategy, self.features, self.config.channels, self.page_policy
+        )
+
     def result(self, strategy: Strategy) -> SimulationResult:
         """The window simulated with ``strategy`` deployed (memoised)."""
         result = self._results.get(strategy)
         if result is None:
-            sets, modes = allocation(
-                strategy, self.features, self.config.channels, self.page_policy
-            )
-            result = self._results[strategy] = self._model.run(sets, modes)
+            result = self._results[strategy] = self._model.run(*self._deploy(strategy))
         return result
 
     def cost_us(self, strategy: Strategy) -> float:
         """Mean write + mean read latency with ``strategy`` deployed."""
         return objective_us(self.result(strategy), "mean-sum")
+
+    def label(self, space: StrategySpace, tie_epsilon: float) -> int:
+        """``pick_label`` over every strategy's :meth:`cost_us`, scoring
+        only the strategies that can land in the indifference band.
+
+        Strategies already scored go first, then the rest in space order;
+        one whose cost floor exceeds the band around the best cost so far
+        is skipped (its cost counts as +inf).
+        """
+        strategies = list(space)
+        order = sorted(
+            range(len(strategies)), key=lambda i: strategies[i] not in self._results
+        )
+        band = (1.0 + tie_epsilon) * (1.0 + _FLOOR_MARGIN)
+        costs_us = [math.inf for _ in strategies]
+        best_us = math.inf
+        for i in order:
+            strategy = strategies[i]
+            result = self._results.get(strategy)
+            if result is None:
+                deployment = self._deploy(strategy)
+                if self._model.mean_sum_floor_us(*deployment) > best_us * band:
+                    continue
+                result = self._results[strategy] = self._model.run(*deployment)
+            costs_us[i] = objective_us(result, "mean-sum")
+            best_us = min(best_us, costs_us[i])
+        return pick_label(costs_us, tie_epsilon)
 
 
 def objective_us(result: SimulationResult, objective: str) -> float:

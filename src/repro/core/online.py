@@ -9,8 +9,10 @@ blindly**:
   :class:`~repro.core.labeler.WindowReplay` of the window's requests, the
   strategy that was actually deployed, and the realised mean latency;
 * on a retrain trigger the :class:`RetrainGovernor` labels the buffered
-  training windows by scoring every strategy on their replays (the same
-  Algorithm-1 objective the offline labeler uses), fine-tunes a **clone**
+  training windows on their replays with the same Algorithm-1 objective
+  and argmin the offline labeler uses, simulating only the strategies
+  whose cost floor can reach the winner's band
+  (:meth:`~repro.core.labeler.WindowReplay.label`), fine-tunes a **clone**
   of the live learner on them, and then *shadow-validates* the candidate
   against the incumbent on held-back replay windows the candidate never
   trained on: each model predicts a strategy per window and the window's
@@ -38,7 +40,7 @@ import numpy as np
 from ..nn.training import Trainer
 from .allocator import ChannelAllocator
 from .features import FeatureVector
-from .labeler import WindowReplay, pick_label
+from .labeler import WindowReplay
 from .learner import StrategyLearner
 
 __all__ = [
@@ -203,8 +205,7 @@ class RetrainGovernor:
     def _label_window(self, window: ReplayWindow, space) -> int:
         """Best strategy index for the window over every strategy."""
         if window.label is None:
-            costs = [window.replay.cost_us(s) for s in space]
-            window.label = pick_label(costs, self.retrain.tie_epsilon)
+            window.label = window.replay.label(space, self.retrain.tie_epsilon)
             window.replay = None
         return window.label
 

@@ -63,8 +63,9 @@ class FTLController:
         #: optional :class:`repro.ssd.faults.FaultInjector`; when attached,
         #: programs and erases may fail and retire blocks
         self.faults = faults
-        #: optional :class:`repro.analysis.Sanitizer`; when attached, block
-        #: retirements and GC passes re-check conservation and bijectivity
+        #: optional :class:`repro.analysis.Sanitizer`; when attached, host
+        #: programs re-check their plane's conservation, and block
+        #: retirements and GC passes also bijectivity
         self.sanitizer = sanitizer
         if sanitizer is not None:
             self.state.mapping.attach_sanitizer(sanitizer)
@@ -74,6 +75,8 @@ class FTLController:
         self.gc = GarbageCollector(
             self.state, faults=faults, sanitizer=sanitizer, probe=probe
         )
+        #: die-level load probe for dynamic placement (equal for every plane
+        #: of a die; the placer asks it once per die per write)
         self.load_fn = load_fn or _idle_load
         self.page_modes: dict[int, PageAllocMode] = {}
         self._install(channel_sets, page_modes)
@@ -84,9 +87,9 @@ class FTLController:
         self.seeded_pages = 0
 
     # ------------------------------------------------------------------
-    def _placement_load(self, plane_index: int) -> tuple:
-        """Dynamic-placement load key: simulator load, then plane fullness."""
-        return (*self.load_fn(plane_index), -self.state.planes[plane_index].free_pages)
+    def _plane_fill(self, plane_index: int) -> int:
+        """Dynamic placement ranks one die's planes emptiest first."""
+        return -self.state.planes[plane_index].free_pages
 
     def _plane_viable(self, plane_index: int) -> bool:
         """Placement health filter: planes retired down to nothing are out."""
@@ -130,6 +133,8 @@ class FTLController:
             )
         else:
             ppn = self.state.write(glpn, plane)
+        if self.sanitizer is not None:
+            self.sanitizer.after_program(plane)
         work.extend(self.gc.maybe_collect(plane))
         if work and self._probe is not None:
             self._probe.gc_trigger(workload_id, len(work))
@@ -266,7 +271,8 @@ class FTLController:
         viable = self._plane_viable if self.faults is not None else None
         self._placers = {
             wid: make_placer(
-                self.page_modes[wid], self.geometry, chs, self._placement_load, viable
+                self.page_modes[wid], self.geometry, chs, self.load_fn,
+                self._plane_fill, viable,
             )
             for wid, chs in sets.items()
         }

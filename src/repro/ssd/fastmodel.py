@@ -55,6 +55,21 @@ A run gathers its request latencies in (tenant, op) stream order -- tenants
 ascending, READ before WRITE, trace order within a stream -- once and
 builds every stream's statistics from a contiguous slice; the streams keep
 the insertion order the per-op totals are summed in.
+
+Because a group's end times depend on nothing outside the group, a run's
+mean read + mean write latency is a sum of per-group shares: the group's
+read-latency total over the trace's read count plus its write-latency
+total over the write count.  :meth:`FastLatencyModel.mean_sum_floor_us`
+bounds that sum from below without a group pass.  A memoised group adds
+its exact share.  Any other group adds its service floor: a read waits
+for its die and then its bus, a write for its bus and then its die, and
+:meth:`_GapTimeline.place` never ends a booking before its request time
+plus its duration, so no read latency is below ``read_die + read_bus``
+and no write latency below ``write_bus + write_die`` (the fault-derated
+service times the passes book).  The floor is exact up to rounding: it
+sums per group where the run sums per stream, so a caller comparing it
+with run costs keeps a small relative margin.  :meth:`FastLatencyModel.groups`
+derives the group keys once for both the run and the floor.
 """
 
 from __future__ import annotations
@@ -128,6 +143,8 @@ class FastLatencyModel:
         self.workload_ids: set[int] = set(np.unique(self.sub_wid).tolist())
         #: group key -> (sub-request positions, end times), filled by runs
         self._memo: dict = {}
+        #: group key -> (read, write) latency totals, filled by floors
+        self._group_totals: dict = {}
 
         # (tenant, op) streams in the order their stats are installed
         key = req_wid * 2 + req_op
@@ -140,6 +157,11 @@ class FastLatencyModel:
             (k // 2, OpType(k % 2), lo, lo + n)
             for k, lo, n in zip(keys.tolist(), lows.tolist(), counts.tolist())
         ]
+        #: workload id -> [read count, write count]
+        self._op_counts: dict[int, list[int]] = {wid: [0, 0] for wid in self.workload_ids}
+        for wid, op, lo, hi in self.streams:
+            self._op_counts[wid][int(op)] = hi - lo
+        self._op_totals = [sum(c[op] for c in self._op_counts.values()) for op in (0, 1)]
 
     # ------------------------------------------------------------------
     def run(
@@ -150,8 +172,7 @@ class FastLatencyModel:
         """Simulate the trace with ``channel_sets`` deployed (a tenant
         missing from ``page_modes`` is STATIC); same result type as the DES.
         """
-        sets = self.geometry.checked_channel_sets(channel_sets)
-        modes = {wid: (page_modes or {}).get(wid, PageAllocMode.STATIC) for wid in sets}
+        groups = self.groups(channel_sets, page_modes)
         n_req = self.n_req
         if n_req == 0:
             return build_result(
@@ -160,12 +181,9 @@ class FastLatencyModel:
                 requests=0,
                 subrequests=0,
             )
-        unknown = self.workload_ids - set(sets)
-        if unknown:
-            raise KeyError(f"unknown workload ids in trace: {sorted(unknown)}")
 
         ends_us = np.empty(self.total)
-        for group in _groups(sets, modes, self.workload_ids):
+        for group in groups:
             hit = self._memo.get(group)
             if hit is None:
                 hit = self._memo[group] = self._group_ends(group)
@@ -187,6 +205,69 @@ class FastLatencyModel:
             requests=n_req,
             subrequests=self.total,
         )
+
+    def groups(
+        self,
+        channel_sets: Mapping[int, Sequence[int]],
+        page_modes: Mapping[int, PageAllocMode] | None = None,
+    ) -> list[tuple[_GroupTenant, ...]]:
+        """The memo keys of the trace's tenant groups under an allocation
+        (validated as :meth:`run` takes it)."""
+        sets = self.geometry.checked_channel_sets(channel_sets)
+        modes = {wid: (page_modes or {}).get(wid, PageAllocMode.STATIC) for wid in sets}
+        unknown = self.workload_ids - set(sets)
+        if unknown:
+            raise KeyError(f"unknown workload ids in trace: {sorted(unknown)}")
+        return list(_groups(sets, modes, self.workload_ids))
+
+    def mean_sum_floor_us(
+        self,
+        channel_sets: Mapping[int, Sequence[int]],
+        page_modes: Mapping[int, PageAllocMode] | None = None,
+    ) -> float:
+        """A floor under :meth:`run`'s mean read + mean write latency,
+        found without a group pass.
+
+        A memoised group adds its exact read and write latency totals, any
+        other group its service floor: each read at least one die read
+        then one bus transfer, each write one transfer then one program.
+        The floor can exceed the run's value only by the rounding of
+        summing per group rather than per stream.
+        """
+        read_die_us, read_bus_us, write_bus_us, write_die_us = self._service_us
+        read_us = write_us = 0.0
+        for group in self.groups(channel_sets, page_modes):
+            if group in self._memo:
+                group_read_us, group_write_us = self._latency_totals(group)
+            else:
+                counts = [self._op_counts[wid] for wid, _, _ in group]
+                group_read_us = sum(c[0] for c in counts) * (read_die_us + read_bus_us)
+                group_write_us = sum(c[1] for c in counts) * (write_bus_us + write_die_us)
+            read_us += group_read_us
+            write_us += group_write_us
+        reads, writes = self._op_totals
+        return (read_us / reads if reads else 0.0) + (
+            write_us / writes if writes else 0.0
+        )
+
+    def _latency_totals(self, group: tuple[_GroupTenant, ...]) -> tuple[float, float]:
+        """Read and write latency totals of a memoised group's requests."""
+        totals = self._group_totals.get(group)
+        if totals is None:
+            positions, ends_us = self._memo[group]
+            # a request's pages are adjacent among its group's positions
+            sub_req = np.searchsorted(self.starts, positions, side="right") - 1
+            firsts = np.flatnonzero(np.diff(sub_req, prepend=-1))
+            latencies_us = (
+                np.maximum.reduceat(ends_us, firsts)
+                - self.req_arrival_us[sub_req[firsts]]
+            )
+            is_write = self.sub_op[positions[firsts]] == int(OpType.WRITE)
+            totals = self._group_totals[group] = (
+                float(latencies_us[~is_write].sum()),
+                float(latencies_us[is_write].sum()),
+            )
+        return totals
 
     # ------------------------------------------------------------------
     def _static_planes(self, lpns: np.ndarray, channels: Sequence[int]) -> np.ndarray:

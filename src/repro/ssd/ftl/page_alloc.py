@@ -23,18 +23,24 @@ lives.
 from __future__ import annotations
 
 import enum
+from itertools import chain
 from typing import Callable, Sequence
 
 from ..geometry import Geometry
 
 __all__ = ["PageAllocMode", "StaticPagePlacer", "DynamicPagePlacer", "make_placer"]
 
-#: Load probe: plane_index -> sortable load key (lower = less busy).
+#: Load probe: plane_index -> sortable load key of the plane's die, equal for
+#: every plane of a die (lower = less busy).
 LoadFn = Callable[[int], tuple]
 
 #: Viability probe: plane_index -> False when the plane must not receive
 #: writes (e.g. all usable capacity lost to retired blocks).
 ViableFn = Callable[[int], bool]
+
+#: Fill probe: plane_index -> sortable key ranking the planes of one die
+#: (lower = preferred).
+FillFn = Callable[[int], int]
 
 
 class PageAllocMode(enum.Enum):
@@ -86,9 +92,11 @@ class StaticPagePlacer:
 class DynamicPagePlacer:
     """Least-busy placement over an allowed channel set.
 
-    ``load_fn`` maps a flat plane index to a sortable load key; the placer
-    picks the minimum and breaks ties round-robin so that an idle device
-    still spreads writes across every plane.
+    A plane's key is ``(load_fn(plane), fill_fn(plane))``: ``load_fn`` is a
+    die-level probe (equal for every plane of a die), asked once per die
+    per scan, and ``fill_fn`` ranks a die's planes (lower first).  The
+    placer picks the minimum and breaks ties round-robin so that an idle
+    device still spreads writes across every plane.
     """
 
     def __init__(
@@ -96,6 +104,7 @@ class DynamicPagePlacer:
         geometry: Geometry,
         allowed_channels: Sequence[int],
         load_fn: LoadFn,
+        fill_fn: FillFn,
         viable_fn: ViableFn | None = None,
     ) -> None:
         if not allowed_channels:
@@ -112,6 +121,10 @@ class DynamicPagePlacer:
             for planes in per_channel
         ]
         self.load_fn = load_fn
+        self.fill_fn = fill_fn
+        #: per candidate, its die: the key ``load_fn`` is asked once per scan for
+        planes_per_die = geometry.config.planes_per_die
+        self._dies = [plane // planes_per_die for plane in self.candidates]
         #: optional health filter; non-viable planes (capacity retired away
         #: under fault injection) are skipped unless every candidate is out
         self.viable_fn = viable_fn
@@ -119,31 +132,36 @@ class DynamicPagePlacer:
 
     def place(self, lpn: int) -> int:
         """Flat plane index of the least-busy viable candidate plane."""
-        n = len(self.candidates)
-        viable = self.viable_fn
-        best_index = -1
-        best_key: tuple | None = None
-        # Rotate the scan start so equal-load candidates alternate.
-        start = self._rr
-        for offset in range(n):
-            i = (start + offset) % n
-            if viable is not None and not viable(self.candidates[i]):
-                continue
-            key = self.load_fn(self.candidates[i])
-            if best_key is None or key < best_key:
-                best_key = key
-                best_index = i
+        best_index = self._least_loaded(self.viable_fn)
         if best_index < 0:
             # Every plane filtered out: fall back to raw least-busy so the
             # controller's own fallback/GC machinery gets to decide.
-            for offset in range(n):
-                i = (start + offset) % n
-                key = self.load_fn(self.candidates[i])
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_index = i
-        self._rr = (best_index + 1) % n
+            best_index = self._least_loaded(None)
+        self._rr = (best_index + 1) % len(self.candidates)
         return self.candidates[best_index]
+
+    def _least_loaded(self, viable: ViableFn | None) -> int:
+        """First minimum-key candidate scanning from the rotation start
+        (so equal-load candidates alternate); -1 when none is viable."""
+        candidates, dies = self.candidates, self._dies
+        load_fn, fill_fn = self.load_fn, self.fill_fn
+        loads: dict[int, tuple] = {}
+        best_index, best_load, best_fill = -1, None, None
+        n = len(candidates)
+        for i in chain(range(self._rr, n), range(self._rr)):
+            plane = candidates[i]
+            if viable is not None and not viable(plane):
+                continue
+            load = loads.get(dies[i])
+            if load is None:
+                load = loads[dies[i]] = load_fn(plane)
+            if best_load is None or load < best_load:
+                best_index, best_load, best_fill = i, load, fill_fn(plane)
+            elif load == best_load:
+                fill = fill_fn(plane)
+                if fill < best_fill:
+                    best_index, best_fill = i, fill
+        return best_index
 
 
 def make_placer(
@@ -151,11 +169,12 @@ def make_placer(
     geometry: Geometry,
     allowed_channels: Sequence[int],
     load_fn: LoadFn,
+    fill_fn: FillFn,
     viable_fn: ViableFn | None = None,
 ) -> StaticPagePlacer | DynamicPagePlacer:
     """Build the placer for one tenant."""
     if mode is PageAllocMode.STATIC:
         return StaticPagePlacer(geometry, allowed_channels)
     if mode is PageAllocMode.DYNAMIC:
-        return DynamicPagePlacer(geometry, allowed_channels, load_fn, viable_fn)
+        return DynamicPagePlacer(geometry, allowed_channels, load_fn, fill_fn, viable_fn)
     raise ValueError(f"unknown mode {mode!r}")

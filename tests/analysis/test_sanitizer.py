@@ -160,6 +160,23 @@ class TestCapacityConservation:
         assert exc.value.invariant == "capacity-conservation"
         assert f"retired block {block}" in exc.value.detail
 
+    @pytest.mark.parametrize("corrupt", ["live", "validity", "active"])
+    def test_program_check_names_the_program(self, corrupt):
+        state = small_state()
+        plane = state.planes[0]
+        for lpn in range(6):
+            state.write(lpn, plane)
+        if corrupt == "live":
+            plane.live_pages += 1
+        elif corrupt == "validity":
+            plane.valid_count[0] -= 1
+        else:
+            plane.bad_blocks.add(plane.active_block)
+        with pytest.raises(SanitizerError) as exc:
+            Sanitizer().after_program(plane)
+        assert exc.value.invariant == "capacity-conservation"
+        assert exc.value.trace[-1].endswith("program plane=0")
+
     def test_clean_plane_passes(self):
         state = small_state()
         plane = state.planes[0]

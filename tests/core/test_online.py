@@ -14,6 +14,7 @@ from repro.core import (
 )
 from repro.harness.driftlab import heuristic_allocator
 from repro.ssd import SSDConfig
+from repro.ssd.fastmodel import FastLatencyModel
 from repro.workloads import WorkloadSpec, synthesize_mix
 
 
@@ -200,6 +201,28 @@ class TestGovernorAttempt:
             assert event is not None
             outcomes.append(event.to_dict())
         assert outcomes[0] == outcomes[1]
+
+    def test_bounded_labels_pin_the_fast_model_work(self, monkeypatch):
+        """One attempt's fast-model runs and group passes are pinned.  The
+        full 42-strategy label sweep took 254 runs and 164 group passes on
+        this attempt; bounded labels must stay below both."""
+        counts = {"runs": 0, "passes": 0}
+        run, group_ends = FastLatencyModel.run, FastLatencyModel._group_ends
+
+        def counted_run(self, *args, **kwargs):
+            counts["runs"] += 1
+            return run(self, *args, **kwargs)
+
+        def counted_group_ends(self, group):
+            counts["passes"] += 1
+            return group_ends(self, group)
+
+        buffer, allocator = fill_buffer(8), heuristic_allocator()
+        monkeypatch.setattr(FastLatencyModel, "run", counted_run)
+        monkeypatch.setattr(FastLatencyModel, "_group_ends", counted_group_ends)
+        assert self.attempt(buffer, allocator) is not None
+        assert counts == {"runs": 67, "passes": 110}
+        assert counts["runs"] < 254 and counts["passes"] < 164
 
     def test_labels_are_memoised(self):
         buffer = fill_buffer(8)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.analysis import Sanitizer
 from repro.ssd import FaultConfig, SSDConfig, SSDSimulator, simulate
+from repro.ssd.request import OpType
 from repro.workloads import WorkloadSpec, synthesize_mix
 
 FAULTS = FaultConfig(
@@ -95,3 +96,18 @@ class TestFullRunUnderSanitizer:
         )
         assert result.requests == 400
         assert sanitizer.stats()["events_checked"] > 0
+
+
+def test_host_programs_are_conservation_checked():
+    """With no GC pass to sweep a plane, each host program still re-checks
+    the books of the plane it was written to."""
+    config = SSDConfig.small()
+    requests = two_tenant_trace(total=1_500)
+    sanitizer = Sanitizer()
+    sim = SSDSimulator(
+        config, split_sets(config), faults=FAULTS, sanitizer=sanitizer
+    )
+    result = sim.run(requests)
+    assert result.gc_collections == 0 and sim.faults.retired_blocks > 0
+    programs = sum(r.length for r in requests if r.op is OpType.WRITE)
+    assert sanitizer.stats()["conservation_checks"] >= programs

@@ -147,6 +147,25 @@ def case_dynamic() -> dict:
     return {"result": result_doc(sim.run(mix(1_500, seed=2)))}
 
 
+def case_dynamic_gc_faults() -> dict:
+    """Dynamic placement with GC and faults: the placer's viable filter
+    runs on every candidate and GC reclaims under its picks."""
+    modes = {w: PageAllocMode.DYNAMIC for w in range(4)}
+    device = SSDConfig(
+        blocks_per_plane=8, pages_per_block=8, gc_threshold=0.1, gc_restore=0.3
+    )
+    sim = SSDSimulator(
+        device, SPLIT_SETS, modes, record_latencies=True,
+        faults=dataclasses.replace(
+            faults(), program_fail_rate=0.02, erase_fail_rate=0.1
+        ),
+    )
+    result = sim.run(mix(2_000, seed=11, footprint_pages=300))
+    assert result.gc_collections > 0 and result.failed_reads > 0
+    assert sim.faults.retired_blocks > 0
+    return {"result": result_doc(result)}
+
+
 def case_gc_faults() -> dict:
     sim = SSDSimulator(
         gc_device(), SPLIT_SETS, record_latencies=True, faults=faults()
@@ -298,6 +317,35 @@ def case_keeper() -> dict:
     }
 
 
+def case_keeper_retrain() -> dict:
+    """An adaptive keeper on a faulted device whose retraining labels use
+    a wide indifference band: it retrains, promotes and rolls back."""
+    from repro.core.keeper import SSDKeeper
+    from repro.harness import driftlab
+    from repro.workloads.adversarial import build_scenario
+
+    workload = build_scenario(
+        "migrating_hotspot", seed=7, phases=4,
+        phase_us=1.5 * driftlab._QUICK_PHASE_US, hot_rate_factor=1.5,
+    )
+    keeper = SSDKeeper(
+        driftlab.heuristic_allocator(), SSDConfig.small(),
+        collect_window_us=10_000.0, intensity_quantum=50.0, verify_top_k=3,
+        faults=faults(),
+    )
+    drift, retrain = driftlab.lab_configs()
+    run = keeper.run_adaptive(
+        workload.requests, drift=drift,
+        retrain=dataclasses.replace(retrain, tie_epsilon=0.01),
+    )
+    assert run.promotions > 0 and run.rollbacks > 0
+    return {
+        "result": result_doc(run.result),
+        "decisions": [[repr(t), s.label] for t, _, s in run.decisions],
+        "retrains": [e.to_dict() for e in run.retrain_events],
+    }
+
+
 def case_fleet() -> dict:
     cfg = SSDConfig.small()
     sims = [
@@ -326,6 +374,7 @@ def case_fleet() -> dict:
 CASES = {
     "static": case_static,
     "dynamic": case_dynamic,
+    "dynamic_gc_faults": case_dynamic_gc_faults,
     "gc_faults": case_gc_faults,
     "read_priority": case_read_priority,
     "buffer": case_buffer,
@@ -334,15 +383,18 @@ CASES = {
     "obs_flight": case_obs_flight,
     "sanitized": case_sanitized,
     "keeper": case_keeper,
+    "keeper_retrain": case_keeper_retrain,
     "fleet": case_fleet,
 }
 
 DIGESTS = {
     "buffer": "1ed0cd7b5704eb94",
     "dynamic": "39a79abccb093334",
+    "dynamic_gc_faults": "ce7a13f92c696334",
     "fleet": "e99e1e8830905605",
     "gc_faults": "bc1bc9df01121fd2",
     "keeper": "05345fff53cb50ac",
+    "keeper_retrain": "387bf90829d4e757",
     "obs": "69c25a9613648965",
     "obs_buffer": "ab8791ca43ffe8ac",
     "obs_flight": "50abd55ab2661cb2",

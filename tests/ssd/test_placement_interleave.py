@@ -20,7 +20,7 @@ from repro.ssd.ftl.page_alloc import DynamicPagePlacer
 class TestPlacerInterleaving:
     def test_idle_ties_alternate_channels(self):
         geo = Geometry(SSDConfig.small())
-        placer = DynamicPagePlacer(geo, [0, 1, 2, 3], lambda p: (0,))
+        placer = DynamicPagePlacer(geo, [0, 1, 2, 3], lambda p: (0,), lambda p: 0)
         channels = [
             geo.channel_of(geo.plane_base_ppn(placer.place(i))) for i in range(8)
         ]
