@@ -36,6 +36,18 @@ from .strategies import Strategy, StrategyKind
 
 __all__ = ["KeeperDecision", "KeeperRun", "PeriodicRun", "SSDKeeper"]
 
+#: graceful-degradation trigger: when the unhealthiest channel's observed
+#: error rate reaches this fraction, the keeper stops trusting the model
+#: and falls back (see :meth:`SSDKeeper._decide`)
+_FALLBACK_ERROR_RATE = 0.5
+
+#: the switch-rate limiter of adaptive runs: within this many windows of
+#: the last switch a *different* healthy decision deploys only when its
+#: fast-model win over the incumbent allocation reaches ``_SWITCH_MARGIN``
+#: (relative) — hysteresis against allocation thrash
+_SWITCH_GAP_WINDOWS = 2
+_SWITCH_MARGIN = 0.1
+
 
 @dataclass
 class KeeperDecision:
@@ -44,10 +56,10 @@ class KeeperDecision:
     ``predicted_mean_us`` is the fast-model estimate of the chosen
     strategy's mean request latency on the observed window, filled when
     the keeper replays the window's requests: one-shot runs with
-    observability attached, and periodic runs with a drift detector (every
-    adaptive run); ``realised_mean_us`` is the measured mean — per
-    adaptation window in periodic runs, over the whole run for the
-    one-shot workflow.
+    observability attached, and adaptive periodic runs
+    (:meth:`SSDKeeper.run_adaptive`); ``realised_mean_us`` is the
+    measured mean — per adaptation window in periodic runs, over the
+    whole run for the one-shot workflow.
     """
 
     time_us: float
@@ -169,14 +181,11 @@ class SSDKeeper:
         obs=None,
         faults: FaultConfig | None = None,
         sanitizer=None,
-        fallback_error_rate: float = 0.5,
     ) -> None:
         if collect_window_us <= 0:
             raise ValueError("collect_window_us must be positive")
         if verify_top_k < 0:
             raise ValueError("verify_top_k must be non-negative")
-        if not 0.0 < fallback_error_rate <= 1.0:
-            raise ValueError("fallback_error_rate must be in (0, 1]")
         if config.channels != allocator.space.n_channels:
             raise ValueError(
                 f"device has {config.channels} channels, allocator is trained "
@@ -204,10 +213,6 @@ class SSDKeeper:
         #: optional :class:`repro.analysis.Sanitizer` threaded into every
         #: simulator this keeper constructs (runtime invariant checking)
         self.sanitizer = sanitizer
-        #: graceful-degradation trigger: when the unhealthiest channel's
-        #: observed error rate reaches this fraction, the keeper stops
-        #: trusting the model and falls back (see :meth:`_decide`)
-        self.fallback_error_rate = fallback_error_rate
 
     # ------------------------------------------------------------------
     def _decide(
@@ -220,7 +225,7 @@ class SSDKeeper:
         """Choose the strategy to deploy, degrading gracefully when needed.
 
         Two triggers bypass the model entirely: a channel whose observed
-        error rate has reached ``fallback_error_rate`` (the window's
+        error rate has reached ``_FALLBACK_ERROR_RATE`` (the window's
         features describe a device the training distribution never saw), and
         an unhealthy forward pass (NaN/out-of-range prediction).  Either way
         the keeper deploys ``last_good`` — the last strategy a healthy
@@ -233,10 +238,10 @@ class SSDKeeper:
         reason = None
         if sim.faults is not None:
             channel, rate = sim.faults.worst_channel()
-            if channel >= 0 and rate >= self.fallback_error_rate:
+            if channel >= 0 and rate >= _FALLBACK_ERROR_RATE:
                 reason = (
                     f"channel {channel} error rate {rate:.3f} >= "
-                    f"{self.fallback_error_rate:.3f}"
+                    f"{_FALLBACK_ERROR_RATE:.3f}"
                 )
         if reason is None:
             health = self.allocator.prediction_health(features)
@@ -385,16 +390,7 @@ class SSDKeeper:
         return outcome
 
     # ------------------------------------------------------------------
-    def run_periodic(
-        self,
-        requests: Sequence[IORequest],
-        *,
-        horizon_us: float | None = None,
-        drift: DriftConfig | DriftDetector | None = None,
-        retrain: RetrainConfig | None = None,
-        switch_gap_windows: int = 0,
-        switch_margin: float = 0.1,
-    ) -> PeriodicRun:
+    def run_periodic(self, requests: Sequence[IORequest]) -> PeriodicRun:
         """Self-adapt **every** collection window, not just once.
 
         An extension beyond the paper's one-shot Algorithm 2: at the end of
@@ -402,78 +398,49 @@ class SSDKeeper:
         window's features, re-runs the allocator, and switches the live FTL
         if the decision changed.  Data stays where it was written; only new
         placements follow each new allocation — exactly the semantics of the
-        single switch, repeated.
-
-        ``horizon_us`` bounds the scheduling of adaptation events (defaults
-        to the last arrival); the simulation itself always runs to
+        single switch, repeated.  Windows are scheduled up to one window
+        past the last arrival; the simulation itself always runs to
         completion.
-
-        The optional hardening layer (see :meth:`run_adaptive` for the
-        all-on entry point):
-
-        * ``drift`` — a :class:`DriftConfig` (or pre-built
-          :class:`DriftDetector`) watches the per-window feature stream
-          and the predicted-vs-realised residuals; detections surface as
-          ``drift.*`` counters, ``drift_detected`` trace events, and
-          :attr:`PeriodicRun.drift_events`.  Persistent drift with
-          unhealthy residuals degrades the keeper to Shared (the PR 2
-          fallback path) until a promoted retrain or recovered residuals
-          lift it.
-        * ``retrain`` — a :class:`RetrainConfig` arms the replay buffer
-          and the guarded retraining flow: candidates are fine-tuned on
-          harvested windows, shadow-validated on held-back ones, and
-          promoted or rolled back (``keeper.retrains`` /
-          ``keeper.promotions`` / ``keeper.rollbacks``).
-        * ``switch_gap_windows`` / ``switch_margin`` — the switch-rate
-          limiter: within ``switch_gap_windows`` windows of the last
-          switch a *different* healthy decision is deployed only when
-          its fast-model win over the incumbent allocation reaches
-          ``switch_margin`` (relative); otherwise the switch is
-          suppressed (``keeper.suppressed_switches``) and the incumbent
-          stays — hysteresis against allocation thrash.
         """
-        requests = list(requests)
-        if not requests:
-            raise ValueError("run_periodic needs a non-empty trace")
-        if switch_gap_windows < 0:
-            raise ValueError("switch_gap_windows must be non-negative")
-        if switch_margin < 0:
-            raise ValueError("switch_margin must be non-negative")
-        loop = _PeriodicLoop.start(
-            self, drift=drift, retrain=retrain,
-            gap_windows=switch_gap_windows, margin=switch_margin,
-        )
-        end_us = horizon_us if horizon_us is not None else max(
-            r.arrival_us for r in requests
-        )
-        return loop.play(requests, end_us)
+        return _PeriodicLoop.start(self).play(requests)
 
     # ------------------------------------------------------------------
     def run_adaptive(
         self,
         requests: Sequence[IORequest],
         *,
-        horizon_us: float | None = None,
         drift: DriftConfig | DriftDetector | None = None,
         retrain: RetrainConfig | None = None,
-        switch_gap_windows: int = 2,
-        switch_margin: float = 0.1,
     ) -> PeriodicRun:
-        """Periodic adaptation with the full hardening layer armed.
+        """:meth:`run_periodic` with the full hardening layer armed.
 
-        Convenience entry point: drift detection, guarded incremental
-        retraining, and the switch-rate limiter all default on (pass
-        explicit configs to tune them).  See :meth:`run_periodic` for the
-        semantics of each knob.
+        * drift detection — a :class:`DriftDetector` (built from ``drift``,
+          default :class:`DriftConfig`, or passed pre-built) watches the
+          per-window feature stream and the predicted-vs-realised
+          residuals; detections surface as ``drift.*`` counters,
+          ``drift_detected`` trace events, and
+          :attr:`PeriodicRun.drift_events`.  Persistent drift with
+          unhealthy residuals degrades the keeper to Shared (the
+          graceful-degradation path of :meth:`_decide`) until a promoted
+          retrain or recovered residuals lift it.
+        * guarded retraining — ``retrain`` (default :class:`RetrainConfig`)
+          sizes the replay buffer and tunes the retraining flow:
+          candidates are fine-tuned on harvested windows, shadow-validated
+          on held-back ones, and promoted or rolled back
+          (``keeper.retrains`` / ``keeper.promotions`` /
+          ``keeper.rollbacks``).
+        * the switch-rate limiter — within ``_SWITCH_GAP_WINDOWS`` windows
+          of the last switch a *different* healthy decision is deployed
+          only when its fast-model win over the incumbent allocation
+          reaches ``_SWITCH_MARGIN`` (relative); otherwise the switch is
+          suppressed (``keeper.suppressed_switches``) and the incumbent
+          stays.
         """
-        return self.run_periodic(
-            requests,
-            horizon_us=horizon_us,
-            drift=drift if drift is not None else DriftConfig(),
-            retrain=retrain if retrain is not None else RetrainConfig(),
-            switch_gap_windows=switch_gap_windows,
-            switch_margin=switch_margin,
-        )
+        detector = drift if isinstance(drift, DriftDetector) else DriftDetector(drift)
+        retrain = retrain if retrain is not None else RetrainConfig()
+        return _PeriodicLoop.start(
+            self, detector, RetrainGovernor(retrain), ReplayBuffer(retrain.capacity)
+        ).play(requests)
 
     # ------------------------------------------------------------------
     def baseline_run(
@@ -579,21 +546,20 @@ class _WindowState:
         self.unhealthy = self.healthy = 0
 
     def suppresses(
-        self, strategy: Strategy, fallback_reason: str | None, cost_us,
-        *, gap_windows: int, margin: float,
+        self, strategy: Strategy, fallback_reason: str | None, cost_us
     ) -> bool:
         """The switch-rate limiter: keep the incumbent instead of ``strategy``?
 
-        Within ``gap_windows`` windows of the last switch a *different*
-        healthy decision deploys only when its fast-model win over the
-        incumbent (``cost_us(strategy)`` -> mean latency) reaches
-        ``margin`` (relative).  A fallback is never suppressed.
+        Within ``_SWITCH_GAP_WINDOWS`` windows of the last switch a
+        *different* healthy decision deploys only when its fast-model win
+        over the incumbent (``cost_us(strategy)`` -> mean latency) reaches
+        ``_SWITCH_MARGIN`` (relative).  A fallback is never suppressed.
         """
         if (
             fallback_reason is not None
             or self.last_switch is None
             or strategy.label == self.deployed.label
-            or self.windows - 1 - self.last_switch >= gap_windows
+            or self.windows - 1 - self.last_switch >= _SWITCH_GAP_WINDOWS
         ):
             return False
         incumbent_us = cost_us(self.deployed)
@@ -602,15 +568,17 @@ class _WindowState:
             (incumbent_us - challenger_us) / incumbent_us
             if incumbent_us > 0 else 0.0
         )
-        return win < margin
+        return win < _SWITCH_MARGIN
 
 
 @dataclass
 class _PeriodicLoop:
-    """One :meth:`SSDKeeper.run_periodic` run: at every window boundary
-    :meth:`tick` plays Algorithm 2's collect → predict → allocate as the
-    steps settle → collect → watch (adaptive runs: drift, degradation,
-    retrain) → decide → limit → record → apply."""
+    """One periodic keeper run: at every window boundary :meth:`tick` plays
+    Algorithm 2's collect → predict → allocate as the steps settle →
+    collect → watch (adaptive runs: drift, degradation, retrain) → decide
+    → limit (adaptive runs) → record → apply.  A plain run
+    (:meth:`SSDKeeper.run_periodic`) has no detector, governor or buffer;
+    an adaptive one (:meth:`SSDKeeper.run_adaptive`) has all three."""
 
     keeper: SSDKeeper
     sim: SSDSimulator
@@ -620,27 +588,14 @@ class _PeriodicLoop:
     detector: DriftDetector | None
     governor: RetrainGovernor | None
     buffer: ReplayBuffer | None
-    gap_windows: int
-    margin: float
     state: _WindowState = field(default_factory=_WindowState)
     run: PeriodicRun = field(
         default_factory=lambda: PeriodicRun(result=None, decisions=[])
     )
 
     @classmethod
-    def start(cls, keeper: SSDKeeper, *, drift, retrain, gap_windows, margin):
-        """A loop over a fresh device in its collection phase, with the
-        ``drift``/``retrain`` hardening armed as :meth:`SSDKeeper.run_periodic`
-        describes."""
-        detector = None
-        if isinstance(drift, DriftDetector):
-            detector = drift
-        elif drift is not None or retrain is not None:
-            detector = DriftDetector(drift)
-        governor = buffer = None
-        if retrain is not None:
-            governor = RetrainGovernor(retrain)
-            buffer = ReplayBuffer(retrain.capacity)
+    def start(cls, keeper: SSDKeeper, detector=None, governor=None, buffer=None):
+        """A loop over a fresh device in its collection phase."""
         collector = FeaturesCollector(
             keeper.allocator.space.n_tenants,
             intensity_quantum=keeper.intensity_quantum,
@@ -656,13 +611,16 @@ class _PeriodicLoop:
             on_submit if keep_window else collector.observe
         )
         return cls(
-            keeper, sim, collector, window_requests,
-            detector, governor, buffer, gap_windows, margin,
+            keeper, sim, collector, window_requests, detector, governor, buffer
         )
 
-    def play(self, requests: list[IORequest], end_us: float) -> PeriodicRun:
-        """Tick at every window boundary up to one window past ``end_us``,
-        run the device to completion and settle the tail window."""
+    def play(self, requests: Sequence[IORequest]) -> PeriodicRun:
+        """Tick at every window boundary up to one window past the last
+        arrival, run the device to completion and settle the tail window."""
+        requests = list(requests)
+        if not requests:
+            raise ValueError("a periodic keeper run needs a non-empty trace")
+        end_us = max(r.arrival_us for r in requests)
         window_us = self.keeper.collect_window_us
         t = window_us
         while t <= end_us + window_us:
@@ -682,10 +640,12 @@ class _PeriodicLoop:
         if collected is None:
             return  # no traffic: the previous allocation stays
         observed, features, replay = collected
-        if self.detector is not None:
+        adaptive = self.detector is not None
+        if adaptive:
             self.watch(features, replay, realised_us, residual)
         strategy, fallback_reason = self.decide(features, replay)
-        strategy = self.limit(strategy, fallback_reason, replay)
+        if adaptive:
+            strategy = self.limit(strategy, fallback_reason, replay)
         switched = state.deployed is None or strategy.label != state.deployed.label
         self.record(observed, features, replay, strategy, fallback_reason, switched)
         if switched:
@@ -708,7 +668,7 @@ class _PeriodicLoop:
         state, now, obs = self.state, self.sim.loop.now, self.keeper.obs
         widx = state.windows
         state.windows += 1
-        if self.buffer is not None and replay:
+        if replay:
             self.buffer.add(ReplayWindow(
                 time_us=now,
                 features=features,
@@ -731,9 +691,7 @@ class _PeriodicLoop:
                 )
         if state.update_degradation(self.detector.config, residual) and obs is not None:
             obs.registry.counter("keeper.degradations").inc()
-        if self.governor is not None and self.governor.due(
-            widx, bool(events) or state.degraded
-        ):
+        if self.governor.due(widx, bool(events) or state.degraded):
             self.retrain(widx)
 
     def retrain(self, widx: int) -> None:
@@ -780,9 +738,7 @@ class _PeriodicLoop:
 
     def limit(self, strategy, fallback_reason, replay) -> Strategy:
         if not replay or not self.state.suppresses(
-            strategy, fallback_reason,
-            lambda s: replay.result(s).mean_total_us,
-            gap_windows=self.gap_windows, margin=self.margin,
+            strategy, fallback_reason, lambda s: replay.result(s).mean_total_us
         ):
             return strategy
         self.run.suppressed_switches += 1
@@ -809,8 +765,7 @@ class _PeriodicLoop:
     def apply(self, strategy: Strategy, features) -> None:
         """Switch the live FTL; data already written stays where it is."""
         self.state.deployed = strategy
-        if self.detector is not None:
-            self.state.last_switch = self.state.windows - 1
+        self.state.last_switch = self.state.windows - 1
         self.sim.controller.reallocate(
             *self.keeper._allocation(strategy, features)
         )

@@ -47,6 +47,11 @@ __all__ = [
 #: simulators a label sweep can run on: the vectorised fast model or the DES
 _ENGINES = ("fast", "event")
 
+#: per-tenant request-share grid.  The paper's own feature examples are
+#: quantised ([0.1, 0.2, 0.3, 0.4]; [0.4, 0.2, 0.2, 0.2]), so shares are
+#: drawn on a 0.05 grid
+_SHARE_GRID = 0.05
+
 #: relative slack on a bounded label's skip test, far above the rounding
 #: by which a per-group cost floor can exceed the pooled cost
 _FLOOR_MARGIN = 1e-9
@@ -82,20 +87,6 @@ class LabelerConfig:
     #: those ties onto the simplest allocation, the one an operator would
     #: deploy.  0 restores the paper's literal argmin.
     tie_epsilon: float = 0.03
-    #: vary request-shape nuisance parameters (size/sequentiality/skew) per
-    #: sample.  The paper's synthetic recipe keeps them fixed and "mainly
-    #: change[s] the read/write characteristics and read/write proportion";
-    #: turning this on is the harder, noisier setting used by an ablation.
-    vary_shape: bool = False
-    #: per-tenant request-share grid.  The paper's own feature examples are
-    #: quantised ([0.1, 0.2, 0.3, 0.4]; [0.4, 0.2, 0.2, 0.2]), so shares are
-    #: drawn on a 0.05 grid by default; 0 draws continuous Dirichlet shares.
-    share_grid: float = 0.05
-    #: draw tenants as pure streams (write-dominated = all writes,
-    #: read-dominated = all reads), as in the paper's motivation study.
-    #: False draws each tenant's write ratio uniformly on the dominated side,
-    #: which hides label-relevant state from the features (harder setting).
-    pure_ratios: bool = True
     #: the latency objective minimised by the label:
     #: "mean-sum" — mean write latency + mean read latency, the paper's
     #: Figure-2(c) metric ("the sum of write response latency and read
@@ -115,8 +106,6 @@ class LabelerConfig:
             raise ValueError("replications must be >= 1")
         if self.tie_epsilon < 0:
             raise ValueError("tie_epsilon must be non-negative")
-        if self.share_grid < 0 or self.share_grid > 0.25:
-            raise ValueError("share_grid must be in [0, 0.25]")
         if self.engine not in _ENGINES:
             raise ValueError(f"engine must be one of {sorted(_ENGINES)}")
         if self.objective not in ("mean-sum", "total-sum"):
@@ -345,9 +334,11 @@ def random_specs(
     """Random per-tenant specs per the paper's synthetic recipe.
 
     The paper "mainly change[s] the read/write characteristics and
-    read/write proportion"; so by default only the per-tenant R/W
-    characteristic, the per-tenant shares, and the overall intensity vary —
-    request-shape parameters stay fixed unless ``config.vary_shape``.
+    read/write proportion"; so only the per-tenant R/W characteristic, the
+    per-tenant shares, and the overall intensity vary — request-shape
+    parameters stay fixed.  Tenants are pure streams (write-dominated = all
+    writes, read-dominated = all reads), as in the paper's motivation study,
+    and shares sit on the ``_SHARE_GRID``.
 
     Returns ``(specs, total_requests)`` for the window.
     """
@@ -356,49 +347,28 @@ def random_specs(
         intensity_level = int(rng.integers(0, N_INTENSITY_LEVELS))
     elif not 0 <= intensity_level < N_INTENSITY_LEVELS:
         raise ValueError("intensity_level outside the level range")
-    # Total request count in the middle of the chosen level's bucket (pure
-    # mode pins it to the bucket centre so features determine the workload).
-    if config.pure_ratios:
-        jitter = 0.5
-    else:
-        jitter = float(rng.uniform(0.25, 0.75))
-    total = int(config.intensity_quantum * (intensity_level + jitter))
+    # Total request count at the centre of the chosen level's bucket, so
+    # features determine the workload.
+    total = int(config.intensity_quantum * (intensity_level + 0.5))
     total = max(total, 4 * n)
     shares = rng.dirichlet(np.ones(n) * 1.5)
     shares = np.maximum(shares, 0.02)
     shares /= shares.sum()
-    if config.share_grid > 0:
-        shares = _snap_to_grid(shares, config.share_grid)
+    shares = _snap_to_grid(shares, _SHARE_GRID)
     window_s = config.window_s
     specs = []
     for wid in range(n):
         write_dom = bool(rng.random() < 0.5)
-        if config.pure_ratios:
-            write_ratio = 1.0 if write_dom else 0.0
-        else:
-            write_ratio = (
-                float(rng.uniform(0.55, 1.0))
-                if write_dom
-                else float(rng.uniform(0.0, 0.45))
-            )
-        if config.vary_shape:
-            shape = dict(
-                mean_request_pages=float(rng.uniform(1.0, 4.0)),
-                sequential_fraction=float(rng.uniform(0.1, 0.6)),
-                skew=float(rng.uniform(0.0, 1.0)),
-            )
-        else:
-            shape = dict(
-                mean_request_pages=2.0, sequential_fraction=0.3, skew=0.5
-            )
         specs.append(
             WorkloadSpec(
                 name=f"tenant{wid}",
-                write_ratio=write_ratio,
+                write_ratio=1.0 if write_dom else 0.0,
                 rate_rps=max(1.0, total * float(shares[wid]) / window_s),
                 max_request_pages=16,
                 footprint_pages=config.footprint_pages,
-                **shape,
+                mean_request_pages=2.0,
+                sequential_fraction=0.3,
+                skew=0.5,
             )
         )
     return specs, total

@@ -201,8 +201,6 @@ def build_dataset(
         "window_max": cfg.window_requests_max,
         "replications": cfg.replications,
         "tie_epsilon": cfg.tie_epsilon,
-        "pure": cfg.pure_ratios,
-        "grid": cfg.share_grid,
         "v": 6,
     }
     return cache.get_or_build(

@@ -135,7 +135,6 @@ def run_fleet(
     migrations=None,
     slo_dict=None,
     flight_dir=None,
-    trace_capacity: int = 65_536,
 ):
     """Run one observed fleet scenario; returns ``(result, observer, report)``.
 
@@ -161,7 +160,6 @@ def run_fleet(
     keepers = []
     for dev in range(n_devices):
         bundle = Observability(
-            trace_capacity=trace_capacity,
             telemetry=None if spec is not None else _DEFAULT_WINDOW_US,
             slo=spec,
         )
@@ -188,7 +186,7 @@ def run_fleet(
         fleet,
         bundles,
         slo=spec,
-        trace=TraceRecorder(capacity=trace_capacity),
+        trace=TraceRecorder(),
         flight_recorder=recorder,
     )
     if migrations is None:

@@ -163,16 +163,16 @@ __all__ = [
 class Observability:
     """Bundle of registry + trace recorder + the optional pillars.
 
+    Every bundle publishes into its own fresh :class:`MetricsRegistry`
+    (:attr:`registry`).
+
     Parameters
     ----------
-    registry:
-        Existing registry to publish into (default: a fresh one).
     trace:
-        ``True`` (default) records events into a ring buffer; ``False``
-        installs the no-op recorder (metrics only); or pass a
-        pre-configured :class:`TraceRecorder`.
-    trace_capacity / trace_sample_every:
-        Ring-buffer size and 1-in-N sampling for the default recorder.
+        ``True`` (default) records events into a ring buffer of the
+        :class:`TraceRecorder` default capacity; ``False`` installs the
+        no-op recorder (metrics only); or pass a recorder, e.g.
+        ``TraceRecorder(capacity=200_000)`` to keep a longer run whole.
     attribution:
         ``True`` attaches an :class:`AttributionCollector` (found on
         :attr:`attribution`): every completed request's latency is
@@ -181,42 +181,37 @@ class Observability:
         validation; or pass a pre-configured collector.  ``False`` (the
         default) costs nothing.
     telemetry:
-        A sampling interval in simulated microseconds (or a
-        pre-configured :class:`TelemetrySink`): the simulator arms the
-        sink to emit delta-encoded windows over the registry and the
-        device's channels and dies on weak loop events (never perturbing
-        the run); the windows also give the per-channel / per-die
-        utilization view.  ``None`` (default) costs nothing.
+        A sampling interval in simulated microseconds: the simulator arms
+        a :class:`TelemetrySink` to emit delta-encoded windows over the
+        registry and the device's channels and dies on weak loop events
+        (never perturbing the run); the windows also give the
+        per-channel / per-die utilization view.  ``None`` (default) costs
+        nothing.
     slo:
-        An :class:`SloSpec` (or pre-built :class:`SloWatchdog`): each
-        telemetry window is evaluated for burn-rate alerting.  Implies
-        telemetry — when no sink/interval is given, one is created with
-        the spec's ``window_us``.
+        An :class:`SloSpec`: a :class:`SloWatchdog` evaluates each
+        telemetry window for burn-rate alerting.  Implies telemetry —
+        when no interval is given, the sink samples at the spec's
+        ``window_us``.
     flight_recorder:
-        An output directory path (or pre-built :class:`FlightRecorder`):
-        sanitizer traps, page-severity SLO alerts, and unrecoverable
-        reads dump reproducible debug bundles there.
+        A :class:`FlightRecorder`: sanitizer traps, page-severity SLO
+        alerts, and unrecoverable reads dump reproducible debug bundles
+        into its directory.
     """
 
     def __init__(
         self,
         *,
-        registry: MetricsRegistry | None = None,
         trace: "bool | TraceRecorder" = True,
-        trace_capacity: int = 65_536,
-        trace_sample_every: int = 1,
         attribution: "bool | AttributionCollector" = False,
-        telemetry: "float | TelemetrySink | None" = None,
-        slo: "SloSpec | SloWatchdog | None" = None,
-        flight_recorder: "str | FlightRecorder | None" = None,
+        telemetry: float | None = None,
+        slo: SloSpec | None = None,
+        flight_recorder: FlightRecorder | None = None,
     ) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
+        self.registry = MetricsRegistry()
         if isinstance(trace, (TraceRecorder, NullRecorder)):
             self.trace = trace
         elif trace:
-            self.trace = TraceRecorder(
-                capacity=trace_capacity, sample_every=trace_sample_every
-            )
+            self.trace = TraceRecorder()
         else:
             self.trace = NULL_RECORDER
         #: keeper decision records (:class:`repro.core.keeper.KeeperDecision`)
@@ -228,42 +223,30 @@ class Observability:
             self.attribution = AttributionCollector(trace=self.trace)
         else:
             self.attribution = None
+        if slo is not None and not isinstance(slo, SloSpec):
+            raise TypeError("slo must be an SloSpec")
         #: optional SLO watchdog fed by the telemetry sink
-        if isinstance(slo, SloWatchdog):
-            self.slo: SloWatchdog | None = slo
-        elif isinstance(slo, SloSpec):
-            self.slo = SloWatchdog(slo)
-        elif slo is None:
-            self.slo = None
-        else:
-            raise TypeError("slo must be an SloSpec or SloWatchdog")
+        self.slo = SloWatchdog(slo) if slo is not None else None
         #: optional windowed telemetry sink (armed by the device probe)
-        if isinstance(telemetry, TelemetrySink):
-            self.telemetry: TelemetrySink | None = telemetry
-        elif telemetry is not None:
-            self.telemetry = TelemetrySink(float(telemetry))
-        elif self.slo is not None:
-            # an SLO without an explicit sink still needs windows to
-            # evaluate: derive one from the spec's window length
-            self.telemetry = TelemetrySink(self.slo.spec.window_us)
+        if telemetry is not None:
+            self.telemetry: TelemetrySink | None = TelemetrySink(float(telemetry))
+        elif slo is not None:
+            # an SLO without an explicit interval still needs windows to
+            # evaluate: sample at the spec's window length
+            self.telemetry = TelemetrySink(slo.window_us)
         else:
             self.telemetry = None
         if self.slo is not None:
             self.telemetry.watchdog = self.slo
         #: optional failure flight recorder
-        if isinstance(flight_recorder, FlightRecorder):
-            self.flight_recorder: FlightRecorder | None = flight_recorder
-        elif flight_recorder is not None:
-            self.flight_recorder = FlightRecorder(flight_recorder)
-        else:
-            self.flight_recorder = None
-        if self.flight_recorder is not None:
-            self.flight_recorder.obs = self
+        self.flight_recorder = flight_recorder
+        if flight_recorder is not None:
+            flight_recorder.obs = self
         if self.slo is not None:
             self.slo.bind(
                 registry=self.registry,
                 trace=self.trace if self.trace.enabled else None,
-                flight_recorder=self.flight_recorder,
+                flight_recorder=flight_recorder,
             )
 
     # ------------------------------------------------------------------

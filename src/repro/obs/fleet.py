@@ -37,7 +37,7 @@ from typing import Mapping, Sequence
 
 from ..schema import Schema, write_json
 from .registry import Counter, Gauge, Histogram, MetricsRegistry
-from .slo import SloSpec, SloWatchdog
+from .slo import SloSpec, SloWatchdog, burn_rates, escalate
 from .trace import NULL_RECORDER
 
 __all__ = [
@@ -62,9 +62,6 @@ FLEET_SCHEMA = Schema(
         "scenario",
     ),
 )
-
-_SEVERITY_RANK = {"ok": 0, "warn": 1, "page": 2}
-
 
 # ----------------------------------------------------------------------
 # Metric federation
@@ -260,10 +257,10 @@ class FleetSloRollup:
     fractions (``SloWatchdog.latest_fractions``).  Per objective, the
     fleet keeps one trailing deque per device (slow-window length) and
     computes fleet fast/slow burns as the mean of the per-device burns
-    across devices that have reported.  Severity uses the same
-    dual-window thresholds as the per-device watchdog and is
-    edge-triggered per objective; a page dumps a flight bundle naming
-    the offending device.
+    across devices that have reported.  Severity and its edge trigger
+    per objective are the per-device watchdog's rule
+    (:func:`~repro.obs.slo.escalate`); a page dumps a flight bundle
+    naming the offending device.
     """
 
     def __init__(self, spec: SloSpec, *, registry=None, trace=None,
@@ -310,24 +307,16 @@ class FleetSloRollup:
             fast_burns: list[float] = []
             slow_burns: list[float] = []
             for dev, trail in sorted(per_device.items()):
-                recent = list(trail)
-                fast_frac = sum(recent[-fast_n:]) / len(recent[-fast_n:])
-                slow_frac = sum(recent) / len(recent)
-                device_fast[dev] = fast_frac / allowed
-                fast_burns.append(fast_frac / allowed)
-                slow_burns.append(slow_frac / allowed)
+                fast_burn, slow_burn = burn_rates(trail, fast_n, allowed)
+                device_fast[dev] = fast_burn
+                fast_burns.append(fast_burn)
+                slow_burns.append(slow_burn)
             fleet_fast = sum(fast_burns) / len(fast_burns)
             fleet_slow = sum(slow_burns) / len(slow_burns)
-            if (fleet_fast >= self.spec.fast.page_burn
-                    and fleet_slow >= self.spec.slow.page_burn):
-                severity = "page"
-            elif (fleet_fast >= self.spec.fast.warn_burn
-                    and fleet_slow >= self.spec.slow.warn_burn):
-                severity = "warn"
-            else:
-                severity = "ok"
-            state = self._state.get(name, "ok")
-            if _SEVERITY_RANK[severity] > _SEVERITY_RANK[state]:
+            severity, escalated = escalate(
+                self.spec, fleet_fast, fleet_slow, self._state.get(name, "ok")
+            )
+            if escalated:
                 worst = max(
                     sorted(device_fast), key=lambda d: device_fast[d]
                 )

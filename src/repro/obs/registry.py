@@ -20,7 +20,6 @@ Four metric kinds cover everything the experiments need:
 from __future__ import annotations
 
 import bisect
-import json
 import math
 from typing import Sequence
 
@@ -283,9 +282,6 @@ class MetricsRegistry:
         if dropped:
             out["counters"]["obs.dropped_samples"] = dropped
         return out
-
-    def to_json(self, *, indent: int | None = None) -> str:
-        return json.dumps(self.snapshot(), indent=indent)
 
     def to_openmetrics(self, *, labels: "dict[str, str] | None" = None) -> str:
         """OpenMetrics text exposition of counters, gauges, and histograms.

@@ -43,6 +43,8 @@ __all__ = [
     "SloWatchdog",
     "SLO_SCHEMA_VERSION",
     "TENANT_TARGET_KEYS",
+    "burn_rates",
+    "escalate",
 ]
 
 SLO_SCHEMA_VERSION = 1
@@ -258,6 +260,33 @@ class SloAlert:
         }
 
 
+def burn_rates(fractions, fast_windows: int, allowed: float) -> tuple[float, float]:
+    """``(fast_burn, slow_burn)`` of a trail of per-window violation
+    fractions: the mean over the newest ``fast_windows`` windows and over
+    the whole trail, each divided by the ``allowed`` fraction."""
+    recent = list(fractions)
+    fast = recent[-fast_windows:]
+    return sum(fast) / len(fast) / allowed, sum(recent) / len(recent) / allowed
+
+
+def escalate(spec: SloSpec, fast_burn: float, slow_burn: float,
+             state: str) -> tuple[str, bool]:
+    """The dual-window burn-rate rule: ``(severity, raised)``.
+
+    A severity needs both the fast and the slow burn at or above its
+    thresholds (page before warn, else ``"ok"``); an alert is raised only
+    on the edge where the severity climbs above ``state``, the
+    objective's severity after the previous window.
+    """
+    if fast_burn >= spec.fast.page_burn and slow_burn >= spec.slow.page_burn:
+        severity = "page"
+    elif fast_burn >= spec.fast.warn_burn and slow_burn >= spec.slow.warn_burn:
+        severity = "warn"
+    else:
+        severity = "ok"
+    return severity, _SEVERITY_RANK[severity] > _SEVERITY_RANK[state]
+
+
 class _Objective:
     """Burn-rate state for one SLO objective."""
 
@@ -335,24 +364,16 @@ class SloWatchdog:
         if self._registry is not None:
             self._registry.counter("slo.windows").inc()
         raised: list[SloAlert] = []
-        fast_n = self.spec.fast.windows
         for obj in self._objectives:
             fraction = obj.violation_fraction(window)
             obj.fractions.append(fraction)
-            recent = list(obj.fractions)
-            fast_frac = sum(recent[-fast_n:]) / len(recent[-fast_n:])
-            slow_frac = sum(recent) / len(recent)
-            fast_burn = fast_frac / obj.allowed
-            slow_burn = slow_frac / obj.allowed
-            if (fast_burn >= self.spec.fast.page_burn
-                    and slow_burn >= self.spec.slow.page_burn):
-                severity = "page"
-            elif (fast_burn >= self.spec.fast.warn_burn
-                    and slow_burn >= self.spec.slow.warn_burn):
-                severity = "warn"
-            else:
-                severity = "ok"
-            if _SEVERITY_RANK[severity] > _SEVERITY_RANK[obj.state]:
+            fast_burn, slow_burn = burn_rates(
+                obj.fractions, self.spec.fast.windows, obj.allowed
+            )
+            severity, escalated = escalate(
+                self.spec, fast_burn, slow_burn, obj.state
+            )
+            if escalated:
                 alert = SloAlert(
                     time_us=window["t_end_us"],
                     window_seq=window["seq"],

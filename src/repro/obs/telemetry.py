@@ -72,14 +72,15 @@ def _outstanding(resources) -> list[int]:
 class TelemetrySink:
     """Periodic delta-encoded registry sampler (weakly scheduled)."""
 
-    def __init__(self, interval_us: float, *, watchdog=None) -> None:
+    def __init__(self, interval_us: float) -> None:
         if interval_us <= 0:
             raise ValueError("interval_us must be positive")
         self.interval_us = interval_us
         #: closed windows, oldest first (plain dicts, JSON-ready)
         self.windows: list[dict] = []
-        #: optional :class:`repro.obs.slo.SloWatchdog`; fed every window
-        self.watchdog = watchdog
+        #: optional :class:`repro.obs.slo.SloWatchdog`, set after
+        #: construction; fed every window
+        self.watchdog = None
         self._loop = None
         self._registry: MetricsRegistry | None = None
         self._channels = ()

@@ -6,9 +6,9 @@ One :class:`TraceEvent` is emitted per interesting simulation moment —
 ``keeper_switch`` — carrying the simulated timestamp, a track (the
 resource or actor the event belongs to), a category, and free-form args.
 
-The recorder is a bounded ring buffer (``capacity`` newest events are
-kept; older ones are dropped and counted) with optional 1-in-N sampling
-for very long runs.  :data:`NULL_RECORDER` is the disabled-path object:
+The recorder is a bounded ring buffer: the ``capacity`` newest events
+are kept, older ones are dropped and counted; raise ``capacity`` to keep
+a long run whole.  :data:`NULL_RECORDER` is the disabled-path object:
 its ``emit`` does nothing, and components test ``recorder.enabled`` (or
 hold ``None``) so the instrumented hot paths stay no-op cheap.
 
@@ -91,23 +91,18 @@ class TraceEvent:
 
 
 class TraceRecorder:
-    """Ring-buffered, samplable event sink."""
+    """Ring-buffered event sink."""
 
     #: real recorders report True; the null recorder False
     enabled = True
 
-    def __init__(self, capacity: int = 65_536, sample_every: int = 1) -> None:
+    def __init__(self, capacity: int = 65_536) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        if sample_every < 1:
-            raise ValueError("sample_every must be >= 1")
         self.capacity = capacity
-        self.sample_every = sample_every
         self._events: deque[TraceEvent] = deque(maxlen=capacity)
-        #: events offered to the recorder (including sampled-out/evicted)
+        #: events offered to the recorder (including evicted ones)
         self.offered = 0
-        #: events skipped by 1-in-N sampling
-        self.sampled_out = 0
         #: events evicted by the ring buffer
         self.evicted = 0
 
@@ -121,9 +116,6 @@ class TraceRecorder:
         args: dict | None = None,
     ) -> None:
         self.offered += 1
-        if self.sample_every > 1 and self.offered % self.sample_every:
-            self.sampled_out += 1
-            return
         if len(self._events) == self.capacity:
             self.evicted += 1
         self._events.append(TraceEvent(ts_us, name, track, cat, dur_us, args))
@@ -176,9 +168,7 @@ class NullRecorder:
 
     enabled = False
     capacity = 0
-    sample_every = 1
     offered = 0
-    sampled_out = 0
     evicted = 0
 
     def emit(self, *args, **kwargs) -> None:

@@ -21,6 +21,7 @@ from repro.core.keeper import _PeriodicLoop, _WindowState
 from repro.core.strategies import Strategy, StrategyKind
 from repro.harness.driftlab import heuristic_allocator, lab_configs
 from repro.ssd import FastLatencyModel, PageAllocMode, SSDConfig
+from repro.ssd.request import IORequest, OpType
 from repro.workloads import WorkloadSpec, build_scenario, synthesize_mix
 
 
@@ -153,9 +154,9 @@ class TestPeriodicRunEdgeCases:
         """The final decision's realised latency is attributed after the
         simulation drains (the last window used to dangle).
 
-        ``horizon_us`` stops the tick schedule at 75ms while arrivals run
-        to ~82ms, so the last decision's window completes only after the
-        final adaptation tick — exactly the dangling case.
+        The last request arrives 10us before the final adaptation tick at
+        100ms, so it completes only after that tick — exactly the dangling
+        case.
         """
         from repro.obs import Observability
 
@@ -165,7 +166,11 @@ class TestPeriodicRunEdgeCases:
             make_allocator(), cfg, collect_window_us=25_000.0,
             intensity_quantum=50.0, obs=obs,
         )
-        run = keeper.run_periodic(phased_trace(cfg), horizon_us=50_000.0)
+        requests = phased_trace(cfg)
+        requests.append(IORequest(99_990.0, 0, OpType.READ, lpn=0))
+        run = keeper.run_periodic(requests)
+        assert run.decisions[-1][0] == 100_000.0
+        assert requests[-1].complete_us > 100_000.0
         assert obs.decisions
         last = obs.decisions[-1]
         assert last.realised_mean_us is not None
@@ -238,7 +243,7 @@ class TestWindowTransitions:
             governor=SimpleNamespace(
                 attempt=lambda *a, **k: SimpleNamespace(promoted=True)
             ),
-            buffer=None, gap_windows=0, margin=0.0,
+            buffer=None,
             state=_WindowState(drifted=True, degraded=True, unhealthy=4),
         )
         loop.retrain(7)
@@ -253,10 +258,7 @@ class TestWindowTransitions:
         # the last switch was window 0; gap 2 covers windows 1 and 2
         state = _WindowState(deployed=self.INCUMBENT, last_switch=0, windows=windows)
         costs = {self.INCUMBENT: 100.0, self.CHALLENGER: challenger_us}
-        return state.suppresses(
-            self.CHALLENGER, fallback, costs.__getitem__,
-            gap_windows=2, margin=0.1,
-        )
+        return state.suppresses(self.CHALLENGER, fallback, costs.__getitem__)
 
     def test_limiter_suppresses_a_small_win_inside_the_gap(self):
         assert self.suppresses(95.0)

@@ -14,7 +14,7 @@ from repro.core import (
     random_specs,
 )
 from repro.core.features import N_INTENSITY_LEVELS, features_of_mix
-from repro.core.labeler import _snap_to_grid, pick_label
+from repro.core.labeler import _SHARE_GRID, _snap_to_grid, pick_label
 from repro.ssd import SSDConfig
 
 
@@ -100,20 +100,13 @@ class TestRandomSpecs:
         specs, total = random_specs(fast_cfg, rng)
         shares = np.array([s.rate_rps for s in specs])
         shares = shares / shares.sum()
-        units = shares / fast_cfg.share_grid
+        units = shares / _SHARE_GRID
         assert np.allclose(units, np.round(units), atol=1e-6)
 
     def test_pure_ratios(self, fast_cfg, rng):
         for _ in range(5):
             specs, _ = random_specs(fast_cfg, rng)
             assert all(s.write_ratio in (0.0, 1.0) for s in specs)
-
-    def test_nonpure_ratios_avoid_the_boundary(self, rng):
-        cfg = LabelerConfig(pure_ratios=False)
-        for _ in range(5):
-            specs, _ = random_specs(cfg, rng)
-            for s in specs:
-                assert s.write_ratio <= 0.45 or s.write_ratio >= 0.55
 
     def test_pinned_intensity_level(self, fast_cfg, rng):
         for level in (0, 10, 19):
@@ -204,7 +197,6 @@ class TestLabelerConfig:
         assert cfg.intensity_quantum == pytest.approx(
             cfg.window_requests_max / N_INTENSITY_LEVELS
         )
-        assert cfg.pure_ratios
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -215,7 +207,6 @@ class TestLabelerConfig:
             dict(engine="magic"),
             dict(replications=0),
             dict(tie_epsilon=-0.1),
-            dict(share_grid=0.5),
         ],
     )
     def test_validation(self, kwargs):

@@ -259,7 +259,6 @@ class TestKeeperDegradation:
             small_config,
             obs=obs,
             faults=FaultConfig(seed=13, read_ber=0.9, max_read_retries=2),
-            fallback_error_rate=0.5,
         )
         run = keeper.run(mixed_requests(write_ratio_even=0.2))
         assert run.switched
@@ -267,10 +266,6 @@ class TestKeeperDegradation:
         assert "error rate" in run.fallback_reason
         assert run.strategy.kind is StrategyKind.SHARED
         assert len(obs.trace.events("keeper_fallback")) == 1
-
-    def test_fallback_threshold_validated(self, small_config):
-        with pytest.raises(ValueError, match="fallback_error_rate"):
-            self._keeper(make_allocator(), small_config, fallback_error_rate=0.0)
 
     def test_periodic_fallback_uses_last_known_good(self, small_config):
         """After one healthy window, degraded windows redeploy its strategy."""

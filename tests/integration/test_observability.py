@@ -22,7 +22,7 @@ from repro.core import (
     StrategyLearner,
     StrategySpace,
 )
-from repro.obs import Observability, SloSpec, match_pairs
+from repro.obs import Observability, SloSpec, TraceRecorder, match_pairs
 from repro.ssd import SSDConfig, SSDSimulator
 from repro.workloads import WorkloadSpec, synthesize_mix
 
@@ -69,7 +69,7 @@ def trained_allocator(label=8, seed=0):
 def instrumented_run():
     """One fully-instrumented simulation shared by the trace assertions."""
     config = SSDConfig.small()
-    obs = Observability(trace_capacity=200_000, telemetry=500.0)
+    obs = Observability(trace=TraceRecorder(capacity=200_000), telemetry=500.0)
     sim = SSDSimulator(
         config, shared_sets(config), record_latencies=True, obs=obs
     )
@@ -177,7 +177,8 @@ class TestDisabledPath:
             "tenants": {"0": {"write_p95_us": 200.0}},
         })
         obs = Observability(
-            trace_capacity=200_000, attribution=True, telemetry=250.0, slo=slo,
+            trace=TraceRecorder(capacity=200_000), attribution=True,
+            telemetry=250.0, slo=slo,
         )
         traced = SSDSimulator(config, shared_sets(config), obs=obs).run(
             list(trace)
@@ -207,7 +208,7 @@ class TestDisabledPath:
 class TestKeeperDecisionLogging:
     @pytest.fixture(scope="class")
     def keeper_run(self):
-        obs = Observability(trace_capacity=200_000)
+        obs = Observability(trace=TraceRecorder(capacity=200_000))
         keeper = SSDKeeper(
             trained_allocator(label=8),
             SSDConfig.small(),

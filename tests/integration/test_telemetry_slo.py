@@ -120,7 +120,7 @@ class TestFailureTriggers:
         ]
         requests = synthesize_mix(specs, total_requests=600, seed=11).requests
         faults = FaultConfig(seed=3, read_ber=0.6, max_read_retries=1)
-        obs = Observability(flight_recorder=tmp_path / "flight")
+        obs = Observability(flight_recorder=FlightRecorder(tmp_path / "flight"))
         result = simulate(requests, config, {0: [0, 1]}, obs=obs,
                           faults=faults)
         assert result.failed_reads > 0
@@ -138,7 +138,7 @@ class TestFailureTriggers:
                          footprint_pages=64),
         ]
         requests = synthesize_mix(specs, total_requests=50, seed=2).requests
-        obs = Observability(flight_recorder=tmp_path / "flight")
+        obs = Observability(flight_recorder=FlightRecorder(tmp_path / "flight"))
         sim = SSDSimulator(config, {0: [0, 1]}, obs=obs)
 
         def trip():

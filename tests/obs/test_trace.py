@@ -1,4 +1,4 @@
-"""Trace recorder: ring buffer, sampling, exports, pairing."""
+"""Trace recorder: ring buffer, exports, pairing."""
 
 import json
 
@@ -55,25 +55,15 @@ class TestTraceRecorder:
         assert [e.args["i"] for e in back] == [5, 6, 7]
 
     def test_wraparound_counters_account_for_every_offer(self):
-        rec = TraceRecorder(capacity=2, sample_every=2)
+        rec = TraceRecorder(capacity=2)
         for i in range(10):
             rec.emit(float(i), "e")
-        # every offered event is either kept, sampled out, or evicted
-        assert rec.offered == len(rec) + rec.sampled_out + rec.evicted
-
-    def test_sampling_keeps_one_in_n(self):
-        rec = TraceRecorder(sample_every=3)
-        for i in range(9):
-            rec.emit(float(i), "e")
-        assert rec.offered == 9
-        assert len(rec) == 3
-        assert rec.sampled_out == 6
+        # every offered event is either kept or evicted
+        assert rec.offered == len(rec) + rec.evicted
 
     def test_validates_parameters(self):
         with pytest.raises(ValueError):
             TraceRecorder(capacity=0)
-        with pytest.raises(ValueError):
-            TraceRecorder(sample_every=0)
 
     def test_clear(self):
         rec = TraceRecorder()

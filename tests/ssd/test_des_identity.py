@@ -21,7 +21,7 @@ import tempfile
 import pytest
 
 from repro.analysis import Sanitizer
-from repro.obs import FlightRecorder, Observability, SloSpec
+from repro.obs import FlightRecorder, Observability, SloSpec, TraceRecorder
 from repro.obs.flightrecorder import load_manifest
 from repro.ssd import FaultConfig, SSDConfig
 from repro.ssd.buffer import BufferConfig
@@ -198,7 +198,7 @@ def case_obs() -> dict:
     """Trace, attribution and telemetry with its utilization view: the
     result equals the bare run's, and the sampler's output is pinned."""
     obs = Observability(
-        trace=True, trace_capacity=200_000, attribution=True, telemetry=250.0,
+        trace=TraceRecorder(capacity=200_000), attribution=True, telemetry=250.0,
     )
     sim = SSDSimulator(
         gc_device(), SPLIT_SETS, record_latencies=True, faults=faults(), obs=obs
@@ -222,7 +222,7 @@ def case_obs_buffer() -> dict:
     """Buffer, trace, attribution and telemetry: the DRAM-span path, the
     lazily created per-tenant histograms and a mid-run reallocation."""
     obs = Observability(
-        trace=True, trace_capacity=200_000, attribution=True, telemetry=500.0,
+        trace=TraceRecorder(capacity=200_000), attribution=True, telemetry=500.0,
     )
     sim = SSDSimulator(
         SSDConfig.small(), SPLIT_SETS, record_latencies=True, obs=obs,
@@ -256,7 +256,7 @@ def case_obs_flight() -> dict:
     })
     with tempfile.TemporaryDirectory() as tmp:
         obs = Observability(
-            trace=True, trace_capacity=200_000, attribution=True, slo=slo,
+            trace=TraceRecorder(capacity=200_000), attribution=True, slo=slo,
             flight_recorder=FlightRecorder(tmp),
         )
         sim = SSDSimulator(
@@ -303,7 +303,7 @@ def case_keeper() -> dict:
     workload = build_scenario(
         "migrating_hotspot", seed=0, phases=4, phase_us=driftlab._QUICK_PHASE_US
     )
-    obs = Observability(trace=True, trace_capacity=200_000)
+    obs = Observability(trace=TraceRecorder(capacity=200_000))
     keeper = driftlab._lab_keeper(SSDConfig.small(), obs=obs)
     drift, retrain = driftlab.lab_configs()
     run = keeper.run_adaptive(workload.requests, drift=drift, retrain=retrain)
@@ -314,6 +314,28 @@ def case_keeper() -> dict:
         "retrains": [e.to_dict() for e in run.retrain_events],
         "drift": [e.to_dict() for e in run.drift_events],
         "trace": trace_doc(obs.trace),
+    }
+
+
+def case_keeper_periodic() -> dict:
+    """The plain periodic keeper (no detector, no limiter) with verified
+    allocation, tracing and attribution."""
+    from repro.harness import driftlab
+    from repro.workloads.adversarial import build_scenario
+
+    workload = build_scenario(
+        "migrating_hotspot", seed=0, phases=4, phase_us=driftlab._QUICK_PHASE_US
+    )
+    obs = Observability(
+        trace=TraceRecorder(capacity=200_000), attribution=True
+    )
+    keeper = driftlab._lab_keeper(SSDConfig.small(), obs=obs)
+    run = keeper.run_periodic(workload.requests)
+    assert obs.trace.evicted == 0 and run.suppressed_switches == 0
+    return {
+        "result": result_doc(run.result),
+        "decisions": [[repr(t), s.label] for t, _, s in run.decisions],
+        "realised": canonical(run.realised_us),
     }
 
 
@@ -383,6 +405,7 @@ CASES = {
     "obs_flight": case_obs_flight,
     "sanitized": case_sanitized,
     "keeper": case_keeper,
+    "keeper_periodic": case_keeper_periodic,
     "keeper_retrain": case_keeper_retrain,
     "fleet": case_fleet,
 }
@@ -394,6 +417,7 @@ DIGESTS = {
     "fleet": "e99e1e8830905605",
     "gc_faults": "bc1bc9df01121fd2",
     "keeper": "05345fff53cb50ac",
+    "keeper_periodic": "cde6addc6613460c",
     "keeper_retrain": "387bf90829d4e757",
     "obs": "69c25a9613648965",
     "obs_buffer": "ab8791ca43ffe8ac",
