@@ -23,7 +23,6 @@ from .drift import DriftConfig, DriftDetector, DriftEvent
 from .evaluation import QualityReport, evaluate_learner, holdout_samples
 from .features import N_INTENSITY_LEVELS, FeaturesCollector, FeatureVector, features_of_mix
 from .hybrid import PagePolicy, page_modes_for
-from .fleethandle import KeeperHandle
 from .keeper import KeeperDecision, KeeperRun, PeriodicRun, SSDKeeper
 from .online import (
     ReplayBuffer,
@@ -37,10 +36,8 @@ from .labeler import (
     LabeledSample,
     LabelerConfig,
     WindowReplay,
-    best_strategy,
     generate_dataset,
     label_sample,
-    random_mix,
     random_specs,
     sweep_strategies,
 )
@@ -62,10 +59,8 @@ __all__ = [
     "Dataset",
     "LabeledSample",
     "LabelerConfig",
-    "best_strategy",
     "generate_dataset",
     "label_sample",
-    "random_mix",
     "random_specs",
     "sweep_strategies",
     "WindowReplay",
@@ -81,7 +76,6 @@ __all__ = [
     "KeeperRun",
     "PeriodicRun",
     "SSDKeeper",
-    "KeeperHandle",
     "DriftConfig",
     "DriftDetector",
     "DriftEvent",

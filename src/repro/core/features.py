@@ -58,11 +58,6 @@ class FeatureVector:
     def n_tenants(self) -> int:
         return len(self.characteristics)
 
-    @property
-    def dimensions(self) -> int:
-        """9 for the paper's four-tenant setting."""
-        return 1 + 2 * self.n_tenants
-
     def write_dominated(self) -> list[bool]:
         """Group membership used by two-part strategies."""
         return [c == 0 for c in self.characteristics]

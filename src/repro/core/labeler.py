@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
 import math
 import zlib
 
@@ -37,9 +36,7 @@ __all__ = [
     "WindowReplay",
     "objective_us",
     "pick_label",
-    "best_strategy",
     "random_specs",
-    "random_mix",
     "label_sample",
     "generate_dataset",
 ]
@@ -311,19 +308,6 @@ def pick_label(totals: "np.ndarray | list[float]", tie_epsilon: float) -> int:
     return int(np.flatnonzero(totals <= threshold)[0])
 
 
-def best_strategy(
-    mixed: MixedWorkload,
-    features: FeatureVector,
-    space: StrategySpace,
-    config: LabelerConfig,
-) -> LabeledSample:
-    """Label one mixed workload from a single sweep (no replication)."""
-    results = sweep_strategies(mixed, features, space, config)
-    totals_us = [objective_us(r, config.objective) for r in results]
-    label = pick_label(totals_us, config.tie_epsilon)
-    return LabeledSample(features=features, label=label, total_latencies_us=totals_us)
-
-
 # ----------------------------------------------------------------------
 def random_specs(
     config: LabelerConfig,
@@ -374,23 +358,6 @@ def random_specs(
     return specs, total
 
 
-def random_mix(
-    config: LabelerConfig,
-    rng: np.random.Generator,
-    *,
-    intensity_level: int | None = None,
-) -> MixedWorkload:
-    """One random synthetic mixed workload (one realisation of
-    :func:`random_specs`)."""
-    specs, total = random_specs(config, rng, intensity_level=intensity_level)
-    return synthesize_mix(
-        specs,
-        total_requests=total,
-        seed=int(rng.integers(0, 2**31 - 1)),
-        name="random-mix",
-    )
-
-
 def _snap_to_grid(shares: np.ndarray, grid: float) -> np.ndarray:
     """Quantise shares to multiples of ``grid`` (each >= grid, sum == 1).
 
@@ -434,8 +401,6 @@ def label_sample(
     config: LabelerConfig,
     rng: np.random.Generator,
     space: StrategySpace,
-    *,
-    intensity_level: int | None = None,
 ) -> LabeledSample:
     """Draw one random mix family and label it.
 
@@ -444,7 +409,7 @@ def label_sample(
     argmin of the *mean* total latency, which suppresses single-trace noise
     in the near-tie strategies.
     """
-    specs, total = random_specs(config, rng, intensity_level=intensity_level)
+    specs, total = random_specs(config, rng)
     base_seed = _spec_seed(specs, total)
     sum_totals_us: np.ndarray | None = None
     features: FeatureVector | None = None
@@ -473,23 +438,19 @@ def generate_dataset(
     config: LabelerConfig | None = None,
     *,
     seed: int = 0,
-    space: StrategySpace | None = None,
-    progress: Callable[[int, int], None] | None = None,
 ) -> Dataset:
     """Generate ``n_samples`` labelled mixes (Algorithm 1's data loop)."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     config = config or LabelerConfig()
-    space = space or StrategySpace(config.ssd.channels, config.n_tenants)
+    space = StrategySpace(config.ssd.channels, config.n_tenants)
     rng = np.random.default_rng(seed)
     rows = []
     labels = []
-    for i in range(n_samples):
+    for _ in range(n_samples):
         sample = label_sample(config, rng, space)
         rows.append(sample.features.to_array())
         labels.append(sample.label)
-        if progress is not None:
-            progress(i + 1, n_samples)
     return Dataset(
         features=np.vstack(rows),
         labels=np.array(labels),

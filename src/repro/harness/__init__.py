@@ -24,7 +24,7 @@ from .experiments import (
     train_all,
     trained_learner,
 )
-from .reporting import banner, format_series, format_table, normalize
+from .reporting import banner, format_series, format_table
 from .scale import Scale
 from .sweep import auto_processes, run_sweep
 
@@ -37,7 +37,6 @@ __all__ = [
     "banner",
     "format_series",
     "format_table",
-    "normalize",
     "MIX_COMPOSITIONS",
     "OPTIMIZER_VARIANTS",
     "build_dataset",

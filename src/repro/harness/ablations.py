@@ -158,23 +158,25 @@ def _fastmodel_build(scale: Scale) -> dict:
 
 
 # ----------------------------------------------------------------------
-def ablation_model_size(
-    scale: Scale, *, cache: ArtifactCache | None = None, widths=(8, 32, 64, 128)
-) -> dict:
+#: hidden-layer widths of the model-size ablation (the paper's is 64)
+_WIDTHS = (8, 32, 64, 128)
+
+
+def ablation_model_size(scale: Scale, *, cache: ArtifactCache | None = None) -> dict:
     """Test accuracy as a function of hidden-layer width."""
     cache = cache or default_cache()
     params = {"samples": scale.dataset_samples, "iters": scale.train_iterations,
-              "widths": list(widths), "v": 6}
+              "widths": list(_WIDTHS), "v": 6}
     return cache.get_or_build_json(
-        "ablation-width", params, build=lambda: _width_build(scale, cache, widths)
+        "ablation-width", params, build=lambda: _width_build(scale, cache)
     )
 
 
-def _width_build(scale: Scale, cache: ArtifactCache, widths) -> dict:
+def _width_build(scale: Scale, cache: ArtifactCache) -> dict:
     dataset = build_dataset(scale, cache=cache)
     space = StrategySpace()
     out = {}
-    for width in widths:
+    for width in _WIDTHS:
         learner = StrategyLearner(space, hidden=width, activation="logistic", seed=1)
         history = learner.train(
             dataset,
@@ -192,12 +194,11 @@ def _width_build(scale: Scale, cache: ArtifactCache, widths) -> dict:
 
 
 # ----------------------------------------------------------------------
-def ablation_dataset_size(
-    scale: Scale,
-    *,
-    cache: ArtifactCache | None = None,
-    fractions=(0.125, 0.25, 0.5, 1.0),
-) -> dict:
+#: training-set prefixes of the learning curve, as fractions of the dataset
+_FRACTIONS = (0.125, 0.25, 0.5, 1.0)
+
+
+def ablation_dataset_size(scale: Scale, *, cache: ArtifactCache | None = None) -> dict:
     """Learning curve: test accuracy vs training-set size.
 
     The paper trains on 5,000 labelled mixes; this ablation re-trains the
@@ -207,20 +208,20 @@ def ablation_dataset_size(
     """
     cache = cache or default_cache()
     params = {"samples": scale.dataset_samples, "iters": scale.train_iterations,
-              "fractions": list(fractions), "v": 6}
+              "fractions": list(_FRACTIONS), "v": 6}
     return cache.get_or_build_json(
         "ablation-datasize", params,
-        build=lambda: _datasize_build(scale, cache, fractions),
+        build=lambda: _datasize_build(scale, cache),
     )
 
 
-def _datasize_build(scale: Scale, cache: ArtifactCache, fractions) -> dict:
+def _datasize_build(scale: Scale, cache: ArtifactCache) -> dict:
     from ..core.labeler import Dataset
 
     dataset = build_dataset(scale, cache=cache)
     space = StrategySpace()
     out = {}
-    for fraction in fractions:
+    for fraction in _FRACTIONS:
         n = max(42, int(len(dataset) * fraction))
         subset = Dataset(
             features=dataset.features[:n],

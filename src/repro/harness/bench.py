@@ -73,7 +73,7 @@ _WALL_NOISE_FLOOR_S = 0.02
 # ----------------------------------------------------------------------
 def run_scenario(
     name: str, *, quick: bool = False, repeat: int = 1,
-    attribution: bool = True, slo=None, flight_dir=None, baseline_entry=None,
+    slo=None, flight_dir=None, baseline_entry=None,
 ) -> dict:
     """Run one scenario ``repeat`` times; best wall-clock is recorded.
 
@@ -138,7 +138,7 @@ def run_scenario(
                     last_good=last_good,
                 )
             obs = Observability(
-                trace=False, attribution=attribution, slo=slo_spec,
+                trace=False, attribution=True, slo=slo_spec,
                 flight_recorder=recorder,
             )
             result = simulate(
@@ -180,7 +180,6 @@ def run_bench(
     *,
     quick: bool = False,
     repeat: int = 1,
-    attribution: bool = True,
     scenarios: list[str] | None = None,
     slo=None,
     flight_dir=None,
@@ -202,8 +201,7 @@ def run_bench(
     baseline_scenarios = (baseline or {}).get("scenarios", {})
     for name in names:
         entry = run_scenario(
-            name, quick=quick, repeat=repeat, attribution=attribution,
-            slo=slo, flight_dir=flight_dir,
+            name, quick=quick, repeat=repeat, slo=slo, flight_dir=flight_dir,
             baseline_entry=baseline_scenarios.get(name),
         )
         doc["scenarios"][name] = entry

@@ -46,7 +46,7 @@ _COLLECT_WINDOW_US = 10_000.0
 _INTENSITY_QUANTUM = 50.0
 
 
-def heuristic_allocator(seed: int = 0) -> ChannelAllocator:
+def heuristic_allocator() -> ChannelAllocator:
     """A cheap deterministic stand-in for the full Algorithm-1 pipeline.
 
     Trains the standard 9-64-42 network on a seeded synthetic dataset
@@ -55,7 +55,7 @@ def heuristic_allocator(seed: int = 0) -> ChannelAllocator:
     (1:7) — so lab runs stay fast while the model is realistic enough to
     mispredict under drift.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     space = StrategySpace(8, 4)
     rows, labels = [], []
     for _ in range(160):

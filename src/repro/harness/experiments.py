@@ -252,24 +252,26 @@ def _train_all_build(scale: Scale, cache: ArtifactCache) -> dict:
     return out
 
 
-def _learner_params(scale: Scale, variant: str) -> dict:
+#: the Table-III variant the deployable learner trains with
+_DEPLOYED_VARIANT = "Adam-logistic"
+
+
+def _learner_params(scale: Scale) -> dict:
     """Cache key of the deployable learner (shared by build and probe)."""
-    return {"samples": scale.dataset_samples, "variant": variant,
+    return {"samples": scale.dataset_samples, "variant": _DEPLOYED_VARIANT,
             "iters": scale.train_iterations, "v": 6}
 
 
 def trained_learner(
-    scale: Scale, *, cache: ArtifactCache | None = None, variant: str = "Adam-logistic"
+    scale: Scale, *, cache: ArtifactCache | None = None
 ) -> StrategyLearner:
     """The deployable trained model (cached as the FTL parameter blob)."""
     cache = cache or default_cache()
-    if variant not in OPTIMIZER_VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    params = _learner_params(scale, variant)
+    params = _learner_params(scale)
 
     def build() -> StrategyLearner:
         dataset = build_dataset(scale, cache=cache)
-        spec = OPTIMIZER_VARIANTS[variant]
+        spec = OPTIMIZER_VARIANTS[_DEPLOYED_VARIANT]
         learner = StrategyLearner(
             StrategySpace(), activation=spec["activation"], seed=1
         )
@@ -296,7 +298,7 @@ def trained_learner(
 
 
 def cached_learner_or_none(
-    scale: Scale, *, cache: ArtifactCache | None = None, variant: str = "Adam-logistic"
+    scale: Scale, *, cache: ArtifactCache | None = None
 ) -> StrategyLearner | None:
     """The trained model if (and only if) it is already on disk.
 
@@ -305,7 +307,7 @@ def cached_learner_or_none(
     small model instead.
     """
     cache = cache or default_cache()
-    path = cache.path_for("learner", _learner_params(scale, variant), ".json")
+    path = cache.path_for("learner", _learner_params(scale), ".json")
     if not path.exists():
         return None
     try:
@@ -501,13 +503,17 @@ def _fig6_build(scale: Scale, cache: ArtifactCache) -> dict:
 # ----------------------------------------------------------------------
 # Table II — workload stand-in fidelity
 # ----------------------------------------------------------------------
-def tab2_workloads(*, sample_requests: int = 20_000, seed: int = 2) -> dict:
+#: seed of every Table-II stand-in trace
+_TAB2_SEED = 2
+
+
+def tab2_workloads(*, sample_requests: int = 20_000) -> dict:
     """Generate each MSR stand-in and measure its realised statistics."""
     rows = {}
     for name in msr.available():
         info = msr.TABLE_II[name]
         spec = msr.spec(name, rate_scale=MSR_RATE_SCALE)
-        requests = generate(spec, sample_requests, workload_id=0, seed=seed)
+        requests = generate(spec, sample_requests, workload_id=0, seed=_TAB2_SEED)
         writes = sum(1 for r in requests if not r.is_read)
         rows[name] = {
             "paper_write_ratio": info.write_ratio,
@@ -521,9 +527,7 @@ def tab2_workloads(*, sample_requests: int = 20_000, seed: int = 2) -> dict:
 # ----------------------------------------------------------------------
 # `repro stats` — one instrumented event-driven run
 # ----------------------------------------------------------------------
-def stats_run(
-    scale: Scale, *, obs, requests: int | None = None, faults=None, sanitizer=None
-):
+def stats_run(scale: Scale, *, obs, faults=None, sanitizer=None):
     """Run one fully-instrumented event-driven simulation.
 
     A four-tenant synthetic mix (two write-dominated, two read-dominated
@@ -556,7 +560,7 @@ def stats_run(
             ("reader-a", 0.1), ("reader-b", 0.05),
         )
     ]
-    total = requests if requests is not None else min(scale.mix_requests, 5000)
+    total = min(scale.mix_requests, 5000)
     mixed = synthesize_mix(specs, total_requests=total, seed=11, name="stats")
     channel_sets = {wid: list(range(cfg.ssd.channels)) for wid in range(4)}
     sim = SSDSimulator(

@@ -55,7 +55,6 @@ def explain_scenario(
     quick: bool = False,
     sanitize: bool = False,
     whatif: bool = True,
-    tolerance_us: float = 1e-6,
     log=None,
 ) -> dict:
     """Run + explain one bench scenario; returns the report document.
@@ -89,7 +88,6 @@ def explain_scenario(
     report = extract_critical_path(
         obs.attribution.records,
         result.makespan_us,
-        tolerance_us=tolerance_us,
         sanitizer=sanitizer,
     )
     doc = EXPLAIN_SCHEMA.stamp(

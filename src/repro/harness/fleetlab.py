@@ -142,7 +142,6 @@ def run_fleet(
     :func:`default_migration`); pass an empty list to run without one.
     ``slo_dict`` arms per-device watchdogs plus the fleet rollup.
     """
-    from ..core import KeeperHandle
     from ..obs import Observability, SloSpec, TraceRecorder
     from ..obs.fleet import FleetObserver, build_fleet_report
     from ..ssd.fleet import Fleet, seeded_placement
@@ -157,8 +156,7 @@ def run_fleet(
         spec = SloSpec.from_dict(slo_dict, known_tenants=set(channel_sets))
     bundles = []
     sims = []
-    keepers = []
-    for dev in range(n_devices):
+    for _ in range(n_devices):
         bundle = Observability(
             telemetry=None if spec is not None else _DEFAULT_WINDOW_US,
             slo=spec,
@@ -167,7 +165,6 @@ def run_fleet(
         sims.append(SSDSimulator(
             config, channel_sets, record_latencies=True, obs=bundle,
         ))
-        keepers.append(KeeperHandle(dev, channel_sets))
     placement = seeded_placement(n_tenants, n_devices, seed)
     fleet = Fleet(sims, placement=placement, seed=seed)
     recorder = None
@@ -193,8 +190,6 @@ def run_fleet(
         plan = default_migration(tenant_traces, placement, n_devices)
         migrations = [plan] if plan is not None else []
     result = fleet.run(tenant_traces, migrations)
-    for dev, keeper in enumerate(keepers):
-        keeper.publish(bundles[dev].registry)
     scenario = {
         "devices": n_devices,
         "tenants": n_tenants,

@@ -10,7 +10,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
-__all__ = ["format_table", "format_series", "format_metrics", "normalize", "banner"]
+__all__ = ["format_table", "format_series", "format_metrics", "banner"]
+
+#: character width of a :func:`banner` line
+_BANNER_WIDTH = 72
 
 
 def format_table(
@@ -52,7 +55,6 @@ def format_series(
     series: dict[str, Sequence[float]],
     *,
     title: str | None = None,
-    float_format: str = "{:.3f}",
 ) -> str:
     """Render figure-style data: one x column plus one column per series."""
     for name, values in series.items():
@@ -63,10 +65,10 @@ def format_series(
         [x, *(values[i] for values in series.values())]
         for i, x in enumerate(x_values)
     ]
-    return format_table(headers, rows, title=title, float_format=float_format)
+    return format_table(headers, rows, title=title)
 
 
-def format_metrics(snapshot: dict, *, title: str | None = None) -> str:
+def format_metrics(snapshot: dict) -> str:
     """Render a :meth:`repro.obs.MetricsRegistry.snapshot` as tables.
 
     Counters and gauges share one name/value table; histograms get a
@@ -75,8 +77,6 @@ def format_metrics(snapshot: dict, *, title: str | None = None) -> str:
     the registry without dumping raw points.
     """
     parts: list[str] = []
-    if title:
-        parts.append(banner(title))
     scalars = [
         [name, value]
         for section in ("counters", "gauges")
@@ -116,19 +116,8 @@ def format_metrics(snapshot: dict, *, title: str | None = None) -> str:
     return "\n\n".join(parts) if parts else "(no metrics recorded)"
 
 
-def normalize(values: Sequence[float], reference: float | None = None) -> list[float]:
-    """Scale a series so the reference (default: first element) is 1.0."""
-    values = list(values)
-    if not values:
-        return []
-    ref = values[0] if reference is None else reference
-    if ref == 0:
-        raise ValueError("cannot normalise by zero")
-    return [v / ref for v in values]
-
-
-def banner(text: str, width: int = 72) -> str:
+def banner(text: str) -> str:
     """Section separator used by bench output."""
-    pad = max(0, width - len(text) - 2)
+    pad = max(0, _BANNER_WIDTH - len(text) - 2)
     left = pad // 2
     return f"{'=' * left} {text} {'=' * (pad - left)}"

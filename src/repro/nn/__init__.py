@@ -9,19 +9,11 @@ ablations.  Gradient correctness is enforced by finite-difference checks in
 from . import serialization
 from .activations import Activation, Identity, Logistic, ReLU, Tanh, get_activation, softmax
 from .layers import Dense
-from .losses import Loss, MeanSquaredError, SoftmaxCrossEntropy, get_loss
-from .metrics import (
-    ClassStats,
-    accuracy,
-    classification_report,
-    confusion_matrix,
-    per_class_stats,
-    top_k_accuracy,
-)
+from .losses import Loss, SoftmaxCrossEntropy
+from .metrics import accuracy, top_k_accuracy
 from .network import MLP, paper_network
 from .optimizers import SGD, AdaGrad, Adam, Optimizer, RMSProp, SGDMomentum, get_optimizer
-from .preprocessing import StandardScaler, minibatches, one_hot, train_test_split
-from .schedules import ScheduledOptimizer, constant, cosine, get_schedule, step_decay, warmup
+from .preprocessing import StandardScaler, minibatches, train_test_split
 from .training import History, Trainer, train
 
 __all__ = [
@@ -33,9 +25,7 @@ __all__ = [
     "get_activation",
     "softmax",
     "Loss",
-    "MeanSquaredError",
     "SoftmaxCrossEntropy",
-    "get_loss",
     "Dense",
     "MLP",
     "paper_network",
@@ -46,22 +36,11 @@ __all__ = [
     "SGD",
     "SGDMomentum",
     "get_optimizer",
-    "ClassStats",
     "accuracy",
-    "classification_report",
-    "confusion_matrix",
-    "per_class_stats",
     "top_k_accuracy",
     "StandardScaler",
     "minibatches",
-    "one_hot",
     "train_test_split",
-    "ScheduledOptimizer",
-    "constant",
-    "cosine",
-    "get_schedule",
-    "step_decay",
-    "warmup",
     "History",
     "Trainer",
     "train",

@@ -13,7 +13,7 @@ import numpy as np
 
 from .activations import softmax
 
-__all__ = ["Loss", "SoftmaxCrossEntropy", "MeanSquaredError", "get_loss"]
+__all__ = ["Loss", "SoftmaxCrossEntropy"]
 
 _EPS = 1e-12
 
@@ -61,31 +61,3 @@ class SoftmaxCrossEntropy(Loss):
         grad = probs
         grad[np.arange(len(labels)), labels] -= 1.0
         return grad / len(labels)
-
-
-class MeanSquaredError(Loss):
-    """0.5 * mean ||pred - target||^2 (used by regression ablations/tests)."""
-
-    name = "mse"
-
-    def value(self, logits: np.ndarray, targets: np.ndarray) -> float:
-        diff = logits - targets
-        return float(0.5 * (diff * diff).sum(axis=1).mean())
-
-    def backward(self, logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        return (logits - targets) / len(logits)
-
-
-_REGISTRY: dict[str, type[Loss]] = {
-    cls.name: cls for cls in (SoftmaxCrossEntropy, MeanSquaredError)
-}
-
-
-def get_loss(name: str | Loss) -> Loss:
-    """Resolve a loss by registry name (or pass an instance through)."""
-    if isinstance(name, Loss):
-        return name
-    try:
-        return _REGISTRY[name.lower()]()
-    except KeyError:
-        raise ValueError(f"unknown loss {name!r}; known: {sorted(_REGISTRY)}") from None

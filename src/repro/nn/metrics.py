@@ -1,26 +1,16 @@
-"""Classification metrics beyond plain accuracy.
+"""Classification metrics: accuracy and top-k accuracy.
 
 The strategy learner's 42 classes contain many *near-equivalent* neighbours
 (allocations within a few percent of each other's latency), so top-k
-accuracy and per-class breakdowns tell far more than the single top-1
-number the paper reports.  These utilities are numpy-only and operate on
-logits or predicted labels.
+accuracy tells more than the single top-1 number the paper reports.  These
+utilities are numpy-only and operate on logits or predicted labels.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = [
-    "accuracy",
-    "top_k_accuracy",
-    "confusion_matrix",
-    "per_class_stats",
-    "ClassStats",
-    "classification_report",
-]
+__all__ = ["accuracy", "top_k_accuracy"]
 
 
 def _labels_of(targets: np.ndarray) -> np.ndarray:
@@ -54,83 +44,3 @@ def top_k_accuracy(logits: np.ndarray, targets: np.ndarray, k: int) -> float:
     k = min(k, logits.shape[1])
     top = np.argpartition(-logits, kth=k - 1, axis=1)[:, :k]
     return float((top == labels[:, None]).any(axis=1).mean())
-
-
-def confusion_matrix(
-    predictions: np.ndarray, targets: np.ndarray, n_classes: int
-) -> np.ndarray:
-    """``m[i, j]`` = count of true class i predicted as class j."""
-    predictions = np.asarray(predictions).astype(int)
-    labels = _labels_of(targets)
-    if predictions.shape != labels.shape:
-        raise ValueError("predictions and targets must align")
-    if predictions.size and (
-        predictions.min() < 0
-        or predictions.max() >= n_classes
-        or labels.min() < 0
-        or labels.max() >= n_classes
-    ):
-        raise ValueError("class index out of range")
-    matrix = np.zeros((n_classes, n_classes), dtype=np.int64)
-    np.add.at(matrix, (labels, predictions), 1)
-    return matrix
-
-
-@dataclass(frozen=True)
-class ClassStats:
-    """Precision/recall/F1 and support for one class."""
-
-    label: int
-    precision: float
-    recall: float
-    f1: float
-    support: int
-
-
-def per_class_stats(matrix: np.ndarray) -> list[ClassStats]:
-    """Per-class precision/recall/F1 from a confusion matrix."""
-    matrix = np.asarray(matrix)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError("confusion matrix must be square")
-    out = []
-    for c in range(matrix.shape[0]):
-        tp = matrix[c, c]
-        support = int(matrix[c].sum())
-        predicted = int(matrix[:, c].sum())
-        precision = tp / predicted if predicted else 0.0
-        recall = tp / support if support else 0.0
-        f1 = (
-            2 * precision * recall / (precision + recall)
-            if precision + recall
-            else 0.0
-        )
-        out.append(
-            ClassStats(
-                label=c,
-                precision=float(precision),
-                recall=float(recall),
-                f1=float(f1),
-                support=support,
-            )
-        )
-    return out
-
-
-def classification_report(
-    matrix: np.ndarray, class_names: list[str] | None = None, *, min_support: int = 1
-) -> str:
-    """Text report of per-class precision/recall/F1 (classes with support)."""
-    stats = per_class_stats(matrix)
-    lines = [f"{'class':>12} {'prec':>6} {'recall':>6} {'f1':>6} {'n':>5}"]
-    for s in stats:
-        if s.support < min_support:
-            continue
-        name = class_names[s.label] if class_names else str(s.label)
-        lines.append(
-            f"{name:>12} {s.precision:6.2f} {s.recall:6.2f} {s.f1:6.2f} {s.support:5d}"
-        )
-    total = sum(s.support for s in stats)
-    if total:
-        weighted_f1 = sum(s.f1 * s.support for s in stats) / total
-        lines.append(f"{'weighted-f1':>12} {weighted_f1:27.2f}")
-    return "\n".join(lines)

@@ -7,7 +7,7 @@ paper architecture.
 
 The final layer is linear (identity); classification probabilities come from
 the fused softmax inside :class:`~repro.nn.losses.SoftmaxCrossEntropy`, so
-``forward`` returns logits and :meth:`predict_proba` applies softmax.
+``forward`` returns logits.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .activations import softmax
 from .layers import Dense
 from .losses import Loss, SoftmaxCrossEntropy
 
@@ -59,9 +58,6 @@ class MLP:
         for layer in self.layers:
             out = layer.forward(out, train=train)
         return out
-
-    def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        return softmax(self.forward(x))
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Most-likely class per row."""

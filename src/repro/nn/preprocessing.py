@@ -1,4 +1,4 @@
-"""Dataset utilities: scaling, encoding, splitting, batching.
+"""Dataset utilities: scaling, splitting, batching.
 
 Mirrors the "Data preprocessing()" step of Algorithm 1 plus the 7:3
 train/test split of Section V-B.
@@ -10,7 +10,7 @@ from typing import Iterator
 
 import numpy as np
 
-__all__ = ["StandardScaler", "one_hot", "train_test_split", "minibatches"]
+__all__ = ["StandardScaler", "train_test_split", "minibatches"]
 
 
 class StandardScaler:
@@ -39,11 +39,6 @@ class StandardScaler:
     def fit_transform(self, x: np.ndarray) -> np.ndarray:
         return self.fit(x).transform(x)
 
-    def inverse_transform(self, x: np.ndarray) -> np.ndarray:
-        if self.mean_ is None or self.scale_ is None:
-            raise RuntimeError("fit() before inverse_transform()")
-        return np.asarray(x, dtype=float) * self.scale_ + self.mean_
-
     def state(self) -> dict:
         """Serialisable parameters (for shipping to the FTL with the model)."""
         if self.mean_ is None or self.scale_ is None:
@@ -56,18 +51,6 @@ class StandardScaler:
         scaler.mean_ = np.asarray(state["mean"], dtype=float)
         scaler.scale_ = np.asarray(state["scale"], dtype=float)
         return scaler
-
-
-def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
-    """Integer labels -> one-hot rows."""
-    labels = np.asarray(labels, dtype=int)
-    if labels.ndim != 1:
-        raise ValueError("labels must be 1-D")
-    if labels.min(initial=0) < 0 or (labels.size and labels.max() >= n_classes):
-        raise ValueError("label out of range")
-    out = np.zeros((labels.size, n_classes))
-    out[np.arange(labels.size), labels] = 1.0
-    return out
 
 
 def train_test_split(

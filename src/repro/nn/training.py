@@ -124,19 +124,10 @@ class Trainer:
             if obs is not None:
                 now_s = time.perf_counter()
                 s_loss.append(epoch, history.loss[-1])
-                s_lr.append(
-                    epoch,
-                    getattr(
-                        self.optimizer, "current_rate",
-                        self.optimizer.learning_rate,
-                    ),
-                )
+                s_lr.append(epoch, self.optimizer.learning_rate)
                 s_epoch_ms.append(epoch, (now_s - epoch_start_s) * 1e3)
                 epoch_start_s = now_s
                 c_epochs.inc()
-            advance = getattr(self.optimizer, "advance", None)
-            if advance is not None:
-                advance()  # scheduled optimizers move to the next iteration's rate
             if x_test is not None and y_test is not None:
                 test_loss, test_acc = self.network.evaluate(x_test, y_test)
                 history.test_loss.append(test_loss)

@@ -26,7 +26,7 @@ SimpleSSD decompose their internal delays:
 The decomposition is **exact**: because the critical sub-request's
 timeline is contiguous from submission to completion, the phases sum to
 the recorded request latency to within float tolerance
-(``tolerance_us``, default 1e-6).  Every :meth:`AttributionCollector.record`
+(:data:`TOLERANCE_US`).  Every :meth:`AttributionCollector.record`
 validates that identity — through the runtime
 :class:`~repro.analysis.Sanitizer` when one is attached (so a mismatch
 is reported with the correlated event trail), as a plain
@@ -72,6 +72,11 @@ PHASE_NAMES = (
 #: ``channel`` key used for requests whose critical page was served by
 #: the DRAM buffer (no flash channel involved).
 DRAM_CHANNEL = -1
+
+#: float slack of the exact-sum identities: a request's phases against its
+#: latency here, a critical path's segments against the makespan in
+#: :mod:`repro.obs.critpath`
+TOLERANCE_US = 1e-6
 
 
 class AttributionError(RuntimeError):
@@ -335,37 +340,23 @@ def _new_row() -> dict[str, float]:
 class AttributionCollector:
     """Opt-in sink for per-request phase decompositions.
 
+    Every :class:`RequestAttribution` is kept on :attr:`records`, which
+    critical-path extraction and the flight recorder read.
+
     Parameters
     ----------
-    tolerance_us:
-        Maximum allowed |phase sum - recorded latency| per request.
-    keep_records:
-        Keep every :class:`RequestAttribution` on :attr:`records`
-        (the default; tests and the bench harness read them).  ``False``
-        keeps only the aggregates, for very long runs.
     trace:
         Optional :class:`~repro.obs.trace.TraceRecorder`; when attached,
         each record emits per-phase Chrome-trace spans on the tenant's
         track (category ``attr``).
     """
 
-    def __init__(
-        self,
-        *,
-        tolerance_us: float = 1e-6,
-        keep_records: bool = True,
-        trace=None,
-    ) -> None:
-        if tolerance_us <= 0:
-            raise ValueError("tolerance_us must be positive")
-        self.tolerance_us = tolerance_us
+    def __init__(self, *, trace=None) -> None:
         self.trace = trace if trace is not None and trace.enabled else None
         #: optional :class:`repro.analysis.Sanitizer`; when attached, the
         #: exact-sum check routes through it (counted, trace-correlated)
         self.sanitizer = None
-        self.records: list[RequestAttribution] | None = (
-            [] if keep_records else None
-        )
+        self.records: list[RequestAttribution] = []
         self.requests = 0
         self.total_latency_us = 0.0
         self._phase_totals_us = {name: 0.0 for name in PHASE_NAMES}
@@ -444,8 +435,7 @@ class AttributionCollector:
         tenant["latency_us"] += rec.latency_us
         chan["requests"] += 1
         chan["latency_us"] += rec.latency_us
-        if self.records is not None:
-            self.records.append(rec)
+        self.records.append(rec)
         if self.trace is not None:
             self._emit_spans(request, span, rec)
         return rec
@@ -455,15 +445,15 @@ class AttributionCollector:
         if self.sanitizer is not None:
             self.sanitizer.on_attribution(
                 rec.workload_id, rec.op, total_us, rec.latency_us,
-                self.tolerance_us,
+                TOLERANCE_US,
             )
             return
         gap_us = total_us - rec.latency_us
-        if gap_us > self.tolerance_us or gap_us < -self.tolerance_us:
+        if gap_us > TOLERANCE_US or gap_us < -TOLERANCE_US:
             raise AttributionError(
                 f"w{rec.workload_id} {rec.op}: phases sum to {total_us!r}us "
                 f"but the recorded latency is {rec.latency_us!r}us "
-                f"(gap {gap_us:g}, tolerance {self.tolerance_us:g}): "
+                f"(gap {gap_us:g}, tolerance {TOLERANCE_US:g}): "
                 f"{rec.phases()}"
             )
 

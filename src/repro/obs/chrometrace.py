@@ -15,10 +15,10 @@ a **sim** process.  ``process_name`` / ``process_sort_index`` /
 "tenant 0" and "channel 3", not bare pids and tids.  Timestamps are
 already in microseconds — exactly the unit the format expects.
 
-Multi-device exports namespace pids per device: passing ``device=N`` to
-:func:`to_chrome_trace` shifts every pid by a per-device stride and
-prefixes process names (``device 0 / channels``), so two devices'
-channel rows never collide on pid when merged into one file.
+Multi-device exports namespace pids per device: each device's stream
+has every pid shifted by a per-device stride and its process names
+prefixed (``device 0 / channels``), so two devices' channel rows never
+collide on pid when merged into one file.
 :func:`to_fleet_chrome_trace` merges per-device streams plus an optional
 fleet-level stream (migration spans, fleet SLO alerts) into one
 document — Perfetto then shows one process group per device.
@@ -197,16 +197,10 @@ def _grouped_records(
     return out
 
 
-def to_chrome_trace(
-    events: Iterable[TraceEvent], *, device: int | None = None
-) -> dict:
-    """Build the ``{"traceEvents": [...]}`` document (plain dict).
-
-    ``device`` namespaces the pids for merged multi-device files; the
-    default export is unchanged.
-    """
+def to_chrome_trace(events: Iterable[TraceEvent]) -> dict:
+    """Build the ``{"traceEvents": [...]}`` document (plain dict)."""
     return {
-        "traceEvents": _trace_records(list(events), device=device),
+        "traceEvents": _trace_records(list(events)),
         "displayTimeUnit": "ms",
     }
 
@@ -320,11 +314,9 @@ def write_diff_chrome_trace(
     return len(doc["traceEvents"])
 
 
-def write_chrome_trace(
-    events: Iterable[TraceEvent], path, *, device: int | None = None
-) -> int:
+def write_chrome_trace(events: Iterable[TraceEvent], path) -> int:
     """Write the Chrome-trace JSON to ``path``; returns the event count."""
-    doc = to_chrome_trace(events, device=device)
+    doc = to_chrome_trace(events)
     with open(path, "w") as fh:
         json.dump(doc, fh)
     return len(doc["traceEvents"])

@@ -26,7 +26,7 @@ after the last host completion (trailing GC erases, background buffer
 flushes) to ``internal``.  A ``residual`` bucket absorbs float-rounding
 drift so the report always sums to the makespan *exactly*; the
 ``critpath-exact-sum`` invariant asserts that drift stays within
-``tolerance_us`` — through the runtime
+:data:`~repro.obs.attribution.TOLERANCE_US` — through the runtime
 :class:`~repro.analysis.Sanitizer` when one is attached (counted as
 ``critpath_checks``), as a plain :class:`CritPathError` otherwise.
 
@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 
 from ..schema import Schema
-from .attribution import RequestAttribution
+from .attribution import TOLERANCE_US, RequestAttribution
 
 __all__ = [
     "CRITPATH_SCHEMA_VERSION",
@@ -195,11 +195,6 @@ class BottleneckReport:
         rows.sort(key=lambda item: (-item[1], item[0]))
         return [(name, value) for name, value in rows if value != 0.0]
 
-    def bottleneck(self) -> str | None:
-        """Name of the heaviest contributor, ``None`` on an empty run."""
-        ranked = self.ranked()
-        return ranked[0][0] if ranked else None
-
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
         return CRITPATH_SCHEMA.stamp(
@@ -277,7 +272,6 @@ def extract_critical_path(
     records: list[RequestAttribution],
     makespan_us: float,
     *,
-    tolerance_us: float = 1e-6,
     sanitizer=None,
     validate: bool = True,
 ) -> BottleneckReport:
@@ -290,12 +284,10 @@ def extract_critical_path(
     and the remainder lands in ``internal_tail_us``.
 
     ``validate=True`` asserts the ``critpath-exact-sum`` invariant: the
-    chain's segments reproduce the makespan within ``tolerance_us`` —
+    chain's segments reproduce the makespan within :data:`TOLERANCE_US` —
     through ``sanitizer`` when one is attached, raising
     :class:`CritPathError` otherwise.
     """
-    if tolerance_us <= 0:
-        raise ValueError("tolerance_us must be positive")
     if makespan_us < 0:
         raise ValueError("makespan_us must be non-negative")
     resources: dict[str, dict[str, float]] = {}
@@ -359,12 +351,12 @@ def extract_critical_path(
 
     if validate:
         if sanitizer is not None:
-            sanitizer.on_critpath(covered_us, makespan_us, tolerance_us)
-        elif residual_us > tolerance_us or residual_us < -tolerance_us:
+            sanitizer.on_critpath(covered_us, makespan_us, TOLERANCE_US)
+        elif residual_us > TOLERANCE_US or residual_us < -TOLERANCE_US:
             raise CritPathError(
                 f"critical-path segments sum to {covered_us!r}us but the "
                 f"run makespan is {makespan_us!r}us (gap {-residual_us:g}, "
-                f"tolerance {tolerance_us:g})"
+                f"tolerance {TOLERANCE_US:g})"
             )
 
     return BottleneckReport(

@@ -144,18 +144,18 @@ def build_diff_report(
     )
 
 
-def load_diff(doc: dict, *, side: str = "diff") -> dict:
+def load_diff(doc: dict) -> dict:
     """Validate a diff report produced by :func:`build_diff_report`.
 
     The round-trip reader for the diff schema: refuses version
     mismatches, truncated documents, unknown kinds, and empty section
     maps, so forensics tooling never interprets half a report.
     """
-    DIFF_SCHEMA.load(doc, what=f"{side} report")
+    DIFF_SCHEMA.load(doc)
     if doc["kind"] not in _DIFF_KINDS:
-        raise ValueError(f"{side} report has unknown kind {doc['kind']!r}")
+        raise ValueError(f"diff report has unknown kind {doc['kind']!r}")
     if not isinstance(doc["sections"], dict) or not doc["sections"]:
-        raise ValueError(f"{side} report has no sections")
+        raise ValueError("diff report has no sections")
     return doc
 
 
@@ -478,8 +478,12 @@ _RUN_METRICS = (
     "total_latency_us", "makespan_us", "mean_read_us", "mean_write_us",
 )
 
+#: trace ring size of each re-simulation; a run that overflows it is
+#: refused rather than diffed on a truncated stream
+_TRACE_CAPACITY = 1_048_576
 
-def _observed_run(requests, cfg, sets, faults, trace_capacity: int):
+
+def _observed_run(requests, cfg, sets, faults):
     """One fully-observed simulation: result, event dicts, critpath doc."""
     from ..ssd.simulator import simulate  # lazy: obs must not import ssd at module load
     from . import Observability
@@ -487,7 +491,7 @@ def _observed_run(requests, cfg, sets, faults, trace_capacity: int):
     from .critpath import extract_critical_path
     from .trace import TraceRecorder
 
-    recorder = TraceRecorder(capacity=trace_capacity)
+    recorder = TraceRecorder(capacity=_TRACE_CAPACITY)
     collector = AttributionCollector()
     observed = Observability(trace=recorder, attribution=collector)
     reset_completions(requests)
@@ -498,8 +502,8 @@ def _observed_run(requests, cfg, sets, faults, trace_capacity: int):
     if recorder.evicted:
         raise DiffError(
             f"trace ring evicted {recorder.evicted} events (capacity "
-            f"{recorder.capacity}); raise trace_capacity= — a truncated "
-            "stream cannot localize the first divergence"
+            f"{recorder.capacity}) — a truncated stream cannot localize "
+            "the first divergence"
         )
     critpath = extract_critical_path(
         collector.records, result.makespan_us
@@ -514,17 +518,16 @@ def diff_run(
     cfg_a,
     sets_a,
     cfg_b=None,
-    sets_b=None,
     *,
     faults=None,
     label_a: str = "a",
     label_b: str = "b",
-    trace_capacity: int = 1_048_576,
     keep_events: bool = False,
 ) -> dict:
     """Re-simulate one seeded trace under two configurations and diff.
 
-    Side B defaults to side A's configuration/allocation — the self-diff
+    Both sides run allocation ``sets_a``; side B defaults to side A's
+    configuration — the self-diff
     that must come back empty (the CI determinism assertion).  ``faults``
     must be a stateless :class:`~repro.ssd.faults.FaultConfig` (never a
     used injector) so both runs draw the identical fault sequence.
@@ -545,13 +548,11 @@ def diff_run(
         )
     if cfg_b is None:
         cfg_b = cfg_a
-    if sets_b is None:
-        sets_b = sets_a
     result_a, events_a, critpath_a = _observed_run(
-        requests, cfg_a, sets_a, faults, trace_capacity
+        requests, cfg_a, sets_a, faults
     )
     result_b, events_b, critpath_b = _observed_run(
-        requests, cfg_b, sets_b, faults, trace_capacity
+        requests, cfg_b, sets_a, faults
     )
     metrics_a = {m: getattr(result_a, m) for m in _RUN_METRICS}
     metrics_b = {m: getattr(result_b, m) for m in _RUN_METRICS}

@@ -9,7 +9,9 @@ layer above a :class:`repro.ssd.fleet.Fleet`:
   registry — counters summed, fixed-bucket histograms merged exactly
   (element-wise bucket sums, the same delta-friendly representation the
   telemetry sink windows), and per-device health gauges derived from
-  keeper ``prediction_health`` and ``faults.*`` telemetry;
+  the device's fault telemetry (fleets run no keeper handle; a
+  ``keeper.fallbacks`` counter, when a keeper shares the device's
+  registry, halves the score);
 * :class:`FleetObserver` attaches to a fleet's hooks: every completed
   request feeds ``fleet.*`` counters, and each migration becomes a
   first-class ``tenant_migration`` trace span running from drain-start
@@ -100,25 +102,18 @@ def merge_histograms(name: str, histograms: Sequence[Histogram]) -> Histogram:
 def device_health(registry: MetricsRegistry) -> float:
     """Health score in [0, 1] for one device registry.
 
-    Combines the keeper's prediction health with the device's fault
-    telemetry: a keeper that has fallen back (``keeper.fallbacks`` > 0 or
-    ``keeper.prediction_healthy`` gauge at 0) halves the score, and the
-    unrecoverable-read fraction (``sim.failed_reads`` over
-    ``sim.requests``) scales it down linearly.  A device with no keeper
-    and no faults scores 1.0.
+    The unrecoverable-read fraction (``sim.failed_reads`` over
+    ``sim.requests``) scales the score down linearly, and a keeper that
+    has fallen back on the device's registry (``keeper.fallbacks`` > 0)
+    halves it.  A device with no fallbacks and no faults scores 1.0.
     """
     requests = registry.get("sim.requests")
     failed = registry.get("sim.failed_reads")
     served = requests.value if isinstance(requests, Counter) else 0
     lost = failed.value if isinstance(failed, Counter) else 0
     failed_fraction = (lost / served) if served > 0 else (1.0 if lost else 0.0)
-    keeper_gauge = registry.get("keeper.prediction_healthy")
     fallbacks = registry.get("keeper.fallbacks")
-    keeper_ok = True
-    if isinstance(keeper_gauge, Gauge) and keeper_gauge.value < 1.0:
-        keeper_ok = False
-    if isinstance(fallbacks, Counter) and fallbacks.value > 0:
-        keeper_ok = False
+    keeper_ok = not (isinstance(fallbacks, Counter) and fallbacks.value > 0)
     score = (1.0 if keeper_ok else 0.5) * (1.0 - failed_fraction)
     return max(0.0, min(1.0, score))
 
@@ -578,24 +573,24 @@ def build_fleet_report(fleet_result, *, seed: int, observer=None,
     )
 
 
-def load_fleet(doc: dict, *, side: str = "fleet") -> dict:
+def load_fleet(doc: dict) -> dict:
     """Validate a fleet report produced by :func:`build_fleet_report`.
 
     The round-trip reader for the fleet schema: refuses version
     mismatches and structurally truncated documents so downstream
     consumers never operate on half a report.
     """
-    FLEET_SCHEMA.load(doc, what=f"{side} document")
+    FLEET_SCHEMA.load(doc)
     for entry in doc["devices"]:
         if not isinstance(entry.get("device"), int):
-            raise ValueError(f"{side} document has a malformed device entry")
+            raise ValueError("fleet document has a malformed device entry")
     for migration in doc["migrations"]:
         span = migration.get("span_us")
         if span is not None and (
             not isinstance(span, (int, float)) or not math.isfinite(span)
         ):
             raise ValueError(
-                f"{side} document has a non-finite migration span"
+                "fleet document has a non-finite migration span"
             )
     return doc
 

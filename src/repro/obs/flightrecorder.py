@@ -50,6 +50,13 @@ FLIGHT_SCHEMA = Schema(
 )
 
 
+#: how many of the most recent trace events, attributed requests and
+#: telemetry windows a bundle keeps
+_TRACE_TAIL = 512
+_ATTRIBUTION_TAIL = 64
+_TELEMETRY_TAIL = 32
+
+
 def load_manifest(bundle_dir) -> dict:
     """Read and validate ``manifest.json`` from a flight bundle directory.
 
@@ -65,8 +72,7 @@ class FlightRecorder:
     """Dump-on-failure bundle writer (one directory per trigger)."""
 
     def __init__(self, out_dir, *, context=None, replay_argv=None,
-                 explain_argv=None, trace_tail=512, attribution_tail=64,
-                 telemetry_tail=32, last_good=None) -> None:
+                 explain_argv=None, last_good=None) -> None:
         self.out_dir = Path(out_dir)
         #: caller-supplied run description (config, seeds, scenario name…)
         self.context = dict(context) if context else {}
@@ -81,9 +87,6 @@ class FlightRecorder:
         #: argv of the ``repro explain`` invocation that diagnoses this
         #: run's bottleneck offline (``None`` = no canned explainer)
         self.explain_argv = list(explain_argv) if explain_argv else None
-        self.trace_tail = trace_tail
-        self.attribution_tail = attribution_tail
-        self.telemetry_tail = telemetry_tail
         #: set by :class:`repro.obs.Observability` when carried by one
         self.obs = None
         #: set by the device probe when a sanitizer is attached
@@ -114,14 +117,14 @@ class FlightRecorder:
             _write_json(bundle / "metrics.json", obs.registry.snapshot())
             files.append("metrics.json")
             if obs.trace is not None and obs.trace.enabled:
-                events = obs.trace.events()[-self.trace_tail:]
+                events = obs.trace.events()[-_TRACE_TAIL:]
                 with open(bundle / "trace.jsonl", "w", encoding="utf-8") as fh:
                     for ev in events:
                         fh.write(json.dumps(ev.to_dict()) + "\n")
                 files.append("trace.jsonl")
             if obs.attribution is not None:
                 records = obs.attribution.records
-                tail = records[-self.attribution_tail:]
+                tail = records[-_ATTRIBUTION_TAIL:]
                 _write_json(
                     bundle / "attribution_tail.json",
                     [rec.to_dict() for rec in tail],
@@ -155,7 +158,7 @@ class FlightRecorder:
             if obs.telemetry is not None:
                 _write_json(
                     bundle / "telemetry_tail.json",
-                    obs.telemetry.windows[-self.telemetry_tail:],
+                    obs.telemetry.windows[-_TELEMETRY_TAIL:],
                 )
                 files.append("telemetry_tail.json")
         if self.sanitizer is not None:

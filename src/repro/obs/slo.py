@@ -307,16 +307,14 @@ class _Objective:
 class SloWatchdog:
     """Evaluates an :class:`SloSpec` against each telemetry window."""
 
-    def __init__(self, spec: SloSpec, *, registry=None, trace=None,
-                 flight_recorder=None) -> None:
+    def __init__(self, spec: SloSpec) -> None:
         self.spec = spec
         self.alerts: list[SloAlert] = []
         self.windows_evaluated = 0
+        #: output sinks, attached by :meth:`bind`
         self._registry = None
         self._trace = None
         self._flight_recorder = None
-        self.bind(registry=registry, trace=trace,
-                  flight_recorder=flight_recorder)
         self._objectives = self._build_objectives(spec)
 
     def bind(self, *, registry=None, trace=None, flight_recorder=None) -> None:

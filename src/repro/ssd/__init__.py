@@ -22,7 +22,7 @@ from .fleet import Fleet, FleetResult, MigrationPlan, MigrationRecord, seeded_pl
 from .ftl import PageAllocMode
 from .geometry import Geometry, PhysicalAddress
 from .metrics import LatencyAccumulator, OpStats, SimulationResult
-from .request import IORequest, OpType, SubRequest
+from .request import IORequest, OpType
 from .simulator import SSDSimulator, simulate
 from .timing import ServiceTimes
 
@@ -42,7 +42,6 @@ __all__ = [
     "PhysicalAddress",
     "IORequest",
     "OpType",
-    "SubRequest",
     "ServiceTimes",
     "LatencyAccumulator",
     "OpStats",

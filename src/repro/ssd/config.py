@@ -21,6 +21,9 @@ KiB = 1024
 MiB = 1024 * KiB
 GiB = 1024 * MiB
 
+#: blocks per plane of :meth:`SSDConfig.small` (the paper's device has 4096)
+_SMALL_BLOCKS_PER_PLANE = 64
+
 #: Counterfactual knob name -> config fields it scales.  The what-if
 #: engine (``repro.obs.whatif``) re-simulates a run with one knob scaled
 #: by a factor; keeping the mapping here, next to the fields, means a
@@ -172,13 +175,13 @@ class SSDConfig:
         return cls()
 
     @classmethod
-    def small(cls, *, channels: int = 8, blocks_per_plane: int = 64) -> "SSDConfig":
+    def small(cls) -> "SSDConfig":
         """A shrunken device for tests and fast sweeps.
 
         Keeps the channel/chip topology of the paper but reduces the block
         count so that GC behaviour can be exercised with short traces.
         """
-        return cls(channels=channels, blocks_per_plane=blocks_per_plane)
+        return cls(blocks_per_plane=_SMALL_BLOCKS_PER_PLANE)
 
     def replace(self, **changes: object) -> "SSDConfig":
         """Return a copy with ``changes`` applied (frozen-dataclass update)."""

@@ -47,7 +47,6 @@ class FTLController:
         page_modes: Mapping[int, PageAllocMode] | None = None,
         *,
         load_fn: LoadFn | None = None,
-        tenant_lpn_space: int | None = None,
         probe=None,
         faults: FaultInjector | None = None,
         sanitizer=None,
@@ -80,9 +79,8 @@ class FTLController:
         self.load_fn = load_fn or _idle_load
         self.page_modes: dict[int, PageAllocMode] = {}
         self._install(channel_sets, page_modes)
-        if tenant_lpn_space is None:
-            tenant_lpn_space = config.logical_pages // max(1, len(self.channel_sets))
-        self.tenant_lpn_space = tenant_lpn_space
+        #: each tenant's private logical address space, in pages
+        self.tenant_lpn_space = config.logical_pages // max(1, len(self.channel_sets))
         #: pages pre-seeded on behalf of reads of cold data
         self.seeded_pages = 0
 

@@ -480,12 +480,6 @@ def fast_simulate(
     requests: Iterable[IORequest],
     config: SSDConfig,
     channel_sets: Mapping[int, Sequence[int]],
-    page_modes: Mapping[int, PageAllocMode] | None = None,
-    *,
-    record_latencies: bool = False,
-    faults: FaultConfig | None = None,
 ) -> SimulationResult:
     """One-call twin of :func:`~repro.ssd.simulator.simulate` on the fast model."""
-    return FastLatencyModel(
-        config, requests, faults=faults, record_latencies=record_latencies
-    ).run(channel_sets, page_modes)
+    return FastLatencyModel(config, requests).run(channel_sets)

@@ -180,13 +180,11 @@ class Fleet:
         self._traces: dict[int, list[IORequest]] = {}
         self._ran = False
         for dev_id, sim in enumerate(self.sims):
-            sim.on_complete = self._completion_hook(dev_id, sim.on_complete)
+            sim.on_complete = self._completion_hook(dev_id)
 
     # ------------------------------------------------------------------
-    def _completion_hook(self, dev_id: int, inner):
+    def _completion_hook(self, dev_id: int):
         def hook(req: IORequest) -> None:
-            if inner is not None:
-                inner(req)
             per = self.completions[dev_id]
             per[req.workload_id] = per.get(req.workload_id, 0) + 1
             rec = self._open_spans.get(req.workload_id)

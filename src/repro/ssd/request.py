@@ -2,8 +2,8 @@
 
 An :class:`IORequest` is one host command from one tenant: read or write,
 starting LPN, length in pages, arrival time.  The controller splits it into
-per-page :class:`SubRequest` units; the request completes when its slowest
-sub-request completes (the paper's Section III observation: "the latency of
+per-page units; the request completes when its slowest page access
+completes (the paper's Section III observation: "the latency of
 the request depends on the slowest chip access").
 """
 
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import enum
 
-__all__ = ["OpType", "IORequest", "SubRequest"]
+__all__ = ["OpType", "IORequest"]
 
 
 class OpType(enum.IntEnum):
@@ -89,25 +89,3 @@ class IORequest:
     @property
     def is_read(self) -> bool:
         return self.op is OpType.READ
-
-
-@dataclass
-class SubRequest:
-    """One per-page unit of work derived from an :class:`IORequest`."""
-
-    parent: IORequest
-    lpn: int
-    #: Completion time of this page access (microseconds).
-    complete_us: float = -1.0
-
-    @property
-    def op(self) -> OpType:
-        return self.parent.op
-
-    @property
-    def workload_id(self) -> int:
-        return self.parent.workload_id
-
-    @property
-    def arrival_us(self) -> float:
-        return self.parent.arrival_us

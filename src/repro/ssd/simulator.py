@@ -51,6 +51,10 @@ class _InFlight:
 class SSDSimulator:
     """One simulated device plus its FTL, ready to run one trace.
 
+    The device builds its own event loop; no pre-built loop is passed in.
+    A :class:`~repro.ssd.fleet.Fleet` composes the devices' loops and sets
+    each device's ``on_complete`` attribute after construction.
+
     Parameters
     ----------
     config:
@@ -81,10 +85,8 @@ class SSDSimulator:
         *,
         record_latencies: bool = False,
         on_submit=None,
-        on_complete=None,
         read_priority: bool = False,
         buffer: "BufferConfig | None" = None,
-        loop: "EventLoop | None" = None,
         obs=None,
         faults: "FaultConfig | FaultInjector | None" = None,
         sanitizer=None,
@@ -93,17 +95,18 @@ class SSDSimulator:
         #: optional callback fired with each request at its submission time
         #: (the hook the SSDKeeper features collector attaches to).
         self.on_submit = on_submit
-        #: optional callback fired with each request when its last page
-        #: completes (failed reads included) — the hook fleet migration
-        #: spans and conservation accounting attach to.
-        self.on_complete = on_complete
+        #: callback fired with each request when its last page completes
+        #: (failed reads included); ``None`` on a solo device.  A
+        #: :class:`~repro.ssd.fleet.Fleet` sets it after construction for
+        #: its migration spans and conservation accounting.
+        self.on_complete = None
         #: queue discipline: FIFO (SSDSim-faithful) unless reads may overtake
         self._read_prio = PRIO_READ if read_priority else PRIO_WRITE
         self.times = ServiceTimes.from_config(config)
-        #: the device's own clock.  A caller may pass a pre-built loop so a
-        #: :class:`~repro.ssd.engine.ComposedLoop` can interleave several
-        #: devices; behaviour is identical to the self-owned default.
-        self.loop = loop if loop is not None else EventLoop()
+        #: the device's own clock; a :class:`~repro.ssd.fleet.Fleet`
+        #: interleaves several devices' loops in one
+        #: :class:`~repro.ssd.engine.ComposedLoop`
+        self.loop = EventLoop()
         self.channels = [
             Resource(self.loop, name=f"ch{c}", kind="channel")
             for c in range(config.channels)

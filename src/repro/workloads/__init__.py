@@ -21,14 +21,7 @@ from .mixer import MixedWorkload, mix, synthesize_mix
 from .spec import WorkloadSpec
 from .stats import TraceStats, analyze, per_workload
 from .synthetic import generate, generate_arrays
-from .transform import (
-    clone,
-    remap_workloads,
-    rescale_time,
-    rescale_to_rate,
-    shift_time,
-    slice_window,
-)
+from .transform import clone
 
 __all__ = [
     "WorkloadSpec",
@@ -46,11 +39,6 @@ __all__ = [
     "analyze",
     "per_workload",
     "clone",
-    "remap_workloads",
-    "rescale_time",
-    "rescale_to_rate",
-    "shift_time",
-    "slice_window",
     "msr",
     "traces",
 ]

@@ -1,12 +1,9 @@
-"""Trace transformations: rescaling, slicing, shifting, relabelling.
+"""Fresh copies of a request list.
 
-Real traces rarely arrive at the intensity an experiment needs —
-the MSR traces cover a week while a simulation window covers milliseconds.
-These utilities let a user reshape any request list without touching its
-structure: compress or stretch time, cut windows, offset arrival times,
-or renumber tenants.  All functions return **new** request objects; inputs
-are never mutated (simulation results attach to request instances, so
-sharing them across runs is a foot-gun these helpers avoid).
+Simulation results attach to request instances (completion times, latency),
+so a trace replayed on two devices or under two allocations needs its own
+request objects each time.  :func:`clone` builds them; the input is never
+mutated.
 """
 
 from __future__ import annotations
@@ -15,14 +12,7 @@ from typing import Sequence
 
 from ..ssd.request import IORequest
 
-__all__ = [
-    "clone",
-    "rescale_time",
-    "rescale_to_rate",
-    "slice_window",
-    "shift_time",
-    "remap_workloads",
-]
+__all__ = ["clone"]
 
 
 def clone(requests: Sequence[IORequest]) -> list[IORequest]:
@@ -37,109 +27,3 @@ def clone(requests: Sequence[IORequest]) -> list[IORequest]:
         )
         for r in requests
     ]
-
-
-def rescale_time(requests: Sequence[IORequest], factor: float) -> list[IORequest]:
-    """Multiply every arrival time by ``factor``.
-
-    ``factor < 1`` compresses the trace (raises intensity); ``factor > 1``
-    stretches it.  Request order, mix and addresses are untouched.
-    """
-    if factor <= 0:
-        raise ValueError("factor must be positive")
-    return [
-        IORequest(
-            arrival_us=r.arrival_us * factor,
-            workload_id=r.workload_id,
-            op=r.op,
-            lpn=r.lpn,
-            length=r.length,
-        )
-        for r in requests
-    ]
-
-
-def rescale_to_rate(
-    requests: Sequence[IORequest], target_rps: float
-) -> list[IORequest]:
-    """Compress/stretch the trace so its mean arrival rate is ``target_rps``."""
-    if target_rps <= 0:
-        raise ValueError("target_rps must be positive")
-    if len(requests) < 2:
-        return clone(requests)
-    ordered = sorted(requests, key=lambda r: r.arrival_us)
-    duration_s = (ordered[-1].arrival_us - ordered[0].arrival_us) / 1e6
-    if duration_s <= 0:
-        return clone(requests)
-    current_rps = (len(ordered) - 1) / duration_s
-    return rescale_time(requests, current_rps / target_rps)
-
-
-def slice_window(
-    requests: Sequence[IORequest],
-    start_us: float,
-    end_us: float,
-    *,
-    rebase: bool = True,
-) -> list[IORequest]:
-    """Requests with ``start_us <= arrival < end_us``.
-
-    ``rebase`` shifts the result so the window starts at time zero.
-    """
-    if end_us <= start_us:
-        raise ValueError("end_us must exceed start_us")
-    offset_us = start_us if rebase else 0.0
-    return [
-        IORequest(
-            arrival_us=r.arrival_us - offset_us,
-            workload_id=r.workload_id,
-            op=r.op,
-            lpn=r.lpn,
-            length=r.length,
-        )
-        for r in requests
-        if start_us <= r.arrival_us < end_us
-    ]
-
-
-def shift_time(requests: Sequence[IORequest], offset_us: float) -> list[IORequest]:
-    """Add ``offset_us`` to every arrival (concatenating phases)."""
-    out = []
-    for r in requests:
-        arrival_us = r.arrival_us + offset_us
-        if arrival_us < 0:
-            raise ValueError("shift would produce a negative arrival time")
-        out.append(
-            IORequest(
-                arrival_us=arrival_us,
-                workload_id=r.workload_id,
-                op=r.op,
-                lpn=r.lpn,
-                length=r.length,
-            )
-        )
-    return out
-
-
-def remap_workloads(
-    requests: Sequence[IORequest], mapping: dict[int, int]
-) -> list[IORequest]:
-    """Renumber tenant ids (e.g. when composing mixes from separate files)."""
-    out = []
-    for r in requests:
-        try:
-            wid = mapping[r.workload_id]
-        except KeyError:
-            raise KeyError(
-                f"workload id {r.workload_id} missing from mapping"
-            ) from None
-        out.append(
-            IORequest(
-                arrival_us=r.arrival_us,
-                workload_id=wid,
-                op=r.op,
-                lpn=r.lpn,
-                length=r.length,
-            )
-        )
-    return out

@@ -35,16 +35,43 @@ def _git_status() -> str | None:
     return proc.stdout if proc.returncode == 0 else None
 
 
+def _cache_files() -> set[Path]:
+    """Files under the checkout's ``.repro-cache/`` (git ignores it)."""
+    cache = ROOT / ".repro-cache"
+    return {p for p in cache.rglob("*") if p.is_file()} if cache.is_dir() else set()
+
+
+@pytest.fixture(scope="session", autouse=True)
+def caches_in_temp_dir(tmp_path_factory):
+    """Point the artifact and lint parse caches at a session temp dir.
+
+    Both default to ``.repro-cache/`` under the working directory; CLI
+    tests run in subprocesses inherit the environment.
+    """
+    root = tmp_path_factory.mktemp("repro-cache")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_CACHE_DIR", str(root / "artifacts"))
+        mp.setenv("REPRO_LINT_CACHE_DIR", str(root / "lint-ast"))
+        yield
+
+
 @pytest.fixture(scope="session", autouse=True)
 def checkout_left_unchanged():
-    """Fail the session if the tests changed the checkout's git status.
+    """Fail the session if the tests changed the checkout.
 
     Tests write only under their temp dirs; a tracked file modified or an
-    untracked file left behind shows up here.  Outside a git checkout the
-    guard does nothing.
+    untracked file left behind shows up in ``git status``, and a file
+    added under the ignored ``.repro-cache/`` shows up in its listing.
+    Outside a git checkout the status check does nothing.
     """
     before = _git_status()
+    cache_before = _cache_files()
     yield
+    added = sorted(str(p.relative_to(ROOT)) for p in _cache_files() - cache_before)
+    assert not added, (
+        f"the test session wrote {len(added)} file(s) under .repro-cache/: "
+        + ", ".join(added[:5])
+    )
     if before is None:
         return
     after = _git_status()

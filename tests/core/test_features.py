@@ -22,7 +22,7 @@ class TestFeatureVector:
             characteristics=(1, 0, 1, 0),
             proportions=(0.1, 0.2, 0.3, 0.4),
         )
-        assert fv.dimensions == 9
+        assert len(fv.to_array()) == 9
         assert fv.n_tenants == 4
         assert str(fv) == "[5] [1,0,1,0] [0.10,0.20,0.30,0.40]"
 

@@ -162,7 +162,7 @@ class TestValidation:
         with pytest.raises(ValueError):
             SSDKeeper(
                 make_allocator(),
-                SSDConfig.small(channels=4),
+                SSDConfig.small().replace(channels=4),
                 collect_window_us=1.0,
                 intensity_quantum=1.0,
             )

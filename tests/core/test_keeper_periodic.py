@@ -312,7 +312,11 @@ def test_one_replay_per_keeper_window(monkeypatch):
                 yield strategy
 
     cfg = labeler.LabelerConfig(window_requests_max=600)
-    mix = labeler.random_mix(cfg, np.random.default_rng(4))
+    rng = np.random.default_rng(4)
+    specs, total = labeler.random_specs(cfg, rng)
+    mix = synthesize_mix(
+        specs, total_requests=total, seed=int(rng.integers(0, 2**31 - 1))
+    )
     fv = features_mod.features_of_mix(mix, intensity_quantum=cfg.intensity_quantum)
     runs.clear()
     space = CountingSpace(cfg.ssd.channels, cfg.n_tenants)

@@ -7,13 +7,11 @@ from repro.core import (
     Dataset,
     LabelerConfig,
     StrategySpace,
-    best_strategy,
     generate_dataset,
     label_sample,
-    random_mix,
     random_specs,
 )
-from repro.core.features import N_INTENSITY_LEVELS, features_of_mix
+from repro.core.features import N_INTENSITY_LEVELS
 from repro.core.labeler import _SHARE_GRID, _snap_to_grid, pick_label
 from repro.ssd import SSDConfig
 
@@ -152,17 +150,6 @@ class TestLabelSample:
         assert 0 <= sample.label < 42
 
 
-class TestBestStrategy:
-    def test_single_sweep_labels(self, fast_cfg, rng):
-        space = StrategySpace()
-        mixed = random_mix(fast_cfg, rng, intensity_level=8)
-        fv = features_of_mix(mixed, intensity_quantum=fast_cfg.intensity_quantum)
-        sample = best_strategy(mixed, fv, space, fast_cfg)
-        assert sample.label == pick_label(
-            sample.total_latencies_us, fast_cfg.tie_epsilon
-        )
-
-
 class TestDataset:
     def test_generate_and_roundtrip(self, fast_cfg, rng, tmp_path):
         ds = generate_dataset(5, fast_cfg, seed=1)
@@ -175,11 +162,6 @@ class TestDataset:
         assert np.array_equal(loaded.features, ds.features)
         assert np.array_equal(loaded.labels, ds.labels)
         assert loaded.n_classes == 42
-
-    def test_progress_callback(self, fast_cfg):
-        calls = []
-        generate_dataset(3, fast_cfg, seed=2, progress=lambda i, n: calls.append((i, n)))
-        assert calls == [(1, 3), (2, 3), (3, 3)]
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -70,10 +70,6 @@ class TestDatasetAndTraining:
         fv = FeatureVector(5, (0, 1, 0, 1), (0.25, 0.25, 0.25, 0.25))
         assert a.predict_index(fv) == b.predict_index(fv)
 
-    def test_trained_learner_rejects_unknown_variant(self, micro, cache):
-        with pytest.raises(ValueError):
-            trained_learner(micro, cache=cache, variant="Adam-cubic")
-
     def test_cached_learner_or_none(self, micro, cache):
         from repro.harness import cached_learner_or_none
 

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.harness import banner, format_series, format_table, normalize
+from repro.harness import banner, format_series, format_table
+from repro.harness.reporting import _BANNER_WIDTH
 
 
 class TestFormatTable:
@@ -41,23 +42,11 @@ class TestFormatSeries:
             format_series("x", [1, 2], {"s": [1.0]})
 
 
-class TestNormalize:
-    def test_first_element_reference(self):
-        assert normalize([2.0, 4.0, 1.0]) == [1.0, 2.0, 0.5]
-
-    def test_explicit_reference(self):
-        assert normalize([2.0, 4.0], reference=4.0) == [0.5, 1.0]
-
-    def test_empty(self):
-        assert normalize([]) == []
-
-    def test_zero_reference_rejected(self):
-        with pytest.raises(ValueError):
-            normalize([0.0, 1.0])
-
-
 class TestBanner:
     def test_centred(self):
-        text = banner("Fig 2", width=20)
+        text = banner("Fig 2")
         assert "Fig 2" in text
-        assert len(text) == 20
+        assert len(text) == _BANNER_WIDTH
+        left, right = text.split(" Fig 2 ")
+        assert set(left) == set(right) == {"="}
+        assert abs(len(left) - len(right)) <= 1

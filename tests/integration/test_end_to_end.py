@@ -31,7 +31,7 @@ def pipeline():
         replications=1,
     )
     space = StrategySpace(cfg.ssd.channels, cfg.n_tenants)
-    dataset = generate_dataset(16, cfg, seed=7, space=space)
+    dataset = generate_dataset(16, cfg, seed=7)
     learner = StrategyLearner(space, activation="logistic", seed=0)
     history = learner.train(dataset, optimizer="adam", iterations=40, seed=0)
     return cfg, learner, history, dataset

@@ -19,12 +19,11 @@ import pytest
 
 from repro.analysis import Sanitizer
 from repro.obs import Observability
+from repro.obs.attribution import TOLERANCE_US
 from repro.obs.critpath import extract_critical_path
 from repro.obs.whatif import run_whatif
 from repro.ssd import FaultConfig, SSDConfig, simulate
 from repro.workloads import WorkloadSpec, synthesize_mix
-
-TOLERANCE_US = 1e-6
 
 
 def gc_fault_scenario():
@@ -51,8 +50,7 @@ def explained_run():
     result = simulate(requests, config, sets, record_latencies=True,
                       obs=obs, faults=faults, sanitizer=sanitizer)
     report = extract_critical_path(
-        obs.attribution.records, result.makespan_us,
-        tolerance_us=TOLERANCE_US, sanitizer=sanitizer,
+        obs.attribution.records, result.makespan_us, sanitizer=sanitizer,
     )
     return requests, config, sets, faults, obs, result, report, sanitizer
 
@@ -85,7 +83,7 @@ class TestGoldenExactSum:
         *_, report, _san = explained_run
         # the run is GC-bound by construction: die gc/wait time dominates
         assert report.phase_totals_us["gc_stall_us"] > 0.0
-        assert report.bottleneck().startswith("die")
+        assert report.ranked()[0][0].startswith("die")
 
     def test_sanitizer_counted_the_check(self, explained_run):
         *_, result, _report, sanitizer = explained_run

@@ -96,7 +96,7 @@ class TestOtherDevices:
         sample = label_sample(cfg, np.random.default_rng(1), space)
         assert 0 <= sample.label < 8
         assert len(sample.total_latencies_us) == 8
-        assert sample.features.dimensions == 5  # 1 + 2*2
+        assert len(sample.features.to_array()) == 5  # 1 + 2*2
 
 
 class TestSingleChannelDegenerate:

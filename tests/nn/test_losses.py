@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import MeanSquaredError, SoftmaxCrossEntropy, get_loss, one_hot
+from repro.nn import SoftmaxCrossEntropy
 
 
 def numeric_grad(loss, logits, targets, eps=1e-6):
@@ -33,7 +33,7 @@ class TestSoftmaxCrossEntropy:
         logits = np.array([[1.0, 2.0, 0.5], [0.0, 0.1, 3.0]])
         labels = np.array([1, 2])
         assert loss.value(logits, labels) == pytest.approx(
-            loss.value(logits, one_hot(labels, 3))
+            loss.value(logits, np.eye(3)[labels])
         )
 
     def test_rejects_wrong_one_hot_width(self):
@@ -54,34 +54,3 @@ class TestSoftmaxCrossEntropy:
         logits = rng.normal(size=(4, 6))
         grad = loss.backward(logits, rng.integers(0, 6, size=4))
         assert np.allclose(grad.sum(axis=1), 0.0, atol=1e-12)
-
-
-class TestMeanSquaredError:
-    def test_zero_at_perfect_fit(self):
-        loss = MeanSquaredError()
-        pred = np.array([[1.0, 2.0]])
-        assert loss.value(pred, pred) == 0.0
-
-    def test_value(self):
-        loss = MeanSquaredError()
-        pred = np.array([[3.0]])
-        target = np.array([[1.0]])
-        assert loss.value(pred, target) == pytest.approx(2.0)  # 0.5 * 2^2
-
-    def test_gradient_matches_numeric(self, rng):
-        loss = MeanSquaredError()
-        pred = rng.normal(size=(4, 3))
-        target = rng.normal(size=(4, 3))
-        analytic = loss.backward(pred, target)
-        numeric = numeric_grad(loss, pred, target)
-        assert np.allclose(analytic, numeric, atol=1e-5)
-
-
-class TestRegistry:
-    def test_lookup(self):
-        assert isinstance(get_loss("mse"), MeanSquaredError)
-        assert isinstance(get_loss("softmax_cross_entropy"), SoftmaxCrossEntropy)
-
-    def test_unknown_rejected(self):
-        with pytest.raises(ValueError):
-            get_loss("hinge")

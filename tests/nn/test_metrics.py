@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import (
-    accuracy,
-    classification_report,
-    confusion_matrix,
-    per_class_stats,
-    top_k_accuracy,
-)
+from repro.nn import accuracy, top_k_accuracy
 
 
 class TestAccuracy:
@@ -58,59 +52,3 @@ class TestTopK:
             top_k_accuracy(np.zeros((2, 3)), np.zeros(2), 0)
         with pytest.raises(ValueError):
             top_k_accuracy(np.zeros((2, 3)), np.zeros(3), 1)
-
-
-class TestConfusionMatrix:
-    def test_counts(self):
-        m = confusion_matrix(np.array([0, 1, 1, 2]), np.array([0, 1, 2, 2]), 3)
-        assert m[0, 0] == 1
-        assert m[1, 1] == 1
-        assert m[2, 1] == 1  # true 2 predicted 1
-        assert m[2, 2] == 1
-        assert m.sum() == 4
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            confusion_matrix(np.array([5]), np.array([0]), 3)
-
-
-class TestPerClassStats:
-    def test_perfect_classifier(self):
-        m = np.diag([5, 3, 2])
-        for s in per_class_stats(m):
-            assert s.precision == 1.0
-            assert s.recall == 1.0
-            assert s.f1 == 1.0
-
-    def test_known_values(self):
-        # true 0: 2 correct, 1 predicted as 1; true 1: all correct (3)
-        m = np.array([[2, 1], [0, 3]])
-        stats = per_class_stats(m)
-        assert stats[0].recall == pytest.approx(2 / 3)
-        assert stats[0].precision == 1.0
-        assert stats[1].precision == pytest.approx(3 / 4)
-        assert stats[1].support == 3
-
-    def test_zero_support_class(self):
-        m = np.array([[1, 0], [0, 0]])
-        stats = per_class_stats(m)
-        assert stats[1].recall == 0.0
-        assert stats[1].f1 == 0.0
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            per_class_stats(np.zeros((2, 3)))
-
-
-class TestReport:
-    def test_report_contains_classes_and_weighted_f1(self):
-        m = np.diag([4, 6])
-        text = classification_report(m, class_names=["Shared", "1:7"])
-        assert "Shared" in text
-        assert "1:7" in text
-        assert "weighted-f1" in text
-
-    def test_min_support_filters(self):
-        m = np.diag([4, 0])
-        text = classification_report(m, class_names=["a", "b"])
-        assert "b" not in text.splitlines()[-2]

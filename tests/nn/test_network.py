@@ -37,11 +37,6 @@ class TestForward:
         net = MLP([4, 8, 3], seed=0)
         assert net.forward(rng.normal(size=4)).shape == (1, 3)
 
-    def test_predict_proba_rows_sum_to_one(self, rng):
-        net = MLP([4, 8, 3], seed=0)
-        probs = net.predict_proba(rng.normal(size=(6, 4)))
-        assert np.allclose(probs.sum(axis=1), 1.0)
-
     def test_predict_is_argmax(self, rng):
         net = MLP([4, 8, 3], seed=0)
         x = rng.normal(size=(6, 4))
@@ -71,12 +66,10 @@ class TestEvaluate:
         assert loss < 0.3
 
     def test_evaluate_accepts_one_hot(self, rng):
-        from repro.nn import one_hot
-
         net = MLP([3, 4, 2], seed=0)
         x = rng.normal(size=(10, 3))
         y = rng.integers(0, 2, size=10)
         loss_int, acc_int = net.evaluate(x, y)
-        loss_oh, acc_oh = net.evaluate(x, one_hot(y, 2))
+        loss_oh, acc_oh = net.evaluate(x, np.eye(2)[y])
         assert loss_int == pytest.approx(loss_oh)
         assert acc_int == acc_oh

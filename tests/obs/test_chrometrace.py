@@ -3,6 +3,7 @@
 import json
 
 from repro.obs import TraceEvent, to_chrome_trace, write_chrome_trace
+from repro.obs.chrometrace import _trace_records
 
 
 def sample_events():
@@ -12,6 +13,11 @@ def sample_events():
         TraceEvent(3.5, "channel_release", "ch0", "resource"),
         TraceEvent(1.5, "die_acquire", "die2", "resource", dur_us=40.0),
     ]
+
+
+def device_doc(device):
+    """One device's pid-namespaced stream."""
+    return {"traceEvents": _trace_records(sample_events(), device=device)}
 
 
 class TestToChromeTrace:
@@ -100,21 +106,23 @@ class TestToChromeTrace:
 
 
 class TestDeviceNamespacing:
+    """Per-device pid namespaces, as the fleet and diff merges build them."""
+
     def test_default_output_is_unchanged(self):
-        """``device=None`` must keep the classic solo pids/names."""
+        """A solo export keeps the classic pids/names."""
         doc = to_chrome_trace(sample_events())
         pids = {r["pid"] for r in doc["traceEvents"]}
         assert pids == {1, 2, 3}
 
     def test_device_offsets_every_pid(self):
         solo = to_chrome_trace(sample_events())
-        dev1 = to_chrome_trace(sample_events(), device=1)
+        dev1 = device_doc(1)
         solo_pids = sorted({r["pid"] for r in solo["traceEvents"]})
         dev1_pids = sorted({r["pid"] for r in dev1["traceEvents"]})
         assert dev1_pids == [p + 20 for p in solo_pids]
 
     def test_device_prefixes_process_names(self):
-        doc = to_chrome_trace(sample_events(), device=0)
+        doc = device_doc(0)
         names = {
             r["args"]["name"]
             for r in doc["traceEvents"]
@@ -125,8 +133,8 @@ class TestDeviceNamespacing:
         }
 
     def test_two_devices_never_collide_on_pid(self):
-        a = to_chrome_trace(sample_events(), device=0)
-        b = to_chrome_trace(sample_events(), device=1)
+        a = device_doc(0)
+        b = device_doc(1)
         pids_a = {r["pid"] for r in a["traceEvents"]}
         pids_b = {r["pid"] for r in b["traceEvents"]}
         assert not pids_a & pids_b
@@ -135,12 +143,12 @@ class TestDeviceNamespacing:
         import pytest
 
         with pytest.raises(ValueError):
-            to_chrome_trace(sample_events(), device=-1)
+            device_doc(-1)
 
     def test_structure_identical_modulo_namespace(self):
         """Namespacing shifts pids and prefixes names — nothing else."""
         solo = to_chrome_trace(sample_events())["traceEvents"]
-        dev0 = to_chrome_trace(sample_events(), device=0)["traceEvents"]
+        dev0 = device_doc(0)["traceEvents"]
         assert len(solo) == len(dev0)
         for s, d in zip(solo, dev0):
             assert d["pid"] == s["pid"] + 10

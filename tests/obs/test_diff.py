@@ -478,10 +478,11 @@ class TestRunDiff:
         assert events_a and isinstance(events_a[0], dict)
         load_diff(report)  # valid once the carry-alongs are popped
 
-    def test_truncated_ring_is_refused(self, small_scenario):
+    def test_truncated_ring_is_refused(self, small_scenario, monkeypatch):
         requests, cfg, sets, faults = small_scenario
+        monkeypatch.setattr("repro.obs.diff._TRACE_CAPACITY", 64)
         with pytest.raises(DiffError, match="trace ring evicted"):
-            diff_run(requests, cfg, sets, faults=faults, trace_capacity=64)
+            diff_run(requests, cfg, sets, faults=faults)
 
     def test_stateful_injector_is_rejected(self, small_scenario):
         from repro.ssd.faults import FaultConfig, FaultInjector

@@ -76,12 +76,6 @@ class TestDeviceHealth:
         registry.counter("keeper.fallbacks").value = 1
         assert device_health(registry) == pytest.approx(0.5)
 
-    def test_unhealthy_gauge_halves(self):
-        registry = MetricsRegistry()
-        registry.counter("sim.requests").value = 10
-        registry.gauge("keeper.prediction_healthy").set(0.0)
-        assert device_health(registry) == pytest.approx(0.5)
-
 
 class TestFleetRegistry:
     def make_devices(self):

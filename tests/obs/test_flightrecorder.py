@@ -8,6 +8,7 @@ from repro.obs import (
     Observability,
     SloSpec,
 )
+from repro.obs.flightrecorder import _TRACE_TAIL
 
 REQUIRED_MANIFEST_KEYS = {
     "schema_version", "trigger", "detail", "time_us", "context",
@@ -112,13 +113,13 @@ class TestWithObservability:
         assert alerts["history"] == []
 
     def test_trace_tail_truncates(self, tmp_path):
-        rec = FlightRecorder(tmp_path, trace_tail=3)
+        rec = FlightRecorder(tmp_path)
         obs = Observability(trace=True, flight_recorder=rec)
-        for i in range(10):
+        for i in range(_TRACE_TAIL + 7):
             obs.trace.emit(float(i), "submit", "wid0")
         bundle = rec.dump("exception")
         lines = (bundle / "trace.jsonl").read_text().strip().splitlines()
-        assert len(lines) == 3
+        assert len(lines) == _TRACE_TAIL
         assert json.loads(lines[0])["ts_us"] == 7.0
 
 

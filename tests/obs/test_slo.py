@@ -124,7 +124,9 @@ class TestBurnRateAlerting:
         spec = SloSpec.from_dict(spec_data(**overrides))
         registry = MetricsRegistry()
         trace = TraceRecorder()
-        return SloWatchdog(spec, registry=registry, trace=trace), registry, trace
+        watchdog = SloWatchdog(spec)
+        watchdog.bind(registry=registry, trace=trace)
+        return watchdog, registry, trace
 
     def test_clean_windows_raise_nothing(self):
         watchdog, registry, _ = self.make()

@@ -80,7 +80,7 @@ class TestCounterfactual:
 
     def test_shared_allocation_gives_every_tenant_every_channel(self):
         cf = Counterfactual("s", "share", allocation="shared")
-        cfg = SSDConfig.small(channels=4)
+        cfg = SSDConfig.small().replace(channels=4)
         _, sets = cf.apply(cfg, {0: [0], 1: [1]})
         assert sets == {0: [0, 1, 2, 3], 1: [0, 1, 2, 3]}
 

@@ -132,7 +132,8 @@ class TestCapacityPressure:
             pages_per_block=4,
             overprovisioning=0.0,
         )
-        ctrl = FTLController(config, channel_sets={0: [0, 1]}, tenant_lpn_space=64)
+        ctrl = FTLController(config, channel_sets={0: [0, 1]})
+        assert ctrl.tenant_lpn_space == 64  # one tenant owns every page
         # Write unique LPNs up to most of the device; the static stripe plus
         # fallback must never raise until space is truly gone.
         written = 0

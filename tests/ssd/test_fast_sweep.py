@@ -151,7 +151,7 @@ def test_window_replay_matches_fast_simulate_in_any_order(
         result = replay.result(strategy)
         assert first.setdefault(strategy, result) is result
         sets = strategy.channel_sets(SPACE.n_channels, fv.write_dominated())
-        expected = fast_simulate(requests, CONFIG, sets, modes, faults=faults)
+        expected = FastLatencyModel(CONFIG, requests, faults=faults).run(sets, modes)
         assert result == expected
         assert result.per_workload == expected.per_workload
         assert replay.cost_us(strategy) == labeler.objective_us(expected, "mean-sum")
@@ -162,7 +162,7 @@ def test_window_replay_matches_fast_simulate_in_any_order(
 def test_swapping_channel_blocks_keeps_each_tenants_stats(widths):
     requests, _, modes = draw_mix(3, 15)
     results = [
-        fast_simulate(requests, CONFIG, layout(widths, order), modes)
+        FastLatencyModel(CONFIG, requests).run(layout(widths, order), modes)
         for order in ((0, 1, 2, 3), (1, 0, 2, 3), (3, 2, 1, 0))
     ]
     for result in results[1:]:
@@ -190,7 +190,8 @@ def test_reverse_order_sweep_gives_identical_results():
 )
 def test_overlapping_channel_sets_are_exact(sets):
     requests, _, modes = draw_mix(5, 18)
-    assert fast_simulate(requests, CONFIG, sets, modes) == reference(requests, sets, modes)
+    result = FastLatencyModel(CONFIG, requests).run(sets, modes)
+    assert result == reference(requests, sets, modes)
 
 
 def test_a_sweep_simulates_each_group_and_width_once(monkeypatch):

@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.ssd import IORequest, OpType, ServiceTimes, fast_simulate, simulate
+from repro.ssd import (
+    FastLatencyModel,
+    IORequest,
+    OpType,
+    ServiceTimes,
+    fast_simulate,
+    simulate,
+)
 
 
 def shared_sets(n=1, channels=8):
@@ -131,11 +138,11 @@ class TestPlacementModes:
         from repro.ssd import PageAllocMode
 
         reqs = lambda: [write(float(i) * 0.1, 0) for i in range(32)]
-        static = fast_simulate(
-            reqs(), small_config, shared_sets(), {0: PageAllocMode.STATIC}
+        static = FastLatencyModel(small_config, reqs()).run(
+            shared_sets(), {0: PageAllocMode.STATIC}
         )
-        dynamic = fast_simulate(
-            reqs(), small_config, shared_sets(), {0: PageAllocMode.DYNAMIC}
+        dynamic = FastLatencyModel(small_config, reqs()).run(
+            shared_sets(), {0: PageAllocMode.DYNAMIC}
         )
         assert dynamic.write.mean_us < static.write.mean_us
 

@@ -118,3 +118,36 @@ class TestGcUnderPressure:
         assert gc.collections > 0
         for lpn in range(8):
             assert state.mapping.lookup(lpn) is not None
+
+
+class TestFreeBlockReuse:
+    def test_round_robin_reuse_spreads_wear(self):
+        """The FIFO free-block pool must not hammer one block.
+
+        Greedy GC is not a wear-leveller, so the distribution is uneven —
+        but every block of the active plane must participate, and no single
+        block may absorb more than a handful of times its fair share.
+        """
+        state = FlashArrayState(
+            SSDConfig(
+                channels=2,
+                chips_per_channel=1,
+                dies_per_chip=1,
+                planes_per_die=1,
+                blocks_per_plane=16,
+                pages_per_block=4,
+                gc_threshold=0.2,
+                gc_restore=0.35,
+            )
+        )
+        gc = GarbageCollector(state)
+        plane = state.planes[0]
+        for i in range(2000):
+            if not plane.has_free_page():
+                gc.collect(plane)
+            state.write(i % 8, plane)
+            gc.maybe_collect(plane)
+        counts = plane.erase_count
+        assert all(c >= 1 for c in counts), "every block should cycle through"
+        mean = sum(counts) / len(counts)
+        assert max(counts) < 4 * mean

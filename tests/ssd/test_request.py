@@ -1,9 +1,8 @@
-"""IORequest / SubRequest / OpType semantics."""
+"""IORequest / OpType semantics."""
 
 import pytest
 
 from repro.ssd import IORequest, OpType
-from repro.ssd.request import SubRequest
 
 
 class TestOpType:
@@ -53,12 +52,3 @@ class TestIORequest:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             IORequest(**kwargs)
-
-
-class TestSubRequest:
-    def test_delegates_to_parent(self):
-        req = IORequest(arrival_us=3.0, workload_id=7, op=OpType.WRITE, lpn=100, length=2)
-        sub = SubRequest(parent=req, lpn=101)
-        assert sub.op is OpType.WRITE
-        assert sub.workload_id == 7
-        assert sub.arrival_us == 3.0

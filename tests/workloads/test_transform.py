@@ -1,19 +1,7 @@
-"""Trace transformations."""
-
-from hypothesis import given
-from hypothesis import strategies as st
-import pytest
+"""Request-list copies."""
 
 from repro.ssd import IORequest, OpType
-from repro.workloads import (
-    analyze,
-    clone,
-    remap_workloads,
-    rescale_time,
-    rescale_to_rate,
-    shift_time,
-    slice_window,
-)
+from repro.workloads import clone
 
 
 def trace(n=10, gap=100.0):
@@ -34,69 +22,6 @@ class TestClone:
         assert copies[0].lpn == original[0].lpn
 
 
-class TestRescale:
-    def test_factor_applies_to_arrivals_only(self):
-        out = rescale_time(trace(5), 0.5)
-        assert [r.arrival_us for r in out] == [0.0, 50.0, 100.0, 150.0, 200.0]
-        assert [r.lpn for r in out] == [0, 1, 2, 3, 4]
-
-    def test_rejects_nonpositive_factor(self):
-        with pytest.raises(ValueError):
-            rescale_time(trace(2), 0.0)
-
-    def test_rescale_to_rate_hits_target(self):
-        original = trace(101, gap=1000.0)  # 1k req/s
-        out = rescale_to_rate(original, 5000.0)
-        assert analyze(out).rate_rps == pytest.approx(5000.0, rel=0.02)
-
-    def test_rescale_to_rate_short_traces_pass_through(self):
-        single = trace(1)
-        assert len(rescale_to_rate(single, 100.0)) == 1
-
-    @given(factor=st.floats(0.01, 100.0))
-    def test_rescaling_preserves_order(self, factor):
-        out = rescale_time(trace(20), factor)
-        arrivals = [r.arrival_us for r in out]
-        assert arrivals == sorted(arrivals)
-
-
-class TestSliceWindow:
-    def test_half_open_interval(self):
-        out = slice_window(trace(10), 200.0, 500.0, rebase=False)
-        assert [r.arrival_us for r in out] == [200.0, 300.0, 400.0]
-
-    def test_rebase_shifts_to_zero(self):
-        out = slice_window(trace(10), 200.0, 500.0)
-        assert out[0].arrival_us == 0.0
-
-    def test_empty_window(self):
-        assert slice_window(trace(10), 5000.0, 6000.0) == []
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            slice_window(trace(3), 100.0, 100.0)
-
-
-class TestShift:
-    def test_offset_applied(self):
-        out = shift_time(trace(3), 1000.0)
-        assert [r.arrival_us for r in out] == [1000.0, 1100.0, 1200.0]
-
-    def test_negative_result_rejected(self):
-        with pytest.raises(ValueError):
-            shift_time(trace(3), -50.0)
-
-
-class TestRemap:
-    def test_renumbers(self):
-        out = remap_workloads(trace(4), {0: 7, 1: 3})
-        assert [r.workload_id for r in out] == [7, 3, 7, 3]
-
-    def test_missing_id_rejected(self):
-        with pytest.raises(KeyError):
-            remap_workloads(trace(4), {0: 7})
-
-
 class TestComposition:
     def test_simulation_equivalence_after_clone(self, small_config):
         """Cloned traces drive the simulator identically."""
@@ -107,11 +32,3 @@ class TestComposition:
         a = simulate(clone(reqs), small_config, sets)
         b = simulate(clone(reqs), small_config, sets)
         assert a.total_latency_us == b.total_latency_us
-
-    def test_slice_then_shift_concatenates_phases(self):
-        first = slice_window(trace(10), 0.0, 500.0)
-        second = shift_time(slice_window(trace(10), 0.0, 500.0), 600.0)
-        combined = first + second
-        arrivals = [r.arrival_us for r in combined]
-        assert arrivals == sorted(arrivals)
-        assert len(combined) == 10
