@@ -1,9 +1,9 @@
 """Whole-program model: package-wide symbol table and call graph.
 
 The per-file rules (R001–R004) see one :class:`~repro.analysis.engine.ModuleSource`
-at a time, which is exactly why they cannot answer the questions the
-fleet-scale work needs answered: *where did this RNG's seed come from?*
-(the construction site and the seed parameter live in different modules),
+at a time, which is exactly why they cannot answer the questions that span
+modules: *where did this RNG's seed come from?* (the construction site and
+the seed parameter live in different modules),
 *does this pooled callable touch shared state?* (the mutable global is two
 calls away), *who reads this schema-versioned document back?* (the reader
 lives in another package).

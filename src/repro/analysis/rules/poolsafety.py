@@ -1,7 +1,7 @@
 """R006 — process-pool / shared-state race detector.
 
-``repro.harness.sweep.run_sweep`` (and the fleet-scale sharded event loop
-it will grow into) forks callables onto ``multiprocessing.Pool`` workers.
+``repro.harness.sweep.run_sweep`` forks callables onto
+``multiprocessing.Pool`` workers.
 Three things silently break there:
 
 * **closures and lambdas** don't pickle — the sweep dies at submission;
@@ -15,7 +15,7 @@ Three things silently break there:
 R006 finds every callable that flows into a pool — directly
 (``pool.map(fn, ...)``), through :func:`run_sweep`, or through any
 wrapper whose parameter transitively reaches a pool (discovered by
-fixpoint, so the rule keeps working as the fleet layer adds wrappers) —
+fixpoint, so the rule keeps working as new wrappers appear) —
 and then walks the call graph from that callable, flagging every
 reachable read or write of module-level mutable state with the full
 access path (``worker -> helper -> repro.harness.cache.default_cache

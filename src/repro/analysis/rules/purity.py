@@ -101,9 +101,6 @@ class OptInPurityRule(Rule):
         # must honour the same opt-in contract it observes
         "repro.obs.critpath",
         "repro.obs.whatif",
-        # the fleet plane wires opt-in device bundles together and must
-        # honour the same contract for every handle it touches
-        "repro.obs.fleet",
         # the differential layer re-simulates with its own handles and
         # must not regress the opt-in contract while doing so
         "repro.obs.diff",

@@ -41,7 +41,6 @@ _COMMANDS: dict[str, tuple[str | None, str]] = {
     "explain": ("explain", "critical path and exact counterfactuals"),
     "profile": ("hostprofile", "cProfile a scenario's host hot paths"),
     "drift": ("driftlab", "adaptive vs one-shot keeper under drift"),
-    "fleet": ("fleetlab", "a seeded multi-device fleet"),
     "diff": ("difflab", "differential forensics between two artifacts"),
 }
 

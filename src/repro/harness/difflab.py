@@ -12,7 +12,7 @@ Exit codes follow the harness contract: **0** clean (identical, or no
 regressions for the artifact kinds where benign deltas are expected),
 **1** localized divergence/regression, **2** usage error.  ``run`` and
 ``trace`` diffs are determinism assertions, so *any* divergence exits 1;
-``bench`` / ``critpath`` / ``fleet`` diffs exit 1 only on regressions.
+``bench`` / ``critpath`` diffs exit 1 only on regressions.
 """
 
 from __future__ import annotations
@@ -146,14 +146,6 @@ def _render(report: dict) -> str:
             if device is not None and device != critpath["top_shift"]:
                 line += f"; top device resource: {device}"
             lines.append(line)
-    fleet = sections.get("fleet")
-    if fleet is not None:
-        lines.extend(_format_metric_cells(fleet["metrics"]))
-        if fleet["health"] is not None:
-            lines.append(
-                f"  health: {fleet['health']['a']:.3f} -> "
-                f"{fleet['health']['b']:.3f}"
-            )
     return "\n".join(lines)
 
 
@@ -230,19 +222,6 @@ def _run_critpath(args) -> dict:
     )
 
 
-def _run_fleet(args) -> dict:
-    from ..obs.diff import build_diff_report, diff_fleet_devices
-
-    doc = lab.read_json(args.fleet, what="fleet report")
-    section = diff_fleet_devices(doc, args.device_a, args.device_b)
-    return build_diff_report(
-        "fleet",
-        f"{args.fleet}#device{args.device_a}",
-        f"{args.fleet}#device{args.device_b}",
-        {"fleet": section},
-    )
-
-
 # ----------------------------------------------------------------------
 def add_arguments(parser) -> None:
     modes = parser.add_subparsers(dest="mode", metavar="MODE")
@@ -300,15 +279,7 @@ def add_arguments(parser) -> None:
     p_crit.add_argument("a", help="baseline critpath/explain JSON")
     p_crit.add_argument("b", help="candidate critpath/explain JSON")
 
-    p_fleet = modes.add_parser(
-        "fleet", help="diff two devices of one fleet report",
-    )
-    p_fleet.set_defaults(runner=_run_fleet)
-    p_fleet.add_argument("fleet", help="fleet report JSON")
-    p_fleet.add_argument("device_a", type=int, help="baseline device id")
-    p_fleet.add_argument("device_b", type=int, help="candidate device id")
-
-    for mode in (p_bench, p_run, p_trace, p_crit, p_fleet):
+    for mode in (p_bench, p_run, p_trace, p_crit):
         lab.add_shared(mode, "--json", "--out")
 
 
@@ -316,7 +287,7 @@ def run(args) -> int:
     """``repro diff``: 0 = clean, 1 = localized divergence/regression."""
     if args.mode is None:
         raise lab.UsageError(
-            "a mode is required (bench, run, trace, critpath, fleet)"
+            "a mode is required (bench, run, trace, critpath)"
         )
     try:
         report = args.runner(args)

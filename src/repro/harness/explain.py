@@ -32,14 +32,14 @@ __all__ = [
 ]
 
 #: Bump when the document layout changes shape.
-EXPLAIN_SCHEMA_VERSION = 1
+EXPLAIN_SCHEMA_VERSION = 2
 
 #: "whatif"/"sanitizer" are present only when those passes ran
 EXPLAIN_SCHEMA = Schema(
     "explain document", EXPLAIN_SCHEMA_VERSION,
     required=(
         "scenario", "quick", "requests", "makespan_us", "total_latency_us",
-        "summary", "critpath", "decisions",
+        "summary", "critpath",
     ),
     optional=("whatif", "sanitizer"),
     closed=True,
@@ -67,7 +67,7 @@ def explain_scenario(
     """
     from ..obs import Observability
     from ..obs.critpath import extract_critical_path
-    from ..obs.whatif import explain_decisions, run_whatif
+    from ..obs.whatif import run_whatif
     from ..ssd.simulator import simulate
     from ..workloads.scenarios import build
 
@@ -98,7 +98,6 @@ def explain_scenario(
         total_latency_us=result.total_latency_us,
         summary=result.summary(),
         critpath=report.to_dict(),
-        decisions=explain_decisions(obs.decisions, result.breakdown),
     )
     if whatif:
         wreport = run_whatif(

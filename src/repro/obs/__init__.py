@@ -61,23 +61,10 @@ from .diff import (
     DiffError,
     build_diff_report,
     diff_critpath_docs,
-    diff_fleet_devices,
     diff_run,
     diff_traces,
     load_diff,
     write_diff,
-)
-from .fleet import (
-    FLEET_SCHEMA_VERSION,
-    FleetObserver,
-    FleetRegistry,
-    FleetSloAlert,
-    FleetSloRollup,
-    build_fleet_report,
-    device_health,
-    load_fleet,
-    merge_histograms,
-    write_fleet_report,
 )
 from .flightrecorder import FLIGHT_SCHEMA_VERSION, FlightRecorder
 from .probe import DeviceProbe
@@ -91,7 +78,6 @@ from .whatif import (
     Counterfactual,
     WhatIfReport,
     WhatIfRow,
-    explain_decisions,
     run_whatif,
 )
 
@@ -106,16 +92,6 @@ __all__ = [
     "SloWatchdog",
     "FlightRecorder",
     "FLIGHT_SCHEMA_VERSION",
-    "FLEET_SCHEMA_VERSION",
-    "FleetObserver",
-    "FleetRegistry",
-    "FleetSloAlert",
-    "FleetSloRollup",
-    "build_fleet_report",
-    "device_health",
-    "load_fleet",
-    "merge_histograms",
-    "write_fleet_report",
     "AttributionCollector",
     "AttributionError",
     "LatencyBreakdown",
@@ -132,7 +108,6 @@ __all__ = [
     "WhatIfReport",
     "WhatIfRow",
     "run_whatif",
-    "explain_decisions",
     "WHATIF_SCHEMA_VERSION",
     "MetricsRegistry",
     "Counter",
@@ -152,7 +127,6 @@ __all__ = [
     "DiffError",
     "build_diff_report",
     "diff_critpath_docs",
-    "diff_fleet_devices",
     "diff_run",
     "diff_traces",
     "load_diff",

@@ -15,29 +15,25 @@ a **sim** process.  ``process_name`` / ``process_sort_index`` /
 "tenant 0" and "channel 3", not bare pids and tids.  Timestamps are
 already in microseconds — exactly the unit the format expects.
 
-Multi-device exports namespace pids per device: each device's stream
-has every pid shifted by a per-device stride and its process names
-prefixed (``device 0 / channels``), so two devices' channel rows never
-collide on pid when merged into one file.
-:func:`to_fleet_chrome_trace` merges per-device streams plus an optional
-fleet-level stream (migration spans, fleet SLO alerts) into one
-document — Perfetto then shows one process group per device.
+:func:`to_diff_chrome_trace` puts two runs in one file and namespaces
+pids per side: each side's stream has every pid shifted by a per-device
+stride and its process names prefixed (``device 0 / channels``), so the
+two runs' channel rows never collide on pid — Perfetto then shows one
+process group per run.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .trace import TraceEvent
 
 __all__ = [
     "to_chrome_trace",
     "to_diff_chrome_trace",
-    "to_fleet_chrome_trace",
     "write_chrome_trace",
     "write_diff_chrome_trace",
-    "write_fleet_chrome_trace",
 ]
 
 #: track-prefix -> (pid, process name, thread-name template); matched in
@@ -53,11 +49,11 @@ _FALLBACK_PROCESS = "sim"
 
 #: pid distance between consecutive devices in a merged trace; device
 #: ``d`` occupies pids ``(d + 1) * stride + 1 .. + 4``, leaving the
-#: un-namespaced pids 1..4 (solo exports) and the fleet pid untouched.
+#: un-namespaced pids 1..4 (solo exports) and the diff marker pid untouched.
 _DEVICE_PID_STRIDE = 10
 
-#: process id of the fleet-level row group in merged traces
-_FLEET_PID = 1
+#: process id of the divergence-marker row group in diff traces
+_DIFF_MARKER_PID = 1
 
 
 def _classify(track: str) -> tuple[int, str, str]:
@@ -175,8 +171,8 @@ def _grouped_records(
 ) -> list[dict]:
     """One process row group holding every track of ``events`` as threads.
 
-    Used for the fleet-level stream (migration spans, fleet alerts):
-    tracks become thread rows named verbatim under a single process.
+    Used for a diff trace's divergence markers: tracks become thread
+    rows named verbatim under a single process.
     """
     tracks = sorted({e.track or process for e in events}, key=_track_order)
     tids = {track: i + 1 for i, track in enumerate(tracks)}
@@ -203,30 +199,6 @@ def to_chrome_trace(events: Iterable[TraceEvent]) -> dict:
         "traceEvents": _trace_records(list(events)),
         "displayTimeUnit": "ms",
     }
-
-
-def to_fleet_chrome_trace(
-    device_events: Mapping[int, Iterable[TraceEvent]],
-    *,
-    fleet_events: Iterable[TraceEvent] | None = None,
-) -> dict:
-    """Merge per-device streams (plus a fleet stream) into one document.
-
-    Each device's tracks occupy their own pid-namespaced process group
-    (one row group per device in Perfetto); fleet-level events — the
-    ``tenant_migration`` spans and ``fleet_slo_alert`` instants — sit in
-    a dedicated ``fleet`` process at the top.
-    """
-    records: list[dict] = []
-    if fleet_events is not None:
-        fleet_list = list(fleet_events)
-        if fleet_list:
-            records.extend(_grouped_records(fleet_list, _FLEET_PID, "fleet"))
-    for dev in sorted(device_events):
-        records.extend(
-            _trace_records(list(device_events[dev]), device=dev)
-        )
-    return {"traceEvents": records, "displayTimeUnit": "ms"}
 
 
 def _coerce_events(events: Iterable) -> list[TraceEvent]:
@@ -292,7 +264,7 @@ def to_diff_chrome_trace(
                            end - ts, args)
             )
     if markers:
-        records.extend(_grouped_records(markers, _FLEET_PID, "diff"))
+        records.extend(_grouped_records(markers, _DIFF_MARKER_PID, "diff"))
     records.extend(_trace_records(a, device=0))
     records.extend(_trace_records(b, device=1))
     return {"traceEvents": records, "displayTimeUnit": "ms"}
@@ -317,19 +289,6 @@ def write_diff_chrome_trace(
 def write_chrome_trace(events: Iterable[TraceEvent], path) -> int:
     """Write the Chrome-trace JSON to ``path``; returns the event count."""
     doc = to_chrome_trace(events)
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-    return len(doc["traceEvents"])
-
-
-def write_fleet_chrome_trace(
-    device_events: Mapping[int, Iterable[TraceEvent]],
-    path,
-    *,
-    fleet_events: Iterable[TraceEvent] | None = None,
-) -> int:
-    """Write a merged multi-device trace; returns the record count."""
-    doc = to_fleet_chrome_trace(device_events, fleet_events=fleet_events)
     with open(path, "w") as fh:
         json.dump(doc, fh)
     return len(doc["traceEvents"])

@@ -6,7 +6,7 @@ drift — but nothing *localizes* it: which scenario, which latency phase,
 which resource, which simulated event moved first.  This module is the
 differential layer over the artifacts the repo already produces
 (``BENCH_*.json`` documents, attribution breakdowns, trace streams,
-:class:`~repro.obs.critpath.BottleneckReport` documents, fleet reports).
+:class:`~repro.obs.critpath.BottleneckReport` documents).
 EagleTree's position — SSD-algorithm results are only trustworthy when
 competing runs are instrumented and compared under identical traces —
 is the design brief: every comparator here takes two artifacts of the
@@ -19,7 +19,7 @@ floor, everything else must match exactly), and
 :func:`phase_waterfall`, the **attribution-delta waterfall** (which
 latency phase the moved time went into, heaviest shift first).  The
 bench comparison (:func:`repro.harness.bench.diff_bench_docs`) is built
-from these.  Three comparators, one report schema:
+from these.  Two comparators, one report schema:
 
 * :func:`diff_traces` — positional alignment of two event streams with
   the **first divergent event** (simulated time, event kind, tenant,
@@ -27,12 +27,9 @@ from these.  Three comparators, one report schema:
   byte-identity assertion comes with the exact moment histories forked;
 * :func:`diff_critpath_docs` — two bottleneck reports aligned by
   resource bucket, ranked by how much each resource's on-critical-path
-  time shifted;
-* :func:`diff_fleet_devices` — two device entries of a fleet report
-  compared with the same metric classifier, so device-vs-device drift
-  inside one fleet run is diffable with the same vocabulary.
+  time shifted.
 
-:func:`diff_run` composes the first two: it re-simulates one seeded
+:func:`diff_run` composes both: it re-simulates one seeded
 request trace under two configurations (the same exact-re-execution
 trick the what-if engine uses) with tracing and attribution armed, and
 reports metric deltas, the first divergent trace event, and the
@@ -61,7 +58,6 @@ __all__ = [
     "write_diff",
     "diff_traces",
     "diff_critpath_docs",
-    "diff_fleet_devices",
     "diff_run",
     "metric_table",
     "tally",
@@ -80,15 +76,13 @@ DIFF_SCHEMA = Schema(
 )
 
 #: report kinds the CLI and the loaders accept
-_DIFF_KINDS = frozenset({"bench", "run", "trace", "critpath", "fleet",
-                         "flight"})
+_DIFF_KINDS = frozenset({"bench", "run", "trace", "critpath", "flight"})
 
 #: metrics that regress when they grow (latencies, failure counts)
 _LOWER_BETTER_METRICS = frozenset({
     "wall_s", "sim_mean_read_us", "sim_mean_write_us",
     "sim_total_latency_us", "total_latency_us", "makespan_us",
-    "mean_read_us", "mean_write_us", "read_mean_us", "read_p95_us",
-    "write_mean_us", "write_p95_us", "failed_reads",
+    "mean_read_us", "mean_write_us", "failed_reads",
 })
 
 #: metrics that regress when they shrink (throughput)
@@ -403,68 +397,6 @@ def diff_critpath_docs(doc_a: dict, doc_b: dict) -> dict:
             moved_device[0]["resource"] if moved_device else None
         ),
         "shifts": shifts,
-    }
-
-
-# ----------------------------------------------------------------------
-# Fleet device diff
-# ----------------------------------------------------------------------
-#: per-device fleet-report fields the comparator reads as metrics
-_FLEET_DEVICE_METRICS = (
-    "requests", "subrequests", "failed_reads", "makespan_us",
-    "total_latency_us", "gc_collections", "gc_pages_moved",
-)
-
-
-def diff_fleet_devices(doc: dict, device_a: int, device_b: int) -> dict:
-    """Compare two device entries of one validated fleet report.
-
-    Feeds the fleet loader's per-device sections through the same metric
-    classifier the bench diff uses, plus mean/p95 read and write
-    latencies and (when the report carries a rollup) the two devices'
-    health scores — device-vs-device drift in the bench-diff vocabulary.
-    """
-    from .fleet import load_fleet
-
-    load_fleet(doc)
-    by_device = {entry["device"]: entry for entry in doc["devices"]}
-    for device in (device_a, device_b):
-        if device not in by_device:
-            raise DiffError(
-                f"fleet report has no device {device}; devices: "
-                f"{sorted(by_device)}"
-            )
-    entry_a, entry_b = by_device[device_a], by_device[device_b]
-    metrics_a = {m: entry_a[m] for m in _FLEET_DEVICE_METRICS if m in entry_a}
-    metrics_b = {m: entry_b[m] for m in _FLEET_DEVICE_METRICS if m in entry_b}
-    for op in ("read", "write"):
-        for stat in ("mean_us", "p95_us"):
-            a_stats = entry_a.get(op) or {}
-            b_stats = entry_b.get(op) or {}
-            if stat in a_stats and stat in b_stats:
-                # classified lower-better like every latency metric
-                metrics_a[f"{op}_{stat}"] = a_stats[stat]
-                metrics_b[f"{op}_{stat}"] = b_stats[stat]
-    cells = metric_table(metrics_a, metrics_b)
-    divergences, regressions, improvements = tally(cells)
-    health = None
-    rollup = doc.get("rollup") or {}
-    scores = rollup.get("health") or {}
-    if str(device_a) in scores and str(device_b) in scores:
-        health = {
-            "a": scores[str(device_a)],
-            "b": scores[str(device_b)],
-            "delta": scores[str(device_b)] - scores[str(device_a)],
-        }
-    return {
-        "identical": divergences == 0,
-        "divergences": divergences,
-        "regressions": regressions,
-        "improvements": improvements,
-        "device_a": device_a,
-        "device_b": device_b,
-        "metrics": cells,
-        "health": health,
     }
 
 

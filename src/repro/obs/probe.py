@@ -6,9 +6,9 @@ device) and call it at the simulation moments below.  Everything
 pillar-specific lives here: latency histograms (per tenant, created on
 first use, when telemetry is armed), ``sim.*``/``ftl.*`` counters, trace
 records, attribution spans, flight-recorder triggers, the telemetry
-sampler and the end-of-run publication, the split
-:class:`repro.obs.fleet.FleetObserver` keeps with the fleet substrate.  A probe schedules no events and draws no
-randomness, so an instrumented run simulates exactly what a bare one does.
+sampler and the end-of-run publication.  A probe schedules no events and
+draws no randomness, so an instrumented run simulates exactly what a bare
+one does.
 """
 
 from __future__ import annotations

@@ -283,7 +283,7 @@ class MetricsRegistry:
             out["counters"]["obs.dropped_samples"] = dropped
         return out
 
-    def to_openmetrics(self, *, labels: "dict[str, str] | None" = None) -> str:
+    def to_openmetrics(self) -> str:
         """OpenMetrics text exposition of counters, gauges, and histograms.
 
         Dotted names become underscore-separated; counters gain the
@@ -291,43 +291,33 @@ class MetricsRegistry:
         cumulative ``_bucket{le="..."}`` form with ``_sum`` and
         ``_count``.  Series are omitted (no OpenMetrics equivalent).
         The exposition ends with ``# EOF`` per the spec.
-
-        ``labels`` attaches a constant label set to every sample (e.g.
-        ``{"device": "0", "scenario": "gc_heavy"}`` when federating
-        multiple registries into one scrape).  Label values are escaped
-        per the OpenMetrics ABNF — backslash, double-quote, and newline
-        become ``\\\\``, ``\\"``, and ``\\n`` — so arbitrary scenario
-        names and paths survive exposition parsers.
         """
-        base = _om_labels(labels)
         lines: list[str] = []
         for name in self.names():
             metric = self._metrics[name]
             om = _om_name(name)
             if isinstance(metric, Counter):
                 lines.append(f"# TYPE {om} counter")
-                lines.append(f"{om}_total{base} {_om_value(metric.value)}")
+                lines.append(f"{om}_total {_om_value(metric.value)}")
             elif isinstance(metric, Gauge):
                 lines.append(f"# TYPE {om} gauge")
-                lines.append(f"{om}{base} {_om_value(metric.value)}")
+                lines.append(f"{om} {_om_value(metric.value)}")
             elif isinstance(metric, Histogram):
                 lines.append(f"# TYPE {om} histogram")
                 cum = 0
                 for bound, n in zip(metric.bounds, metric.counts):
                     cum += n
-                    bucket = _om_labels(
-                        {**(labels or {}), "le": _om_value(bound)}
+                    lines.append(
+                        f'{om}_bucket{{le="{_om_value(bound)}"}} {cum}'
                     )
-                    lines.append(f"{om}_bucket{bucket} {cum}")
                 cum += metric.counts[-1]
-                inf_bucket = _om_labels({**(labels or {}), "le": "+Inf"})
-                lines.append(f"{om}_bucket{inf_bucket} {cum}")
-                lines.append(f"{om}_sum{base} {_om_value(metric.total)}")
-                lines.append(f"{om}_count{base} {metric.count}")
+                lines.append(f'{om}_bucket{{le="+Inf"}} {cum}')
+                lines.append(f"{om}_sum {_om_value(metric.total)}")
+                lines.append(f"{om}_count {metric.count}")
         dropped = self.dropped_samples()
         if dropped:
             lines.append("# TYPE obs_dropped_samples counter")
-            lines.append(f"obs_dropped_samples_total{base} {dropped}")
+            lines.append(f"obs_dropped_samples_total {dropped}")
         lines.append("# EOF")
         return "\n".join(lines) + "\n"
 
@@ -340,31 +330,6 @@ def _om_name(name: str) -> str:
     if cleaned and cleaned[0].isdigit():
         cleaned = "_" + cleaned
     return cleaned
-
-
-def _om_label_value(value) -> str:
-    """Escape one label value per the OpenMetrics exposition ABNF.
-
-    Backslash must be escaped first — escaping it last would re-escape
-    the backslashes introduced for quotes and newlines.
-    """
-    return (
-        str(value)
-        .replace("\\", "\\\\")
-        .replace('"', '\\"')
-        .replace("\n", "\\n")
-    )
-
-
-def _om_labels(labels: "dict[str, str] | None") -> str:
-    """Render a label set (sorted for determinism); '' when empty."""
-    if not labels:
-        return ""
-    inner = ",".join(
-        f'{_om_name(key)}="{_om_label_value(value)}"'
-        for key, value in sorted(labels.items())
-    )
-    return "{" + inner + "}"
 
 
 def _om_value(value: float) -> str:

@@ -410,23 +410,6 @@ class SloWatchdog:
                 alert=alert.to_dict(),
             )
 
-    def latest_fractions(self) -> list[tuple[str, float, float]]:
-        """Per-objective ``(name, latest_violation_fraction, allowed)``.
-
-        The hand-off a fleet rollup reads after each :meth:`observe`:
-        objective order is deterministic (the spec's build order), and an
-        objective with no windows yet reports fraction 0.0.  See
-        :class:`repro.obs.fleet.FleetSloRollup`.
-        """
-        return [
-            (
-                obj.name,
-                obj.fractions[-1] if obj.fractions else 0.0,
-                obj.allowed,
-            )
-            for obj in self._objectives
-        ]
-
     def summary(self) -> dict:
         """Plain-data rollup for exports and ``--json`` output."""
         return {

@@ -50,8 +50,6 @@ EVENT_NAMES = (
     "gc_end",
     "keeper_switch",
     "slo_alert",
-    "tenant_migration",
-    "fleet_slo_alert",
 )
 
 

@@ -17,13 +17,6 @@ doubling ``gc_threshold`` past the restore watermark's legal range on
 an aggressive config) are reported as ``inapplicable`` rather than
 failing the sweep.
 
-The module also hosts the **keeper-decision explainer**: each
-:class:`~repro.core.keeper.KeeperDecision` carries the predicted and
-realised mean latency of its decision window; :func:`explain_decisions`
-attributes the gap between them to attribution phases in proportion to
-the run's realised phase mix, so "the model was 80us optimistic" comes
-with "and the optimism is mostly unmodelled GC stalls".
-
 Like the rest of ``repro.obs``, nothing here touches a live run: the
 engine only *launches* fresh simulations from plain inputs (requests,
 config, channel sets, an optional stateless
@@ -43,7 +36,6 @@ __all__ = [
     "WhatIfRow",
     "WhatIfReport",
     "run_whatif",
-    "explain_decisions",
 ]
 
 #: Bump when the report document layout changes shape.
@@ -389,46 +381,3 @@ def run_whatif(
     # shared request objects
     reset_completions(requests)
     return report
-
-
-# ----------------------------------------------------------------------
-def explain_decisions(decisions, breakdown) -> list[dict]:
-    """Attribute each keeper decision's predicted-vs-realised gap to phases.
-
-    ``decisions`` is the run's ``obs.decisions`` list
-    (:class:`~repro.core.keeper.KeeperDecision`); ``breakdown`` the run's
-    :class:`~repro.obs.attribution.LatencyBreakdown` (may be ``None`` —
-    the gap is then reported without a phase split).  The split is
-    proportional to the realised phase mix: the keeper's feature model
-    has no phase-level view, so the best available explanation of its
-    optimism/pessimism is *where the realised latency actually went*.
-    """
-    fractions = breakdown.phase_fractions() if breakdown is not None else None
-    out: list[dict] = []
-    for decision in decisions:
-        predicted_us = decision.predicted_mean_us
-        realised_us = decision.realised_mean_us
-        entry = {
-            "time_us": decision.time_us,
-            "strategy": decision.strategy,
-            "window_requests": decision.window_requests,
-            "predicted_mean_us": predicted_us,
-            "realised_mean_us": realised_us,
-        }
-        if decision.fallback_reason:
-            entry["fallback_reason"] = decision.fallback_reason
-        if predicted_us is None or realised_us is None:
-            # fallback decisions carry no prediction; the last window of
-            # a run may never see its realised mean
-            entry["gap_us"] = None
-        else:
-            gap_us = realised_us - predicted_us
-            entry["gap_us"] = gap_us
-            if fractions is not None:
-                entry["gap_by_phase_us"] = {
-                    name: gap_us * fraction
-                    for name, fraction in fractions.items()
-                    if fraction != 0.0
-                }
-        out.append(entry)
-    return out

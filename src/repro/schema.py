@@ -1,7 +1,7 @@
 """One declaration per schema-versioned JSON document format.
 
 Every versioned document the tools write (bench results, explain and
-diff reports, fleet reports, flight manifests, SLO specs, lint reports,
+diff reports, flight manifests, SLO specs, lint reports,
 ...) is declared once as a :class:`Schema`: its version, the fields it
 requires, the fields it may carry, and whether unknown fields are
 refused.  Writers build documents with :meth:`Schema.stamp`, readers

@@ -15,10 +15,9 @@ Public surface:
 from .buffer import AccessResult, BufferConfig, BufferStats, WriteBuffer
 from .config import GiB, KiB, MiB, SSDConfig
 from .controller import FTLController
-from .engine import ComposedLoop, EventLoop
+from .engine import EventLoop
 from .fastmodel import FastLatencyModel, fast_simulate
 from .faults import FaultConfig, FaultExpectation, FaultInjector
-from .fleet import Fleet, FleetResult, MigrationPlan, MigrationRecord, seeded_placement
 from .ftl import PageAllocMode
 from .geometry import Geometry, PhysicalAddress
 from .metrics import LatencyAccumulator, OpStats, SimulationResult
@@ -49,13 +48,7 @@ __all__ = [
     "FTLController",
     "SSDSimulator",
     "simulate",
-    "ComposedLoop",
     "EventLoop",
-    "Fleet",
-    "FleetResult",
-    "MigrationPlan",
-    "MigrationRecord",
-    "seeded_placement",
     "FastLatencyModel",
     "fast_simulate",
     "PageAllocMode",

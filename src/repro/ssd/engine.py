@@ -43,7 +43,7 @@ import heapq
 from itertools import count
 from typing import Callable, Sequence, TypeVar
 
-__all__ = ["ComposedLoop", "EventLoop", "Resource", "PRIO_READ", "PRIO_GC", "PRIO_WRITE"]
+__all__ = ["EventLoop", "Resource", "PRIO_READ", "PRIO_GC", "PRIO_WRITE"]
 
 PRIO_READ = 0
 PRIO_GC = 1
@@ -180,39 +180,6 @@ class EventLoop:
         """Number of pending events that keep the loop alive."""
         return len(self._heap) - self._weak_pending + self._unfed
 
-    def step(self) -> bool:
-        """Dispatch exactly one pending event (weak or strong).
-
-        Returns ``True`` when an event was dispatched.  Unlike :meth:`run`
-        this does not apply the weak-only drop rule — composition drivers
-        (see :class:`ComposedLoop`) decide when a member is dormant.
-        """
-        if not self._heap:
-            return False
-        when, _, callback, weak = heapq.heappop(self._heap)
-        if weak:
-            self._weak_pending -= 1
-        if self.sanitizer is not None:
-            self.sanitizer.on_event(when, self.now)
-        self.now = when
-        callback()
-        return True
-
-    def discard_weak(self) -> None:
-        """Drop all remaining events if only weak ones remain.
-
-        Mirrors the tail behaviour of an unbounded :meth:`run`: trailing
-        samplers are discarded without dispatch so ``now`` stays at the
-        last strong event.  A no-op while strong work is still pending.
-        """
-        if self._heap and self._weak_pending == len(self._heap):
-            self._drop_weak()
-
-    def _drop_weak(self) -> None:
-        self._dropped += len(self._heap)
-        self._heap.clear()
-        self._weak_pending = 0
-
     def run(self, until: float | None = None) -> None:
         """Process events until the heap drains (or ``until`` is reached).
 
@@ -225,83 +192,22 @@ class EventLoop:
         sanitizer = self.sanitizer
         while heap:
             if until is None and self._weak_pending == len(heap):
-                self._drop_weak()
+                self._dropped += len(heap)
+                heap.clear()
+                self._weak_pending = 0
                 break
             if until is not None and heap[0][0] > until:
                 break
-            if sanitizer is not None:
-                self.step()  # checks each dispatch
-                continue
-            # step(), inlined for the unchecked loop
             when, _, callback, weak = pop(heap)
             if weak:
                 self._weak_pending -= 1
+            if sanitizer is not None:
+                sanitizer.on_event(when, self.now)
             self.now = when
             callback()
 
     def __bool__(self) -> bool:
         return bool(self._heap)
-
-
-class ComposedLoop:
-    """Deterministically interleave several :class:`EventLoop` members.
-
-    Each member keeps its own clock (``loop.now`` stays a per-device
-    makespan), but dispatch order is global: the driver repeatedly picks
-    the *active* member whose next event is earliest — ties broken by
-    member index, so composition is fully deterministic — and dispatches
-    exactly one event via :meth:`EventLoop.step`.
-
-    A member whose heap holds only weak events is *dormant*: it is skipped
-    rather than drained, exactly replicating the single-loop rule that
-    samplers never extend a makespan.  If a later event on another member
-    schedules strong work onto a dormant member (e.g. a tenant migration),
-    the member wakes and its pending weak ticks dispatch first in its own
-    time order, so telemetry metronomes revive naturally.  When every
-    member is dormant or empty the run ends and trailing weak events are
-    discarded on all members.
-    """
-
-    def __init__(self, loops: list[EventLoop] | tuple[EventLoop, ...]) -> None:
-        if not loops:
-            raise ValueError("ComposedLoop needs at least one member loop")
-        self.loops = list(loops)
-        #: furthest simulated time any member has reached.
-        self.now = 0.0
-        self.events_processed = 0
-
-    def _next_active(self) -> EventLoop | None:
-        best = None
-        best_when = 0.0
-        for loop in self.loops:
-            if loop.pending_strong == 0:
-                continue
-            when = loop._heap[0][0]  # repro-lint: disable=R001 (heap entries are (when, seq, fn); when is microseconds by the DES contract)
-            if best is None or when < best_when:
-                best = loop
-                best_when = when
-        return best
-
-    def step(self) -> bool:
-        """Dispatch one event on the earliest active member; False when done."""
-        member = self._next_active()
-        if member is None:
-            return False
-        member.step()
-        if member.now > self.now:
-            self.now = member.now
-        self.events_processed += 1
-        return True
-
-    def run(self) -> None:
-        """Run members to global quiescence, then drop trailing weak events."""
-        while self.step():
-            pass
-        for loop in self.loops:
-            loop.discard_weak()
-
-    def __bool__(self) -> bool:
-        return any(loop.pending_strong for loop in self.loops)
 
 
 class Resource:

@@ -52,8 +52,6 @@ class SSDSimulator:
     """One simulated device plus its FTL, ready to run one trace.
 
     The device builds its own event loop; no pre-built loop is passed in.
-    A :class:`~repro.ssd.fleet.Fleet` composes the devices' loops and sets
-    each device's ``on_complete`` attribute after construction.
 
     Parameters
     ----------
@@ -95,17 +93,9 @@ class SSDSimulator:
         #: optional callback fired with each request at its submission time
         #: (the hook the SSDKeeper features collector attaches to).
         self.on_submit = on_submit
-        #: callback fired with each request when its last page completes
-        #: (failed reads included); ``None`` on a solo device.  A
-        #: :class:`~repro.ssd.fleet.Fleet` sets it after construction for
-        #: its migration spans and conservation accounting.
-        self.on_complete = None
         #: queue discipline: FIFO (SSDSim-faithful) unless reads may overtake
         self._read_prio = PRIO_READ if read_priority else PRIO_WRITE
         self.times = ServiceTimes.from_config(config)
-        #: the device's own clock; a :class:`~repro.ssd.fleet.Fleet`
-        #: interleaves several devices' loops in one
-        #: :class:`~repro.ssd.engine.ComposedLoop`
         self.loop = EventLoop()
         self.channels = [
             Resource(self.loop, name=f"ch{c}", kind="channel")
@@ -197,10 +187,7 @@ class SSDSimulator:
     def submit(self, req: IORequest) -> None:
         """Submit one request at the loop's *current* time.
 
-        The caller is responsible for having advanced ``self.loop`` to the
-        request's arrival time (a fleet does this by bouncing arrivals
-        through a device-loop event); trace-driven solo runs should use
-        :meth:`run`, which schedules arrivals itself.
+        :meth:`prepare` schedules one call per request at its arrival time.
         """
         if self.on_submit is not None:
             self.on_submit(req)
@@ -218,29 +205,20 @@ class SSDSimulator:
             else:
                 self._issue_write(key, req.workload_id, lpn)
 
-    def arm_observers(self) -> None:
-        """Attach the telemetry sampler to this device's loop.
-
-        Called by :meth:`prepare` for solo runs; a fleet calls it directly
-        because fleet arrivals reach the device after preparation.  The
-        sampler rides weak loop events, so arming never perturbs the run.
-        """
-        if self._probe is not None:
-            self._probe.arm()
-
     def prepare(self, requests: Iterable[IORequest]) -> int:
         """Schedule ``requests`` at their arrival times; arm the sampler.
 
-        Returns the number of requests scheduled.  Together with
-        :meth:`collect` this is the decomposed form of :meth:`run` used by
-        fleet composition.
+        Returns the number of requests scheduled.  :meth:`prepare`, then
+        ``loop.run`` (bounded or not), then :meth:`collect` is :meth:`run`
+        taken apart, for callers that drive the loop in slices.  The
+        sampler rides weak loop events, so arming never perturbs the run.
         """
         ordered = sorted(requests, key=lambda r: r.arrival_us)
         arrivals_us = [req.arrival_us for req in ordered]
         # fed to the heap one arrival at a time (see EventLoop.schedule_sorted)
         self.loop.schedule_sorted(arrivals_us, self.submit, ordered)  # repro-lint: disable=R004 (trace arrivals are absolute times)
-        if ordered:
-            self.arm_observers()
+        if ordered and self._probe is not None:
+            self._probe.arm()
         return len(ordered)
 
     def run(self, requests: Iterable[IORequest]) -> SimulationResult:
@@ -258,8 +236,7 @@ class SSDSimulator:
         """Flush the sampler and assemble the :class:`SimulationResult`.
 
         Requires the device's loop to have drained (every in-flight
-        request completed); fleet composition calls this once the composed
-        loop reaches global quiescence.
+        request completed).
         """
         if self._inflight:  # pragma: no cover - engine invariant
             raise RuntimeError(f"{len(self._inflight)} requests never completed")
@@ -472,8 +449,6 @@ class SSDSimulator:
                     probe.request_done(req, flight.span)
             del self._inflight[key]
             self.requests_done += 1
-            if self.on_complete is not None:
-                self.on_complete(req)
 
 
 def simulate(

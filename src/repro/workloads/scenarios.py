@@ -1,8 +1,8 @@
 """The seeded device scenarios the ``repro`` labs share.
 
 ``repro bench`` times every scenario, ``repro explain`` and ``repro
-profile`` take one apart, ``repro diff run`` re-simulates one under two
-configurations, and ``repro fleet`` sizes its trace the same way.  Each
+profile`` take one apart, and ``repro diff run`` re-simulates one under
+two configurations.  Each
 builder takes a request count and returns ``(kind, requests, config,
 channel_sets, faults)``, where ``kind`` names the backend the scenario
 runs on (``"simulator"`` or ``"fastmodel"``).  Everything is seeded: two

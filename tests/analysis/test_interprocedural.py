@@ -314,16 +314,6 @@ def _diff_case(tmp_path):
     return DIFF_SCHEMA, load_diff, doc
 
 
-def _fleet_case(tmp_path):
-    from repro.harness.fleetlab import run_fleet
-    from repro.obs.fleet import FLEET_SCHEMA, load_fleet
-
-    _, _, report = run_fleet(
-        n_devices=1, n_tenants=1, total_requests=40, seed=1, migrations=[],
-    )
-    return FLEET_SCHEMA, load_fleet, report
-
-
 def _critpath_case(tmp_path):
     from repro.obs.critpath import (
         CRITPATH_SCHEMA, extract_critical_path, load_report,
@@ -400,7 +390,6 @@ SCHEMA_CASES = {
     "HOTPATH_SCHEMA": _hotpath_case,
     "EXPLAIN_SCHEMA": _explain_case,
     "DIFF_SCHEMA": _diff_case,
-    "FLEET_SCHEMA": _fleet_case,
     "CRITPATH_SCHEMA": _critpath_case,
     "WHATIF_SCHEMA": _whatif_case,
     "TELEMETRY_SCHEMA": _telemetry_case,
@@ -517,4 +506,4 @@ class TestSchemaReaders:
         with pytest.raises(ValueError, match="schema_version"):
             load_profile({"schema_version": 99})
         with pytest.raises(ValueError, match="missing"):
-            load_explain({"schema_version": 1})
+            load_explain({"schema_version": 2})

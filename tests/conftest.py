@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 from pathlib import Path
+import shutil
 import subprocess
+import tempfile
 
 from hypothesis import HealthCheck, settings
+from hypothesis.configuration import set_hypothesis_home_dir
 import numpy as np
 import pytest
 
@@ -35,10 +38,39 @@ def _git_status() -> str | None:
     return proc.stdout if proc.returncode == 0 else None
 
 
-def _cache_files() -> set[Path]:
-    """Files under the checkout's ``.repro-cache/`` (git ignores it)."""
-    cache = ROOT / ".repro-cache"
-    return {p for p in cache.rglob("*") if p.is_file()} if cache.is_dir() else set()
+#: git-ignored directories of the checkout that tools write by default
+_IGNORED_DIRS = (".repro-cache", ".hypothesis", "examples/__pycache__")
+
+
+def _ignored_files() -> dict[Path, tuple[int, int]]:
+    """``(mtime_ns, size)`` of each file under :data:`_IGNORED_DIRS`.
+
+    ``git status --porcelain`` hides these directories, so the guard
+    lists them itself.
+    """
+    stamps = {}
+    for name in _IGNORED_DIRS:
+        root = ROOT / name
+        if root.is_dir():
+            for p in root.rglob("*"):
+                if p.is_file():
+                    st = p.stat()
+                    stamps[p] = (st.st_mtime_ns, st.st_size)
+    return stamps
+
+
+#: taken at import, before collection: hypothesis's pytest plugin caches
+#: the test modules' constants while collecting, before any fixture runs
+_IGNORED_AT_START = _ignored_files()
+
+#: hypothesis's storage (``.hypothesis/`` under the working directory by
+#: default), moved here for the same reason
+_HYPOTHESIS_HOME = Path(tempfile.mkdtemp(prefix="repro-hypothesis-"))
+set_hypothesis_home_dir(_HYPOTHESIS_HOME)
+
+
+def pytest_unconfigure(config):
+    shutil.rmtree(_HYPOTHESIS_HOME, ignore_errors=True)
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -61,16 +93,20 @@ def checkout_left_unchanged():
 
     Tests write only under their temp dirs; a tracked file modified or an
     untracked file left behind shows up in ``git status``, and a file
-    added under the ignored ``.repro-cache/`` shows up in its listing.
-    Outside a git checkout the status check does nothing.
+    added or rewritten under one of the ignored :data:`_IGNORED_DIRS`
+    shows up in its listing.  Outside a git checkout the status check
+    does nothing.
     """
     before = _git_status()
-    cache_before = _cache_files()
     yield
-    added = sorted(str(p.relative_to(ROOT)) for p in _cache_files() - cache_before)
-    assert not added, (
-        f"the test session wrote {len(added)} file(s) under .repro-cache/: "
-        + ", ".join(added[:5])
+    written = sorted(
+        str(p.relative_to(ROOT))
+        for p, stamp in _ignored_files().items()
+        if _IGNORED_AT_START.get(p) != stamp
+    )
+    assert not written, (
+        f"the test session wrote {len(written)} git-ignored file(s): "
+        + ", ".join(written[:5])
     )
     if before is None:
         return

@@ -32,8 +32,6 @@ USAGE_ERRORS = {
     "explain-unknown-scenario": ["explain", "--scenario", "nope", "--quick"],
     "profile-top-zero": ["profile", "--top", "0"],
     "drift-unknown-scenario": ["drift", "--scenario", "nope"],
-    "fleet-devices-zero": ["fleet", "--devices", "0"],
-    "fleet-tenants-zero": ["fleet", "--tenants", "0"],
     "diff-no-mode": ["diff"],
     "diff-bad-scale": ["diff", "run", "--quick", "--scale", "bus_bandwidth"],
     "diff-unknown-knob": ["diff", "run", "--quick",
@@ -63,15 +61,15 @@ def test_missing_input_file_exits_two(tmp_path):
 # Successes: cheap invocations of each surface must exit 0
 # ----------------------------------------------------------------------
 def test_output_paths_create_missing_directories(tmp_path, capsys):
-    fleet = tmp_path / "fleet-dir" / "f.json"
+    report = tmp_path / "diff-dir" / "r.json"
     chrome = tmp_path / "chrome-dir" / "x.json"
     drift = tmp_path / "drift-dir" / "d.json"
     assert run_cli([
-        "fleet", "--quick", "--devices", "2", "--tenants", "2",
-        "--out", str(fleet), "--chrome-trace", str(chrome),
+        "diff", "run", "--scenario", "mix2_shared", "--quick",
+        "--out", str(report), "--chrome-trace", str(chrome),
     ]) == 0
     assert run_cli(["drift", "--quick", "--out", str(drift)]) == 0
-    assert fleet.exists() and chrome.exists() and drift.exists()
+    assert report.exists() and chrome.exists() and drift.exists()
     capsys.readouterr()
 
 

@@ -187,24 +187,6 @@ class TestCritpathMode:
         assert "ch0 moved -10.0us" in capsys.readouterr().out
 
 
-class TestFleetMode:
-    def fleet_path(self, tmp_path):
-        from tests.obs.test_diff import make_fleet_doc
-
-        return write_json(tmp_path / "fleet.json", make_fleet_doc())
-
-    def test_device_against_itself_exits_zero(self, tmp_path):
-        assert diff(["fleet", self.fleet_path(tmp_path), "0", "0"]) == 0
-
-    def test_slower_device_exits_one(self, tmp_path, capsys):
-        assert diff(["fleet", self.fleet_path(tmp_path), "0", "1"]) == 1
-        assert "makespan_us" in capsys.readouterr().out
-
-    def test_unknown_device_is_usage_error(self, tmp_path, capsys):
-        assert diff(["fleet", self.fleet_path(tmp_path), "0", "9"]) == 2
-        assert "no device 9" in capsys.readouterr().err
-
-
 class TestRunMode:
     def test_self_diff_exits_zero_and_writes_artifacts(self, tmp_path, capsys):
         out = tmp_path / "self.json"

@@ -18,7 +18,8 @@ def gc_heavy_doc():
 class TestExplainScenario:
     def test_document_shape(self, gc_heavy_doc):
         doc = gc_heavy_doc
-        assert doc["schema_version"] == EXPLAIN_SCHEMA_VERSION
+        assert doc["schema_version"] == EXPLAIN_SCHEMA_VERSION == 2
+        assert "decisions" not in doc
         assert doc["scenario"] == "gc_heavy"
         assert doc["quick"] is True
         assert doc["requests"] == 600

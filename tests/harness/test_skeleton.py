@@ -84,7 +84,6 @@ FLAG_SURFACE = {
     "diff": {"--help", "-h"},
     "diff bench": {"--help", "--json", "--out", "--wall-tolerance", "-h"},
     "diff critpath": {"--help", "--json", "--out", "-h"},
-    "diff fleet": {"--help", "--json", "--out", "-h"},
     "diff run": {
         "--chrome-trace", "--help", "--json", "--out", "--quick", "--scale",
         "--scenario", "-h",
@@ -97,11 +96,6 @@ FLAG_SURFACE = {
     "explain": {
         "--help", "--json", "--no-whatif", "--out", "--quick", "--sanitize",
         "--scenario", "--top", "-h",
-    },
-    "fleet": {
-        "--chrome-trace", "--devices", "--flight-dir", "--help", "--json",
-        "--migrate", "--no-migrate", "--out", "--quick", "--seed", "--slo",
-        "--slo-tight", "--tenants", "-h",
     },
     "lint": {
         "--baseline", "--changed", "--check-baseline", "--diff-base",
@@ -154,7 +148,7 @@ def test_every_subcommand_is_pinned():
 LAB_MODULES = {
     "repro.harness.bench", "repro.harness.explain",
     "repro.harness.hostprofile", "repro.harness.driftlab",
-    "repro.harness.fleetlab", "repro.harness.difflab", "repro.harness.paper",
+    "repro.harness.difflab", "repro.harness.paper",
 }
 
 
@@ -204,9 +198,6 @@ JSON_RUNS = {
     "profile": ["profile", "--scenario", "gc_heavy", "--quick", "--top", "3",
                 "--json", "--out", "{tmp}/doc.json"],
     "drift": ["drift", "--quick", "--json", "--out", "{tmp}/doc.json"],
-    "fleet": ["fleet", "--quick", "--devices", "2", "--tenants", "2",
-              "--json", "--out", "{tmp}/doc.json",
-              "--chrome-trace", "{tmp}/fleet.chrome.json"],
     "diff": ["diff", "run", "--scenario", "mix2_shared", "--quick", "--json",
              "--out", "{tmp}/doc.json"],
     "stats": ["stats", "--scale", "smoke", "--json",

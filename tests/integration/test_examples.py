@@ -9,6 +9,7 @@ import hashlib
 import importlib.util
 from pathlib import Path
 import py_compile
+import sys
 
 import pytest
 
@@ -31,8 +32,10 @@ class TestExamples:
         } <= names
 
     @pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.name)
-    def test_example_compiles(self, path):
-        py_compile.compile(str(path), doraise=True)
+    def test_example_compiles(self, path, tmp_path):
+        py_compile.compile(
+            str(path), cfile=str(tmp_path / f"{path.stem}.pyc"), doraise=True
+        )
 
     def test_quickstart_logic_small(self, capsys):
         """The quickstart's core loop on a tiny workload."""
@@ -59,7 +62,9 @@ class TestExamples:
         assert len(totals) == 8
         assert all(v > 0 for v in totals.values())
 
-    def test_strategy_explorer_runs(self, capsys):
+    def test_strategy_explorer_runs(self, capsys, monkeypatch):
+        # loading by path would cache bytecode under examples/__pycache__
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
         spec = importlib.util.spec_from_file_location(
             "strategy_explorer", EXAMPLES_DIR / "strategy_explorer.py"
         )

@@ -106,7 +106,7 @@ class TestToChromeTrace:
 
 
 class TestDeviceNamespacing:
-    """Per-device pid namespaces, as the fleet and diff merges build them."""
+    """Per-device pid namespaces, as the diff merge builds them."""
 
     def test_default_output_is_unchanged(self):
         """A solo export keeps the classic pids/names."""
@@ -156,70 +156,6 @@ class TestDeviceNamespacing:
             assert d["name"] == s["name"]
             if s["ph"] == "M" and s["name"] == "process_name":
                 assert d["args"]["name"] == f"device 0 / {s['args']['name']}"
-
-
-class TestFleetChromeTrace:
-    def fleet_events(self):
-        return [
-            TraceEvent(
-                100.0, "tenant_migration", "tenant0", "fleet",
-                dur_us=40.0, args={"src": 0, "dst": 1},
-            ),
-            TraceEvent(200.0, "fleet_slo_alert", "tenant0.read_p95_us", "fleet"),
-        ]
-
-    def test_merges_devices_into_disjoint_pid_groups(self):
-        from repro.obs.chrometrace import to_fleet_chrome_trace
-
-        doc = to_fleet_chrome_trace({
-            0: sample_events(), 1: sample_events(),
-        })
-        by_device = {}
-        for r in doc["traceEvents"]:
-            if r["ph"] == "M" and r["name"] == "process_name":
-                prefix = r["args"]["name"].split(" / ")[0]
-                by_device.setdefault(prefix, set()).add(r["pid"])
-        assert set(by_device) == {"device 0", "device 1"}
-        assert not by_device["device 0"] & by_device["device 1"]
-
-    def test_fleet_events_get_their_own_process(self):
-        from repro.obs.chrometrace import to_fleet_chrome_trace
-
-        doc = to_fleet_chrome_trace(
-            {0: sample_events()}, fleet_events=self.fleet_events()
-        )
-        process_names = {
-            r["pid"]: r["args"]["name"]
-            for r in doc["traceEvents"]
-            if r["ph"] == "M" and r["name"] == "process_name"
-        }
-        fleet_pids = [p for p, n in process_names.items() if n == "fleet"]
-        assert len(fleet_pids) == 1
-        migration = next(
-            r for r in doc["traceEvents"] if r["name"] == "tenant_migration"
-        )
-        assert migration["pid"] == fleet_pids[0]
-        assert migration["ph"] == "X"
-        assert migration["dur"] == 40.0
-
-    def test_empty_fleet_stream_adds_nothing(self):
-        from repro.obs.chrometrace import to_fleet_chrome_trace
-
-        with_none = to_fleet_chrome_trace({0: sample_events()})
-        with_empty = to_fleet_chrome_trace({0: sample_events()}, fleet_events=[])
-        assert with_none == with_empty
-
-    def test_write_round_trips(self, tmp_path):
-        from repro.obs.chrometrace import write_fleet_chrome_trace
-
-        path = tmp_path / "fleet.chrome.json"
-        written = write_fleet_chrome_trace(
-            {0: sample_events(), 1: sample_events()},
-            path,
-            fleet_events=self.fleet_events(),
-        )
-        doc = json.loads(path.read_text())
-        assert written == len(doc["traceEvents"])
 
 
 class TestDiffChromeTrace:

@@ -12,7 +12,6 @@ from repro.obs.diff import (
     DiffError,
     build_diff_report,
     diff_critpath_docs,
-    diff_fleet_devices,
     diff_run,
     diff_traces,
     load_diff,
@@ -71,34 +70,6 @@ def make_critpath(resources, *, makespan_us=100.0, host=0.0, internal=0.0,
 def ev(ts_us, name, track="", dur_us=None, args=None):
     return {"ts_us": ts_us, "name": name, "track": track, "cat": "sim",
             "dur_us": dur_us, "args": args or {}}
-
-
-def make_fleet_doc():
-    from repro.obs.fleet import build_fleet_report
-    from repro.ssd.fleet import FleetResult
-    from repro.ssd.metrics import OpStats, SimulationResult
-
-    result = SimulationResult(
-        read=OpStats(), write=OpStats(), per_workload={},
-        makespan_us=10.0, requests=2, subrequests=2,
-    )
-    fr = FleetResult(
-        results=[result],
-        placement_initial={0: 0},
-        placement_final={0: 0},
-        migrations=[],
-        completions=[{0: 2}],
-        makespan_us=10.0,
-        events=5,
-    )
-    doc = build_fleet_report(fr, seed=7)
-    # a second, slower device: same shape, shifted metrics
-    other = copy.deepcopy(doc["devices"][0])
-    other["device"] = 1
-    other["makespan_us"] = 14.0
-    other["failed_reads"] = 1
-    doc["devices"].append(other)
-    return doc
 
 
 # ----------------------------------------------------------------------
@@ -375,28 +346,6 @@ class TestCritpathDiff:
         bad["schema_version"] = 999
         with pytest.raises(ValueError, match="schema_version"):
             diff_critpath_docs(doc, bad)
-
-
-# ----------------------------------------------------------------------
-# Fleet device diff
-# ----------------------------------------------------------------------
-class TestFleetDeviceDiff:
-    def test_device_against_itself_is_identical(self):
-        section = diff_fleet_devices(make_fleet_doc(), 0, 0)
-        assert section["identical"] is True
-        assert section["divergences"] == 0
-
-    def test_slower_device_regresses_latency_metrics(self):
-        section = diff_fleet_devices(make_fleet_doc(), 0, 1)
-        assert section["identical"] is False
-        assert section["metrics"]["makespan_us"]["classification"] == "regressed"
-        assert section["metrics"]["failed_reads"]["classification"] == "regressed"
-        assert section["device_a"] == 0
-        assert section["device_b"] == 1
-
-    def test_missing_device_raises_diff_error(self):
-        with pytest.raises(DiffError, match="no device 9"):
-            diff_fleet_devices(make_fleet_doc(), 0, 9)
 
 
 # ----------------------------------------------------------------------

@@ -25,7 +25,6 @@ from repro.obs import FlightRecorder, Observability, SloSpec, TraceRecorder
 from repro.obs.flightrecorder import load_manifest
 from repro.ssd import FaultConfig, SSDConfig
 from repro.ssd.buffer import BufferConfig
-from repro.ssd.fleet import Fleet, MigrationPlan
 from repro.ssd.ftl.page_alloc import PageAllocMode
 from repro.ssd.simulator import SSDSimulator
 from repro.workloads import WorkloadSpec, synthesize_mix
@@ -368,31 +367,6 @@ def case_keeper_retrain() -> dict:
     }
 
 
-def case_fleet() -> dict:
-    cfg = SSDConfig.small()
-    sims = [
-        SSDSimulator(cfg, SPLIT_SETS, record_latencies=True) for _ in range(2)
-    ]
-    requests = mix(1_200, seed=8)
-    traces = {
-        w: [r for r in requests if r.workload_id == w] for w in range(4)
-    }
-    fleet = Fleet(sims, seed=3)
-    out = fleet.run(traces, migrations=[MigrationPlan(5_000.0, 1, 1)])
-    assert len(out.migrations) == 1
-    return {
-        "results": [result_doc(r) for r in out.results],
-        "placement": canonical(out.placement_final),
-        "migrations": [
-            [m.tenant, m.src, m.dst, repr(m.start_us), m.requests_replayed,
-             canonical(m.first_dst_complete_us)]
-            for m in out.migrations
-        ],
-        "completions": canonical(out.completions),
-        "makespan_us": repr(out.makespan_us),
-    }
-
-
 CASES = {
     "static": case_static,
     "dynamic": case_dynamic,
@@ -407,14 +381,12 @@ CASES = {
     "keeper": case_keeper,
     "keeper_periodic": case_keeper_periodic,
     "keeper_retrain": case_keeper_retrain,
-    "fleet": case_fleet,
 }
 
 DIGESTS = {
     "buffer": "1ed0cd7b5704eb94",
     "dynamic": "39a79abccb093334",
     "dynamic_gc_faults": "ce7a13f92c696334",
-    "fleet": "e99e1e8830905605",
     "gc_faults": "bc1bc9df01121fd2",
     "keeper": "05345fff53cb50ac",
     "keeper_periodic": "cde6addc6613460c",

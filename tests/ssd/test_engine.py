@@ -278,101 +278,6 @@ class TestEvery:
             loop.every(0.0, lambda: None)
 
 
-class TestComposedLoop:
-    def test_rejects_empty_member_list(self):
-        from repro.ssd.engine import ComposedLoop
-
-        with pytest.raises(ValueError):
-            ComposedLoop([])
-
-    def test_interleaves_members_in_global_time_order(self):
-        from repro.ssd.engine import ComposedLoop
-
-        a, b = EventLoop(), EventLoop()
-        seen = []
-        a.schedule(1.0, lambda: seen.append("a1"))
-        a.schedule(5.0, lambda: seen.append("a5"))
-        b.schedule(2.0, lambda: seen.append("b2"))
-        b.schedule(4.0, lambda: seen.append("b4"))
-        composed = ComposedLoop([a, b])
-        composed.run()
-        assert seen == ["a1", "b2", "b4", "a5"]
-        assert composed.now == 5.0
-
-    def test_timestamp_ties_dispatch_lowest_member_first(self):
-        from repro.ssd.engine import ComposedLoop
-
-        a, b = EventLoop(), EventLoop()
-        seen = []
-        b.schedule(3.0, lambda: seen.append("b"))
-        a.schedule(3.0, lambda: seen.append("a"))
-        ComposedLoop([a, b]).run()
-        assert seen == ["a", "b"]
-
-    def test_member_clocks_stay_per_member(self):
-        """A drained member's clock freezes at its own makespan."""
-        from repro.ssd.engine import ComposedLoop
-
-        a, b = EventLoop(), EventLoop()
-        a.schedule(2.0, lambda: None)
-        b.schedule(9.0, lambda: None)
-        composed = ComposedLoop([a, b])
-        composed.run()
-        assert a.now == 2.0
-        assert b.now == 9.0
-        assert composed.now == 9.0
-
-    def test_weak_only_members_are_dormant_not_drained(self):
-        """A member holding only weak events is skipped, exactly like a
-        solo loop dropping trailing weak work."""
-        from repro.ssd.engine import ComposedLoop
-
-        a, b = EventLoop(), EventLoop()
-        ticks = []
-        a.schedule(4.0, lambda: None)
-        b.every(1.0, lambda: ticks.append(b.now))
-        composed = ComposedLoop([a, b])
-        composed.run()
-        assert ticks == []  # b never had strong work; its metronome drops
-        assert not composed
-
-    def test_weak_events_dispatch_while_member_has_strong_work(self):
-        from repro.ssd.engine import ComposedLoop
-
-        a = EventLoop()
-        ticks = []
-        a.schedule(10.0, lambda: None)
-        a.every(4.0, lambda: ticks.append(a.now))
-        ComposedLoop([a]).run()
-        assert ticks == [4.0, 8.0]
-
-    def test_cross_member_scheduling_mid_run(self):
-        """A control member can inject strong work into another member,
-        reviving its weak metronome (the migration-forwarding pattern)."""
-        from repro.ssd.engine import ComposedLoop
-
-        control, dev = EventLoop(), EventLoop()
-        ticks, seen = [], []
-        dev.every(2.0, lambda: ticks.append(dev.now))
-        control.schedule(
-            1.0, lambda: dev.schedule(5.0, lambda: seen.append(dev.now))
-        )
-        ComposedLoop([control, dev]).run()
-        assert seen == [5.0]
-        assert ticks == [2.0, 4.0]  # metronome lives while strong work pends
-
-    def test_events_processed_counts_all_members(self):
-        from repro.ssd.engine import ComposedLoop
-
-        a, b = EventLoop(), EventLoop()
-        a.schedule(1.0, lambda: None)
-        b.schedule(2.0, lambda: None)
-        b.schedule(3.0, lambda: None)
-        composed = ComposedLoop([a, b])
-        composed.run()
-        assert composed.events_processed == 3
-
-
 class TwoEventResource:
     """Reference: the resource as it was before holds became one event.
 
@@ -657,15 +562,3 @@ class TestScheduleSorted:
         assert loop.pending_strong == 0 and not loop
         loop.run()
         assert loop.events_processed == 0 and loop.now == 0.0
-
-    def test_composed_loop_sees_unfed_entries(self):
-        from repro.ssd.engine import ComposedLoop
-
-        a, b = EventLoop(), EventLoop()
-        seen = []
-        a.schedule_sorted([1.0, 4.0], lambda i: seen.append(("a", i)), [0, 1])
-        b.schedule(2.0, lambda: seen.append(("b", 0)))
-        composed = ComposedLoop([a, b])
-        composed.run()
-        assert seen == [("a", 0), ("b", 0), ("a", 1)]
-        assert composed.events_processed == 3
