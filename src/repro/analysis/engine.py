@@ -30,7 +30,8 @@ A waiver without a parenthesised justification does **not** silence the
 violation — the point of the waiver is the written reason.
 
 Fixture files outside the package tree can pin the module name rules see
-with a header comment: ``# repro-lint: module=repro.ssd.fixture``.
+with a comment line of its own near the top:
+``# repro-lint: module=repro.ssd.fixture``.
 
 Report output is deterministic: discovery sorts by posix-style path,
 violations sort by (path, line, col, rule), and the JSON document contains
@@ -48,7 +49,7 @@ from pathlib import Path
 import pickle
 import re
 import sys
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from ..schema import Schema
 
@@ -81,7 +82,10 @@ _WAIVER_RE = re.compile(
     r"#\s*repro-lint:\s*disable=(?P<codes>[A-Z]\d{3}(?:\s*,\s*[A-Z]\d{3})*)"
     r"(?:\s*\((?P<reason>.*)\))?"
 )
-_MODULE_RE = re.compile(r"#\s*repro-lint:\s*module=(?P<module>[\w.]+)")
+#: a comment line of its own, so prose that quotes the pragma never matches
+_MODULE_RE = re.compile(
+    r"^#\s*repro-lint:\s*module=(?P<module>[\w.]+)", re.MULTILINE
+)
 
 
 @dataclass(frozen=True)
@@ -143,21 +147,21 @@ class ModuleSource:
     waivers: dict[int, Waiver] = field(default_factory=dict)
 
     @classmethod
-    def parse(cls, path: Path, *, root_package: str = "repro") -> "ModuleSource":
+    def parse(cls, path: Path) -> "ModuleSource":
         text = path.read_text(encoding="utf-8")
         tree = ast.parse(text, filename=str(path))
         return cls(
             path=path,
-            module=_derive_module(path, text, root_package),
+            module=_derive_module(path, text),
             text=text,
             tree=tree,
             waivers=_parse_waivers(text),
         )
 
     @classmethod
-    def load(cls, path: Path, *, root_package: str = "repro") -> "ModuleSource":
+    def load(cls, path: Path) -> "ModuleSource":
         """Like :meth:`parse`, through the mtime-keyed parse cache."""
-        return _cached_parse(path, root_package=root_package)
+        return _cached_parse(path)
 
     def in_package(self, *prefixes: str) -> bool:
         """True when this module lives under any of the dotted prefixes."""
@@ -178,7 +182,7 @@ class ModuleSource:
 # Entries are keyed by resolved path and validated by (mtime_ns, size);
 # any cache failure falls back to a plain parse.
 # ----------------------------------------------------------------------
-_CACHE_FORMAT = 1
+_CACHE_FORMAT = 2
 _MEM_CACHE: dict[str, tuple[int, int, ModuleSource]] = {}
 
 
@@ -189,18 +193,18 @@ def _cache_dir() -> Path:
     return Path(".repro-cache") / "lint-ast"
 
 
-def _cached_parse(path: Path, *, root_package: str) -> ModuleSource:
+def _cached_parse(path: Path) -> ModuleSource:
     resolved = str(path.resolve())
     try:
         stat = path.stat()
         stamp = (stat.st_mtime_ns, stat.st_size)
     except OSError:
-        return ModuleSource.parse(path, root_package=root_package)
+        return ModuleSource.parse(path)
     entry = _MEM_CACHE.get(resolved)
     if entry is not None and entry[:2] == stamp:
         return replace_path(entry[2], path)
     disk_key = hashlib.sha256(
-        f"{_CACHE_FORMAT}|{sys.version_info[:2]}|{root_package}|{resolved}".encode()
+        f"{_CACHE_FORMAT}|{sys.version_info[:2]}|{resolved}".encode()
     ).hexdigest()[:24]
     disk_path = _cache_dir() / f"{disk_key}.pkl"
     try:
@@ -211,7 +215,7 @@ def _cached_parse(path: Path, *, root_package: str) -> ModuleSource:
             return replace_path(module, path)
     except Exception:
         pass  # missing/corrupt/stale cache entry: re-parse below
-    module = ModuleSource.parse(path, root_package=root_package)
+    module = ModuleSource.parse(path)
     _MEM_CACHE[resolved] = (*stamp, module)
     try:
         disk_path.parent.mkdir(parents=True, exist_ok=True)
@@ -237,7 +241,7 @@ def replace_path(module: ModuleSource, path: Path) -> ModuleSource:
     )
 
 
-def _derive_module(path: Path, text: str, root_package: str) -> str:
+def _derive_module(path: Path, text: str) -> str:
     override = _MODULE_RE.search(text[:2000])
     if override:
         return override.group("module")
@@ -245,7 +249,7 @@ def _derive_module(path: Path, text: str, root_package: str) -> str:
     if parts and parts[-1] == "__init__":
         parts = parts[:-1]
     try:
-        anchor = len(parts) - 1 - parts[::-1].index(root_package)
+        anchor = len(parts) - 1 - parts[::-1].index("repro")
     except ValueError:
         return path.stem
     return ".".join(parts[anchor:])
@@ -319,16 +323,10 @@ load_report_dict = REPORT_SCHEMA.load
 class LintEngine:
     """Runs per-file and whole-program rules over files or directory trees."""
 
-    def __init__(
-        self,
-        rules: Sequence | None = None,
-        *,
-        select: Iterable[str] | None = None,
-    ) -> None:
-        if rules is None:
-            from .rules import default_rules
+    def __init__(self, *, select: Iterable[str] | None = None) -> None:
+        from .rules import default_rules
 
-            rules = default_rules()
+        rules = default_rules()
         if select is not None:
             wanted = {code.strip().upper() for code in select}
             unknown = wanted - {rule.code for rule in rules}

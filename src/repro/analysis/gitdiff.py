@@ -36,16 +36,13 @@ def _git(args: list[str], cwd: Path) -> str:
     return proc.stdout
 
 
-def changed_python_files(
-    cwd: Path | str = ".", *, base: str = "HEAD"
-) -> list[Path]:
+def changed_python_files(*, base: str = "HEAD") -> list[Path]:
     """Python files changed vs ``base``, plus untracked ones, repo-relative.
 
     Deleted files are excluded (there is nothing left to lint).  Paths are
     returned relative to the repository root, sorted posix-style.
     """
-    cwd = Path(cwd)
-    root = Path(_git(["rev-parse", "--show-toplevel"], cwd).strip())
+    root = Path(_git(["rev-parse", "--show-toplevel"], Path(".")).strip())
     changed = _git(
         ["diff", "--name-only", "--diff-filter=d", base, "--", "*.py"], root
     )

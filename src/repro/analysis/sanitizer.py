@@ -77,9 +77,10 @@ class Sanitizer:
         "critpath_checks",
     )
 
-    def __init__(self, *, history: int = 32) -> None:
-        #: ring buffer of recent hook records for trace-correlated reports
-        self._ring: deque[str] = deque(maxlen=history)
+    def __init__(self) -> None:
+        #: ring buffer of the last 32 hook records for trace-correlated
+        #: reports
+        self._ring: deque[str] = deque(maxlen=32)
         self._clock_us = 0.0
         #: shadow grant bookkeeping: id(resource) -> (name, free_at_us)
         self._resource_free_at: dict[int, tuple[str, float]] = {}

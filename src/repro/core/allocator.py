@@ -123,11 +123,11 @@ class ChannelAllocator:
         order = np.argsort(-logits)[: min(k, len(self.space))]
         return [self.space[int(i)] for i in order]
 
-    def overhead_report(self, bytes_per_neuron: int = 16) -> OverheadReport:
+    def overhead_report(self) -> OverheadReport:
         """The paper's storage/compute cost estimate for this network."""
         net = self.learner.network
         return OverheadReport(
-            storage_bytes=net.storage_bytes(bytes_per_neuron),
+            storage_bytes=net.storage_bytes(),
             multiplies_per_inference=net.forward_multiplies(),
             layer_sizes=tuple(net.layer_sizes),
         )

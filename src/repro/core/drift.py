@@ -9,7 +9,7 @@ latency residuals — so this module watches both streams:
 
 * **residual drift** — a Page–Hinkley test on the relative prediction
   residual ``(realised - predicted) / predicted``.  The cumulative
-  deviation above the running mean (minus a tolerance ``residual_delta``)
+  deviation above the running mean (minus a tolerance :data:`RESIDUAL_DELTA`)
   is tracked against its running minimum; when the gap exceeds
   ``residual_threshold`` the model is systematically under-predicting
   and an alarm fires.
@@ -17,7 +17,7 @@ latency residuals — so this module watches both streams:
   The first ``feature_window`` windows after an anchor freeze a reference
   mean/std per dimension; the rolling mean of the last ``feature_window``
   windows is compared against it, normalised per dimension, and an alarm
-  fires when any dimension shifts by more than ``feature_threshold``
+  fires when any dimension shifts by more than :data:`FEATURE_THRESHOLD`
   reference deviations.
 
 Both alarms **re-anchor** the detector (the post-drift distribution
@@ -37,6 +37,20 @@ import numpy as np
 
 __all__ = ["DriftConfig", "DriftEvent", "DriftDetector"]
 
+#: Page–Hinkley tolerance: residual excursions below this magnitude (in
+#: relative-residual units) accumulate nothing
+RESIDUAL_DELTA = 0.05
+#: feature-drift alarm threshold in per-dimension reference deviations
+FEATURE_THRESHOLD = 3.0
+#: consecutive unhealthy drifted windows before the keeper degrades to
+#: Shared, and consecutive healthy ones before it recovers (consumed by
+#: :meth:`SSDKeeper.run_adaptive`, not here)
+DEGRADE_AFTER = 3
+#: a window is "unhealthy" when its relative residual exceeds this
+#: (realised latency more than ``1 + UNHEALTHY_RESIDUAL`` times the
+#: prediction); consumed by the keeper's degradation path
+UNHEALTHY_RESIDUAL = 0.5
+
 
 @dataclass(frozen=True)
 class DriftConfig:
@@ -44,42 +58,22 @@ class DriftConfig:
 
     #: windows to observe after an anchor before any alarm may fire
     min_windows: int = 4
-    #: Page–Hinkley tolerance: residual excursions below this magnitude
-    #: (in relative-residual units) accumulate nothing
-    residual_delta: float = 0.05
     #: Page–Hinkley alarm threshold on the cumulative excess
     residual_threshold: float = 0.6
     #: windows per block for the feature mean-shift comparison
     feature_window: int = 3
-    #: alarm threshold in per-dimension reference deviations
-    feature_threshold: float = 3.0
     #: windows after an alarm during which further alarms are suppressed
     cooldown_windows: int = 2
-    #: consecutive unhealthy drifted windows before the keeper degrades
-    #: to Shared (consumed by :meth:`SSDKeeper.run_adaptive`, not here)
-    degrade_after: int = 3
-    #: a window is "unhealthy" when its relative residual exceeds this
-    #: (realised latency more than ``1 + unhealthy_residual`` times the
-    #: prediction); consumed by the keeper's degradation path
-    unhealthy_residual: float = 0.5
 
     def __post_init__(self) -> None:
         if self.min_windows < 1:
             raise ValueError("min_windows must be >= 1")
-        if self.residual_delta < 0:
-            raise ValueError("residual_delta must be non-negative")
         if self.residual_threshold <= 0:
             raise ValueError("residual_threshold must be positive")
         if self.feature_window < 1:
             raise ValueError("feature_window must be >= 1")
-        if self.feature_threshold <= 0:
-            raise ValueError("feature_threshold must be positive")
         if self.cooldown_windows < 0:
             raise ValueError("cooldown_windows must be non-negative")
-        if self.degrade_after < 1:
-            raise ValueError("degrade_after must be >= 1")
-        if self.unhealthy_residual <= 0:
-            raise ValueError("unhealthy_residual must be positive")
 
 
 @dataclass(frozen=True)
@@ -144,7 +138,7 @@ class DriftDetector:
         """Advance the Page–Hinkley statistic; returns the current excess."""
         self._res_n += 1
         self._res_mean += (residual - self._res_mean) / self._res_n
-        self._res_cum += residual - self._res_mean - self.config.residual_delta
+        self._res_cum += residual - self._res_mean - RESIDUAL_DELTA
         self._res_min = min(self._res_min, self._res_cum)
         return self._res_cum - self._res_min
 
@@ -209,14 +203,14 @@ class DriftDetector:
                 )
             )
             self.residual_alarms += 1
-        if shift is not None and shift > cfg.feature_threshold:
+        if shift is not None and shift > FEATURE_THRESHOLD:
             events.append(
                 DriftEvent(
                     time_us=time_us,
                     window_index=window_index,
                     kind="feature",
                     statistic=shift,
-                    threshold=cfg.feature_threshold,
+                    threshold=FEATURE_THRESHOLD,
                 )
             )
             self.feature_alarms += 1

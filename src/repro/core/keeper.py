@@ -27,7 +27,7 @@ from ..ssd.metrics import SimulationResult
 from ..ssd.request import IORequest, OpType
 from ..ssd.simulator import SSDSimulator
 from .allocator import ChannelAllocator, verified_allocate
-from .drift import DriftConfig, DriftDetector, DriftEvent
+from .drift import DEGRADE_AFTER, UNHEALTHY_RESIDUAL, DriftConfig, DriftDetector, DriftEvent
 from .features import FeaturesCollector, FeatureVector
 from .hybrid import PagePolicy
 from .labeler import WindowReplay, allocation
@@ -110,10 +110,6 @@ class KeeperRun:
     #: set when the deployed strategy came from graceful degradation rather
     #: than the model (see :meth:`SSDKeeper._decide`)
     fallback_reason: str | None = None
-
-    @property
-    def switched(self) -> bool:
-        return self.strategy is not None
 
 
 @dataclass
@@ -448,17 +444,14 @@ class SSDKeeper:
         requests: Sequence[IORequest],
         strategy: Strategy,
         features: FeatureVector,
-        *,
-        page_policy: PagePolicy = PagePolicy.ALL_STATIC,
     ) -> SimulationResult:
-        """Run the same trace under one fixed strategy (no adaptation).
+        """Run the same trace under one fixed strategy (no adaptation) with
+        the device's default static placement.
 
-        Used by the Figure-5 comparisons: Shared / Isolated baselines with
-        the device's default static placement, or SSDKeeper's chosen
-        strategy with hybrid placement.
+        Used by the Figure-5 comparisons: the Shared / Isolated baselines.
         """
         channel_sets, modes = allocation(
-            strategy, features, self.config.channels, page_policy
+            strategy, features, self.config.channels, PagePolicy.ALL_STATIC
         )
         sim = SSDSimulator(
             self.config,
@@ -519,24 +512,24 @@ class _WindowState:
             return None
         return (realised_us - self.predicted_us) / self.predicted_us
 
-    def update_degradation(self, config: DriftConfig, residual) -> bool:
+    def update_degradation(self, residual) -> bool:
         """Track the residual streaks; returns True when degradation arms.
 
-        Degradation arms after ``degrade_after`` consecutive unhealthy
+        Degradation arms after :data:`DEGRADE_AFTER` consecutive unhealthy
         windows *following a drift detection* and disarms after the same
         number of healthy ones (or a promoted retrain, :meth:`promote`) —
         symmetric hysteresis so one noisy window flips nothing.
         """
         if residual is None:
             return False
-        if residual > config.unhealthy_residual:
+        if residual > UNHEALTHY_RESIDUAL:
             self.unhealthy, self.healthy = self.unhealthy + 1, 0
         else:
             self.unhealthy, self.healthy = 0, self.healthy + 1
-        if not self.degraded and self.drifted and self.unhealthy >= config.degrade_after:
+        if not self.degraded and self.drifted and self.unhealthy >= DEGRADE_AFTER:
             self.degraded = True
             return True
-        if self.degraded and self.healthy >= config.degrade_after:
+        if self.degraded and self.healthy >= DEGRADE_AFTER:
             self.degraded = self.drifted = False
         return False
 
@@ -689,7 +682,7 @@ class _PeriodicLoop:
                     now, "drift_detected", "keeper", "drift",
                     args=event.to_dict(),
                 )
-        if state.update_degradation(self.detector.config, residual) and obs is not None:
+        if state.update_degradation(residual) and obs is not None:
             obs.registry.counter("keeper.degradations").inc()
         if self.governor.due(widx, bool(events) or state.degraded):
             self.retrain(widx)
@@ -721,11 +714,10 @@ class _PeriodicLoop:
         if state.degraded:
             self.run.degraded_windows += 1
             strategy = Strategy(StrategyKind.SHARED)
-            config = self.detector.config
             reason = (
                 "persistent drift: residual above "
-                f"{config.unhealthy_residual:g} for "
-                f"{config.degrade_after} consecutive windows"
+                f"{UNHEALTHY_RESIDUAL:g} for "
+                f"{DEGRADE_AFTER} consecutive windows"
             )
             self.keeper._log_fallback(self.sim, strategy, reason)
             return strategy, reason

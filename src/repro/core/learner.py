@@ -37,12 +37,6 @@ class LearnerReport:
     test_accuracy: float
     training_time_ms: float
 
-    def row(self) -> str:
-        return (
-            f"{self.optimizer:<14} loss={self.final_loss:.2f} "
-            f"acc={self.test_accuracy:.1%} time={self.training_time_ms:.0f}ms"
-        )
-
 
 class StrategyLearner:
     """Trainable mapping from workload features to allocation strategies."""

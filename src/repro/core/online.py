@@ -19,9 +19,8 @@ blindly**:
   replay scores it.  The replays are the ones the keeper already scored
   its decisions on, so a (window, strategy) pair is simulated once;
 * the candidate is **promoted** only when its held-back cost is no worse
-  than the incumbent's (within ``promote_margin``) and its predictions
-  are healthy; otherwise it is **rolled back** and the live model is
-  untouched.
+  than the incumbent's and its predictions are healthy; otherwise it is
+  **rolled back** and the live model is untouched.
 
 Everything is seeded and free of wall-clock reads, so two runs over the
 same decision stream retrain identically; the keeper owns the
@@ -50,6 +49,13 @@ __all__ = [
     "RetrainEvent",
     "RetrainGovernor",
 ]
+
+#: fine-tuning minibatch size (capped at the training-window count)
+_BATCH_SIZE = 8
+#: minibatch-shuffle seed (fine-tuning is deterministic given it)
+_SEED = 0
+#: indifference band when picking sweep labels
+_TIE_EPSILON = 1e-9
 
 
 @dataclass
@@ -108,18 +114,11 @@ class RetrainConfig:
     min_train_windows: int = 5
     #: fine-tuning epochs over the replay dataset
     iterations: int = 40
-    batch_size: int = 8
-    #: minibatch-shuffle seed (training is deterministic given it)
-    seed: int = 0
     #: also retrain every this many windows, drift or not (None = only
     #: on drift detections)
     interval_windows: int | None = None
     #: minimum windows between two attempts
     min_gap_windows: int = 3
-    #: candidate must achieve held-back cost <= incumbent * (1 + margin)
-    promote_margin: float = 0.0
-    #: indifference band when picking sweep labels (mirrors the labeler)
-    tie_epsilon: float = 1e-9
     #: test hook: corrupt the candidate after training (non-finite
     #: weights) so the shadow-validation rollback path is provable
     poison: bool = False
@@ -133,16 +132,10 @@ class RetrainConfig:
             raise ValueError("min_train_windows must be >= 1")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         if self.interval_windows is not None and self.interval_windows < 1:
             raise ValueError("interval_windows must be >= 1")
         if self.min_gap_windows < 0:
             raise ValueError("min_gap_windows must be non-negative")
-        if self.promote_margin < 0:
-            raise ValueError("promote_margin must be non-negative")
-        if self.tie_epsilon < 0:
-            raise ValueError("tie_epsilon must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -205,7 +198,7 @@ class RetrainGovernor:
     def _label_window(self, window: ReplayWindow, space) -> int:
         """Best strategy index for the window over every strategy."""
         if window.label is None:
-            window.label = window.replay.label(space, self.retrain.tie_epsilon)
+            window.label = window.replay.label(space, _TIE_EPSILON)
             window.replay = None
         return window.label
 
@@ -250,8 +243,8 @@ class RetrainGovernor:
         trainer = Trainer(
             candidate.network,
             "adam",
-            batch_size=min(cfg.batch_size, len(train_windows)),
-            seed=cfg.seed,
+            batch_size=min(_BATCH_SIZE, len(train_windows)),
+            seed=_SEED,
         )
         trainer.fit(
             candidate.scaler.transform(features), labels,
@@ -280,7 +273,7 @@ class RetrainGovernor:
 
         candidate_cost_us = self._model_cost_us(candidate, holdback)
         incumbent_cost_us = self._model_cost_us(incumbent, holdback)
-        if candidate_cost_us <= incumbent_cost_us * (1.0 + cfg.promote_margin):
+        if candidate_cost_us <= incumbent_cost_us:
             allocator.adopt(candidate)
             outcome, reason = "promoted", (
                 f"held-back cost {candidate_cost_us:.1f}us <= "

@@ -10,11 +10,11 @@ from . import serialization
 from .activations import Activation, Identity, Logistic, ReLU, Tanh, get_activation, softmax
 from .layers import Dense
 from .losses import Loss, SoftmaxCrossEntropy
-from .metrics import accuracy, top_k_accuracy
+from .metrics import top_k_accuracy
 from .network import MLP, paper_network
 from .optimizers import SGD, AdaGrad, Adam, Optimizer, RMSProp, SGDMomentum, get_optimizer
 from .preprocessing import StandardScaler, minibatches, train_test_split
-from .training import History, Trainer, train
+from .training import History, Trainer
 
 __all__ = [
     "Activation",
@@ -36,13 +36,11 @@ __all__ = [
     "SGD",
     "SGDMomentum",
     "get_optimizer",
-    "accuracy",
     "top_k_accuracy",
     "StandardScaler",
     "minibatches",
     "train_test_split",
     "History",
     "Trainer",
-    "train",
     "serialization",
 ]

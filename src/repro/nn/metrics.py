@@ -1,16 +1,16 @@
-"""Classification metrics: accuracy and top-k accuracy.
+"""Classification metrics: top-k accuracy.
 
 The strategy learner's 42 classes contain many *near-equivalent* neighbours
 (allocations within a few percent of each other's latency), so top-k
 accuracy tells more than the single top-1 number the paper reports.  These
-utilities are numpy-only and operate on logits or predicted labels.
+utilities are numpy-only and operate on logits.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["accuracy", "top_k_accuracy"]
+__all__ = ["top_k_accuracy"]
 
 
 def _labels_of(targets: np.ndarray) -> np.ndarray:
@@ -18,17 +18,6 @@ def _labels_of(targets: np.ndarray) -> np.ndarray:
     if targets.ndim == 2:
         return targets.argmax(axis=1)
     return targets.astype(int)
-
-
-def accuracy(predictions: np.ndarray, targets: np.ndarray) -> float:
-    """Fraction of exact matches."""
-    predictions = np.asarray(predictions).astype(int)
-    labels = _labels_of(targets)
-    if predictions.shape != labels.shape:
-        raise ValueError("predictions and targets must align")
-    if predictions.size == 0:
-        return 0.0
-    return float((predictions == labels).mean())
 
 
 def top_k_accuracy(logits: np.ndarray, targets: np.ndarray, k: int) -> float:

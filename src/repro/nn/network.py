@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .layers import Dense
-from .losses import Loss, SoftmaxCrossEntropy
+from .losses import SoftmaxCrossEntropy
 
 __all__ = ["MLP", "paper_network"]
 
@@ -30,7 +30,6 @@ class MLP:
         layer_sizes: Sequence[int],
         *,
         hidden_activation: str = "relu",
-        loss: Loss | None = None,
         seed: int | None = None,
     ) -> None:
         if len(layer_sizes) < 2:
@@ -49,7 +48,7 @@ class MLP:
                     rng=rng,
                 )
             )
-        self.loss = loss or SoftmaxCrossEntropy()
+        self.loss = SoftmaxCrossEntropy()
 
     # ------------------------------------------------------------------
     def forward(self, x: np.ndarray, *, train: bool = False) -> np.ndarray:
@@ -96,10 +95,10 @@ class MLP:
     def n_parameters(self) -> int:
         return sum(layer.n_parameters for layer in self.layers)
 
-    def storage_bytes(self, bytes_per_neuron: int = 16) -> int:
+    def storage_bytes(self) -> int:
         """The paper's Section IV-D storage estimate: 16 B per neuron
         (weight + bias), summed over all layers."""
-        return bytes_per_neuron * sum(self.layer_sizes[1:])
+        return 16 * sum(self.layer_sizes[1:])
 
     def forward_multiplies(self) -> int:
         """The paper's Section IV-D compute estimate: sum of N_i * N_{i+1}."""
@@ -113,17 +112,6 @@ class MLP:
         return f"MLP({arch}, {self.hidden_activation})"
 
 
-def paper_network(
-    *,
-    n_features: int = 9,
-    hidden: int = 64,
-    n_classes: int = 42,
-    activation: str = "relu",
-    seed: int | None = None,
-) -> MLP:
-    """The exact Section IV-D architecture: 9 -> 64 -> 42."""
-    return MLP(
-        [n_features, hidden, n_classes],
-        hidden_activation=activation,
-        seed=seed,
-    )
+def paper_network(*, seed: int | None = None) -> MLP:
+    """The exact Section IV-D architecture: 9 -> 64 -> 42, ReLU."""
+    return MLP([9, 64, 42], hidden_activation="relu", seed=seed)

@@ -1,27 +1,26 @@
 """Model parameter serialisation.
 
 The paper trains on the host and "sends the parameters to the FTL"
-(Section IV-C).  This module is that wire format: a compact JSON document
-holding the architecture, hidden activation, and every layer's weights and
-biases, round-trippable bit-for-bit at float64 precision via hex floats.
+(Section IV-C).  This module is that wire format: a JSON-serialisable
+document holding the architecture, hidden activation, and every layer's
+weights and biases, round-trippable bit-for-bit at float64 precision via
+hex floats.
 
-Loading validates the document before touching any numpy machinery: a
-corrupt or truncated checkpoint raises :class:`CheckpointError` (a
-``ValueError``) naming what is wrong, never a raw ``KeyError``/``TypeError``
-from deep inside array construction.  Non-finite parameters are rejected —
-a NaN weight would silently poison every downstream prediction.
+:func:`from_dict` validates the document before touching any numpy
+machinery: a corrupt or truncated checkpoint raises :class:`CheckpointError`
+(a ``ValueError``) naming what is wrong, never a raw
+``KeyError``/``TypeError`` from deep inside array construction.
+Non-finite parameters are rejected — a NaN weight would silently poison
+every downstream prediction.
 """
 
 from __future__ import annotations
-
-import json
-from pathlib import Path
 
 import numpy as np
 
 from .network import MLP
 
-__all__ = ["CheckpointError", "to_dict", "from_dict", "save", "load"]
+__all__ = ["CheckpointError", "to_dict", "from_dict"]
 
 _FORMAT = "repro-mlp-v1"
 
@@ -108,21 +107,3 @@ def from_dict(payload: dict) -> MLP:
         layer.bias = bias
     return network
 
-
-def save(network: MLP, path: str | Path) -> None:
-    """Write the network to a JSON file."""
-    Path(path).write_text(json.dumps(to_dict(network)), encoding="utf-8")
-
-
-def load(path: str | Path) -> MLP:
-    """Read a network back from :func:`save` output.
-
-    Raises :class:`CheckpointError` when the file is not valid JSON or the
-    document fails :func:`from_dict` validation.
-    """
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(f"{path}: not valid JSON ({exc})") from exc
-    return from_dict(payload)

@@ -19,7 +19,7 @@ from .network import MLP
 from .optimizers import Optimizer, get_optimizer
 from .preprocessing import minibatches
 
-__all__ = ["History", "Trainer", "train"]
+__all__ = ["History", "Trainer"]
 
 
 @dataclass
@@ -86,14 +86,8 @@ class Trainer:
         iterations: int = 200,
         x_test: np.ndarray | None = None,
         y_test: np.ndarray | None = None,
-        early_stop_loss: float | None = None,
     ) -> History:
-        """Run ``iterations`` epochs; record loss (and test metrics if given).
-
-        ``early_stop_loss`` stops once the epoch loss drops below it — used
-        by the self-adapting retraining flow, not by the paper's fixed-200
-        reproduction runs.
-        """
+        """Run ``iterations`` epochs; record loss (and test metrics if given)."""
         x_train = np.asarray(x_train, dtype=float)
         y_train = np.asarray(y_train)
         history = History()
@@ -134,37 +128,8 @@ class Trainer:
                 history.test_accuracy.append(test_acc)
                 if obs is not None:
                     s_acc.append(epoch, test_acc)
-            if early_stop_loss is not None and history.loss[-1] < early_stop_loss:
-                break
         history.training_time_ms = (time.perf_counter() - start_s) * 1e3
         if obs is not None:
             obs.registry.gauge("train.time_ms").set(history.training_time_ms)
         return history
 
-
-def train(
-    network: MLP,
-    x_train: np.ndarray,
-    y_train: np.ndarray,
-    *,
-    optimizer: str | Optimizer = "adam",
-    iterations: int = 200,
-    batch_size: int = 64,
-    x_test: np.ndarray | None = None,
-    y_test: np.ndarray | None = None,
-    seed: int | None = None,
-    obs=None,
-    **optimizer_kwargs,
-) -> History:
-    """Functional one-shot wrapper around :class:`Trainer`."""
-    trainer = Trainer(
-        network, optimizer, batch_size=batch_size, seed=seed, obs=obs,
-        **optimizer_kwargs,
-    )
-    return trainer.fit(
-        x_train,
-        y_train,
-        iterations=iterations,
-        x_test=x_test,
-        y_test=y_test,
-    )

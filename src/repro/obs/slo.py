@@ -43,8 +43,6 @@ __all__ = [
     "SloWatchdog",
     "SLO_SCHEMA_VERSION",
     "TENANT_TARGET_KEYS",
-    "burn_rates",
-    "escalate",
 ]
 
 SLO_SCHEMA_VERSION = 1
@@ -194,14 +192,14 @@ class SloSpec:
         )
 
     @classmethod
-    def load(cls, path, *, known_tenants=None) -> "SloSpec":
+    def load(cls, path) -> "SloSpec":
         """Load and validate a JSON spec file."""
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise SloSpecError("bad-spec", f"invalid JSON: {exc}") from None
-        return cls.from_dict(data, known_tenants=known_tenants)
+        return cls.from_dict(data)
 
     def to_dict(self) -> dict:
         return SLO_SCHEMA.stamp(
@@ -258,33 +256,6 @@ class SloAlert:
             "violation_fraction": self.violation_fraction,
             "allowed_fraction": self.allowed_fraction,
         }
-
-
-def burn_rates(fractions, fast_windows: int, allowed: float) -> tuple[float, float]:
-    """``(fast_burn, slow_burn)`` of a trail of per-window violation
-    fractions: the mean over the newest ``fast_windows`` windows and over
-    the whole trail, each divided by the ``allowed`` fraction."""
-    recent = list(fractions)
-    fast = recent[-fast_windows:]
-    return sum(fast) / len(fast) / allowed, sum(recent) / len(recent) / allowed
-
-
-def escalate(spec: SloSpec, fast_burn: float, slow_burn: float,
-             state: str) -> tuple[str, bool]:
-    """The dual-window burn-rate rule: ``(severity, raised)``.
-
-    A severity needs both the fast and the slow burn at or above its
-    thresholds (page before warn, else ``"ok"``); an alert is raised only
-    on the edge where the severity climbs above ``state``, the
-    objective's severity after the previous window.
-    """
-    if fast_burn >= spec.fast.page_burn and slow_burn >= spec.slow.page_burn:
-        severity = "page"
-    elif fast_burn >= spec.fast.warn_burn and slow_burn >= spec.slow.warn_burn:
-        severity = "warn"
-    else:
-        severity = "ok"
-    return severity, _SEVERITY_RANK[severity] > _SEVERITY_RANK[state]
 
 
 class _Objective:
@@ -356,23 +327,37 @@ class SloWatchdog:
         return objectives
 
     # ------------------------------------------------------------------
-    def observe(self, window: dict) -> list[SloAlert]:
-        """Fold one telemetry window in; returns alerts raised by it."""
+    def observe(self, window: dict) -> None:
+        """Fold one telemetry window in; the alerts it raises go to
+        :attr:`alerts` and the bound sinks.
+
+        The dual-window burn-rate rule: an objective's fast burn is its
+        mean violation fraction over the newest ``spec.fast.windows``
+        windows, its slow burn the mean over its whole trail, each divided
+        by the allowed fraction.  A severity needs both burns at or above
+        its thresholds (page before warn, else ``"ok"``); an alert is
+        raised only on the edge where the severity climbs above the
+        objective's severity after the previous window.
+        """
         self.windows_evaluated += 1
         if self._registry is not None:
             self._registry.counter("slo.windows").inc()
-        raised: list[SloAlert] = []
+        fast, slow = self.spec.fast, self.spec.slow
         for obj in self._objectives:
             fraction = obj.violation_fraction(window)
             obj.fractions.append(fraction)
-            fast_burn, slow_burn = burn_rates(
-                obj.fractions, self.spec.fast.windows, obj.allowed
-            )
-            severity, escalated = escalate(
-                self.spec, fast_burn, slow_burn, obj.state
-            )
-            if escalated:
-                alert = SloAlert(
+            trail = list(obj.fractions)
+            newest = trail[-fast.windows:]
+            fast_burn = sum(newest) / len(newest) / obj.allowed
+            slow_burn = sum(trail) / len(trail) / obj.allowed
+            if fast_burn >= fast.page_burn and slow_burn >= slow.page_burn:
+                severity = "page"
+            elif fast_burn >= fast.warn_burn and slow_burn >= slow.warn_burn:
+                severity = "warn"
+            else:
+                severity = "ok"
+            if _SEVERITY_RANK[severity] > _SEVERITY_RANK[obj.state]:
+                self._emit(SloAlert(
                     time_us=window["t_end_us"],
                     window_seq=window["seq"],
                     severity=severity,
@@ -382,11 +367,8 @@ class SloWatchdog:
                     slow_burn=slow_burn,
                     violation_fraction=fraction,
                     allowed_fraction=obj.allowed,
-                )
-                raised.append(alert)
-                self._emit(alert)
+                ))
             obj.state = severity
-        return raised
 
     def _emit(self, alert: SloAlert) -> None:
         self.alerts.append(alert)

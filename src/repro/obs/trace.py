@@ -121,11 +121,9 @@ class TraceRecorder:
     def __len__(self) -> int:
         return len(self._events)
 
-    def events(self, name: str | None = None) -> list[TraceEvent]:
-        """Recorded events in emission order, optionally filtered by name."""
-        if name is None:
-            return list(self._events)
-        return [e for e in self._events if e.name == name]
+    def events(self) -> list[TraceEvent]:
+        """Recorded events in emission order."""
+        return list(self._events)
 
     def clear(self) -> None:
         self._events.clear()
@@ -175,7 +173,7 @@ class NullRecorder:
     def __len__(self) -> int:
         return 0
 
-    def events(self, name: str | None = None) -> list[TraceEvent]:
+    def events(self) -> list[TraceEvent]:
         return []
 
     def clear(self) -> None:
@@ -195,7 +193,7 @@ NULL_RECORDER = NullRecorder()
 
 
 def match_pairs(
-    events: Iterable[TraceEvent], start_name: str, end_name: str, *, by_track: bool = True
+    events: Iterable[TraceEvent], start_name: str, end_name: str
 ) -> list[tuple[TraceEvent, TraceEvent]]:
     """Pair ``start_name`` events with the next ``end_name`` on the track.
 
@@ -207,7 +205,7 @@ def match_pairs(
     pending: dict[str, list[TraceEvent]] = {}
     pairs: list[tuple[TraceEvent, TraceEvent]] = []
     for event in events:
-        key = event.track if by_track else ""
+        key = event.track
         if event.name == start_name:
             pending.setdefault(key, []).append(event)
         elif event.name == end_name:

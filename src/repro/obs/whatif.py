@@ -150,7 +150,6 @@ class WhatIfRow:
         mean_write_us: float = 0.0,
         speedup: float = 0.0,
         makespan_speedup: float = 0.0,
-        verified: bool = False,
         note: str = "",
     ) -> None:
         #: ``ok`` or ``inapplicable`` (scaled config failed validation)
@@ -167,7 +166,7 @@ class WhatIfRow:
         self.makespan_speedup = makespan_speedup
         #: the counterfactual was re-simulated a second time and the
         #: totals matched exactly (determinism re-proven for this row)
-        self.verified = verified
+        self.verified = False
         self.note = note
 
     def to_dict(self) -> dict:
@@ -291,12 +290,11 @@ def run_whatif(
     sets,
     *,
     faults=None,
-    counterfactuals: "tuple[Counterfactual, ...] | list[Counterfactual] | None" = None,
-    verify: bool = True,
     baseline=None,
     log=None,
 ) -> WhatIfReport:
-    """Sweep ``counterfactuals`` by exact re-simulation of one trace.
+    """Sweep :data:`DEFAULT_COUNTERFACTUALS` by exact re-simulation of one
+    trace.
 
     ``faults`` must be a stateless :class:`~repro.ssd.faults.FaultConfig`
     (not a used injector) so every run draws the identical fault
@@ -305,10 +303,10 @@ def run_whatif(
     inputs — the sweep then skips re-running it (callers that just
     simulated the baseline, like ``repro explain``, avoid one run).
 
-    ``verify=True`` re-simulates the top-ranked counterfactual and
-    raises ``RuntimeError`` if the totals are not bit-identical — a
-    failed re-verification means the simulator lost determinism, which
-    would silently invalidate the whole table.
+    The top-ranked counterfactual is re-simulated, and ``RuntimeError``
+    raised if the totals are not bit-identical — a failed
+    re-verification means the simulator lost determinism, which would
+    silently invalidate the whole table.
     """
     from ..ssd.faults import FaultInjector  # lazy, cycle guard
 
@@ -318,8 +316,6 @@ def run_whatif(
             "stateful and would give each re-simulation a different "
             "fault sequence"
         )
-    if counterfactuals is None:
-        counterfactuals = DEFAULT_COUNTERFACTUALS
     if baseline is None:
         baseline = _simulate(requests, cfg, sets, faults)
     base_total_us, base_makespan_us, base_read_us, base_write_us = _metrics(
@@ -328,7 +324,7 @@ def run_whatif(
 
     rows: list[WhatIfRow] = []
     results: dict[str, tuple[float, float, float, float]] = {}
-    for cf in counterfactuals:
+    for cf in DEFAULT_COUNTERFACTUALS:
         try:
             cf_cfg, cf_sets = cf.apply(cfg, sets)
         except ValueError as exc:
@@ -364,19 +360,18 @@ def run_whatif(
         requests=len(requests),
         rows=rows,
     )
-    if verify:
-        best = report.best()
-        if best is not None:
-            by_name = {cf.name: cf for cf in counterfactuals}
-            cf_cfg, cf_sets = by_name[best.name].apply(cfg, sets)
-            rerun = _metrics(_simulate(requests, cf_cfg, cf_sets, faults))
-            if rerun != results[best.name]:
-                raise RuntimeError(
-                    f"counterfactual {best.name!r} is not reproducible: "
-                    f"first run {results[best.name]} vs re-run {rerun}; "
-                    "the simulator lost determinism"
-                )
-            best.verified = True
+    best = report.best()
+    if best is not None:
+        by_name = {cf.name: cf for cf in DEFAULT_COUNTERFACTUALS}
+        cf_cfg, cf_sets = by_name[best.name].apply(cfg, sets)
+        rerun = _metrics(_simulate(requests, cf_cfg, cf_sets, faults))
+        if rerun != results[best.name]:
+            raise RuntimeError(
+                f"counterfactual {best.name!r} is not reproducible: "
+                f"first run {results[best.name]} vs re-run {rerun}; "
+                "the simulator lost determinism"
+            )
+        best.verified = True
     # don't leave the last counterfactual's completion stamps on the
     # shared request objects
     reset_completions(requests)

@@ -11,8 +11,8 @@ Semantics (classic write-back, LRU):
   dirty.  If the buffer is full, the least-recently-used page is evicted
   first — a dirty eviction emits a flash write the device must perform.
 * a **read** of a buffered page (dirty or clean) completes at DRAM latency;
-  a miss goes to flash, and the page is optionally *read-allocated* into
-  the buffer as clean.
+  a miss goes to flash, and the page is *read-allocated* into the buffer
+  as clean.
 
 The buffer tracks hit/miss/eviction statistics; the simulator charges
 timing.
@@ -34,8 +34,6 @@ class BufferConfig:
     capacity_pages: int = 1024
     #: DRAM access latency charged for hits/absorbed writes (microseconds)
     dram_latency_us: float = 2.0
-    #: allocate buffer entries for read misses (clean)
-    read_allocate: bool = True
 
     def __post_init__(self) -> None:
         if self.capacity_pages < 1:
@@ -106,9 +104,6 @@ class WriteBuffer:
     def __contains__(self, glpn: int) -> bool:
         return glpn in self._entries
 
-    def is_dirty(self, glpn: int) -> bool:
-        return self._entries.get(glpn, False)
-
     # ------------------------------------------------------------------
     def write(self, glpn: int) -> AccessResult:
         """Buffer a host write; returns evicted dirty pages to program."""
@@ -124,14 +119,12 @@ class WriteBuffer:
         return AccessResult(hit=False, flash_writes=evictions)
 
     def read(self, glpn: int) -> AccessResult:
-        """Look up a host read; misses may read-allocate (clean)."""
+        """Look up a host read; a miss allocates a clean entry."""
         if glpn in self._entries:
             self.stats.read_hits += 1
             self._entries.move_to_end(glpn)
             return AccessResult(hit=True)
         self.stats.read_misses += 1
-        if not self.config.read_allocate:
-            return AccessResult(hit=False)
         evictions = self._make_room()
         self._entries[glpn] = False
         return AccessResult(hit=False, flash_writes=evictions)

@@ -106,11 +106,9 @@ class FastLatencyModel:
         requests: Iterable[IORequest],
         *,
         faults: FaultConfig | None = None,
-        record_latencies: bool = False,
     ) -> None:
         self.config = config
         self.geometry = Geometry(config)
-        self.record_latencies = record_latencies
         times = ServiceTimes.from_config(config)
         read_die_us, write_die_us = times.read_die_us, times.write_die_us
         if faults is not None:
@@ -176,7 +174,7 @@ class FastLatencyModel:
         n_req = self.n_req
         if n_req == 0:
             return build_result(
-                LatencyAccumulator(self.record_latencies),
+                LatencyAccumulator(),
                 makespan_us=0.0,
                 requests=0,
                 subrequests=0,
@@ -194,10 +192,10 @@ class FastLatencyModel:
         req_end_us = np.maximum.reduceat(ends_us, self.starts)
         latencies_us = req_end_us - self.req_arrival_us
 
-        acc = LatencyAccumulator(record_latencies=self.record_latencies)
+        acc = LatencyAccumulator()
         grouped_us = latencies_us[self.stream_order]
         for wid, op, lo, hi in self.streams:
-            acc.set_stats(wid, op, _bulk_stats(grouped_us[lo:hi], self.record_latencies))
+            acc.set_stats(wid, op, _bulk_stats(grouped_us[lo:hi]))
 
         return build_result(
             acc,
@@ -461,19 +459,16 @@ class _GapTimeline:
         return end
 
 
-def _bulk_stats(latencies_us: np.ndarray, record: bool):
-    """Build an OpStats from an array in one shot."""
+def _bulk_stats(latencies_us: np.ndarray):
+    """Build an OpStats from an array in one shot (no per-request samples)."""
     from .metrics import OpStats
 
-    stats = OpStats(
+    return OpStats(
         count=int(latencies_us.size),
         total_us=float(latencies_us.sum()),
         max_us=float(latencies_us.max()),
         min_us=float(latencies_us.min()),
     )
-    if record:
-        stats.samples = latencies_us.tolist()
-    return stats
 
 
 def fast_simulate(

@@ -21,7 +21,6 @@ to restore the raise-on-first-error behaviour.
 
 from __future__ import annotations
 
-import io
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 import warnings
@@ -31,9 +30,7 @@ from ..ssd.request import IORequest, OpType
 __all__ = [
     "MalformedTraceWarning",
     "dump",
-    "dumps",
     "load",
-    "loads",
     "iter_records",
 ]
 
@@ -48,34 +45,18 @@ _COLUMNS = "arrival_us,workload_id,op,lpn,length"
 def dump(requests: Iterable[IORequest], path: str | Path, *, precision: int = 3) -> None:
     """Write requests to ``path`` in trace format."""
     with open(path, "w", encoding="utf-8") as fh:
-        _write(requests, fh, precision)
-
-
-def dumps(requests: Iterable[IORequest], *, precision: int = 3) -> str:
-    """Serialise requests to a trace-format string."""
-    buf = io.StringIO()
-    _write(requests, buf, precision)
-    return buf.getvalue()
-
-
-def _write(requests: Iterable[IORequest], fh: TextIO, precision: int) -> None:
-    fh.write(_HEADER + "\n")
-    fh.write(_COLUMNS + "\n")
-    for r in requests:
-        fh.write(
-            f"{r.arrival_us:.{precision}f},{r.workload_id},{r.op},{r.lpn},{r.length}\n"
-        )
+        fh.write(_HEADER + "\n")
+        fh.write(_COLUMNS + "\n")
+        for r in requests:
+            fh.write(
+                f"{r.arrival_us:.{precision}f},{r.workload_id},{r.op},{r.lpn},{r.length}\n"
+            )
 
 
 def load(path: str | Path, *, strict: bool = False) -> list[IORequest]:
     """Read a trace file back into request objects."""
     with open(path, "r", encoding="utf-8") as fh:
         return list(iter_records(fh, strict=strict))
-
-
-def loads(text: str, *, strict: bool = False) -> list[IORequest]:
-    """Parse a trace-format string."""
-    return list(iter_records(io.StringIO(text), strict=strict))
 
 
 def _parse_line(parts: list[str], lineno: int) -> IORequest:

@@ -72,6 +72,28 @@ def test_unguarded_device_probe_is_flagged():
     assert violation.line == 14
 
 
+class TestModuleNames:
+    def test_every_package_file_derives_its_path_name(self):
+        src = REPO / "src"
+        wrong = {}
+        for path in sorted(src.rglob("*.py")):
+            parts = list(path.relative_to(src).with_suffix("").parts)
+            if parts[-1] == "__init__":
+                parts.pop()
+            derived = ModuleSource.parse(path).module
+            if derived != ".".join(parts):
+                wrong[str(path.relative_to(src))] = derived
+        assert wrong == {}
+
+    def test_pragma_counts_only_as_a_comment_line(self, tmp_path):
+        quoted = tmp_path / "quoted.py"
+        quoted.write_text('"""Pin it with ``# repro-lint: module=repro.ssd.x``."""\n')
+        assert ModuleSource.parse(quoted).module == "quoted"
+        pinned = tmp_path / "pinned.py"
+        pinned.write_text('"""Doc."""\n# repro-lint: module=repro.ssd.x\n')
+        assert ModuleSource.parse(pinned).module == "repro.ssd.x"
+
+
 class TestWaivers:
     def test_justified_waiver_silences_but_is_reported(self):
         report = lint_paths([FIXTURES / "waived_ok.py"])

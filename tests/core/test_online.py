@@ -85,11 +85,8 @@ class TestRetrainConfig:
         {"holdback": 0},
         {"min_train_windows": 0},
         {"iterations": 0},
-        {"batch_size": 0},
         {"interval_windows": 0},
         {"min_gap_windows": -1},
-        {"promote_margin": -0.1},
-        {"tie_epsilon": -1.0},
     ])
     def test_bad_knobs_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -160,7 +157,7 @@ class TestGovernorAttempt:
     def test_promotion_swaps_the_live_model(self):
         allocator = heuristic_allocator()
         incumbent = allocator.learner
-        event = self.attempt(fill_buffer(8), allocator, promote_margin=10.0)
+        event = self.attempt(fill_buffer(8), allocator)
         assert event is not None and event.promoted
         assert allocator.learner is not incumbent
 

@@ -79,7 +79,7 @@ class TestKnobLocalization:
         # absorbed the slowdown") — on the same trace the two must agree
         # on the bus/channel family
         requests, cfg, sets, faults = scenario
-        whatif = run_whatif(requests, cfg, sets, faults=faults, verify=False)
+        whatif = run_whatif(requests, cfg, sets, faults=faults)
         speedups = {row.name: row.speedup for row in whatif.ranked()}
         assert speedups["bus_2x"] > 1.0  # the bus is on the critical path
         assert scaled_report["sections"]["critpath"][

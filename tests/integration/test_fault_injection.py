@@ -235,22 +235,22 @@ class TestKeeperDegradation:
         obs = Observability()
         keeper = self._keeper(allocator, small_config, obs=obs)
         run = keeper.run(mixed_requests())
-        assert run.switched
+        assert run.strategy is not None
         assert run.fallback_reason is not None
         assert "unhealthy prediction" in run.fallback_reason
         assert run.strategy.kind is StrategyKind.SHARED
         assert obs.registry.counter("keeper.fallbacks").value == 1
-        assert len(obs.trace.events("keeper_fallback")) == 1
+        assert len([e for e in obs.trace.events() if e.name == "keeper_fallback"]) == 1
         assert obs.decisions[-1].fallback_reason == run.fallback_reason
 
     def test_healthy_model_does_not_fall_back(self, small_config):
         obs = Observability()
         keeper = self._keeper(make_allocator(), small_config, obs=obs)
         run = keeper.run(mixed_requests())
-        assert run.switched
+        assert run.strategy is not None
         assert run.fallback_reason is None
         assert obs.registry.counter("keeper.fallbacks").value == 0
-        assert not obs.trace.events("keeper_fallback")
+        assert not [e for e in obs.trace.events() if e.name == "keeper_fallback"]
 
     def test_failing_channel_triggers_fallback(self, small_config):
         obs = Observability()
@@ -261,11 +261,11 @@ class TestKeeperDegradation:
             faults=FaultConfig(seed=13, read_ber=0.9, max_read_retries=2),
         )
         run = keeper.run(mixed_requests(write_ratio_even=0.2))
-        assert run.switched
+        assert run.strategy is not None
         assert run.fallback_reason is not None
         assert "error rate" in run.fallback_reason
         assert run.strategy.kind is StrategyKind.SHARED
-        assert len(obs.trace.events("keeper_fallback")) == 1
+        assert len([e for e in obs.trace.events() if e.name == "keeper_fallback"]) == 1
 
     def test_periodic_fallback_uses_last_known_good(self, small_config):
         """After one healthy window, degraded windows redeploy its strategy."""

@@ -102,8 +102,8 @@ class TestTraceDiscipline:
 
     def test_every_request_submitted_and_dispatched(self, instrumented_run):
         _, obs, result = instrumented_run
-        submits = obs.trace.events("request_submit")
-        dispatches = obs.trace.events("subrequest_dispatch")
+        submits = [e for e in obs.trace.events() if e.name == "request_submit"]
+        dispatches = [e for e in obs.trace.events() if e.name == "subrequest_dispatch"]
         assert len(submits) == result.requests
         assert len(dispatches) == result.subrequests
 
@@ -221,8 +221,8 @@ class TestKeeperDecisionLogging:
 
     def test_switch_event_timestamp_matches_run(self, keeper_run):
         obs, run = keeper_run
-        assert run.switched
-        switches = obs.trace.events("keeper_switch")
+        assert run.strategy is not None
+        switches = [e for e in obs.trace.events() if e.name == "keeper_switch"]
         assert len(switches) == 1
         assert switches[0].ts_us == run.switched_at_us
         assert switches[0].args["strategy"] == run.strategy.label
@@ -249,16 +249,15 @@ class TestKeeperDecisionLogging:
 class TestTrainingInstrumentation:
     def test_trainer_publishes_epoch_series(self):
         from repro.nn.network import MLP
-        from repro.nn.training import train
+        from repro.nn.training import Trainer
 
         rng = np.random.default_rng(0)
         x = rng.normal(size=(48, 4))
         y = (x.sum(axis=1) > 0).astype(int)
         obs = Observability(trace=False)
         net = MLP([4, 8, 2], seed=0)
-        history = train(
-            net, x, y, iterations=5, batch_size=16, seed=0, obs=obs,
-            x_test=x, y_test=y,
+        history = Trainer(net, "adam", batch_size=16, seed=0, obs=obs).fit(
+            x, y, iterations=5, x_test=x, y_test=y,
         )
         snap = obs.registry.snapshot()
         assert snap["counters"]["train.epochs"] == history.iterations

@@ -3,24 +3,27 @@
 import numpy as np
 import pytest
 
-from repro.nn import accuracy, top_k_accuracy
+from repro.nn import top_k_accuracy
 
 
 class TestAccuracy:
+    """Top-1 accuracy is ``top_k_accuracy`` with ``k=1``."""
+
     def test_exact_match(self):
-        assert accuracy(np.array([0, 1, 2]), np.array([0, 1, 2])) == 1.0
-        assert accuracy(np.array([0, 1, 2]), np.array([0, 0, 0])) == pytest.approx(1 / 3)
+        logits = np.eye(3)
+        assert top_k_accuracy(logits, np.array([0, 1, 2]), 1) == 1.0
+        assert top_k_accuracy(logits, np.array([0, 0, 0]), 1) == pytest.approx(1 / 3)
 
     def test_one_hot_targets(self):
         one_hot = np.eye(3)[[0, 2]]
-        assert accuracy(np.array([0, 2]), one_hot) == 1.0
+        assert top_k_accuracy(one_hot, one_hot, 1) == 1.0
 
     def test_empty(self):
-        assert accuracy(np.array([]), np.array([])) == 0.0
+        assert top_k_accuracy(np.zeros((0, 3)), np.array([]), 1) == 0.0
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            accuracy(np.array([0]), np.array([0, 1]))
+            top_k_accuracy(np.eye(3)[[0]], np.array([0, 1]), 1)
 
 
 class TestTopK:
@@ -28,7 +31,7 @@ class TestTopK:
         logits = rng.normal(size=(20, 5))
         labels = rng.integers(0, 5, size=20)
         assert top_k_accuracy(logits, labels, 1) == pytest.approx(
-            accuracy(logits.argmax(axis=1), labels)
+            float((logits.argmax(axis=1) == labels).mean())
         )
 
     def test_monotone_in_k(self, rng):

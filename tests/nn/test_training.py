@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import MLP, History, Trainer, train
+from repro.nn import MLP, History, Trainer
 
 
 @pytest.fixture
@@ -40,14 +40,6 @@ class TestTrainer:
         assert history.test_accuracy == []
         with pytest.raises(RuntimeError):
             _ = history.final_accuracy
-
-    def test_early_stop(self, toy_problem):
-        x, y = toy_problem
-        net = MLP([3, 24, 2], seed=0)
-        history = Trainer(net, "adam", learning_rate=0.05, seed=0).fit(
-            x, y, iterations=500, early_stop_loss=0.3
-        )
-        assert history.iterations < 500
 
     def test_training_time_recorded(self, toy_problem):
         x, y = toy_problem
@@ -89,13 +81,6 @@ class TestTrainer:
 
 
 class TestFunctionalWrapper:
-    def test_train_equivalent_to_trainer(self, toy_problem):
-        x, y = toy_problem
-        net = MLP([3, 8, 2], seed=1)
-        history = train(net, x, y, optimizer="adam", iterations=5, seed=0)
-        assert isinstance(history, History)
-        assert history.iterations == 5
-
     def test_empty_history_raises_on_final_loss(self):
         with pytest.raises(RuntimeError):
             _ = History().final_loss

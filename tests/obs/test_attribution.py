@@ -202,17 +202,17 @@ class TestTraceSpanEmission:
         coll.record(req, span)
         names = [e.name for e in trace.events()]
         assert names == ["req_span", "req_wait_die", "req_die", "req_bus"]
-        req_span = trace.events("req_span")[0]
+        req_span = [e for e in trace.events() if e.name == "req_span"][0]
         assert req_span.track == "w2"
         assert req_span.cat == "attr"
         assert req_span.dur_us == pytest.approx(req.latency_us)
-        wait = trace.events("req_wait_die")[0]
+        wait = [e for e in trace.events() if e.name == "req_wait_die"][0]
         assert wait.args == {"gc_stall_us": 12.0}
-        die = trace.events("req_die")[0]
+        die = [e for e in trace.events() if e.name == "req_die"][0]
         assert die.args == {"ecc_retry_us": 9.0}
         # phase spans tile the request span end to end
         assert die.ts_us == wait.ts_us + wait.dur_us
-        bus = trace.events("req_bus")[0]
+        bus = [e for e in trace.events() if e.name == "req_bus"][0]
         assert bus.ts_us + bus.dur_us == pytest.approx(span.end_us)
 
     def test_buffer_hit_emits_dram_span_only(self):

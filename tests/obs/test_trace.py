@@ -20,8 +20,8 @@ class TestTraceRecorder:
         rec.emit(1.0, "channel_acquire", "ch0", dur_us=5.0)
         rec.emit(6.0, "channel_release", "ch0")
         assert len(rec) == 2
-        assert [e.name for e in rec.events("channel_acquire")] == [
-            "channel_acquire"
+        assert [e.name for e in rec.events()] == [
+            "channel_acquire", "channel_release"
         ]
         assert rec.events()[0].dur_us == 5.0
 

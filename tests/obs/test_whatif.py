@@ -92,44 +92,33 @@ class TestCounterfactual:
 class TestRunWhatif:
     def test_sweep_ranks_and_verifies(self):
         requests, cfg, sets = small_inputs()
-        report = run_whatif(
-            requests, cfg, sets,
-            counterfactuals=[
-                Counterfactual("tPROG_half", "program halved",
-                               knob="write_latency", factor=0.5),
-                Counterfactual("shared", "share channels",
-                               allocation="shared"),
-            ],
-        )
+        report = run_whatif(requests, cfg, sets)
         ranked = report.ranked()
-        assert len(ranked) == 2
-        assert ranked[0].speedup >= ranked[1].speedup
+        assert [row.name for row in report.rows] == [
+            cf.name for cf in DEFAULT_COUNTERFACTUALS
+        ]
+        assert [row.speedup for row in ranked] == sorted(
+            (row.speedup for row in ranked), reverse=True
+        )
         assert ranked[0].verified  # top row re-simulated identically
-        assert not ranked[1].verified
+        assert not any(row.verified for row in ranked[1:])
 
     def test_faster_knob_speeds_up_write_heavy_trace(self):
         requests, cfg, sets = small_inputs()
-        report = run_whatif(
-            requests, cfg, sets,
-            counterfactuals=[
-                Counterfactual("tPROG_half", "program halved",
-                               knob="write_latency", factor=0.5),
-            ],
-        )
-        assert report.best().speedup > 1.0
+        report = run_whatif(requests, cfg, sets)
+        (row,) = [row for row in report.rows if row.name == "tPROG_half"]
+        assert row.speedup > 1.0
 
     def test_inapplicable_knob_reported_not_raised(self):
         requests, cfg, sets = small_inputs(total=40)
-        report = run_whatif(
-            requests, cfg, sets, verify=False,
-            counterfactuals=[
-                Counterfactual("gc_off_scale", "illegal watermarks",
-                               knob="gc_threshold", factor=100.0),
-            ],
-        )
-        assert report.rows[0].status == "inapplicable"
-        assert report.ranked() == []
-        assert report.best() is None
+        # doubling these watermarks puts gc_restore past 1
+        cfg = cfg.replace(gc_threshold=0.3, gc_restore=0.6)
+        report = run_whatif(requests, cfg, sets)
+        (row,) = [row for row in report.rows if row.name == "gc_earlier"]
+        assert row.status == "inapplicable"
+        assert "gc_restore" in row.note
+        assert row not in report.ranked()
+        assert len(report.ranked()) == len(DEFAULT_COUNTERFACTUALS) - 1
 
     def test_rejects_stateful_injector(self):
         requests, cfg, sets = small_inputs(total=40)
@@ -140,57 +129,40 @@ class TestRunWhatif:
     def test_fault_config_reruns_deterministically(self):
         requests, cfg, sets = small_inputs()
         faults = FaultConfig(seed=5, read_ber=0.02)
-        report_a = run_whatif(
-            requests, cfg, sets, faults=faults,
-            counterfactuals=[
-                Counterfactual("tR_half", "read halved",
-                               knob="read_latency", factor=0.5),
-            ],
-        )
-        report_b = run_whatif(
-            requests, cfg, sets, faults=faults,
-            counterfactuals=[
-                Counterfactual("tR_half", "read halved",
-                               knob="read_latency", factor=0.5),
-            ],
-        )
+        report_a = run_whatif(requests, cfg, sets, faults=faults)
+        report_b = run_whatif(requests, cfg, sets, faults=faults)
         assert report_a.to_dict() == report_b.to_dict()
 
     def test_requests_left_unstamped(self):
         requests, cfg, sets = small_inputs(total=40)
-        run_whatif(
-            requests, cfg, sets, verify=False,
-            counterfactuals=[
-                Counterfactual("tR_half", "read halved",
-                               knob="read_latency", factor=0.5),
-            ],
-        )
+        run_whatif(requests, cfg, sets)
         assert all(req.complete_us == -1.0 for req in requests)
 
-    def test_baseline_passthrough_skips_rerun(self):
+    def test_baseline_passthrough_skips_rerun(self, monkeypatch):
+        from repro.obs import whatif
         from repro.ssd.simulator import simulate
 
         requests, cfg, sets = small_inputs(total=40)
         baseline = simulate(requests, cfg, sets)
-        report = run_whatif(
-            requests, cfg, sets, baseline=baseline, verify=False,
-            counterfactuals=[],
-        )
+        runs = []
+        original = whatif._simulate
+
+        def counted(*args):
+            runs.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(whatif, "_simulate", counted)
+        report = run_whatif(requests, cfg, sets, baseline=baseline)
         assert report.baseline_total_latency_us == baseline.total_latency_us
-        assert report.rows == []
+        # one run per counterfactual plus the top row's re-verification
+        assert len(runs) == len(DEFAULT_COUNTERFACTUALS) + 1
 
     def test_to_dict_schema(self):
         requests, cfg, sets = small_inputs(total=40)
-        doc = run_whatif(
-            requests, cfg, sets, verify=False,
-            counterfactuals=[
-                Counterfactual("tR_half", "read halved",
-                               knob="read_latency", factor=0.5),
-            ],
-        ).to_dict()
+        doc = run_whatif(requests, cfg, sets).to_dict()
         assert doc["schema_version"] == WHATIF_SCHEMA_VERSION
         assert doc["baseline"]["total_latency_us"] > 0
-        assert doc["counterfactuals"][0]["name"] == "tR_half"
+        assert doc["counterfactuals"][0]["verified"] is True
         assert "speedup" in doc["counterfactuals"][0]
 
 
@@ -205,10 +177,11 @@ class TestReportFormat:
             rows=[
                 WhatIfRow("a", "desc a", "ok", total_latency_us=1e6,
                           makespan_us=5e5, speedup=2.0,
-                          makespan_speedup=2.0, verified=True),
+                          makespan_speedup=2.0),
                 WhatIfRow("b", "desc b", "inapplicable", note="nope"),
             ],
         )
+        report.rows[0].verified = True
         text = report.format()
         assert "*verified*" in text
         assert "inapplicable: nope" in text

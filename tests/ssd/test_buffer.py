@@ -7,10 +7,8 @@ import pytest
 from repro.ssd import BufferConfig, IORequest, OpType, ServiceTimes, SSDSimulator, WriteBuffer
 
 
-def cfg(capacity=4, dram=2.0, read_allocate=True):
-    return BufferConfig(
-        capacity_pages=capacity, dram_latency_us=dram, read_allocate=read_allocate
-    )
+def cfg(capacity=4, dram=2.0):
+    return BufferConfig(capacity_pages=capacity, dram_latency_us=dram)
 
 
 class TestBufferUnit:
@@ -18,8 +16,8 @@ class TestBufferUnit:
         buf = WriteBuffer(cfg())
         assert not buf.write(10).hit
         assert buf.read(10).hit
-        assert buf.is_dirty(10)
         assert buf.stats.read_hits == 1
+        assert buf.flush() == (10,)  # the read hit left the page dirty
 
     def test_write_coalescing(self):
         buf = WriteBuffer(cfg())
@@ -44,11 +42,6 @@ class TestBufferUnit:
         result = buf.write(8)
         assert result.flash_writes == ()
         assert buf.stats.clean_evictions == 1
-
-    def test_read_allocate_disabled(self):
-        buf = WriteBuffer(cfg(read_allocate=False))
-        buf.read(5)
-        assert 5 not in buf
 
     def test_flush_returns_only_dirty(self):
         buf = WriteBuffer(cfg())

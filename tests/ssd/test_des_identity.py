@@ -341,6 +341,9 @@ def case_keeper_periodic() -> dict:
 def case_keeper_retrain() -> dict:
     """An adaptive keeper on a faulted device whose retraining labels use
     a wide indifference band: it retrains, promotes and rolls back."""
+    from unittest import mock
+
+    from repro.core import online
     from repro.core.keeper import SSDKeeper
     from repro.harness import driftlab
     from repro.workloads.adversarial import build_scenario
@@ -355,10 +358,8 @@ def case_keeper_retrain() -> dict:
         faults=faults(),
     )
     drift, retrain = driftlab.lab_configs()
-    run = keeper.run_adaptive(
-        workload.requests, drift=drift,
-        retrain=dataclasses.replace(retrain, tie_epsilon=0.01),
-    )
+    with mock.patch.object(online, "_TIE_EPSILON", 0.01):
+        run = keeper.run_adaptive(workload.requests, drift=drift, retrain=retrain)
     assert run.promotions > 0 and run.rollbacks > 0
     return {
         "result": result_doc(run.result),

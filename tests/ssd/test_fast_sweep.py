@@ -29,13 +29,13 @@ LABELER = labeler.LabelerConfig(window_requests_max=600)
 FAULTS = FaultConfig(seed=5, read_ber=0.05, program_fail_rate=0.002)
 
 
-def sweep(requests, strategy_sets, modes=None, *, faults=None, record=False):
+def sweep(requests, strategy_sets, modes=None, *, faults=None):
     """One model for the trace, one run per channel-set mapping."""
-    model = FastLatencyModel(CONFIG, requests, faults=faults, record_latencies=record)
+    model = FastLatencyModel(CONFIG, requests, faults=faults)
     return [model.run(sets, modes) for sets in strategy_sets]
 
 
-def reference(requests, sets, modes, *, faults=None, record=False):
+def reference(requests, sets, modes, *, faults=None):
     """The whole trace booked in arrival order on one set of timelines."""
     # a model with no trace, used only for its placement and booking helpers
     model = FastLatencyModel(CONFIG, [], faults=faults)
@@ -63,12 +63,12 @@ def reference(requests, sets, modes, *, faults=None, record=False):
     for (r, _), end in zip(pages, ends.tolist()):
         req_end[id(r)] = max(req_end.get(id(r), end), end)
     latency = np.array([req_end[id(r)] - r.arrival_us for r in ordered])
-    acc = LatencyAccumulator(record_latencies=record)
+    acc = LatencyAccumulator()
     for w in sorted(sets):
         for op in (OpType.READ, OpType.WRITE):
             mask = np.array([r.workload_id == w and r.op is op for r in ordered])
             if mask.any():
-                acc.set_stats(w, op, _bulk_stats(latency[mask], record))
+                acc.set_stats(w, op, _bulk_stats(latency[mask]))
     return build_result(
         acc, makespan_us=max(req_end.values()), requests=len(ordered),
         subrequests=len(pages),
@@ -108,23 +108,19 @@ def layout(widths, order):
     level=st.integers(0, 19),
     policy=st.sampled_from(list(PagePolicy)),
     faulted=st.booleans(),
-    record=st.booleans(),
 )
 def test_sweep_matches_one_shared_pass_for_all_strategies(
-    seed, level, policy, faulted, record
+    seed, level, policy, faulted
 ):
     requests, write_dominated, modes = draw_mix(seed, level, policy)
     faults = FAULTS if faulted else None
     sets = all_sets(write_dominated)
-    results = sweep(requests, sets, modes, faults=faults, record=record)
+    results = sweep(requests, sets, modes, faults=faults)
     assert len(results) == len(SPACE) == 42
     for strategy_sets, result in zip(sets, results):
-        expected = reference(requests, strategy_sets, modes, faults=faults, record=record)
+        expected = reference(requests, strategy_sets, modes, faults=faults)
         assert result == expected
         assert result.per_workload == expected.per_workload
-        if record:
-            assert result.read.samples == expected.read.samples
-            assert result.write.samples == expected.write.samples
 
 
 @settings(max_examples=6)
@@ -174,8 +170,8 @@ def test_swapping_channel_blocks_keeps_each_tenants_stats(widths):
 def test_reverse_order_sweep_gives_identical_results():
     requests, write_dominated, modes = draw_mix(11, 12)
     sets = all_sets(write_dominated)
-    forward = sweep(requests, sets, modes, record=True)
-    backward = sweep(requests, sets[::-1], modes, record=True)
+    forward = sweep(requests, sets, modes)
+    backward = sweep(requests, sets[::-1], modes)
     assert backward[::-1] == forward
 
 

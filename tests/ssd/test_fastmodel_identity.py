@@ -2,9 +2,8 @@
 
 Every case below replays one seeded window under all 42 strategies of the
 four-tenant space and hashes every field of every result: the aggregate
-and per-workload :class:`~repro.ssd.metrics.OpStats` (latency samples
-included when recorded), makespan, request and sub-request counts and the
-rest of :class:`~repro.ssd.metrics.SimulationResult`.  Floats are rendered
+and per-workload :class:`~repro.ssd.metrics.OpStats`, makespan, request
+and sub-request counts and the rest of :class:`~repro.ssd.metrics.SimulationResult`.  Floats are rendered
 with :meth:`float.hex`, so the digests are exact.  A change to the fast
 model's booking rule, its group memo or its statistics that moves any
 simulated value by one ulp changes a digest here.
@@ -21,9 +20,9 @@ import numpy as np
 import pytest
 
 from repro.core import features, labeler
-from repro.core.hybrid import PagePolicy, page_modes_for
+from repro.core.hybrid import PagePolicy
 from repro.core.strategies import StrategySpace
-from repro.ssd import FastLatencyModel, FaultConfig, SSDConfig
+from repro.ssd import FaultConfig, SSDConfig
 from repro.workloads.mixer import synthesize_mix
 
 CONFIG = SSDConfig.small()
@@ -108,19 +107,6 @@ def case_all_dynamic():
     return replay_sweep(requests, fv, PagePolicy.ALL_DYNAMIC)
 
 
-def case_recorded():
-    """Latency samples on; every other case runs with them off."""
-    requests, fv = window(10, 10)
-    model = FastLatencyModel(CONFIG, requests, record_latencies=True)
-    modes = page_modes_for(PagePolicy.HYBRID, fv)
-    results = [
-        model.run(s.channel_sets(CONFIG.channels, fv.write_dominated()), modes)
-        for s in SPACE
-    ]
-    assert all(r.read.samples and r.write.samples for r in results)
-    return results
-
-
 CASES = {
     "level10": case_level10,
     "level19": case_level19,
@@ -128,7 +114,6 @@ CASES = {
     "faulted": case_faulted,
     "all_static": case_all_static,
     "all_dynamic": case_all_dynamic,
-    "recorded": case_recorded,
 }
 
 DIGESTS = {
@@ -137,7 +122,6 @@ DIGESTS = {
     "faulted": "ae4d7bf2dcb5839a",
     "level10": "ea35b77ef895538e",
     "level19": "487ffa9c34824d66",
-    "recorded": "3010447f1ebd5d2d",
     "small_window": "67accb3f8b6b171a",
 }
 

@@ -1,5 +1,9 @@
 """Trace file round trips and error handling."""
 
+import io
+from pathlib import Path
+import tempfile
+
 from hypothesis import given
 from hypothesis import strategies as st
 import pytest
@@ -17,10 +21,23 @@ request_strategy = st.builds(
 )
 
 
+def parse(text, **kwargs):
+    """Parse trace-format text."""
+    return list(traces.iter_records(io.StringIO(text), **kwargs))
+
+
+def dumped(reqs, **kwargs) -> str:
+    """The trace-format text :func:`traces.dump` writes for ``reqs``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.csv"
+        traces.dump(reqs, path, **kwargs)
+        return path.read_text(encoding="utf-8")
+
+
 class TestRoundTrip:
     @given(st.lists(request_strategy, max_size=30))
     def test_string_roundtrip(self, reqs):
-        parsed = traces.loads(traces.dumps(reqs))
+        parsed = parse(dumped(reqs))
         assert len(parsed) == len(reqs)
         for a, b in zip(reqs, parsed):
             assert a.arrival_us == pytest.approx(b.arrival_us, abs=1e-3)
@@ -45,34 +62,34 @@ class TestRoundTrip:
 
     def test_higher_precision(self):
         reqs = [IORequest(arrival_us=0.123456, workload_id=0, op=OpType.READ, lpn=0)]
-        text = traces.dumps(reqs, precision=6)
+        text = dumped(reqs, precision=6)
         assert "0.123456" in text
 
 
 class TestParsing:
     def test_skips_comments_and_blank_lines(self):
         text = "# comment\n\n0.0,0,R,1,1\n# another\n1.0,0,W,2,1\n"
-        assert len(traces.loads(text)) == 2
+        assert len(parse(text)) == 2
 
     def test_skips_column_header(self):
         text = "arrival_us,workload_id,op,lpn,length\n0.0,0,R,1,1\n"
-        assert len(traces.loads(text)) == 1
+        assert len(parse(text)) == 1
 
     def test_strict_rejects_wrong_field_count(self):
         with pytest.raises(ValueError, match="line 1"):
-            traces.loads("0.0,0,R,1\n", strict=True)
+            parse("0.0,0,R,1\n", strict=True)
 
     def test_strict_rejects_bad_op(self):
         with pytest.raises(ValueError, match="line 1"):
-            traces.loads("0.0,0,X,1,1\n", strict=True)
+            parse("0.0,0,X,1,1\n", strict=True)
 
     def test_strict_rejects_bad_numbers(self):
         with pytest.raises(ValueError):
-            traces.loads("abc,0,R,1,1\n", strict=True)
+            parse("abc,0,R,1,1\n", strict=True)
 
     def test_strict_error_reports_line_number(self):
         with pytest.raises(ValueError, match="line 2"):
-            traces.loads("0.0,0,R,1,1\n0.0,0,R,1\n", strict=True)
+            parse("0.0,0,R,1,1\n0.0,0,R,1\n", strict=True)
 
 
 class TestLenientParsing:
@@ -80,19 +97,19 @@ class TestLenientParsing:
 
     def test_skips_malformed_lines(self):
         with pytest.warns(traces.MalformedTraceWarning):
-            parsed = traces.loads(self.DIRTY)
+            parsed = parse(self.DIRTY)
         assert [r.lpn for r in parsed] == [1, 2, 4]
 
     def test_warning_counts_and_names_first_error(self):
         with pytest.warns(traces.MalformedTraceWarning, match=r"skipped 2 .*line 2"):
-            traces.loads(self.DIRTY)
+            parse(self.DIRTY)
 
     def test_clean_trace_warns_nothing(self):
         import warnings
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            parsed = traces.loads("0.0,0,R,1,1\n1.0,0,W,2,1\n")
+            parsed = parse("0.0,0,R,1,1\n1.0,0,W,2,1\n")
         assert len(parsed) == 2
 
     def test_file_load_is_lenient(self, tmp_path):
