@@ -8,7 +8,7 @@ law.  This package machine-checks them, twice over:
 
 * **static lints** (:mod:`repro.analysis.engine`,
   :mod:`repro.analysis.rules`) — an AST-walking rule engine with four
-  domain rules:
+  per-file domain rules:
 
   - **R001 unit hygiene** — a value flowing into a ``*_us`` parameter,
     field, or return must provably be microseconds (a ``*_us``-suffixed
@@ -24,6 +24,14 @@ law.  This package machine-checks them, twice over:
   - **R004 event-loop discipline** — every ``loop.schedule(when, ...)``
     must pass a ``when`` anchored to an absolute simulated time
     (a ``now`` / ``free_at`` / grant-``start`` term), not a bare duration.
+
+  and two whole-program rules over one call graph
+  (:mod:`repro.analysis.program`):
+
+  - **R005 seed provenance** — every RNG construction traces, through
+    the call graph, to an explicit seed, and no seed fans out unsplit.
+  - **R007 schema round trip** — versioned JSON documents are stamped
+    only through a declared ``Schema`` whose reader checks them back.
 
   Violations can be waived per line with a written justification::
 

@@ -1,23 +1,18 @@
-"""Lint engine: discovery, parse cache, waivers, rule dispatch, fingerprints.
+"""Lint engine: discovery, parse memo, waivers, rule dispatch.
 
-The engine parses each file once (with an mtime-keyed cache shared across
-*processes*, so ``repro lint`` followed by ``python -m repro.analysis`` in
-the same CI job re-parses nothing), extracts per-line waivers from
-comments, derives the dotted module name (so rules can scope themselves to
-``repro.ssd`` / ``repro.core``), and dispatches two rule families:
+The engine parses each file once (an mtime-keyed memo serves repeat loads
+within a process), extracts per-line waivers from comments, derives the
+dotted module name (so rules can scope themselves to ``repro.ssd`` /
+``repro.core``), and dispatches two rule families:
 
 * **per-file rules** (R001–R004) see one :class:`ModuleSource` at a time;
-* **program rules** (R005–R007) see a :class:`~repro.analysis.program.Program`
+* **program rules** (R005, R007) see a :class:`~repro.analysis.program.Program`
   built once over *all* discovered modules — symbol table, call graph,
   interprocedural edges.
 
 Violations on a line carrying a matching waiver comment are kept in the
 report (so ``--json`` consumers can audit them) but marked ``waived`` and
-excluded from the exit-code decision.  Every violation also carries a
-stable content-addressed ``fingerprint`` (rule + path + source line text +
-occurrence index — deliberately *not* the line number, so unrelated edits
-above a finding don't churn it), the key the suppression baseline
-(:mod:`repro.analysis.baseline`) matches on.
+excluded from the exit-code decision.
 
 Waiver grammar (one comment per line, reason mandatory)::
 
@@ -43,12 +38,8 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field, replace
-import hashlib
-import os
 from pathlib import Path
-import pickle
 import re
-import sys
 from typing import Iterable
 
 from ..schema import Schema
@@ -64,14 +55,14 @@ __all__ = [
     "load_report_dict",
 ]
 
-#: version stamped into :meth:`Report.to_dict` (v1 was the pre-interprocedural
-#: per-file report; v2 adds fingerprints, suppression and tool metadata)
-REPORT_SCHEMA_VERSION = 2
+#: version stamped into :meth:`Report.to_dict` (v2 carried baseline
+#: fingerprints and suppression counts; v3 drops them)
+REPORT_SCHEMA_VERSION = 3
 
 #: the JSON report every consumer may rely on
 REPORT_SCHEMA = Schema(
     "report", REPORT_SCHEMA_VERSION,
-    required=("tool", "files", "ok", "counts", "suppressed", "violations"),
+    required=("tool", "files", "ok", "counts", "violations"),
 )
 
 # The reason capture runs greedily to the LAST ')' on the line: a reason
@@ -90,7 +81,7 @@ _MODULE_RE = re.compile(
 
 @dataclass(frozen=True)
 class Violation:
-    """One finding: rule code, location, message, and stable fingerprint."""
+    """One finding: rule code, location, message, and any waiver."""
 
     rule: str
     path: str
@@ -99,15 +90,11 @@ class Violation:
     message: str
     waived: bool = False
     waiver_reason: str | None = None
-    suppressed: bool = False
-    fingerprint: str = ""
 
     def format(self) -> str:
         text = f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
         if self.waived:
             text += f"  [waived: {self.waiver_reason}]"
-        if self.suppressed:
-            text += "  [baseline]"
         return text
 
     def to_dict(self) -> dict:
@@ -119,8 +106,6 @@ class Violation:
             "message": self.message,
             "waived": self.waived,
             "waiver_reason": self.waiver_reason,
-            "suppressed": self.suppressed,
-            "fingerprint": self.fingerprint,
         }
 
 
@@ -160,7 +145,7 @@ class ModuleSource:
 
     @classmethod
     def load(cls, path: Path) -> "ModuleSource":
-        """Like :meth:`parse`, through the mtime-keyed parse cache."""
+        """Like :meth:`parse`, through the mtime-keyed parse memo."""
         return _cached_parse(path)
 
     def in_package(self, *prefixes: str) -> bool:
@@ -169,28 +154,12 @@ class ModuleSource:
             self.module == p or self.module.startswith(p + ".") for p in prefixes
         )
 
-    def line_text(self, lineno: int) -> str:
-        lines = self.text.splitlines()
-        if 1 <= lineno <= len(lines):
-            return lines[lineno - 1].strip()
-        return ""
-
 
 # ----------------------------------------------------------------------
-# Parse cache: in-memory for one process, pickled ASTs on disk so the
-# second tool invocation in the same CI job skips parsing entirely.
-# Entries are keyed by resolved path and validated by (mtime_ns, size);
-# any cache failure falls back to a plain parse.
+# Parse memo for one process: entries are keyed by resolved path and
+# validated by (mtime_ns, size).
 # ----------------------------------------------------------------------
-_CACHE_FORMAT = 2
 _MEM_CACHE: dict[str, tuple[int, int, ModuleSource]] = {}
-
-
-def _cache_dir() -> Path:
-    env = os.environ.get("REPRO_LINT_CACHE_DIR")
-    if env:
-        return Path(env)
-    return Path(".repro-cache") / "lint-ast"
 
 
 def _cached_parse(path: Path) -> ModuleSource:
@@ -202,43 +171,11 @@ def _cached_parse(path: Path) -> ModuleSource:
         return ModuleSource.parse(path)
     entry = _MEM_CACHE.get(resolved)
     if entry is not None and entry[:2] == stamp:
-        return replace_path(entry[2], path)
-    disk_key = hashlib.sha256(
-        f"{_CACHE_FORMAT}|{sys.version_info[:2]}|{resolved}".encode()
-    ).hexdigest()[:24]
-    disk_path = _cache_dir() / f"{disk_key}.pkl"
-    try:
-        with open(disk_path, "rb") as fh:
-            mtime_ns, size, module = pickle.load(fh)
-        if (mtime_ns, size) == stamp:
-            _MEM_CACHE[resolved] = (mtime_ns, size, module)
-            return replace_path(module, path)
-    except Exception:
-        pass  # missing/corrupt/stale cache entry: re-parse below
+        # re-anchor the memoised module at the path string used this call
+        return replace(entry[2], path=path)
     module = ModuleSource.parse(path)
     _MEM_CACHE[resolved] = (*stamp, module)
-    try:
-        disk_path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = disk_path.with_suffix(".tmp")
-        with open(tmp, "wb") as fh:
-            pickle.dump((*stamp, module), fh)
-        os.replace(tmp, disk_path)
-    except Exception:
-        pass  # cache is best-effort; the parse already succeeded
     return module
-
-
-def replace_path(module: ModuleSource, path: Path) -> ModuleSource:
-    """Re-anchor a cached module at the path string used *this* run."""
-    if module.path == path:
-        return module
-    return ModuleSource(
-        path=path,
-        module=module.module,
-        text=module.text,
-        tree=module.tree,
-        waivers=module.waivers,
-    )
 
 
 def _derive_module(path: Path, text: str) -> str:
@@ -281,16 +218,12 @@ class Report:
 
     @property
     def active(self) -> list[Violation]:
-        """Violations that fail the run (not waived, not baselined)."""
-        return [v for v in self.violations if not v.waived and not v.suppressed]
+        """Violations that fail the run (not waived)."""
+        return [v for v in self.violations if not v.waived]
 
     @property
     def waived(self) -> list[Violation]:
         return [v for v in self.violations if v.waived]
-
-    @property
-    def baselined(self) -> list[Violation]:
-        return [v for v in self.violations if v.suppressed]
 
     @property
     def ok(self) -> bool:
@@ -311,12 +244,11 @@ class Report:
             files=self.files,
             ok=self.ok,
             counts=self.counts(),
-            suppressed=len(self.baselined),
             violations=[v.to_dict() for v in self.violations],
         )
 
 
-#: validate a machine-readable report (the v2 round-trip reader)
+#: validate a machine-readable report (the v3 round-trip reader)
 load_report_dict = REPORT_SCHEMA.load
 
 
@@ -352,37 +284,19 @@ class LintEngine:
                 self._program_violations([module], program_rules)
             )
         violations.sort(key=lambda v: (v.line, v.col, v.rule, v.message))
-        return _fingerprint({str(module.path): module}, violations)
+        return violations
 
-    def lint_paths(
-        self,
-        paths: Iterable[Path | str],
-        *,
-        only: Iterable[Path | str] | None = None,
-    ) -> Report:
-        """Lint ``paths``; with ``only``, report just those files.
-
-        ``only`` is the diff-aware mode: the *whole* tree is still parsed
-        and the program rules still see every module (interprocedural
-        findings need the full call graph), but violations outside the
-        ``only`` set are dropped from the report.
-        """
+    def lint_paths(self, paths: Iterable[Path | str]) -> Report:
+        """Lint every python file under ``paths``."""
         files = _dedupe_sorted(_discover(paths))
         modules = [ModuleSource.load(path) for path in files]
-        by_path = {str(m.path): m for m in modules}
         file_rules, program_rules = self._split_rules()
         violations: list[Violation] = []
         for module in modules:
             violations.extend(self._file_violations(module, file_rules))
         if program_rules:
             violations.extend(self._program_violations(modules, program_rules))
-        if only is not None:
-            keep = {str(Path(p).resolve()) for p in only}
-            violations = [
-                v for v in violations if str(Path(v.path).resolve()) in keep
-            ]
         violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule, v.message))
-        violations = _fingerprint(by_path, violations)
         return Report(
             violations=violations,
             files=len(files),
@@ -435,29 +349,6 @@ class LintEngine:
         )
 
 
-def _fingerprint(
-    by_path: dict[str, ModuleSource], violations: list[Violation]
-) -> list[Violation]:
-    """Attach content-addressed fingerprints (stable under line drift)."""
-    occurrence: dict[tuple[str, str, str], int] = {}
-    out: list[Violation] = []
-    for violation in violations:
-        module = by_path.get(violation.path)
-        line_text = module.line_text(violation.line) if module else ""
-        key = (violation.rule, violation.path, line_text)
-        index = occurrence.get(key, 0)
-        occurrence[key] = index + 1
-        digest = hashlib.sha256(
-            f"{violation.rule}|{_posix(violation.path)}|{line_text}|{index}".encode()
-        ).hexdigest()[:16]
-        out.append(replace(violation, fingerprint=digest))
-    return out
-
-
-def _posix(path: str) -> str:
-    return Path(path).as_posix()
-
-
 def _dedupe_sorted(paths: Iterable[Path]) -> list[Path]:
     """Platform-independent ordering: posix path string, duplicates dropped."""
     seen: set[str] = set()
@@ -487,7 +378,6 @@ def lint_paths(
     paths: Iterable[Path | str],
     *,
     select: Iterable[str] | None = None,
-    only: Iterable[Path | str] | None = None,
 ) -> Report:
     """One-shot convenience wrapper: lint ``paths`` with the default rules."""
-    return LintEngine(select=select).lint_paths(paths, only=only)
+    return LintEngine(select=select).lint_paths(paths)

@@ -3,29 +3,23 @@
 The per-file rules (R001–R004) see one :class:`~repro.analysis.engine.ModuleSource`
 at a time, which is exactly why they cannot answer the questions that span
 modules: *where did this RNG's seed come from?* (the construction site and
-the seed parameter live in different modules),
-*does this pooled callable touch shared state?* (the mutable global is two
-calls away), *who reads this schema-versioned document back?* (the reader
-lives in another package).
+the seed parameter live in different modules), *who reads this
+schema-versioned document back?* (the reader lives in another package).
 
 :class:`Program` answers them.  It is built once per engine run from the
 already-parsed modules — one parse per file, no re-walking — and records:
 
 * a **symbol table** per module: import aliases (absolute and relative,
   chased through re-exporting ``__init__`` modules), module-level globals
-  with a mutability classification, functions, classes and their methods;
-* a **call graph**: every resolved call edge, plus *reference* edges for
-  callables passed as values (``run_sweep(worker, grid)`` creates a
-  reference edge to ``worker`` even though ``worker`` is never called by
-  name);
-* per-function **global access sets**: module-level names read or written
-  (including ``global`` declarations and cross-module ``pkg._NAME``
-  attribute access), the raw material for the R006 race detector.
+  with their assigned values, functions, classes and their methods;
+* a **call graph**: every resolved call edge out of each function;
+* per-function **bindings**: the names a function binds locally and the
+  names it declares ``global``.
 
 Resolution is *canonicalising*: ``np.random.default_rng`` becomes
 ``numpy.random.default_rng`` whatever the local alias, and a name imported
 through ``repro.harness`` resolves to its defining module
-``repro.harness.sweep.run_sweep``.  Names that leave the program (stdlib,
+``repro.harness.cache.default_cache``.  Names that leave the program (stdlib,
 numpy internals) stay dotted-absolute so rules can match them by literal.
 """
 
@@ -46,24 +40,6 @@ __all__ = [
     "dotted_name",
 ]
 
-#: module-level assignments whose value is one of these calls stay immutable
-#: (interned/stateless objects; reading them from a pooled worker is safe)
-_IMMUTABLE_CALLS = frozenset({
-    "frozenset", "tuple", "int", "float", "str", "bool", "bytes", "complex",
-    "range", "property", "object",
-    "re.compile",
-    "typing.TypeVar", "TypeVar",
-    "collections.namedtuple", "namedtuple",
-    "logging.getLogger",
-    "pathlib.Path", "Path",
-    "os.environ.get", "os.getenv",
-})
-
-#: value node types that make a module-level binding mutable shared state
-_MUTABLE_DISPLAYS = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp,
-                     ast.SetComp)
-
-
 def dotted_name(node: ast.expr) -> str | None:
     """``a.b.c`` for a Name/Attribute chain, else None."""
     parts: list[str] = []
@@ -83,9 +59,6 @@ class GlobalInfo:
     name: str
     module: str
     lineno: int
-    mutable: bool
-    #: short classification used in R006 messages ("dict display", ...)
-    kind: str
     value: ast.expr | None = None
 
 
@@ -99,9 +72,9 @@ class CallSite:
 
 @dataclass
 class FunctionInfo:
-    """One def (top-level, method, or nested) plus its computed accesses."""
+    """One def (top-level, method, or nested) plus its calls and bindings."""
 
-    qualname: str  # e.g. repro.harness.sweep.run_sweep / repro.obs.slo.SloSpec.to_dict
+    qualname: str  # e.g. repro.harness.cli.main / repro.obs.slo.SloSpec.to_dict
     module: str
     name: str
     node: ast.AST  # FunctionDef | AsyncFunctionDef
@@ -110,10 +83,6 @@ class FunctionInfo:
     nested: bool = False
     lineno: int = 0
     calls: list[CallSite] = field(default_factory=list)
-    #: program functions referenced as values (passed, stored), not called
-    refs: set[str] = field(default_factory=set)
-    global_reads: set[tuple[str, str]] = field(default_factory=set)
-    global_writes: set[tuple[str, str]] = field(default_factory=set)
     local_names: set[str] = field(default_factory=set)
     global_decls: set[str] = field(default_factory=set)
 
@@ -151,8 +120,6 @@ class Program:
     def __init__(self) -> None:
         self.modules: dict[str, ModuleInfo] = {}
         self.functions: dict[str, FunctionInfo] = {}
-        #: canonical "module.NAME" -> GlobalInfo
-        self.global_index: dict[str, GlobalInfo] = {}
         #: canonical class qualname -> defining ModuleInfo
         self.class_index: dict[str, ModuleInfo] = {}
 
@@ -168,12 +135,10 @@ class Program:
         for info in program.modules.values():
             for fi in info.functions.values():
                 program.functions[fi.qualname] = fi
-            for gname, ginfo in info.globals.items():
-                program.global_index[f"{info.name}.{gname}"] = ginfo
             for cname in info.classes:
                 program.class_index[f"{info.name}.{cname}"] = info
         for info in program.modules.values():
-            _analyze_accesses(program, info)
+            _analyze_module(program, info)
         return program
 
     # ------------------------------------------------------------------
@@ -201,7 +166,7 @@ class Program:
         return self._chase(full, seen=set())
 
     def _chase(self, full: str, seen: set[str]) -> str:
-        """Follow import chains (``from .sweep import run_sweep`` re-exports)."""
+        """Follow import chains (``from .cache import default_cache`` re-exports)."""
         if full in seen:
             return full
         seen.add(full)
@@ -310,7 +275,6 @@ def _collect_globals(info: ModuleInfo, tree: ast.Module) -> None:
             targets, value = [stmt.target], stmt.value
         else:
             continue
-        mutable, kind = _classify_value(info, value)
         for target in targets:
             names = (
                 [target] if isinstance(target, ast.Name)
@@ -324,43 +288,8 @@ def _collect_globals(info: ModuleInfo, tree: ast.Module) -> None:
                     name=name_node.id,
                     module=info.name,
                     lineno=stmt.lineno,
-                    mutable=mutable,
-                    kind=kind,
                     value=value,
                 ))
-    # A name written through `global X` anywhere in the module is shared
-    # mutable state whatever its initial value (`_DEFAULT: Cache | None =
-    # None` plus `global _DEFAULT` is the canonical smuggling pattern).
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Global):
-            for name in node.names:
-                existing = info.globals.get(name)
-                if existing is not None:
-                    existing.mutable = True
-                    existing.kind = "rebound via 'global'"
-                else:
-                    info.globals[name] = GlobalInfo(
-                        name=name, module=info.name, lineno=node.lineno,
-                        mutable=True, kind="rebound via 'global'",
-                    )
-
-
-def _classify_value(info: ModuleInfo, value: ast.expr | None) -> tuple[bool, str]:
-    if value is None:
-        return False, "annotation"
-    if isinstance(value, _MUTABLE_DISPLAYS):
-        return True, f"{type(value).__name__.replace('Comp', ' comprehension').lower()} display"
-    if isinstance(value, ast.Call):
-        name = dotted_name(value.func)
-        if name is not None:
-            # resolve the local alias one step so `re.compile` matches even
-            # under `import re as regex`
-            head, _, rest = name.partition(".")
-            resolved = info.aliases.get(head, head) + (f".{rest}" if rest else "")
-            if resolved in _IMMUTABLE_CALLS or name in _IMMUTABLE_CALLS:
-                return False, "immutable constructor"
-        return True, "constructed instance"
-    return False, "constant"
 
 
 def _params_of(node: ast.AST) -> list[str]:
@@ -408,13 +337,13 @@ def _collect_functions(info: ModuleInfo, tree: ast.Module) -> None:
 
 
 # ----------------------------------------------------------------------
-# Access analysis (pass 2)
+# Call and binding analysis (pass 2)
 # ----------------------------------------------------------------------
-def _analyze_accesses(program: Program, info: ModuleInfo) -> None:
+def _analyze_module(program: Program, info: ModuleInfo) -> None:
     for local_qual, fi in info.functions.items():
         if fi.nested:
-            # the enclosing function owns its nested defs' accesses; the
-            # nested FunctionInfo exists only so closures are recognisable
+            # the enclosing function owns its nested defs' calls; the
+            # nested FunctionInfo exists only so calls to it resolve
             continue
         _analyze_function(program, info, fi)
 
@@ -447,19 +376,11 @@ def _analyze_function(program: Program, info: ModuleInfo, fi: FunctionInfo) -> N
         elif isinstance(node, ast.ExceptHandler) and node.name:
             fi.local_names.add(node.name)
 
-    call_func_nodes = set()
     for node in ast.walk(body):
         if isinstance(node, ast.Call):
-            call_func_nodes.add(id(node.func))
             callee = _resolve_call(program, info, fi, node)
             if callee is not None:
                 fi.calls.append(CallSite(callee=callee, node=node))
-
-    for node in ast.walk(body):
-        if isinstance(node, ast.Name):
-            _record_name_access(program, info, fi, node, call_func_nodes)
-        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-            _record_attribute_access(program, info, fi, node, call_func_nodes)
 
 
 def _resolve_call(
@@ -490,55 +411,3 @@ def _resolve_call(
                 return candidate
         return None
     return program.canonical(info, dotted)
-
-
-def _record_name_access(
-    program: Program,
-    info: ModuleInfo,
-    fi: FunctionInfo,
-    node: ast.Name,
-    call_func_nodes: set[int],
-) -> None:
-    name = node.id
-    if isinstance(node.ctx, ast.Load):
-        if name in fi.local_names:
-            return
-        if name in info.functions:
-            if id(node) not in call_func_nodes:
-                fi.refs.add(info.functions[name].qualname)
-            return
-        if name in info.aliases:
-            target = program._chase(info.aliases[name], seen=set())
-            if id(node) not in call_func_nodes and target in program.functions:
-                fi.refs.add(target)
-            return
-        if name in info.globals:
-            fi.global_reads.add((info.name, name))
-    elif isinstance(node.ctx, ast.Store):
-        if name in fi.global_decls and name in info.globals:
-            fi.global_writes.add((info.name, name))
-
-
-def _record_attribute_access(
-    program: Program,
-    info: ModuleInfo,
-    fi: FunctionInfo,
-    node: ast.Attribute,
-    call_func_nodes: set[int],
-) -> None:
-    base = node.value.id
-    if base in fi.local_names or base in ("self", "cls"):
-        return
-    if base not in info.aliases:
-        return
-    target_mod = program.modules.get(program._chase(info.aliases[base], seen=set()))
-    if target_mod is None:
-        return
-    if node.attr in target_mod.globals:
-        key = (target_mod.name, node.attr)
-        if isinstance(node.ctx, ast.Store):
-            fi.global_writes.add(key)
-        else:
-            fi.global_reads.add(key)
-    elif node.attr in target_mod.functions and id(node) not in call_func_nodes:
-        fi.refs.add(target_mod.functions[node.attr].qualname)

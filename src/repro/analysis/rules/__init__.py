@@ -64,9 +64,8 @@ class ProgramRule(Rule):
 
 
 def default_rules() -> list[Rule]:
-    """The seven domain rules, in code order."""
+    """The six domain rules, in code order."""
     from .determinism import DeterminismHygieneRule
-    from .poolsafety import PoolSafetyRule
     from .purity import OptInPurityRule
     from .scheduling import EventLoopDisciplineRule
     from .schema import SchemaRoundTripRule
@@ -79,9 +78,8 @@ def default_rules() -> list[Rule]:
         OptInPurityRule(),
         EventLoopDisciplineRule(),
         SeedProvenanceRule(),
-        PoolSafetyRule(),
         SchemaRoundTripRule(),
     ]
 
 
-RULE_CODES = ("R001", "R002", "R003", "R004", "R005", "R006", "R007")
+RULE_CODES = ("R001", "R002", "R003", "R004", "R005", "R007")

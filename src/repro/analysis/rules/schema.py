@@ -1,6 +1,6 @@
 """R007 — versioned JSON documents are stamped through one declaration.
 
-Twelve document formats carry a ``schema_version`` (bench results, lint
+Ten document formats carry a ``schema_version`` (bench results, lint
 reports, telemetry headers, flight-recorder manifests, SLO specs, ...).
 Each is declared once as a :class:`repro.schema.Schema` (version,
 required and optional fields); writers build documents with the

@@ -13,7 +13,7 @@ at the **construction sites**:
   call graph's argument-to-parameter bindings) back to a seed parameter
   or config field;
 * **module-global RNGs** — an RNG stored in a module global is shared
-  process state: import order and pooled workers both corrupt its
+  process state: import order and every other caller corrupt its
   lineage;
 * **seed fan-out** — the *same* seed expression constructing two RNGs in
   one function yields two identical (not independent) streams; derive

@@ -1,4 +1,4 @@
-"""Experiment harness: scales, caching, sweeps, and per-figure entry points."""
+"""Experiment harness: scales, caching, and per-figure entry points."""
 
 from .ablations import (
     ablation_dataset_size,
@@ -26,14 +26,11 @@ from .experiments import (
 )
 from .reporting import banner, format_series, format_table
 from .scale import Scale
-from .sweep import auto_processes, run_sweep
 
 __all__ = [
     "Scale",
     "ArtifactCache",
     "default_cache",
-    "auto_processes",
-    "run_sweep",
     "banner",
     "format_series",
     "format_table",

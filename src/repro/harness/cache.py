@@ -79,17 +79,6 @@ class ArtifactCache:
             suffix=".json",
         )
 
-    def clear(self, name: str | None = None) -> int:
-        """Delete entries (all, or those with the given name prefix)."""
-        if not self.root.exists():
-            return 0
-        removed = 0
-        for path in self.root.iterdir():
-            if name is None or path.name.startswith(f"{name}-"):
-                path.unlink()
-                removed += 1
-        return removed
-
 
 _DEFAULT: ArtifactCache | None = None
 

@@ -36,7 +36,7 @@ _COMMANDS: dict[str, tuple[str | None, str]] = {
     "all": ("paper", "every table and figure above"),
     "stats": ("paper", "one instrumented simulation, metrics and exports"),
     "faults": ("paper", "the stats run under the seeded NAND fault model"),
-    "lint": (None, "the domain lints R001-R007 (python -m repro.analysis)"),
+    "lint": (None, "the domain lints R001-R005, R007 (python -m repro.analysis)"),
     "bench": ("bench", "the fixed benchmark suite with regression tracking"),
     "explain": ("explain", "critical path and exact counterfactuals"),
     "profile": ("hostprofile", "cProfile a scenario's host hot paths"),

@@ -62,7 +62,6 @@ OPTIMIZER_VARIANTS: dict[str, dict] = {
         "optimizer": "sgd-momentum",
         "activation": "relu",
         "learning_rate": 0.2,
-        "momentum": 0.9,
     },
     "Adam-ReLU": {"optimizer": "adam", "activation": "relu", "learning_rate": 0.02},
     "Adam-logistic": {

@@ -9,7 +9,8 @@ describes — are implemented as well, for the optimizer ablation bench.
 Every optimizer exposes ``step(params, grads)`` where both lists align
 elementwise; state (velocities, moment estimates) is keyed by position so a
 given optimizer instance must always be stepped with the same parameter
-list.
+list.  Only the learning rate is settable; the other hyper-parameters are
+the module constants below.
 """
 
 from __future__ import annotations
@@ -17,6 +18,16 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["Optimizer", "SGD", "SGDMomentum", "AdaGrad", "RMSProp", "Adam", "get_optimizer"]
+
+#: SGD-with-momentum's velocity decay (the paper's tuned 0.9)
+_MOMENTUM = 0.9
+#: RMSProp's squared-gradient decay
+_RMS_DECAY = 0.9
+#: Adam's first- and second-moment decays (Kingma & Ba's defaults)
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+#: keeps the AdaGrad/RMSProp/Adam denominators away from zero
+_EPS = 1e-8
 
 
 class Optimizer:
@@ -62,11 +73,8 @@ class SGDMomentum(Optimizer):
 
     name = "sgd-momentum"
 
-    def __init__(self, learning_rate: float = 0.2, momentum: float = 0.9) -> None:
+    def __init__(self, learning_rate: float = 0.2) -> None:
         super().__init__(learning_rate)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        self.momentum = momentum
         self._velocity: list[np.ndarray] | None = None
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
@@ -74,7 +82,7 @@ class SGDMomentum(Optimizer):
         if self._velocity is None:
             self._velocity = [np.zeros_like(p) for p in params]
         for p, g, v in zip(params, grads, self._velocity):
-            v *= self.momentum
+            v *= _MOMENTUM
             v -= self.learning_rate * g
             p += v
 
@@ -84,9 +92,8 @@ class AdaGrad(Optimizer):
 
     name = "adagrad"
 
-    def __init__(self, learning_rate: float = 0.05, eps: float = 1e-8) -> None:
+    def __init__(self, learning_rate: float = 0.05) -> None:
         super().__init__(learning_rate)
-        self.eps = eps
         self._accum: list[np.ndarray] | None = None
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
@@ -95,7 +102,7 @@ class AdaGrad(Optimizer):
             self._accum = [np.zeros_like(p) for p in params]
         for p, g, a in zip(params, grads, self._accum):
             a += g * g
-            p -= self.learning_rate * g / (np.sqrt(a) + self.eps)
+            p -= self.learning_rate * g / (np.sqrt(a) + _EPS)
 
 
 class RMSProp(Optimizer):
@@ -103,14 +110,8 @@ class RMSProp(Optimizer):
 
     name = "rmsprop"
 
-    def __init__(
-        self, learning_rate: float = 0.01, decay: float = 0.9, eps: float = 1e-8
-    ) -> None:
+    def __init__(self, learning_rate: float = 0.01) -> None:
         super().__init__(learning_rate)
-        if not 0.0 <= decay < 1.0:
-            raise ValueError("decay must be in [0, 1)")
-        self.decay = decay
-        self.eps = eps
         self._accum: list[np.ndarray] | None = None
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
@@ -118,9 +119,9 @@ class RMSProp(Optimizer):
         if self._accum is None:
             self._accum = [np.zeros_like(p) for p in params]
         for p, g, a in zip(params, grads, self._accum):
-            a *= self.decay
-            a += (1.0 - self.decay) * g * g
-            p -= self.learning_rate * g / (np.sqrt(a) + self.eps)
+            a *= _RMS_DECAY
+            a += (1.0 - _RMS_DECAY) * g * g
+            p -= self.learning_rate * g / (np.sqrt(a) + _EPS)
 
 
 class Adam(Optimizer):
@@ -129,19 +130,8 @@ class Adam(Optimizer):
 
     name = "adam"
 
-    def __init__(
-        self,
-        learning_rate: float = 0.02,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ) -> None:
+    def __init__(self, learning_rate: float = 0.02) -> None:
         super().__init__(learning_rate)
-        if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
-            raise ValueError("betas must be in [0, 1)")
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self._m: list[np.ndarray] | None = None
         self._v: list[np.ndarray] | None = None
         self._t = 0
@@ -152,17 +142,17 @@ class Adam(Optimizer):
             self._m = [np.zeros_like(p) for p in params]
             self._v = [np.zeros_like(p) for p in params]
         self._t += 1
-        b1c = 1.0 - self.beta1**self._t
-        b2c = 1.0 - self.beta2**self._t
+        b1c = 1.0 - _ADAM_BETA1**self._t
+        b2c = 1.0 - _ADAM_BETA2**self._t
         assert self._v is not None
         for p, g, m, v in zip(params, grads, self._m, self._v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
+            m *= _ADAM_BETA1
+            m += (1.0 - _ADAM_BETA1) * g
+            v *= _ADAM_BETA2
+            v += (1.0 - _ADAM_BETA2) * g * g
             m_hat = m / b1c
             v_hat = v / b2c
-            p -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+            p -= self.learning_rate * m_hat / (np.sqrt(v_hat) + _EPS)
 
 
 _REGISTRY: dict[str, type[Optimizer]] = {

@@ -18,8 +18,7 @@ everything needed to reproduce and diagnose the failure offline:
   resource the critical path was bound by when things went wrong),
   extracted from the attribution records when attribution is armed;
 * ``diff.json`` — when the recorder was armed with a ``last_good``
-  reference run, a differential report against it
-  (:mod:`repro.obs.diff`): which critical-path resource shifted and
+  reference run, a phase waterfall against it (:mod:`repro.obs.diff`):
   which attribution phase the latency moved into, so the bundle answers
   "what changed since the run that worked" without further tooling.
 
@@ -76,11 +75,10 @@ class FlightRecorder:
         self.out_dir = Path(out_dir)
         #: caller-supplied run description (config, seeds, scenario name…)
         self.context = dict(context) if context else {}
-        #: last-known-good reference artifacts for differential bundles:
-        #: a dict optionally carrying ``"critpath"`` (a bottleneck report
-        #: document) and/or ``"attribution"`` (a bench-style section with
-        #: ``phase_totals_us``); when any is present, dumps gain a
-        #: ``diff.json`` against it
+        #: last-known-good reference for differential bundles: a dict
+        #: carrying ``"attribution"`` (a bench-style section with
+        #: ``phase_totals_us``); when present, dumps gain a ``diff.json``
+        #: against it
         self.last_good = dict(last_good) if last_good else None
         #: exact argv that reproduces this run (``None`` = not replayable)
         self.replay_argv = list(replay_argv) if replay_argv else None
@@ -110,7 +108,6 @@ class FlightRecorder:
         bundle = self.out_dir / f"bundle-{len(self.bundles):02d}-{trigger}"
         bundle.mkdir(parents=True, exist_ok=True)
         files = ["manifest.json"]
-        critpath_doc = None
         phase_totals_us = None
         obs = self.obs
         if obs is not None:
@@ -144,8 +141,7 @@ class FlightRecorder:
                     report = extract_critical_path(
                         records, makespan_us, validate=False,
                     )
-                    critpath_doc = report.to_dict()
-                    _write_json(bundle / "critpath.json", critpath_doc)
+                    _write_json(bundle / "critpath.json", report.to_dict())
                     files.append("critpath.json")
                 breakdown = obs.attribution.breakdown()
                 phase_totals_us = {**breakdown.phase_totals_us}
@@ -170,7 +166,7 @@ class FlightRecorder:
                 },
             )
             files.append("sanitizer_events.json")
-        if self._write_last_good_diff(bundle, critpath_doc, phase_totals_us):
+        if self._write_last_good_diff(bundle, phase_totals_us):
             files.append("diff.json")
         manifest = FLIGHT_SCHEMA.stamp(
             trigger=trigger,
@@ -196,41 +192,24 @@ class FlightRecorder:
         return bundle
 
     # ------------------------------------------------------------------
-    def _write_last_good_diff(
-        self, bundle: Path, critpath_doc, phase_totals_us
-    ) -> bool:
-        """Diff this dump's artifacts against the last-known-good run.
-
-        Best-effort by design — a failure dump must never raise — but
-        structural mismatches are swallowed only after the bundle's own
-        artifacts were written.
-        """
+    def _write_last_good_diff(self, bundle: Path, phase_totals_us) -> bool:
+        """Diff this dump's attribution phases against the last-known-good run."""
         if not self.last_good:
             return False
-        from .diff import build_diff_report, diff_critpath_docs, phase_waterfall, write_diff
-
-        sections: dict = {}
-        good_critpath = self.last_good.get("critpath")
-        if good_critpath is not None and critpath_doc is not None:
-            try:
-                sections["critpath"] = diff_critpath_docs(
-                    good_critpath, critpath_doc
-                )
-            except ValueError:
-                pass  # incompatible/older reference report: skip section
         good_attr = self.last_good.get("attribution") or {}
         good_phases = good_attr.get("phase_totals_us")
-        if good_phases and phase_totals_us:
-            rows = phase_waterfall(good_phases, phase_totals_us)
-            moved = sum(1 for row in rows if row["delta_us"])
-            sections["waterfall"] = {
-                "identical": moved == 0,
-                "divergences": moved,
-                "regressions": 0,
-                "phases": rows,
-            }
-        if not sections:
+        if not (good_phases and phase_totals_us):
             return False
+        from .diff import build_diff_report, phase_waterfall, write_diff
+
+        rows = phase_waterfall(good_phases, phase_totals_us)
+        moved = sum(1 for row in rows if row["delta_us"])
+        sections = {"waterfall": {
+            "identical": moved == 0,
+            "divergences": moved,
+            "regressions": 0,
+            "phases": rows,
+        }}
         report = build_diff_report(
             "flight", "last-known-good", "this run", sections
         )

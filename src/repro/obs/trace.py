@@ -125,9 +125,6 @@ class TraceRecorder:
         """Recorded events in emission order."""
         return list(self._events)
 
-    def clear(self) -> None:
-        self._events.clear()
-
     # ------------------------------------------------------------------
     def to_jsonl(self) -> str:
         """One compact JSON object per line (trailing newline included)."""
@@ -175,9 +172,6 @@ class NullRecorder:
 
     def events(self) -> list[TraceEvent]:
         return []
-
-    def clear(self) -> None:
-        pass
 
     def to_jsonl(self) -> str:
         return ""

@@ -21,7 +21,6 @@ GOLDEN = {
     "r003_probe.py": "R003",
     "r004_scheduling.py": "R004",
     "r005_seedflow.py": "R005",
-    "r006_poolsmuggle.py": "R006",
     "r007_schema.py": "R007",
 }
 
@@ -55,11 +54,7 @@ class TestGoldenFixtures:
         assert module.module == "repro.core.fixture"
         module = ModuleSource.parse(FIXTURES / "r003_probe.py")
         assert module.module == "repro.ssd.fixture"
-        # the interprocedural fixtures pin modules the same way: the R006
-        # fixture maps itself into the harness namespace so its import of
-        # repro.harness.sweep resolves against the real package
-        module = ModuleSource.parse(FIXTURES / "r006_poolsmuggle.py")
-        assert module.module == "repro.harness.fixture"
+        # the interprocedural fixtures pin modules the same way
         module = ModuleSource.parse(FIXTURES / "r007_schema.py")
         assert module.module == "repro.fixture.store"
 
@@ -189,19 +184,17 @@ class TestCLI:
         proc = _cli("--json", str(FIXTURES / "r004_scheduling.py"))
         assert proc.returncode == 1
         payload = json.loads(proc.stdout)
-        assert payload["schema_version"] == 2
+        assert payload["schema_version"] == 3
         assert payload["tool"]["name"] == "repro-analysis"
         assert payload["files"] == 1
         assert payload["ok"] is False
         assert payload["counts"] == {"R004": 1}
-        assert payload["suppressed"] == 0
         (violation,) = payload["violations"]
         assert set(violation) == {
             "rule", "path", "line", "col", "message", "waived",
-            "waiver_reason", "suppressed", "fingerprint",
+            "waiver_reason",
         }
         assert violation["rule"] == "R004"
-        assert len(violation["fingerprint"]) == 16
 
     def test_json_round_trips_through_reader(self):
         from repro.analysis.engine import load_report_dict

@@ -1,4 +1,4 @@
-"""R005–R007 behavior: taint, pool races, schema contracts, src cleanliness."""
+"""R005 and R007 behavior: taint, schema contracts, src cleanliness."""
 
 import json
 import re
@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import LintEngine, lint_paths
-from repro.analysis.engine import ModuleSource
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).resolve().parents[2] / "src"
@@ -108,106 +107,6 @@ class TestSeedProvenance:
         assert violation.rule == "R005"
 
 
-class TestPoolSafety:
-    def test_golden_fixture_flags_smuggled_global(self):
-        violations = LintEngine().lint_file(FIXTURES / "r006_poolsmuggle.py")
-        (violation,) = violations
-        assert violation.rule == "R006"
-        assert "repro.harness.fixture.record" in violation.message
-        assert "_RESULTS" in violation.message
-
-    def test_fixture_with_real_sweep_resolves_in_program(self):
-        # combined with the real harness module, run_sweep's fn parameter is
-        # discovered from its own pool.map body (not the known-entry table)
-        report = lint_paths(
-            [FIXTURES / "r006_poolsmuggle.py", SRC / "repro/harness/sweep.py"]
-        )
-        r006 = [v for v in report.violations if v.rule == "R006"]
-        (violation,) = r006
-        assert "_RESULTS" in violation.message
-        assert violation.path.endswith("r006_poolsmuggle.py")
-
-    def test_lambda_into_pool_flagged(self, tmp_path):
-        violations = _lint(
-            tmp_path,
-            "import multiprocessing\n"
-            "def sweep(items):\n"
-            "    with multiprocessing.Pool(2) as pool:\n"
-            "        return pool.map(lambda x: x + 1, items)\n",
-            select=["R006"],
-        )
-        assert violations
-        assert any("lambda" in v.message.lower() for v in violations)
-
-    def test_nested_def_into_pool_flagged(self, tmp_path):
-        violations = _lint(
-            tmp_path,
-            "import multiprocessing\n"
-            "def sweep(items, bias):\n"
-            "    def shifted(x):\n"
-            "        return x + bias\n"
-            "    with multiprocessing.Pool(2) as pool:\n"
-            "        return pool.map(shifted, items)\n",
-            select=["R006"],
-        )
-        assert violations
-
-    def test_pure_module_level_def_is_clean(self, tmp_path):
-        assert not _lint(
-            tmp_path,
-            "import multiprocessing\n"
-            "def double(x):\n"
-            "    return 2 * x\n"
-            "def sweep(items):\n"
-            "    with multiprocessing.Pool(2) as pool:\n"
-            "        return pool.map(double, items)\n",
-            select=["R006"],
-        )
-
-    def test_transitive_global_reach_flagged(self, tmp_path):
-        # worker itself is clean; its helper touches the mutable global —
-        # the violation message names the full access path
-        violations = _lint(
-            tmp_path,
-            "import multiprocessing\n"
-            "_SEEN = set()\n"
-            "def _helper(x):\n"
-            "    _SEEN.add(x)\n"
-            "    return x\n"
-            "def worker(x):\n"
-            "    return _helper(x)\n"
-            "def sweep(items):\n"
-            "    with multiprocessing.Pool(2) as pool:\n"
-            "        return pool.map(worker, items)\n",
-            select=["R006"],
-        )
-        assert violations
-        assert any(
-            "worker" in v.message and "_helper" in v.message
-            and "_SEEN" in v.message
-            for v in violations
-        )
-
-    def test_immutable_global_read_is_clean(self, tmp_path):
-        assert not _lint(
-            tmp_path,
-            "import multiprocessing\n"
-            "SCALE = 3\n"
-            "NAMES = frozenset({'a', 'b'})\n"
-            "def worker(x):\n"
-            "    return SCALE * x if 'a' in NAMES else x\n"
-            "def sweep(items):\n"
-            "    with multiprocessing.Pool(2) as pool:\n"
-            "        return pool.map(worker, items)\n",
-            select=["R006"],
-        )
-
-    def test_real_sweep_entry_points_are_clean(self):
-        # the acceptance bar: the real harness sweep module passes R006
-        report = lint_paths([SRC / "repro" / "harness"], select=["R006"])
-        assert report.ok, [v.format() for v in report.active]
-
-
 class TestSchemaRoundTrip:
     def test_writer_without_reader_flagged(self):
         # a hand-stamped dict literal has no declaration, hence no reader
@@ -272,7 +171,7 @@ class TestSchemaRoundTrip:
 
 class TestSrcClean:
     def test_whole_src_clean_under_interprocedural_rules(self):
-        report = lint_paths([SRC], select=["R005", "R006", "R007"])
+        report = lint_paths([SRC], select=["R005", "R007"])
         assert report.ok, [v.format() for v in report.active]
 
     def test_every_waiver_has_a_written_reason(self):
@@ -368,21 +267,6 @@ def _lint_report_case(tmp_path):
     return REPORT_SCHEMA, load_report_dict, doc
 
 
-def _lint_baseline_case(tmp_path):
-    from repro.analysis.baseline import (
-        BASELINE_SCHEMA, load_baseline, write_baseline,
-    )
-
-    path = tmp_path / "baseline.json"
-    write_baseline(lint_paths([FIXTURES / "r007_schema.py"]), path)
-
-    def load(doc):
-        path.write_text(json.dumps(doc))
-        return load_baseline(path)
-
-    return BASELINE_SCHEMA, load, json.loads(path.read_text())
-
-
 #: declaration name -> case(tmp_path) giving (declaration, its public
 #: reader taking a document, a document its writer produced)
 SCHEMA_CASES = {
@@ -396,7 +280,6 @@ SCHEMA_CASES = {
     "FLIGHT_SCHEMA": _flight_case,
     "SLO_SCHEMA": _slo_case,
     "REPORT_SCHEMA": _lint_report_case,
-    "BASELINE_SCHEMA": _lint_baseline_case,
 }
 
 declared_schemas = pytest.mark.parametrize("case", SCHEMA_CASES)

@@ -36,10 +36,6 @@ KEEP = {
         "safety path: the keeper over a device with the NAND fault model on",
     "repro.workloads.traces:load(strict=)":
         "safety path: raise on the first malformed trace line instead of skipping it",
-    "repro.harness.sweep:run_sweep(processes=)":
-        "R006's documented pool entry: processes=1 forces the serial path",
-    "repro.harness.sweep:run_sweep(chunksize=)":
-        "R006's documented pool entry: batches short tasks per worker",
     "repro.core.labeler:LabelerConfig(objective=)":
         "perfbench reads it to score its label sweeps",
     "repro.core.labeler:LabelerConfig(tie_epsilon=)":
@@ -51,8 +47,6 @@ KEEP = {
         "reads it from REPRO_CACHE_DIR",
     "repro.harness.experiments:cached_learner_or_none(cache=)":
         "which cache to probe, a deployment path like ArtifactCache(root=)",
-    "repro.harness.cache:ArtifactCache.clear(name=)":
-        "clears one artifact family and leaves the others cached",
     "repro.obs.registry:MetricsRegistry.histogram(buckets=)":
         "a histogram with bounds other than the latency buckets; the "
         "OpenMetrics exposition is checked on small ones",

@@ -37,27 +37,6 @@ class TestSymbolTable:
         assert "repro.demo.alpha.Widget" in program.class_index
         assert program.functions["repro.demo.alpha.Widget.spin"].is_method
 
-    def test_module_globals_classified_by_mutability(self, tmp_path):
-        program = _program(
-            tmp_path,
-            **{
-                "repro.demo.state": (
-                    "import re\n"
-                    "LIMIT = 10\n"
-                    "NAMES = frozenset({'a'})\n"
-                    "PATTERN = re.compile('x')\n"
-                    "_CACHE = {}\n"
-                    "_ITEMS = []\n"
-                ),
-            },
-        )
-        gi = program.modules["repro.demo.state"].globals
-        assert not gi["LIMIT"].mutable
-        assert not gi["NAMES"].mutable
-        assert not gi["PATTERN"].mutable
-        assert gi["_CACHE"].mutable
-        assert gi["_ITEMS"].mutable
-
     def test_global_statement_marks_rebinding(self, tmp_path):
         program = _program(
             tmp_path,
@@ -70,10 +49,10 @@ class TestSymbolTable:
                 ),
             },
         )
-        info = program.modules["repro.demo.rebind"]
-        assert info.globals["TOKEN"].mutable
         fi = program.functions["repro.demo.rebind.set_token"]
-        assert ("repro.demo.rebind", "TOKEN") in fi.global_writes
+        assert fi.global_decls == {"TOKEN"}
+        # the declared global is rebound, not a new local
+        assert "TOKEN" not in fi.local_names
 
 
 class TestAliasResolution:
@@ -110,24 +89,6 @@ class TestAliasResolution:
 
 
 class TestCallGraph:
-    def test_function_passed_as_value_becomes_ref_edge(self, tmp_path):
-        program = _program(
-            tmp_path,
-            **{
-                "repro.demo.refs": (
-                    "def leaf():\n"
-                    "    return 1\n"
-                    "def driver(fn):\n"
-                    "    return fn()\n"
-                    "def top():\n"
-                    "    return driver(leaf)\n"
-                ),
-            },
-        )
-        top = program.functions["repro.demo.refs.top"]
-        assert "repro.demo.refs.leaf" in top.refs
-        assert [c.callee for c in top.calls] == ["repro.demo.refs.driver"]
-
     def test_self_method_call_resolves_to_class_method(self, tmp_path):
         program = _program(
             tmp_path,
@@ -180,8 +141,9 @@ class TestCallGraph:
         outer = program.functions["repro.demo.nested.outer"]
         inner = program.functions["repro.demo.nested.outer.inner"]
         assert inner.nested
-        # the *parent* owns the nested body's accesses
-        assert ("repro.demo.nested", "_LOG") in outer.global_reads
+        # the *parent* owns the nested body's calls
+        assert [c.callee for c in outer.calls] == ["repro.demo.nested._LOG.append"]
+        assert not inner.calls
 
 
 class TestHelpers:
@@ -204,5 +166,5 @@ class TestHelpers:
             if "__pycache__" not in p.parts
         ]
         program = Program.build(modules)
-        assert "repro.harness.sweep.run_sweep" in program.functions
+        assert "repro.harness.cli.main" in program.functions
         assert len(program.modules) == len(modules)

@@ -50,10 +50,6 @@ KEEP = {
         "test oracle: the acquire/release discipline of a trace",
     "repro.obs.flightrecorder:load_manifest":
         "schema reader: R007 pairs it with the manifest writer",
-    "repro.harness.sweep:run_sweep":
-        "R006's documented pool entry; its interprocedural fixture resolves through it",
-    "repro.harness.sweep:auto_processes":
-        "R006's documented pool entry; run_sweep's default worker count",
 }
 
 

@@ -89,15 +89,14 @@ def pytest_unconfigure(config):
 
 @pytest.fixture(scope="session", autouse=True)
 def caches_in_temp_dir(tmp_path_factory):
-    """Point the artifact and lint parse caches at a session temp dir.
+    """Point the artifact cache at a session temp dir.
 
-    Both default to ``.repro-cache/`` under the working directory; CLI
+    It defaults to ``.repro-cache/`` under the working directory; CLI
     tests run in subprocesses inherit the environment.
     """
     root = tmp_path_factory.mktemp("repro-cache")
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("REPRO_CACHE_DIR", str(root / "artifacts"))
-        mp.setenv("REPRO_LINT_CACHE_DIR", str(root / "lint-ast"))
         yield
 
 

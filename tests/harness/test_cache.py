@@ -63,14 +63,3 @@ class TestGetOrBuild:
         a = cache.path_for("x", {"a": 1, "b": 2}, ".json")
         b = cache.path_for("x", {"b": 2, "a": 1}, ".json")
         assert a == b
-
-
-class TestClear:
-    def test_clear_by_name(self, cache):
-        cache.get_or_build_json("a", {}, build=lambda: {})
-        cache.get_or_build_json("b", {}, build=lambda: {})
-        assert cache.clear("a") == 1
-        assert cache.clear() == 1
-
-    def test_clear_empty(self, tmp_path):
-        assert ArtifactCache(tmp_path / "nothing").clear() == 0

@@ -15,6 +15,7 @@ from repro.harness import (
     train_all,
     trained_learner,
 )
+from repro.nn import optimizers
 
 
 @pytest.fixture
@@ -37,7 +38,8 @@ def micro():
 class TestVariants:
     def test_paper_hyperparameters(self):
         assert OPTIMIZER_VARIANTS["SGD"]["learning_rate"] == 0.2
-        assert OPTIMIZER_VARIANTS["SGD-momentum"]["momentum"] == 0.9
+        # momentum is no variant knob: the optimizer holds the paper's 0.9
+        assert optimizers._MOMENTUM == 0.9
         assert OPTIMIZER_VARIANTS["Adam-logistic"]["learning_rate"] == 0.02
         assert OPTIMIZER_VARIANTS["Adam-logistic"]["activation"] == "logistic"
 

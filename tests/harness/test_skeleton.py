@@ -97,11 +97,7 @@ FLAG_SURFACE = {
         "--help", "--json", "--no-whatif", "--out", "--quick", "--sanitize",
         "--scenario", "--top", "-h",
     },
-    "lint": {
-        "--baseline", "--changed", "--check-baseline", "--diff-base",
-        "--help", "--json", "--sarif", "--select", "--show-waived",
-        "--write-baseline", "-h",
-    },
+    "lint": {"--help", "--json", "--select", "--show-waived", "-h"},
     "profile": {
         "--collapsed", "--help", "--json", "--out", "--quick", "--scenario",
         "--top", "-h",

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import SGD, AdaGrad, Adam, RMSProp, SGDMomentum, get_optimizer
+from repro.nn import SGD, AdaGrad, Adam, RMSProp, SGDMomentum, get_optimizer, optimizers
 
 
 def quadratic_descent(optimizer, start=5.0, steps=300):
@@ -32,19 +32,15 @@ class TestSGD:
 
 class TestSGDMomentum:
     def test_accumulates_velocity(self):
-        opt = SGDMomentum(learning_rate=1.0, momentum=0.5)
+        opt = SGDMomentum(learning_rate=1.0)
         w = np.array([0.0])
         g = np.array([1.0])
         opt.step([w], [g])   # v = -1, w = -1
-        opt.step([w], [g])   # v = -1.5, w = -2.5
-        assert w[0] == pytest.approx(-2.5)
+        opt.step([w], [g])   # v = -1.9, w = -2.9
+        assert w[0] == pytest.approx(-2.9)
 
     def test_paper_momentum_value(self):
-        assert SGDMomentum().momentum == 0.9
-
-    def test_rejects_bad_momentum(self):
-        with pytest.raises(ValueError):
-            SGDMomentum(momentum=1.0)
+        assert optimizers._MOMENTUM == 0.9
 
     def test_faster_than_plain_sgd_on_ravine(self):
         # Ill-conditioned quadratic: momentum accelerates the slow axis.
@@ -55,7 +51,7 @@ class TestSGDMomentum:
                 opt.step([w], [2 * scales * w])
             return np.linalg.norm(w)
 
-        assert run(SGDMomentum(0.1, 0.9)) < run(SGD(0.1))
+        assert run(SGDMomentum(0.1)) < run(SGD(0.1))
 
 
 class TestAdam:
@@ -72,12 +68,6 @@ class TestAdam:
 
     def test_converges_on_quadratic(self):
         assert quadratic_descent(Adam(0.1), steps=600) < 1e-3
-
-    def test_rejects_bad_betas(self):
-        with pytest.raises(ValueError):
-            Adam(beta1=1.0)
-        with pytest.raises(ValueError):
-            Adam(beta2=-0.1)
 
 
 class TestAdaGradRMSProp:
@@ -97,10 +87,6 @@ class TestAdaGradRMSProp:
     def test_rmsprop_converges_to_lr_neighbourhood(self):
         # RMSProp's normalised steps oscillate at ~lr around the optimum.
         assert quadratic_descent(RMSProp(0.05), steps=600) < 0.06
-
-    def test_rmsprop_rejects_bad_decay(self):
-        with pytest.raises(ValueError):
-            RMSProp(decay=1.5)
 
 
 class TestCommon:

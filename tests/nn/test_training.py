@@ -55,8 +55,8 @@ class TestTrainer:
     def test_optimizer_kwargs_forwarded(self, toy_problem):
         x, y = toy_problem
         net = MLP([3, 8, 2], seed=0)
-        trainer = Trainer(net, "sgd-momentum", momentum=0.5, learning_rate=0.01)
-        assert trainer.optimizer.momentum == 0.5
+        trainer = Trainer(net, "sgd-momentum", learning_rate=0.01)
+        assert trainer.optimizer.learning_rate == 0.01
 
     def test_weight_decay_shrinks_parameters(self, toy_problem):
         import numpy as np

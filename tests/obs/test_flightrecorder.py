@@ -190,38 +190,6 @@ class TestLastGoodDiff:
         assert rows[0]["phase"] == "bus_us"  # the heaviest shift leads
         assert rows[0]["delta_us"] == 30.0
 
-    def test_diff_json_ranks_critpath_shift(self, tmp_path):
-        # first run: the last-known-good reference
-        good_rec = FlightRecorder(tmp_path / "good")
-        good_obs = Observability(trace=False, attribution=True,
-                                 flight_recorder=good_rec)
-        good_obs.attribution.records.append(self.make_record(bus_us=40.0))
-        good_doc = read_json(
-            good_rec.dump("slo-page", time_us=60.0) / "critpath.json"
-        )
-        # second run: same trace shape, channel time doubled
-        rec = FlightRecorder(tmp_path / "bad", last_good={
-            "critpath": good_doc,
-        })
-        obs = Observability(trace=False, attribution=True, flight_recorder=rec)
-        obs.attribution.records.append(self.make_record(bus_us=80.0))
-        diff = read_json(rec.dump("slo-page", time_us=100.0) / "diff.json")
-        critpath = diff["sections"]["critpath"]
-        assert critpath["top_shift"] == "ch2"  # bus time lives on channel 2
-        assert critpath["top_resource_shift"] == "ch2"
-
-    def test_incompatible_reference_is_skipped_not_fatal(self, tmp_path):
-        rec = FlightRecorder(tmp_path, last_good={
-            "critpath": {"schema_version": 999},
-        })
-        obs = Observability(trace=False, attribution=True, flight_recorder=rec)
-        obs.attribution.records.append(self.make_record())
-        bundle = rec.dump("slo-page", time_us=60.0)
-        manifest = read_json(bundle / "manifest.json")
-        # the dump itself must survive; only the diff section is dropped
-        assert "critpath.json" in manifest["bundle_files"]
-        assert "diff.json" not in manifest["bundle_files"]
-
     def test_no_last_good_means_no_diff_json(self, tmp_path):
         rec = FlightRecorder(tmp_path)
         obs = Observability(trace=False, attribution=True, flight_recorder=rec)

@@ -65,12 +65,6 @@ class TestTraceRecorder:
         with pytest.raises(ValueError):
             TraceRecorder(capacity=0)
 
-    def test_clear(self):
-        rec = TraceRecorder()
-        rec.emit(0.0, "e")
-        rec.clear()
-        assert len(rec) == 0
-
     def test_jsonl_round_trip(self, tmp_path):
         rec = TraceRecorder()
         rec.emit(1.5, "request_submit", "w0", "host", args={"op": "read"})
