@@ -18,7 +18,7 @@ from repro.harness import Scale, default_cache
 
 @pytest.fixture(scope="session")
 def scale() -> Scale:
-    return Scale.from_env("default")
+    return Scale.from_env()
 
 
 @pytest.fixture(scope="session")

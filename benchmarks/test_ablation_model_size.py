@@ -30,6 +30,6 @@ def test_model_size_ablation_and_bench(benchmark, scale, cache, report):
     assert accs[128] - accs[64] < 0.15
 
     # Kernel: forward pass of the paper network (FTL inference compute).
-    net = paper_network(seed=0)
+    net = paper_network()
     x = np.random.default_rng(0).normal(size=(1, 9))
     benchmark(lambda: net.forward(x))

@@ -34,7 +34,7 @@ def main() -> None:
         for wid, spec in enumerate(specs):
             reqs = generate(spec, 1500, workload_id=wid, seed=21 + wid)
             path = Path(tmp) / f"{spec.name}.trace"
-            traces.dump(reqs, path, precision=3)
+            traces.dump(reqs, path)
             paths.append(path)
             print(f"wrote {path.name}: {path.stat().st_size / 1024:.0f} KiB")
 

@@ -52,8 +52,6 @@ class ChannelAllocator:
     def __init__(self, learner: StrategyLearner) -> None:
         self.learner = learner
         self.space = learner.space
-        #: decision log: (features, chosen strategy) pairs, newest last
-        self.decisions: list[tuple[FeatureVector, Strategy]] = []
 
     def allocate(self, features: FeatureVector) -> Strategy:
         """Pick the allocation strategy for the observed mixed workload."""
@@ -62,9 +60,7 @@ class ChannelAllocator:
                 f"features describe {features.n_tenants} tenants, allocator "
                 f"is trained for {self.space.n_tenants}"
             )
-        strategy = self.learner.predict(features)
-        self.decisions.append((features, strategy))
-        return strategy
+        return self.learner.predict(features)
 
     def channel_sets(self, features: FeatureVector) -> dict[int, list[int]]:
         """Allocate and expand to concrete per-tenant channel sets."""
@@ -145,11 +141,8 @@ def verified_allocate(
     Each candidate is scored on ``replay``, the fast-model replay of the
     requests actually observed during the collection window; the first
     candidate with the lowest mean-read + mean-write latency wins.  An empty
-    (or absent) replay leaves the network's argmax.  The decision (with the
-    verified winner) is appended to the allocator's log.
+    (or absent) replay leaves the network's argmax.
     """
     if not replay:
         return allocator.allocate(features)
-    best = min(allocator.top_k(features, top_k), key=replay.cost_us)
-    allocator.decisions.append((features, best))
-    return best
+    return min(allocator.top_k(features, top_k), key=replay.cost_us)

@@ -32,13 +32,6 @@ class PagePolicy(enum.Enum):
     ALL_DYNAMIC = "all-dynamic"
     HYBRID = "hybrid"
 
-    @classmethod
-    def from_str(cls, text: str) -> "PagePolicy":
-        try:
-            return cls(text.strip().lower())
-        except ValueError:
-            raise ValueError(f"unknown page policy {text!r}") from None
-
 
 def page_modes_for(
     policy: PagePolicy,

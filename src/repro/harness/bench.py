@@ -73,7 +73,7 @@ _WALL_NOISE_FLOOR_S = 0.02
 # ----------------------------------------------------------------------
 def run_scenario(
     name: str, *, quick: bool = False, repeat: int = 1,
-    slo=None, flight_dir=None, baseline_entry=None,
+    slo=None, flight_dir=None,
 ) -> dict:
     """Run one scenario ``repeat`` times; best wall-clock is recorded.
 
@@ -86,10 +86,7 @@ def run_scenario(
     (window/alert counts; comparison ignores it, so SLO'd runs stay
     baseline-compatible).  ``flight_dir`` arms a flight recorder under
     ``<flight_dir>/<scenario>``, so a paged regression comes with a
-    reproducible bundle attached; when ``baseline_entry`` (this
-    scenario's entry from a baseline document) is also given, its
-    attribution phases become the recorder's last-known-good reference,
-    so any bundle carries a ``diff.json`` against the baseline run.
+    reproducible bundle attached.
     """
     kind, requests, cfg, sets, faults = build(name, quick=quick)
     slo_spec = None
@@ -124,18 +121,12 @@ def run_scenario(
                 if quick:
                     replay.append("--quick")
                     explain.append("--quick")
-                last_good = None
-                if baseline_entry and baseline_entry.get("attribution"):
-                    last_good = {
-                        "attribution": baseline_entry["attribution"],
-                    }
                 recorder = FlightRecorder(
                     Path(flight_dir) / name,
                     context={"scenario": name, "quick": quick,
                              "requests": len(requests)},
                     replay_argv=replay,
                     explain_argv=explain,
-                    last_good=last_good,
                 )
             obs = Observability(
                 trace=False, attribution=True, slo=slo_spec,
@@ -183,7 +174,6 @@ def run_bench(
     scenarios: list[str] | None = None,
     slo=None,
     flight_dir=None,
-    baseline=None,
     log=None,
 ) -> dict:
     """Run the suite; returns the schema-versioned result document."""
@@ -198,11 +188,9 @@ def run_bench(
         platform=platform.platform(),
         scenarios={},
     )
-    baseline_scenarios = (baseline or {}).get("scenarios", {})
     for name in names:
         entry = run_scenario(
             name, quick=quick, repeat=repeat, slo=slo, flight_dir=flight_dir,
-            baseline_entry=baseline_scenarios.get(name),
         )
         doc["scenarios"][name] = entry
         if log is not None:
@@ -570,7 +558,6 @@ def run(args) -> int:
             scenarios=args.scenario,
             slo=slo,
             flight_dir=args.flight_dir,
-            baseline=baseline,
             log=None if args.json else print,
         )
     except SloSpecError as exc:

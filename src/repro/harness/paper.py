@@ -446,7 +446,7 @@ def run(args) -> int:
         if path:
             with lab.writing(path), open(path, "a"):
                 pass
-    scale = Scale.from_name(args.scale) if args.scale else Scale.from_env("default")
+    scale = Scale.from_name(args.scale) if args.scale else Scale.from_env()
 
     names = list(_COMMANDS) if args.command == "all" else [args.command]
     for name in names:

@@ -91,6 +91,6 @@ class Scale:
             ) from None
 
     @classmethod
-    def from_env(cls, default: str = "default") -> "Scale":
-        """Resolve from ``$REPRO_SCALE`` (used by the benches)."""
-        return cls.from_name(os.environ.get("REPRO_SCALE", default))
+    def from_env(cls) -> "Scale":
+        """Resolve from ``$REPRO_SCALE`` (used by the benches), else default."""
+        return cls.from_name(os.environ.get("REPRO_SCALE", "default"))

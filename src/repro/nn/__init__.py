@@ -1,18 +1,17 @@
 """From-scratch neural-network substrate.
 
 A numpy-only MLP with the optimizers and activations the paper evaluates
-(SGD, SGD-momentum, Adam; ReLU and logistic), plus AdaGrad/RMSProp for the
-ablations.  Gradient correctness is enforced by finite-difference checks in
-``tests/nn/test_gradients.py``.
+(SGD, SGD-momentum, Adam; ReLU and logistic).  Gradient correctness is
+enforced by finite-difference checks in ``tests/nn/test_gradients.py``.
 """
 
 from . import serialization
-from .activations import Activation, Identity, Logistic, ReLU, Tanh, get_activation, softmax
+from .activations import Activation, Identity, Logistic, ReLU, get_activation, softmax
 from .layers import Dense
 from .losses import Loss, SoftmaxCrossEntropy
 from .metrics import top_k_accuracy
 from .network import MLP, paper_network
-from .optimizers import SGD, AdaGrad, Adam, Optimizer, RMSProp, SGDMomentum, get_optimizer
+from .optimizers import SGD, Adam, Optimizer, SGDMomentum, get_optimizer
 from .preprocessing import StandardScaler, minibatches, train_test_split
 from .training import History, Trainer
 
@@ -21,7 +20,6 @@ __all__ = [
     "Identity",
     "Logistic",
     "ReLU",
-    "Tanh",
     "get_activation",
     "softmax",
     "Loss",
@@ -29,10 +27,8 @@ __all__ = [
     "Dense",
     "MLP",
     "paper_network",
-    "AdaGrad",
     "Adam",
     "Optimizer",
-    "RMSProp",
     "SGD",
     "SGDMomentum",
     "get_optimizer",

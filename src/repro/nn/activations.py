@@ -7,15 +7,15 @@ only the cached *output* (every activation here has a derivative expressible
 in its output, which keeps the layer cache small).
 
 The paper explores **ReLU** and **logistic** hidden activations (Table III's
-Adam-ReLU / Adam-logistic variants); tanh and identity round out the set for
-the ablations.
+Adam-ReLU / Adam-logistic variants); identity is the output layer's
+activation ahead of the softmax.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Activation", "ReLU", "Logistic", "Tanh", "Identity", "get_activation", "softmax"]
+__all__ = ["Activation", "ReLU", "Logistic", "Identity", "get_activation", "softmax"]
 
 
 class Activation:
@@ -64,18 +64,6 @@ class Logistic(Activation):
         return grad_out * output * (1.0 - output)
 
 
-class Tanh(Activation):
-    """Hyperbolic tangent (kept for the activation ablations)."""
-
-    name = "tanh"
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return np.tanh(x)
-
-    def backward(self, grad_out: np.ndarray, output: np.ndarray) -> np.ndarray:
-        return grad_out * (1.0 - output * output)
-
-
 class Identity(Activation):
     """Pass-through; used for the output layer before softmax."""
 
@@ -89,7 +77,7 @@ class Identity(Activation):
 
 
 _REGISTRY: dict[str, type[Activation]] = {
-    cls.name: cls for cls in (ReLU, Logistic, Tanh, Identity)
+    cls.name: cls for cls in (ReLU, Logistic, Identity)
 }
 
 

@@ -112,6 +112,6 @@ class MLP:
         return f"MLP({arch}, {self.hidden_activation})"
 
 
-def paper_network(*, seed: int | None = None) -> MLP:
-    """The exact Section IV-D architecture: 9 -> 64 -> 42, ReLU."""
-    return MLP([9, 64, 42], hidden_activation="relu", seed=seed)
+def paper_network() -> MLP:
+    """The exact Section IV-D architecture: 9 -> 64 -> 42, ReLU (seed 0)."""
+    return MLP([9, 64, 42], hidden_activation="relu", seed=0)

@@ -3,8 +3,6 @@
 The paper's Algorithm 1 is the plain Equation-1 update (:class:`SGD`); the
 evaluation additionally explores SGD with momentum and Adam (Table III, with
 the paper's tuned hyper-parameters: SGD lr 0.2, momentum 0.9, Adam lr 0.02).
-AdaGrad and RMSProp — Adam's two ingredients the paper's background section
-describes — are implemented as well, for the optimizer ablation bench.
 
 Every optimizer exposes ``step(params, grads)`` where both lists align
 elementwise; state (velocities, moment estimates) is keyed by position so a
@@ -17,16 +15,14 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Optimizer", "SGD", "SGDMomentum", "AdaGrad", "RMSProp", "Adam", "get_optimizer"]
+__all__ = ["Optimizer", "SGD", "SGDMomentum", "Adam", "get_optimizer"]
 
 #: SGD-with-momentum's velocity decay (the paper's tuned 0.9)
 _MOMENTUM = 0.9
-#: RMSProp's squared-gradient decay
-_RMS_DECAY = 0.9
 #: Adam's first- and second-moment decays (Kingma & Ba's defaults)
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
-#: keeps the AdaGrad/RMSProp/Adam denominators away from zero
+#: keeps Adam's denominator away from zero
 _EPS = 1e-8
 
 
@@ -87,46 +83,9 @@ class SGDMomentum(Optimizer):
             p += v
 
 
-class AdaGrad(Optimizer):
-    """Per-parameter scaling by accumulated squared gradients."""
-
-    name = "adagrad"
-
-    def __init__(self, learning_rate: float = 0.05) -> None:
-        super().__init__(learning_rate)
-        self._accum: list[np.ndarray] | None = None
-
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-        self._check(params, grads)
-        if self._accum is None:
-            self._accum = [np.zeros_like(p) for p in params]
-        for p, g, a in zip(params, grads, self._accum):
-            a += g * g
-            p -= self.learning_rate * g / (np.sqrt(a) + _EPS)
-
-
-class RMSProp(Optimizer):
-    """Exponentially decayed squared-gradient scaling."""
-
-    name = "rmsprop"
-
-    def __init__(self, learning_rate: float = 0.01) -> None:
-        super().__init__(learning_rate)
-        self._accum: list[np.ndarray] | None = None
-
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-        self._check(params, grads)
-        if self._accum is None:
-            self._accum = [np.zeros_like(p) for p in params]
-        for p, g, a in zip(params, grads, self._accum):
-            a *= _RMS_DECAY
-            a += (1.0 - _RMS_DECAY) * g * g
-            p -= self.learning_rate * g / (np.sqrt(a) + _EPS)
-
-
 class Adam(Optimizer):
-    """Adam (Kingma & Ba): AdaGrad's sparse-gradient behaviour plus
-    RMSProp's non-stationary behaviour, with bias-corrected moments."""
+    """Adam (Kingma & Ba): per-parameter steps scaled by bias-corrected
+    first- and second-moment estimates of the gradient."""
 
     name = "adam"
 
@@ -156,7 +115,7 @@ class Adam(Optimizer):
 
 
 _REGISTRY: dict[str, type[Optimizer]] = {
-    cls.name: cls for cls in (SGD, SGDMomentum, AdaGrad, RMSProp, Adam)
+    cls.name: cls for cls in (SGD, SGDMomentum, Adam)
 }
 
 

@@ -71,7 +71,7 @@ from .probe import DeviceProbe
 from .registry import DEFAULT_LATENCY_BUCKETS_US, Counter, Gauge, Histogram, MetricsRegistry, Series
 from .slo import SloAlert, SloSpec, SloSpecError, SloWatchdog
 from .telemetry import TELEMETRY_SCHEMA, TELEMETRY_SCHEMA_VERSION, TelemetrySink
-from .trace import EVENT_NAMES, NULL_RECORDER, NullRecorder, TraceEvent, TraceRecorder, match_pairs
+from .trace import EVENT_NAMES, NULL_RECORDER, NullRecorder, TraceEvent, TraceRecorder
 from .whatif import (
     DEFAULT_COUNTERFACTUALS,
     WHATIF_SCHEMA_VERSION,
@@ -120,7 +120,6 @@ __all__ = [
     "NullRecorder",
     "NULL_RECORDER",
     "EVENT_NAMES",
-    "match_pairs",
     "to_chrome_trace",
     "write_chrome_trace",
     "DIFF_SCHEMA_VERSION",

@@ -340,8 +340,10 @@ def _new_row() -> dict[str, float]:
 class AttributionCollector:
     """Opt-in sink for per-request phase decompositions.
 
-    Every :class:`RequestAttribution` is kept on :attr:`records`, which
-    critical-path extraction and the flight recorder read.
+    Every :class:`RequestAttribution` is kept on :attr:`records`, the
+    collector's only copy of the phases: critical-path extraction and the
+    flight recorder read it, and :meth:`breakdown` folds it into the
+    per-phase, per-tenant and per-channel sums.
 
     Parameters
     ----------
@@ -357,11 +359,6 @@ class AttributionCollector:
         #: exact-sum check routes through it (counted, trace-correlated)
         self.sanitizer = None
         self.records: list[RequestAttribution] = []
-        self.requests = 0
-        self.total_latency_us = 0.0
-        self._phase_totals_us = {name: 0.0 for name in PHASE_NAMES}
-        self._per_tenant: dict[int, dict[str, float]] = {}
-        self._per_channel: dict[int, dict[str, float]] = {}
         #: workload id -> {"writes", "work_items"}: GC work charged on
         #: behalf of that tenant's writes (the *cause* side of gc_stall)
         self.gc_triggers: dict[int, dict[str, int]] = {}
@@ -394,11 +391,12 @@ class AttributionCollector:
 
     # ------------------------------------------------------------------
     def record(self, request, span: SubrequestSpan) -> RequestAttribution:
-        """Fold one completed request's critical-path span into the sums.
+        """Keep one completed request's critical-path decomposition.
 
-        Validates the exact-sum identity before aggregating; raises
-        :class:`AttributionError` (or fails the attached sanitizer) when
-        the phases do not reproduce the recorded latency.
+        Validates the exact-sum identity before appending to
+        :attr:`records`; raises :class:`AttributionError` (or fails the
+        attached sanitizer) when the phases do not reproduce the recorded
+        latency.
         """
         rec = RequestAttribution(
             request.workload_id,
@@ -417,24 +415,6 @@ class AttributionCollector:
             buffer_us=span.buffer_us,
         )
         self._validate(rec)
-        self.requests += 1
-        self.total_latency_us += rec.latency_us
-        totals = self._phase_totals_us
-        tenant = self._per_tenant.get(rec.workload_id)
-        if tenant is None:
-            tenant = self._per_tenant[rec.workload_id] = _new_row()
-        chan = self._per_channel.get(rec.channel)
-        if chan is None:
-            chan = self._per_channel[rec.channel] = _new_row()
-        for name in PHASE_NAMES:
-            value = getattr(rec, name)
-            totals[name] += value
-            tenant[name] += value
-            chan[name] += value
-        tenant["requests"] += 1
-        tenant["latency_us"] += rec.latency_us
-        chan["requests"] += 1
-        chan["latency_us"] += rec.latency_us
         self.records.append(rec)
         if self.trace is not None:
             self._emit_spans(request, span, rec)
@@ -496,14 +476,38 @@ class AttributionCollector:
 
     # ------------------------------------------------------------------
     def breakdown(self) -> LatencyBreakdown:
-        """Immutable aggregate snapshot (attached to the result)."""
-        phase_totals_us = {**self._phase_totals_us}
+        """Immutable aggregate snapshot (attached to the result).
+
+        Folds :attr:`records` in record order, so every sum adds the same
+        values in the same order as a running total would.
+        """
+        total_latency_us = 0.0
+        phase_totals_us = {name: 0.0 for name in PHASE_NAMES}
+        per_tenant: dict[int, dict[str, float]] = {}
+        per_channel: dict[int, dict[str, float]] = {}
+        for rec in self.records:
+            total_latency_us += rec.latency_us
+            tenant = per_tenant.get(rec.workload_id)
+            if tenant is None:
+                tenant = per_tenant[rec.workload_id] = _new_row()
+            chan = per_channel.get(rec.channel)
+            if chan is None:
+                chan = per_channel[rec.channel] = _new_row()
+            for name in PHASE_NAMES:
+                value = getattr(rec, name)
+                phase_totals_us[name] += value
+                tenant[name] += value
+                chan[name] += value
+            tenant["requests"] += 1
+            tenant["latency_us"] += rec.latency_us
+            chan["requests"] += 1
+            chan["latency_us"] += rec.latency_us
         return LatencyBreakdown(
-            requests=self.requests,
-            total_latency_us=self.total_latency_us,
+            requests=len(self.records),
+            total_latency_us=total_latency_us,
             phase_totals_us=phase_totals_us,
-            per_tenant={wid: dict(r) for wid, r in self._per_tenant.items()},
-            per_channel={ch: dict(r) for ch, r in self._per_channel.items()},
+            per_tenant=per_tenant,
+            per_channel=per_channel,
             gc_triggers={wid: dict(r) for wid, r in self.gc_triggers.items()},
             gc_reclaims={ch: dict(r) for ch, r in self.gc_reclaims.items()},
         )

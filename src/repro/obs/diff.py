@@ -76,7 +76,7 @@ DIFF_SCHEMA = Schema(
 )
 
 #: report kinds the CLI and the loaders accept
-_DIFF_KINDS = frozenset({"bench", "run", "trace", "critpath", "flight"})
+_DIFF_KINDS = frozenset({"bench", "run", "trace", "critpath"})
 
 #: metrics that regress when they grow (latencies, failure counts)
 _LOWER_BETTER_METRICS = frozenset({

@@ -16,11 +16,7 @@ everything needed to reproduce and diagnose the failure offline:
 * ``sanitizer_events.json`` — the sanitizer's recent-event ring;
 * ``critpath.json`` — the bottleneck report at trigger time (which
   resource the critical path was bound by when things went wrong),
-  extracted from the attribution records when attribution is armed;
-* ``diff.json`` — when the recorder was armed with a ``last_good``
-  reference run, a phase waterfall against it (:mod:`repro.obs.diff`):
-  which attribution phase the latency moved into, so the bundle answers
-  "what changed since the run that worked" without further tooling.
+  extracted from the attribution records when attribution is armed.
 
 Sections whose source is not attached are simply omitted (and listed as
 absent in the manifest).  Dumping writes files only — it schedules no
@@ -71,15 +67,10 @@ class FlightRecorder:
     """Dump-on-failure bundle writer (one directory per trigger)."""
 
     def __init__(self, out_dir, *, context=None, replay_argv=None,
-                 explain_argv=None, last_good=None) -> None:
+                 explain_argv=None) -> None:
         self.out_dir = Path(out_dir)
         #: caller-supplied run description (config, seeds, scenario name…)
         self.context = dict(context) if context else {}
-        #: last-known-good reference for differential bundles: a dict
-        #: carrying ``"attribution"`` (a bench-style section with
-        #: ``phase_totals_us``); when present, dumps gain a ``diff.json``
-        #: against it
-        self.last_good = dict(last_good) if last_good else None
         #: exact argv that reproduces this run (``None`` = not replayable)
         self.replay_argv = list(replay_argv) if replay_argv else None
         #: argv of the ``repro explain`` invocation that diagnoses this
@@ -108,7 +99,6 @@ class FlightRecorder:
         bundle = self.out_dir / f"bundle-{len(self.bundles):02d}-{trigger}"
         bundle.mkdir(parents=True, exist_ok=True)
         files = ["manifest.json"]
-        phase_totals_us = None
         obs = self.obs
         if obs is not None:
             _write_json(bundle / "metrics.json", obs.registry.snapshot())
@@ -143,8 +133,6 @@ class FlightRecorder:
                     )
                     _write_json(bundle / "critpath.json", report.to_dict())
                     files.append("critpath.json")
-                breakdown = obs.attribution.breakdown()
-                phase_totals_us = {**breakdown.phase_totals_us}
             if obs.slo is not None:
                 _write_json(bundle / "alerts.json", {
                     "triggering": alert,
@@ -166,8 +154,6 @@ class FlightRecorder:
                 },
             )
             files.append("sanitizer_events.json")
-        if self._write_last_good_diff(bundle, phase_totals_us):
-            files.append("diff.json")
         manifest = FLIGHT_SCHEMA.stamp(
             trigger=trigger,
             detail=detail,
@@ -190,31 +176,6 @@ class FlightRecorder:
         _write_json(bundle / "manifest.json", manifest)
         self.bundles.append(bundle)
         return bundle
-
-    # ------------------------------------------------------------------
-    def _write_last_good_diff(self, bundle: Path, phase_totals_us) -> bool:
-        """Diff this dump's attribution phases against the last-known-good run."""
-        if not self.last_good:
-            return False
-        good_attr = self.last_good.get("attribution") or {}
-        good_phases = good_attr.get("phase_totals_us")
-        if not (good_phases and phase_totals_us):
-            return False
-        from .diff import build_diff_report, phase_waterfall, write_diff
-
-        rows = phase_waterfall(good_phases, phase_totals_us)
-        moved = sum(1 for row in rows if row["delta_us"])
-        sections = {"waterfall": {
-            "identical": moved == 0,
-            "divergences": moved,
-            "regressions": 0,
-            "phases": rows,
-        }}
-        report = build_diff_report(
-            "flight", "last-known-good", "this run", sections
-        )
-        write_diff(report, bundle / "diff.json")
-        return True
 
 
 def _write_json(path: Path, payload) -> None:

@@ -9,6 +9,12 @@ records, attribution spans, flight-recorder triggers, the telemetry
 sampler and the end-of-run publication.  A probe schedules no events and
 draws no randomness, so an instrumented run simulates exactly what a bare
 one does.
+
+Each fact is recorded once.  A GC reclaim's ``gc_start`` marks the die
+hold whose ``die_acquire`` record carries its duration.  The per-window
+busy fraction and queue depth live only in the telemetry sink's
+utilization view (``Observability.export()``); the registry gets the
+whole-run ``util.<resource>.busy_fraction`` gauges.
 """
 
 from __future__ import annotations
@@ -143,13 +149,6 @@ class DeviceProbe:
                 start_us, "block_retired", die.name, "faults", args=_item_args(item)
             )
 
-    def gc_end_hook(self, die, item):
-        """The continuation marking GC ``item``'s end on ``die`` (``None``
-        when tracing is off or ``item`` is a block retirement)."""
-        if self.trace is None or not _is_gc_item(item):
-            return None
-        return lambda: self.trace.emit(self._loop.now, "gc_end", die.name, "gc")
-
     # -- run boundaries -------------------------------------------------
     def arm(self) -> None:
         """Attach the telemetry sampler (weak loop events)."""
@@ -184,30 +183,11 @@ class DeviceProbe:
             sim.buffer.stats.publish(reg)
         if sim.faults is not None:
             sim.faults.publish(reg)
-        if self.telemetry is not None:
-            _publish_utilization(
-                self.telemetry.utilization(), len(sim.channels), len(sim.dies), reg
-            )
         if result.breakdown is not None:
             reg.counter("attr.requests").value = result.breakdown.requests
             for phase, total_us in result.breakdown.phase_totals_us.items():
                 reg.gauge(f"attr.{phase}").set(total_us)
         return result
-
-
-def _publish_utilization(util: dict, channels: int, dies: int, reg) -> None:
-    """Copy the utilization view into ``reg`` as per-resource series."""
-    times_us = util["times_us"]
-    for ch in range(channels):
-        busy = reg.series(f"util.channel.{ch}.busy")
-        queue = reg.series(f"util.channel.{ch}.queue")
-        for t, busy_row, queue_row in zip(times_us, util["channel_busy"], util["channel_queue"]):
-            busy.append(t, busy_row[ch])
-            queue.append(t, float(queue_row[ch]))
-    for d in range(dies):
-        busy = reg.series(f"util.die.{d}.busy")
-        for t, busy_row in zip(times_us, util["die_busy"]):
-            busy.append(t, busy_row[d])
 
 
 def _is_gc_item(item) -> bool:

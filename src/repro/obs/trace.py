@@ -1,10 +1,14 @@
 """Structured trace recorder.
 
 One :class:`TraceEvent` is emitted per interesting simulation moment —
-``request_submit``, ``subrequest_dispatch``, ``channel_acquire`` /
-``channel_release`` (and the die equivalents), ``gc_start`` / ``gc_end``,
-``keeper_switch`` — carrying the simulated timestamp, a track (the
-resource or actor the event belongs to), a category, and free-form args.
+``request_submit``, ``subrequest_dispatch``, ``channel_acquire`` and
+``die_acquire``, ``gc_start``, ``keeper_switch`` — carrying the simulated
+timestamp, a track (the resource or actor the event belongs to), a
+category, and free-form args.  A resource hold is one ``*_acquire``
+event whose ``dur_us`` is the service time: the resource frees at
+``ts_us + dur_us``, so no release event is recorded.  A GC reclaim's
+``gc_start`` shares its timestamp and track with the ``die_acquire`` of
+the die hold that performs it.
 
 The recorder is a bounded ring buffer: the ``capacity`` newest events
 are kept, older ones are dropped and counted; raise ``capacity`` to keep
@@ -26,7 +30,6 @@ from __future__ import annotations
 
 from collections import deque
 import json
-from typing import Iterable
 
 __all__ = [
     "TraceEvent",
@@ -34,7 +37,6 @@ __all__ = [
     "NullRecorder",
     "NULL_RECORDER",
     "EVENT_NAMES",
-    "match_pairs",
 ]
 
 #: Canonical event vocabulary (components may add more; these are the
@@ -43,11 +45,8 @@ EVENT_NAMES = (
     "request_submit",
     "subrequest_dispatch",
     "channel_acquire",
-    "channel_release",
     "die_acquire",
-    "die_release",
     "gc_start",
-    "gc_end",
     "keeper_switch",
     "slo_alert",
 )
@@ -185,29 +184,3 @@ class NullRecorder:
 #: Shared no-op instance (stateless, safe to reuse everywhere).
 NULL_RECORDER = NullRecorder()
 
-
-def match_pairs(
-    events: Iterable[TraceEvent], start_name: str, end_name: str
-) -> list[tuple[TraceEvent, TraceEvent]]:
-    """Pair ``start_name`` events with the next ``end_name`` on the track.
-
-    Used by tests and analysis to check acquire/release discipline.
-    Raises ``ValueError`` when an end event has no pending start (a
-    truncated ring buffer can legitimately drop the starts — callers
-    should pair only untruncated traces).
-    """
-    pending: dict[str, list[TraceEvent]] = {}
-    pairs: list[tuple[TraceEvent, TraceEvent]] = []
-    for event in events:
-        key = event.track
-        if event.name == start_name:
-            pending.setdefault(key, []).append(event)
-        elif event.name == end_name:
-            stack = pending.get(key)
-            if not stack:
-                raise ValueError(
-                    f"{end_name} on track {key!r} at {event.ts_us} without "
-                    f"a pending {start_name}"
-                )
-            pairs.append((stack.pop(0), event))
-    return pairs

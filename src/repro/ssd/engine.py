@@ -217,7 +217,8 @@ class Resource:
     priority heap.  The holder calls nothing explicitly: the resource
     schedules one event at ``start + duration`` that runs the job's ``then``
     continuation (if any), releases, and grants the next waiter.
-    ``on_grant`` callbacks receive the grant time.
+    ``on_grant`` callbacks receive the grant time.  A traced hold is one
+    ``{kind}_acquire`` record whose ``dur_us`` fixes its release time.
     """
 
     __slots__ = (
@@ -250,8 +251,8 @@ class Resource:
         self.gc_busy_time_us = 0.0
         # --- observability (no-op unless a recorder is attached) ---
         #: optional :class:`repro.obs.trace.TraceRecorder`; when set, each
-        #: grant emits ``{kind}_acquire`` (with the service duration) and
-        #: each release emits ``{kind}_release``.
+        #: grant emits ``{kind}_acquire`` with the service duration, which
+        #: is the whole hold: the release runs at ``ts_us + dur_us``.
         self.trace = None
         self.kind = kind
         #: optional :class:`repro.analysis.Sanitizer`; when set, every
@@ -316,10 +317,6 @@ class Resource:
         if self._then is not None:
             self._then()
         self.busy = False
-        if self.trace is not None:
-            self.trace.emit(
-                self.loop.now, f"{self.kind}_release", self.name, "resource"
-            )
         if self._waiters:
             _, _, enqueued_us, duration_us, on_grant, then = heapq.heappop(self._waiters)
             self._grant(self.loop.now, duration_us, on_grant, then, enqueued_us)

@@ -49,13 +49,6 @@ class PageAllocMode(enum.Enum):
     STATIC = "static"
     DYNAMIC = "dynamic"
 
-    @classmethod
-    def from_str(cls, text: str) -> "PageAllocMode":
-        try:
-            return cls(text.strip().lower())
-        except ValueError:
-            raise ValueError(f"unknown page allocation mode {text!r}") from None
-
 
 class StaticPagePlacer:
     """LPN-striped placement over an allowed channel set."""

@@ -414,10 +414,7 @@ class SSDSimulator:
                 if probe is not None:
                     probe.gc_granted(start, die, item)
 
-            die.acquire(
-                (PRIO_GC, self.loop.now), duration_us, on_grant,
-                probe.gc_end_hook(die, item) if probe is not None else None,
-            )
+            die.acquire((PRIO_GC, self.loop.now), duration_us, on_grant)
 
     def _complete_page(self, key: int, failed: bool = False, span=None) -> None:
         flight = self._inflight[key]

@@ -9,7 +9,8 @@ Cambridge CSV layout consumed by SSDSim-family simulators::
     13.520,1,W,77,1
 
 Comments (``#``) and blank lines are ignored.  Round-tripping preserves all
-request fields (arrival times to microsecond precision by default).
+request fields (arrival times to the nanosecond, three decimals of a
+microsecond).
 
 Real-world trace files are routinely dirty (truncated last lines, stray
 headers from concatenation, locale-mangled numbers), so by default the
@@ -42,14 +43,14 @@ _HEADER = "# repro-trace v1"
 _COLUMNS = "arrival_us,workload_id,op,lpn,length"
 
 
-def dump(requests: Iterable[IORequest], path: str | Path, *, precision: int = 3) -> None:
-    """Write requests to ``path`` in trace format."""
+def dump(requests: Iterable[IORequest], path: str | Path) -> None:
+    """Write requests to ``path`` in trace format (arrivals to 1 ns)."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_HEADER + "\n")
         fh.write(_COLUMNS + "\n")
         for r in requests:
             fh.write(
-                f"{r.arrival_us:.{precision}f},{r.workload_id},{r.op},{r.lpn},{r.length}\n"
+                f"{r.arrival_us:.3f},{r.workload_id},{r.op},{r.lpn},{r.length}\n"
             )
 
 

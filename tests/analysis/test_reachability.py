@@ -46,8 +46,6 @@ KEEP = {
         "paper-facing: Section IV-D's compute estimate, sum of N_i * N_(i+1)",
     "repro.analysis.engine:LintEngine.lint_file":
         "the lint engine's single-file entry, the unit the rule tests drive",
-    "repro.obs.trace:match_pairs":
-        "test oracle: the acquire/release discipline of a trace",
     "repro.obs.flightrecorder:load_manifest":
         "schema reader: R007 pairs it with the manifest writer",
 }

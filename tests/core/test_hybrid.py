@@ -34,9 +34,3 @@ class TestPolicyMapping:
     def test_rejects_bad_characteristics(self):
         with pytest.raises(ValueError):
             page_modes_for(PagePolicy.HYBRID, (0, 2))
-
-    def test_from_str(self):
-        assert PagePolicy.from_str("hybrid") is PagePolicy.HYBRID
-        assert PagePolicy.from_str(" ALL-STATIC ") is PagePolicy.ALL_STATIC
-        with pytest.raises(ValueError):
-            PagePolicy.from_str("mixed")

@@ -103,8 +103,8 @@ class TestKeeperRun:
         )
         run = keeper.run(four_tenant_mix().requests)
         assert run.strategy is not None
-        # The allocator logged exactly one decision (one Algorithm-2 cycle).
-        assert len(keeper.allocator.decisions) == 1
+        # one Algorithm-2 cycle: the switch lands when the window closes
+        assert run.switched_at_us == 15_000.0
 
     def test_record_latencies_flows_through(self, config):
         keeper = SSDKeeper(

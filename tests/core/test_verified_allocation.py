@@ -93,15 +93,6 @@ class TestVerifiedAllocate:
         fv = FeatureVector(15, (0, 0, 1, 1), (0.25, 0.25, 0.25, 0.25))
         assert verified_allocate(allocator, fv, WindowReplay([], fv, config)).label == "1:7"
 
-    def test_decision_logged(self):
-        config = SSDConfig.small()
-        allocator = biased_allocator("1:7", "Shared")
-        window = read_heavy_window(config, total=300)
-        fv = FeatureVector(15, (0, 0, 1, 1), (0.25, 0.25, 0.25, 0.25))
-        n_before = len(allocator.decisions)
-        verified_allocate(allocator, fv, WindowReplay(window, fv, config), top_k=2)
-        assert len(allocator.decisions) == n_before + 1
-
 
 class TestKeeperIntegration:
     def test_keeper_with_verification_avoids_bad_switch(self):

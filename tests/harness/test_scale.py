@@ -36,5 +36,4 @@ class TestEnv:
 
     def test_env_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_SCALE", raising=False)
-        assert Scale.from_env("default").name == "default"
-        assert Scale.from_env("smoke").name == "smoke"
+        assert Scale.from_env().name == "default"

@@ -1,7 +1,8 @@
 """Observability threaded through the whole stack (acceptance tests).
 
 One instrumented run must produce a consistent structured trace
-(acquire/release discipline), publishable metrics, per-channel
+(one acquire record per resource hold, holds never overlapping on a
+track), publishable metrics, per-channel
 utilization rows from its telemetry windows, and all three exports (JSONL, Chrome trace,
 metrics JSON); the keeper must log its switch at exactly the simulated
 time the reallocation took effect; and the disabled path must leave
@@ -22,7 +23,7 @@ from repro.core import (
     StrategyLearner,
     StrategySpace,
 )
-from repro.obs import Observability, SloSpec, TraceRecorder, match_pairs
+from repro.obs import Observability, SloSpec, TraceRecorder
 from repro.ssd import SSDConfig, SSDSimulator
 from repro.workloads import WorkloadSpec, synthesize_mix
 
@@ -74,31 +75,33 @@ def instrumented_run():
         config, shared_sets(config), record_latencies=True, obs=obs
     )
     result = sim.run(mixed_trace())
-    return config, obs, result
+    return sim, obs, result
+
+
+def check_holds(events, kind, resources):
+    """Each ``{kind}_acquire`` record is one whole hold, released at
+    ``ts_us + dur_us``: on its track that release comes no later than the
+    next acquire, and every grant of every resource has one record."""
+    holds = {res.name: [] for res in resources}
+    for event in events:
+        if event.name == f"{kind}_acquire":
+            holds[event.track].append(event)
+    assert any(holds.values()), f"tracing recorded no {kind} activity"
+    for res in resources:
+        track = holds[res.name]
+        assert len(track) == res.grants
+        for hold, following in zip(track, track[1:]):
+            assert hold.ts_us + hold.dur_us <= following.ts_us
 
 
 class TestTraceDiscipline:
     def test_channel_acquire_release_pairs_match(self, instrumented_run):
-        _, obs, _ = instrumented_run
-        events = obs.trace.events()
-        acquires = [e for e in events if e.name == "channel_acquire"]
-        releases = [e for e in events if e.name == "channel_release"]
-        assert acquires, "tracing recorded no channel activity"
-        assert len(acquires) == len(releases)
-        pairs = match_pairs(events, "channel_acquire", "channel_release")
-        assert len(pairs) == len(acquires)
-        for start, end in pairs:
-            assert start.track == end.track
-            # release happens exactly when the booked service time elapses
-            assert end.ts_us == pytest.approx(start.ts_us + start.dur_us)
+        sim, obs, _ = instrumented_run
+        check_holds(obs.trace.events(), "channel", sim.channels)
 
     def test_die_acquire_release_pairs_match(self, instrumented_run):
-        _, obs, _ = instrumented_run
-        events = obs.trace.events()
-        pairs = match_pairs(events, "die_acquire", "die_release")
-        assert len(pairs) == len(
-            [e for e in events if e.name == "die_acquire"]
-        )
+        sim, obs, _ = instrumented_run
+        check_holds(obs.trace.events(), "die", sim.dies)
 
     def test_every_request_submitted_and_dispatched(self, instrumented_run):
         _, obs, result = instrumented_run
@@ -130,10 +133,10 @@ class TestMetricsPublication:
         assert hist.mean == pytest.approx(result.read.mean_us)
 
     def test_utilization_profile_recorded(self, instrumented_run):
-        config, obs, result = instrumented_run
+        sim, obs, result = instrumented_run
         util = obs.export()["utilization"]
         assert len(util["times_us"]) >= 2
-        assert all(len(r) == config.channels for r in util["channel_busy"])
+        assert all(len(r) == len(sim.channels) for r in util["channel_busy"])
         # some channel saw traffic in some window
         assert max(max(r) for r in util["channel_busy"]) > 0.0
         # the tail row ends at the last real event, not at a tick past it
@@ -158,7 +161,7 @@ class TestExports:
             "request_submit",
             "subrequest_dispatch",
             "channel_acquire",
-            "channel_release",
+            "die_acquire",
         }
         doc = json.loads(chrome.read_text())
         assert doc["traceEvents"], "chrome trace is empty"

@@ -13,7 +13,7 @@ class TestTraceDrivenSimulation:
         )
         reqs = generate(spec, 400, workload_id=0, seed=9)
         path = tmp_path / "trace.csv"
-        traces.dump(reqs, path, precision=6)
+        traces.dump(reqs, path)
         loaded = traces.load(path)
 
         sets = {0: list(range(small_config.channels))}
@@ -38,7 +38,7 @@ class TestTraceDrivenSimulation:
             key=lambda r: r.arrival_us,
         )
         path = tmp_path / "mixed.csv"
-        traces.dump(reqs, path, precision=6)
+        traces.dump(reqs, path)
         loaded = traces.load(path)
         sets = {0: [0, 1, 2, 3], 1: [4, 5, 6, 7]}
         a = simulate(reqs, small_config, sets)

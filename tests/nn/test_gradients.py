@@ -27,7 +27,7 @@ def network_numeric_grads(net, x, y, eps=1e-6):
 
 
 class TestDenseBackward:
-    @pytest.mark.parametrize("activation", ["identity", "logistic", "tanh"])
+    @pytest.mark.parametrize("activation", ["identity", "logistic"])
     def test_input_gradient_matches_numeric(self, activation, rng):
         layer = Dense(4, 3, activation, rng=rng)
         x = rng.normal(size=(2, 4))
@@ -59,7 +59,7 @@ class TestDenseBackward:
 
 
 class TestFullNetworkGradients:
-    @pytest.mark.parametrize("activation", ["relu", "logistic", "tanh"])
+    @pytest.mark.parametrize("activation", ["relu", "logistic"])
     def test_all_parameter_gradients_match_numeric(self, activation, rng):
         net = MLP([5, 8, 4], hidden_activation=activation, seed=3)
         x = rng.normal(size=(6, 5))

@@ -55,7 +55,7 @@ class TestForward:
 
 class TestEvaluate:
     def test_accuracy_on_separable_data(self, rng):
-        net = MLP([2, 16, 2], hidden_activation="tanh", seed=0)
+        net = MLP([2, 16, 2], hidden_activation="logistic", seed=0)
         x = rng.normal(size=(200, 2))
         y = (x[:, 0] > 0).astype(int)
         from repro.nn import Trainer

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import SGD, AdaGrad, Adam, RMSProp, SGDMomentum, get_optimizer, optimizers
+from repro.nn import SGD, Adam, SGDMomentum, get_optimizer, optimizers
 
 
 def quadratic_descent(optimizer, start=5.0, steps=300):
@@ -70,27 +70,8 @@ class TestAdam:
         assert quadratic_descent(Adam(0.1), steps=600) < 1e-3
 
 
-class TestAdaGradRMSProp:
-    def test_adagrad_decreases_effective_rate(self):
-        opt = AdaGrad(learning_rate=1.0)
-        w = np.array([0.0])
-        g = np.array([1.0])
-        opt.step([w], [g])
-        first = abs(w[0])
-        w2 = np.array([0.0])
-        opt2 = AdaGrad(learning_rate=1.0)
-        for _ in range(10):
-            opt2.step([w2], [g])
-        # Ten steps move less than 10x the first step (accumulated scaling).
-        assert abs(w2[0]) < 10 * first
-
-    def test_rmsprop_converges_to_lr_neighbourhood(self):
-        # RMSProp's normalised steps oscillate at ~lr around the optimum.
-        assert quadratic_descent(RMSProp(0.05), steps=600) < 0.06
-
-
 class TestCommon:
-    @pytest.mark.parametrize("cls", [SGD, SGDMomentum, AdaGrad, RMSProp, Adam])
+    @pytest.mark.parametrize("cls", [SGD, SGDMomentum, Adam])
     def test_rejects_nonpositive_learning_rate(self, cls):
         with pytest.raises(ValueError):
             cls(learning_rate=0.0)

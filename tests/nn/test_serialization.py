@@ -32,8 +32,8 @@ class TestRoundTrip:
         assert np.array_equal(net.forward(x), clone.forward(x))
 
     def test_activation_preserved(self):
-        net = MLP([2, 3, 2], hidden_activation="tanh", seed=0)
-        assert from_dict(to_dict(net)).hidden_activation == "tanh"
+        net = MLP([2, 3, 2], hidden_activation="logistic", seed=0)
+        assert from_dict(to_dict(net)).hidden_activation == "logistic"
 
     def test_payload_is_json_serialisable(self):
         net = MLP([2, 3, 2], seed=0)

@@ -99,8 +99,8 @@ class TestAttributionCollector:
         req = FakeRequest(workload_id=1, arrival_us=0.0, complete_us=span.end_us)
         rec = coll.record(req, span)
         assert rec.phase_sum_us() == pytest.approx(req.latency_us, abs=1e-9)
-        assert coll.requests == 1
         assert coll.records == [rec]
+        assert coll.breakdown().requests == 1
 
     def test_mismatch_raises_attribution_error(self):
         coll = AttributionCollector()

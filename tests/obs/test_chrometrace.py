@@ -10,7 +10,7 @@ def sample_events():
     return [
         TraceEvent(0.0, "request_submit", "w0", "host", args={"op": "read"}),
         TraceEvent(1.0, "channel_acquire", "ch0", "resource", dur_us=2.5),
-        TraceEvent(3.5, "channel_release", "ch0", "resource"),
+        TraceEvent(3.5, "subrequest_dispatch", "ch0", "sim"),
         TraceEvent(1.5, "die_acquire", "die2", "resource", dur_us=40.0),
     ]
 
@@ -52,7 +52,7 @@ class TestToChromeTrace:
         doc = to_chrome_trace(sample_events())
         events = [r for r in doc["traceEvents"] if r["ph"] != "M"]
         pid_of = {r["name"]: r["pid"] for r in events}
-        assert pid_of["channel_acquire"] == pid_of["channel_release"]
+        assert pid_of["channel_acquire"] == pid_of["subrequest_dispatch"]
         assert pid_of["request_submit"] != pid_of["channel_acquire"]
         assert pid_of["channel_acquire"] != pid_of["die_acquire"]
 
@@ -67,7 +67,7 @@ class TestToChromeTrace:
         instants = [r for r in doc["traceEvents"] if r["ph"] == "i"]
         assert {r["name"] for r in instants} == {
             "request_submit",
-            "channel_release",
+            "subrequest_dispatch",
         }
         assert all(r["s"] == "t" for r in instants)
 
@@ -185,7 +185,7 @@ class TestDiffChromeTrace:
         from repro.obs.chrometrace import to_diff_chrome_trace
 
         first = {"index": 2, "time_us_a": 3.5, "time_us_b": 4.0,
-                 "kind": "channel_release", "tenant": None, "channel": 0,
+                 "kind": "subrequest_dispatch", "tenant": None, "channel": 0,
                  "die": None}
         doc = to_diff_chrome_trace(
             sample_events(), sample_events(), first_divergence=first

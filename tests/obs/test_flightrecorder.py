@@ -160,40 +160,3 @@ class TestCritpathSection:
         manifest = read_json(bundle / "manifest.json")
         assert "critpath.json" not in manifest["bundle_files"]
         assert "attribution_tail.json" in manifest["bundle_files"]
-
-
-class TestLastGoodDiff:
-    def make_record(self, *, bus_us=40.0, die_us=20.0):
-        from repro.obs.attribution import RequestAttribution
-
-        return RequestAttribution(
-            0, "read", 2, bus_us + die_us, die=3, arrival_us=0.0,
-            bus_us=bus_us, die_us=die_us,
-        )
-
-    def test_bundle_gains_diff_json_against_last_good_phases(self, tmp_path):
-        rec = FlightRecorder(tmp_path, last_good={
-            "attribution": {
-                "phase_totals_us": {"bus_us": 10.0, "die_us": 20.0},
-            },
-        })
-        obs = Observability(trace=False, attribution=True, flight_recorder=rec)
-        obs.attribution.records.append(self.make_record(bus_us=40.0))
-        obs.attribution._phase_totals_us.update(bus_us=40.0, die_us=20.0)
-        bundle = rec.dump("slo-page", time_us=60.0)
-        manifest = read_json(bundle / "manifest.json")
-        assert "diff.json" in manifest["bundle_files"]
-        diff = read_json(bundle / "diff.json")
-        assert diff["kind"] == "flight"
-        assert diff["label_a"] == "last-known-good"
-        rows = diff["sections"]["waterfall"]["phases"]
-        assert rows[0]["phase"] == "bus_us"  # the heaviest shift leads
-        assert rows[0]["delta_us"] == 30.0
-
-    def test_no_last_good_means_no_diff_json(self, tmp_path):
-        rec = FlightRecorder(tmp_path)
-        obs = Observability(trace=False, attribution=True, flight_recorder=rec)
-        obs.attribution.records.append(self.make_record())
-        manifest = read_json(rec.dump("slo-page", time_us=60.0)
-                             / "manifest.json")
-        assert "diff.json" not in manifest["bundle_files"]

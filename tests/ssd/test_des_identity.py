@@ -61,40 +61,22 @@ def result_doc(result) -> dict:
     return doc
 
 
-#: what telemetry schema v2 added to an instrumented run's record: each
-#: window's queue-depth columns and the ``util.*`` series published from
-#: the windows.  ``case_obs`` pins them; the other obs cases leave them
-#: out, so their digests, pinned before v2, still show that nothing else
-#: the run records moved.
-V2_QUEUE_COLUMNS = ("channel_queue", "die_queue")
-
-
-def windows_doc(sink, *, v2: bool = True) -> list:
+def windows_doc(sink) -> list:
     """The sink's windows minus the host ``events`` counter."""
-    windows = []
-    for window in sink.windows:
-        window = {k: v for k, v in window.items() if k != "events"}
-        if not v2:
-            window["resources"] = {
-                k: v for k, v in window["resources"].items()
-                if k not in V2_QUEUE_COLUMNS
-            }
-        windows.append(window)
-    return canonical(windows)
+    return canonical([
+        {k: v for k, v in window.items() if k != "events"}
+        for window in sink.windows
+    ])
 
 
-def registry_doc(registry, *, v2: bool = True) -> dict:
-    snapshot = registry.snapshot()
-    if not v2:
-        snapshot["series"] = {
-            k: v for k, v in snapshot["series"].items() if not k.startswith("util.")
-        }
-    return canonical(snapshot)
+def registry_doc(registry) -> dict:
+    return canonical(registry.snapshot())
 
 
 def trace_doc(recorder) -> list:
+    """One row per event; a hold's release time is ``ts_us + dur_us``."""
     return [
-        [e.name, repr(e.ts_us), e.track, canonical(e.args)]
+        [e.name, repr(e.ts_us), e.track, repr(e.dur_us), canonical(e.args)]
         for e in recorder.events()
     ]
 
@@ -236,8 +218,8 @@ def case_obs_buffer() -> dict:
     return {
         "result": result_doc(result),
         "trace": trace_doc(obs.trace),
-        "telemetry": windows_doc(obs.telemetry, v2=False),
-        "registry": registry_doc(obs.registry, v2=False),
+        "telemetry": windows_doc(obs.telemetry),
+        "registry": registry_doc(obs.registry),
     }
 
 
@@ -278,7 +260,7 @@ def case_obs_flight() -> dict:
     return {
         "result": result_doc(result),
         "trace": trace_doc(obs.trace),
-        "registry": registry_doc(obs.registry, v2=False),
+        "registry": registry_doc(obs.registry),
         "bundles": bundles,
     }
 
@@ -389,12 +371,12 @@ DIGESTS = {
     "dynamic": "39a79abccb093334",
     "dynamic_gc_faults": "ce7a13f92c696334",
     "gc_faults": "bc1bc9df01121fd2",
-    "keeper": "05345fff53cb50ac",
+    "keeper": "ba7befebf0d5c7d6",
     "keeper_periodic": "cde6addc6613460c",
     "keeper_retrain": "387bf90829d4e757",
-    "obs": "69c25a9613648965",
-    "obs_buffer": "ab8791ca43ffe8ac",
-    "obs_flight": "50abd55ab2661cb2",
+    "obs": "0f7c42649d8a487a",
+    "obs_buffer": "652ef4e6266d8d62",
+    "obs_flight": "48252b49d3731983",
     "read_priority": "f47fbbbba12128c3",
     "sanitized": "1f2a2d03e422b8d6",
     "static": "55636344363bb082",

@@ -316,13 +316,12 @@ class TwoEventResource:
         self.busy_time_us += duration_us
         self.grants += 1
         self.wait_time_us += start_us - enqueued_us
-        self.trace.emit(start_us, f"{self.kind}_acquire", self.name)
+        self.trace.emit(start_us, f"{self.kind}_acquire", self.name, dur_us=duration_us)
         on_grant(start_us)
         self.loop.schedule(self.free_at, self._release)
 
     def _release(self):
         self.busy = False
-        self.trace.emit(self.loop.now, f"{self.kind}_release", self.name)
         if self._waiters:
             _, _, enqueued_us, duration_us, on_grant = heapq.heappop(self._waiters)
             self._grant(self.loop.now, duration_us, on_grant, enqueued_us)
@@ -343,13 +342,14 @@ def hold(loop, res, priority, duration_us, on_grant, then):
 
 
 class _Log:
-    """Stand-in trace recorder: one shared, ordered log of records."""
+    """Stand-in trace recorder: one shared, ordered log of records (a
+    hold's record carries its duration, which fixes its release time)."""
 
     def __init__(self, records):
         self.records = records
 
     def emit(self, ts_us, name, track="", cat="sim", dur_us=None, args=None):
-        self.records.append((name, ts_us, track))
+        self.records.append((name, ts_us, track, dur_us))
 
 
 #: one job: arrival, resource, priority class, duration, continuation kind,
@@ -436,11 +436,13 @@ class TestOneEventHolds:
 
         loop.schedule(0.0, submit)
         loop.run()
-        assert [r[0] for r in records] == [
-            "resource_acquire", "then", "resource_release",
-            "resource_acquire", "resource_release",
+        # then() runs while the first hold is still held, and before the
+        # waiter's acquire at the same time
+        assert records == [
+            ("resource_acquire", 0.0, "r", 5.0),
+            ("then", 5.0, True),
+            ("resource_acquire", 5.0, "r", 1.0),
         ]
-        assert records[1] == ("then", 5.0, True)  # still held during then()
         assert loop.events_processed == 3  # submit + one event per hold
 
     def test_hold_without_continuation_is_one_event(self):

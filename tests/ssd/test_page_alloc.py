@@ -21,16 +21,6 @@ def no_fill(_plane):
     return 0
 
 
-class TestPageAllocMode:
-    def test_from_str(self):
-        assert PageAllocMode.from_str("static") is PageAllocMode.STATIC
-        assert PageAllocMode.from_str(" DYNAMIC ") is PageAllocMode.DYNAMIC
-
-    def test_from_str_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            PageAllocMode.from_str("hybrid")  # hybrid is a policy, not a mode
-
-
 class TestStaticPlacer:
     def test_consecutive_lpns_hit_different_channels(self, geo):
         placer = StaticPagePlacer(geo, [0, 1, 2, 3])

@@ -26,11 +26,11 @@ def parse(text, **kwargs):
     return list(traces.iter_records(io.StringIO(text), **kwargs))
 
 
-def dumped(reqs, **kwargs) -> str:
+def dumped(reqs) -> str:
     """The trace-format text :func:`traces.dump` writes for ``reqs``."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trace.csv"
-        traces.dump(reqs, path, **kwargs)
+        traces.dump(reqs, path)
         return path.read_text(encoding="utf-8")
 
 
@@ -59,11 +59,6 @@ class TestRoundTrip:
         assert len(loaded) == 2
         assert loaded[1].op is OpType.WRITE
         assert loaded[1].lpn == 77
-
-    def test_higher_precision(self):
-        reqs = [IORequest(arrival_us=0.123456, workload_id=0, op=OpType.READ, lpn=0)]
-        text = dumped(reqs, precision=6)
-        assert "0.123456" in text
 
 
 class TestParsing:
