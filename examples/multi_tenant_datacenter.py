@@ -97,7 +97,7 @@ def main() -> None:
     run = keeper.run(list(mixed.requests))
     print(f"observed features: {run.features}")
     print(f"chosen allocation: {run.strategy} "
-          f"(switched at t={run.switched_at_us / 1e3:.1f} ms)\n")
+          f"(switched at t={run.decisions[0][0] / 1e3:.1f} ms)\n")
 
     # --- baselines ------------------------------------------------------
     rows = [["SSDKeeper+hybrid", run.strategy.label if run.strategy else "Shared",

@@ -127,9 +127,10 @@ def main() -> None:
     print(f"\nlocking in the wrong phase's allocation costs up to "
           f"{max(stale_penalties):.2f}x")
 
-    # --- extension: periodic re-adaptation over the concatenated trace ---
-    # The paper's Algorithm 2 decides once; run_periodic re-collects and
-    # re-decides every window, following the phase change automatically.
+    # --- extension: adaptation at every window over the concatenated trace ---
+    # The paper's Algorithm 2 decides once; run_adaptive re-collects and
+    # re-decides every window, following the phase change automatically,
+    # with drift detection, guarded retraining and a switch-rate limiter.
     offset = phase_a.requests[-1].arrival_us + 1_000.0
     for r in phase_b.requests:
         r.arrival_us += offset
@@ -140,10 +141,11 @@ def main() -> None:
         intensity_quantum=cfg.intensity_quantum,
         page_policy=PagePolicy.HYBRID,
     )
-    periodic = periodic_keeper.run_periodic(combined)
-    print(f"\nperiodic adaptation: {periodic.switches} window decisions, "
-          f"strategies used: {', '.join(periodic.distinct_strategies())}")
-    print(f"periodic total latency: {periodic.result.total_latency_us / 1e6:.3f}s")
+    periodic = periodic_keeper.run_adaptive(combined)
+    used = dict.fromkeys(strategy.label for _, _, strategy in periodic.decisions)
+    print(f"\nadaptation every window: {len(periodic.decisions)} window decisions, "
+          f"strategies used: {', '.join(used)}, {periodic.retrains} retrains")
+    print(f"adaptive total latency: {periodic.result.total_latency_us / 1e6:.3f}s")
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ from .drift import DriftConfig, DriftDetector, DriftEvent
 from .evaluation import QualityReport, evaluate_learner, holdout_samples
 from .features import N_INTENSITY_LEVELS, FeaturesCollector, FeatureVector, features_of_mix
 from .hybrid import PagePolicy, page_modes_for
-from .keeper import KeeperDecision, KeeperRun, PeriodicRun, SSDKeeper
+from .keeper import KeeperDecision, PeriodicRun, SSDKeeper
 from .online import (
     ReplayBuffer,
     ReplayWindow,
@@ -73,7 +73,6 @@ __all__ = [
     "OverheadReport",
     "verified_allocate",
     "KeeperDecision",
-    "KeeperRun",
     "PeriodicRun",
     "SSDKeeper",
     "DriftConfig",

@@ -74,20 +74,6 @@ class FeatureVector:
             [float(self.intensity_level), *map(float, self.characteristics), *self.proportions]
         )
 
-    @classmethod
-    def from_array(cls, data: np.ndarray, n_tenants: int) -> "FeatureVector":
-        data = np.asarray(data, dtype=float).ravel()
-        if data.size != 1 + 2 * n_tenants:
-            raise ValueError(
-                f"expected {1 + 2 * n_tenants} dims for {n_tenants} tenants, "
-                f"got {data.size}"
-            )
-        return cls(
-            intensity_level=int(round(data[0])),
-            characteristics=tuple(int(round(v)) for v in data[1 : 1 + n_tenants]),
-            proportions=tuple(data[1 + n_tenants :]),
-        )
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         chars = ",".join(str(c) for c in self.characteristics)
         props = ",".join(f"{p:.2f}" for p in self.proportions)

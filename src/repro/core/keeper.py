@@ -12,14 +12,17 @@ One :class:`SSDKeeper` run plays the paper's Algorithm 2 against a trace:
    stays where it is (reads keep resolving through the mapping table).
 
 The switch happens *inside* the event-driven simulation via a scheduled
-reallocation event, so phase-1 conflicts, in-flight requests across the
-boundary, and residual old-channel traffic are all modelled.
+window-boundary event, so phase-1 conflicts, in-flight requests across the
+boundary, and residual old-channel traffic are all modelled.  Both entry
+points run the same window loop: :meth:`SSDKeeper.run` has one boundary at
+``T`` (the paper), :meth:`SSDKeeper.run_adaptive` one every ``T`` with the
+drift/retrain hardening armed (an extension).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ..ssd.config import SSDConfig
 from ..ssd.faults import FaultConfig
@@ -34,7 +37,7 @@ from .labeler import WindowReplay, allocation
 from .online import ReplayBuffer, ReplayWindow, RetrainConfig, RetrainEvent, RetrainGovernor
 from .strategies import Strategy, StrategyKind
 
-__all__ = ["KeeperDecision", "KeeperRun", "PeriodicRun", "SSDKeeper"]
+__all__ = ["KeeperDecision", "PeriodicRun", "SSDKeeper"]
 
 #: graceful-degradation trigger: when the unhealthiest channel's observed
 #: error rate reaches this fraction, the keeper stops trusting the model
@@ -55,11 +58,10 @@ class KeeperDecision:
 
     ``predicted_mean_us`` is the fast-model estimate of the chosen
     strategy's mean request latency on the observed window, filled when
-    the keeper replays the window's requests: one-shot runs with
-    observability attached, and adaptive periodic runs
-    (:meth:`SSDKeeper.run_adaptive`); ``realised_mean_us`` is the
-    measured mean — per adaptation window in periodic runs, over the
-    whole run for the one-shot workflow.
+    the keeper replays the window's requests (always when observability
+    is attached); ``realised_mean_us`` is the measured mean of the
+    requests completed after the decision, up to the next window boundary
+    (the run's end after the last one).
     """
 
     time_us: float
@@ -83,47 +85,20 @@ class KeeperDecision:
             "fallback_reason": self.fallback_reason,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "KeeperDecision":
-        """Rebuild a decision from :meth:`to_dict` output (round-trip)."""
-        flat = data["features"]
-        n_tenants = (len(flat) - 1) // 2
-        return cls(
-            time_us=data["time_us"],
-            features=FeatureVector.from_array(flat, n_tenants),
-            strategy=data["strategy"],
-            window_requests=data["window_requests"],
-            predicted_mean_us=data["predicted_mean_us"],
-            realised_mean_us=data["realised_mean_us"],
-            fallback_reason=data.get("fallback_reason"),
-        )
-
-
-@dataclass
-class KeeperRun:
-    """Outcome of one Algorithm-2 run."""
-
-    result: SimulationResult
-    features: FeatureVector | None
-    strategy: Strategy | None
-    switched_at_us: float | None
-    #: set when the deployed strategy came from graceful degradation rather
-    #: than the model (see :meth:`SSDKeeper._decide`)
-    fallback_reason: str | None = None
-
 
 @dataclass
 class PeriodicRun:
-    """Outcome of a periodic (multi-window) adaptation run.
+    """Outcome of a keeper run, one-shot or adaptive.
 
     ``decisions`` holds one ``(time_us, features, strategy)`` triple per
-    window in which the keeper re-decided; windows with no traffic are
-    skipped (the previous allocation stays).  ``realised_us`` is aligned
-    with ``decisions``: entry *i* is the measured mean latency of the
-    window that followed decision *i* (``None`` when nothing completed
-    in it) — populated whether or not observability is attached.  The
-    ``drift_events`` / ``retrain_events`` / degradation fields are only
-    populated by adaptive runs (:meth:`SSDKeeper.run_adaptive`).
+    window boundary at which the keeper decided — at most one for
+    :meth:`SSDKeeper.run`; windows with no traffic are skipped (the
+    previous allocation stays).  ``realised_us`` is aligned with
+    ``decisions``: entry *i* is the measured mean latency of the requests
+    completed after decision *i* up to the next boundary (``None`` when
+    nothing completed) — populated whether or not observability is
+    attached.  The ``drift_events`` / ``retrain_events`` / degradation
+    fields are only populated by :meth:`SSDKeeper.run_adaptive`.
     """
 
     result: SimulationResult
@@ -138,8 +113,15 @@ class PeriodicRun:
     degraded_windows: int = 0
 
     @property
-    def switches(self) -> int:
-        return len(self.decisions)
+    def strategy(self) -> Strategy | None:
+        """The allocation in force when the run ended; ``None`` when the
+        keeper never decided and the device stayed on Shared."""
+        return self.decisions[-1][2] if self.decisions else None
+
+    @property
+    def features(self) -> FeatureVector | None:
+        """The features behind the last decision (``None`` without one)."""
+        return self.decisions[-1][1] if self.decisions else None
 
     @property
     def retrains(self) -> int:
@@ -152,13 +134,6 @@ class PeriodicRun:
     @property
     def rollbacks(self) -> int:
         return sum(1 for e in self.retrain_events if not e.promoted)
-
-    def distinct_strategies(self) -> list[str]:
-        seen: list[str] = []
-        for _, _, strategy in self.decisions:
-            if strategy.label not in seen:
-                seen.append(strategy.label)
-        return seen
 
 
 class SSDKeeper:
@@ -303,12 +278,11 @@ class SSDKeeper:
         predicted_us: float | None,
         fallback_reason: str | None,
         switched: bool,
-        **switch_args,
     ) -> KeeperDecision:
         """Log one decision on ``obs``: the :class:`KeeperDecision` record
         and, when the allocation switched, the ``keeper.switches`` counter
         and a ``keeper_switch`` trace event stamped with the simulated time
-        the reallocation took effect (== ``KeeperRun.switched_at_us``)."""
+        the reallocation took effect (the decision's ``time_us``)."""
         obs = self.obs
         assert obs is not None  # every caller guards on self.obs
         record = KeeperDecision(
@@ -327,78 +301,17 @@ class SSDKeeper:
                 args={
                     "strategy": strategy.label,
                     "features": features.to_array().tolist(),
-                    **switch_args,
                 },
             )
         return record
 
     # ------------------------------------------------------------------
-    def run(self, requests: Iterable[IORequest]) -> KeeperRun:
-        """Play Algorithm 2 over ``requests``; returns latencies + decision."""
-        collector = FeaturesCollector(
-            self.allocator.space.n_tenants, intensity_quantum=self.intensity_quantum
-        )
-        window_end = self.collect_window_us
-        observing = True
-        window_requests: list[IORequest] = []
-
-        keep_window = bool(self.verify_top_k) or self.obs is not None
-
-        def on_submit(req: IORequest) -> None:
-            if observing and req.arrival_us < window_end:
-                collector.observe(req)
-                if keep_window:
-                    window_requests.append(req)
-
-        sim = self._collecting_device(on_submit)
-        outcome = KeeperRun(
-            result=None, features=None, strategy=None, switched_at_us=None
-        )  # result filled after sim.run
-
-        def switch() -> None:
-            nonlocal observing
-            observing = False
-            if collector.total_observed == 0:
-                return  # nothing observed: stay on Shared
-            features = collector.collect()
-            replay = self._replay(window_requests, features)
-            strategy, fallback_reason = self._decide(sim, features, replay)
-            sim.controller.reallocate(*self._allocation(strategy, features))
-            outcome.features, outcome.strategy = features, strategy
-            outcome.switched_at_us = sim.loop.now
-            outcome.fallback_reason = fallback_reason
-            if self.obs is not None:
-                predicted_us = replay.result(strategy).mean_total_us if replay else None
-                self._record_decision(
-                    sim, features, strategy,
-                    observed=len(window_requests), predicted_us=predicted_us,
-                    fallback_reason=fallback_reason, switched=True,
-                    predicted_mean_us=predicted_us,
-                )
-
-        sim.loop.schedule(window_end, switch)  # repro-lint: disable=R004 (window_end is an absolute pre-run boundary)
-        outcome.result = sim.run(requests)
-        if self.obs is not None and self.obs.decisions:
-            # run-level realised latency for the one-shot decision
-            last = self.obs.decisions[-1]
-            if last.realised_mean_us is None:
-                last.realised_mean_us = outcome.result.mean_total_us
-        return outcome
-
-    # ------------------------------------------------------------------
-    def run_periodic(self, requests: Sequence[IORequest]) -> PeriodicRun:
-        """Self-adapt **every** collection window, not just once.
-
-        An extension beyond the paper's one-shot Algorithm 2: at the end of
-        each window of ``collect_window_us`` the keeper re-collects the
-        window's features, re-runs the allocator, and switches the live FTL
-        if the decision changed.  Data stays where it was written; only new
-        placements follow each new allocation — exactly the semantics of the
-        single switch, repeated.  Windows are scheduled up to one window
-        past the last arrival; the simulation itself always runs to
-        completion.
-        """
-        return _PeriodicLoop.start(self).play(requests)
+    def run(self, requests: Sequence[IORequest]) -> PeriodicRun:
+        """Play the paper's Algorithm 2 over ``requests``: collect on Shared
+        until ``collect_window_us``, decide once, and run the rest of the
+        trace on the decision.  The window loop of :meth:`run_adaptive`
+        with its one boundary and no hardening."""
+        return _PeriodicLoop.start(self).play(requests, once=True)
 
     # ------------------------------------------------------------------
     def run_adaptive(
@@ -408,7 +321,14 @@ class SSDKeeper:
         drift: DriftConfig | DriftDetector | None = None,
         retrain: RetrainConfig | None = None,
     ) -> PeriodicRun:
-        """:meth:`run_periodic` with the full hardening layer armed.
+        """Self-adapt at **every** window boundary, with the full hardening
+        layer armed — an extension beyond the paper's one-shot Algorithm 2.
+
+        At each boundary up to one window past the last arrival the keeper
+        re-collects the window's features, re-runs the allocator and
+        switches the live FTL when the decision changed; data stays where
+        it was written (the semantics of :meth:`run`'s single switch,
+        repeated).  On top of that loop:
 
         * drift detection — a :class:`DriftDetector` (built from ``drift``,
           default :class:`DriftConfig`, or passed pre-built) watches the
@@ -566,12 +486,13 @@ class _WindowState:
 
 @dataclass
 class _PeriodicLoop:
-    """One periodic keeper run: at every window boundary :meth:`tick` plays
+    """One keeper run: at each window boundary :meth:`tick` plays
     Algorithm 2's collect → predict → allocate as the steps settle →
     collect → watch (adaptive runs: drift, degradation, retrain) → decide
-    → limit (adaptive runs) → record → apply.  A plain run
-    (:meth:`SSDKeeper.run_periodic`) has no detector, governor or buffer;
-    an adaptive one (:meth:`SSDKeeper.run_adaptive`) has all three."""
+    → limit (adaptive runs) → record → apply.  A one-shot run
+    (:meth:`SSDKeeper.run`) has one boundary and no detector, governor or
+    buffer; an adaptive one (:meth:`SSDKeeper.run_adaptive`) has a
+    boundary every window and all three."""
 
     keeper: SSDKeeper
     sim: SSDSimulator
@@ -581,6 +502,8 @@ class _PeriodicLoop:
     detector: DriftDetector | None
     governor: RetrainGovernor | None
     buffer: ReplayBuffer | None
+    #: the last window boundary; observation stops there
+    last_us: float = 0.0
     state: _WindowState = field(default_factory=_WindowState)
     run: PeriodicRun = field(
         default_factory=lambda: PeriodicRun(result=None, decisions=[])
@@ -599,7 +522,11 @@ class _PeriodicLoop:
             collector.observe(req)
             window_requests.append(req)
 
-        keep_window = detector is not None or bool(keeper.verify_top_k)
+        # the window's fast-model replay serves verification, the drift
+        # residual and the obs decision record
+        keep_window = (
+            bool(keeper.verify_top_k) or detector is not None or keeper.obs is not None
+        )
         sim = keeper._collecting_device(
             on_submit if keep_window else collector.observe
         )
@@ -607,16 +534,19 @@ class _PeriodicLoop:
             keeper, sim, collector, window_requests, detector, governor, buffer
         )
 
-    def play(self, requests: Sequence[IORequest]) -> PeriodicRun:
+    def play(self, requests: Sequence[IORequest], *, once: bool = False) -> PeriodicRun:
         """Tick at every window boundary up to one window past the last
-        arrival, run the device to completion and settle the tail window."""
+        arrival (``once``: at the first boundary only), run the device to
+        completion and settle the tail window."""
         requests = list(requests)
         if not requests:
-            raise ValueError("a periodic keeper run needs a non-empty trace")
-        end_us = max(r.arrival_us for r in requests)
+            raise ValueError("a keeper run needs a non-empty trace")
         window_us = self.keeper.collect_window_us
+        self.last_us = (
+            window_us if once else max(r.arrival_us for r in requests) + window_us
+        )
         t = window_us
-        while t <= end_us + window_us:
+        while t <= self.last_us:
             self.sim.loop.schedule(t, self.tick)  # repro-lint: disable=R004 (absolute pre-run window boundary)
             t += window_us
         self.run.result = self.sim.run(requests)
@@ -626,6 +556,8 @@ class _PeriodicLoop:
         return self.run
 
     def tick(self) -> None:
+        if self.sim.loop.now + self.keeper.collect_window_us > self.last_us:
+            self.sim.on_submit = None  # no boundary follows: stop observing
         state = self.state
         realised_us = state.settle_us(self.sim.acc, self.run.realised_us)
         residual = state.residual(realised_us)
@@ -743,10 +675,7 @@ class _PeriodicLoop:
         run.decisions.append((self.sim.loop.now, features, strategy))
         run.realised_us.append(None)
         state.pending = len(run.decisions) - 1
-        state.predicted_us = (
-            replay.result(strategy).mean_total_us
-            if self.detector is not None and replay else None
-        )
+        state.predicted_us = replay.result(strategy).mean_total_us if replay else None
         if self.keeper.obs is not None:
             state.record = self.keeper._record_decision(
                 self.sim, features, strategy,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import ClassVar
 import math
 import zlib
 
@@ -84,13 +85,11 @@ class LabelerConfig:
     #: those ties onto the simplest allocation, the one an operator would
     #: deploy.  0 restores the paper's literal argmin.
     tie_epsilon: float = 0.03
-    #: the latency objective minimised by the label:
-    #: "mean-sum" — mean write latency + mean read latency, the paper's
-    #: Figure-2(c) metric ("the sum of write response latency and read
-    #: response latency"), which weights the read and write classes equally
-    #: regardless of their counts; "total-sum" — count-weighted sum of all
-    #: response latencies.
-    objective: str = "mean-sum"
+    #: the latency objective minimised by the label: mean write latency +
+    #: mean read latency, the paper's Figure-2(c) metric ("the sum of write
+    #: response latency and read response latency"), which weights the read
+    #: and write classes equally regardless of their counts
+    objective: ClassVar[str] = "mean-sum"
 
     def __post_init__(self) -> None:
         if self.n_tenants < 2:
@@ -105,8 +104,6 @@ class LabelerConfig:
             raise ValueError("tie_epsilon must be non-negative")
         if self.engine not in _ENGINES:
             raise ValueError(f"engine must be one of {sorted(_ENGINES)}")
-        if self.objective not in ("mean-sum", "total-sum"):
-            raise ValueError("objective must be 'mean-sum' or 'total-sum'")
 
     @property
     def intensity_quantum(self) -> float:
@@ -292,11 +289,9 @@ class WindowReplay:
 
 def objective_us(result: SimulationResult, objective: str) -> float:
     """The latency value a label minimises (see ``LabelerConfig.objective``)."""
-    if objective == "mean-sum":
-        return result.write.mean_us + result.read.mean_us
-    if objective == "total-sum":
-        return result.total_latency_us
-    raise ValueError(f"unknown objective {objective!r}")
+    if objective != "mean-sum":
+        raise ValueError(f"unknown objective {objective!r}")
+    return result.write.mean_us + result.read.mean_us
 
 
 def pick_label(totals: "np.ndarray | list[float]", tie_epsilon: float) -> int:

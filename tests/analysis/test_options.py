@@ -36,8 +36,6 @@ KEEP = {
         "safety path: the keeper over a device with the NAND fault model on",
     "repro.workloads.traces:load(strict=)":
         "safety path: raise on the first malformed trace line instead of skipping it",
-    "repro.core.labeler:LabelerConfig(objective=)":
-        "perfbench reads it to score its label sweeps",
     "repro.core.labeler:LabelerConfig(tie_epsilon=)":
         "perfbench reads it to check its labels",
     "repro.harness.cli:main(argv=)":

@@ -30,14 +30,6 @@ class TestFeatureVector:
         fv = FeatureVector(3, (0, 1), (0.25, 0.75))
         assert np.allclose(fv.to_array(), [3.0, 0.0, 1.0, 0.25, 0.75])
 
-    def test_array_roundtrip(self):
-        fv = FeatureVector(7, (1, 0, 0, 1), (0.4, 0.1, 0.2, 0.3))
-        assert FeatureVector.from_array(fv.to_array(), 4) == fv
-
-    def test_from_array_rejects_wrong_width(self):
-        with pytest.raises(ValueError):
-            FeatureVector.from_array(np.zeros(8), 4)
-
     def test_write_dominated_mask(self):
         fv = FeatureVector(0, (0, 1, 0, 1), (0.25, 0.25, 0.25, 0.25))
         assert fv.write_dominated() == [True, False, True, False]

@@ -13,6 +13,7 @@ from repro.core import (
     StrategySpace,
 )
 from repro.ssd import SSDConfig
+from repro.ssd.metrics import SimulationResult
 from repro.workloads import WorkloadSpec, synthesize_mix
 
 
@@ -62,9 +63,8 @@ class TestKeeperRun:
         )
         run = keeper.run(four_tenant_mix().requests)
         assert run.strategy is not None
-        assert run.strategy is not None
         assert run.strategy.label == "5:1:1:1"
-        assert run.switched_at_us == pytest.approx(20_000.0)
+        assert [t for t, _, _ in run.decisions] == [20_000.0]
         assert run.features is not None
         assert run.result.requests == 600
 
@@ -104,7 +104,7 @@ class TestKeeperRun:
         run = keeper.run(four_tenant_mix().requests)
         assert run.strategy is not None
         # one Algorithm-2 cycle: the switch lands when the window closes
-        assert run.switched_at_us == 15_000.0
+        assert [t for t, _, _ in run.decisions] == [15_000.0]
 
     def test_record_latencies_flows_through(self, config):
         keeper = SSDKeeper(
@@ -116,6 +116,31 @@ class TestKeeperRun:
         )
         run = keeper.run(four_tenant_mix(total=100).requests)
         assert run.result.read.samples is not None or run.result.write.samples is not None
+
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_window_past_the_trace_is_a_shared_baseline(self, seed):
+        """A one-shot keeper whose window ends after the last arrival (and
+        before the device drains) simulates the trace on Shared, exactly
+        as ``baseline_run`` does."""
+        from repro.harness.driftlab import heuristic_allocator
+        from repro.workloads.adversarial import build_scenario
+
+        requests = build_scenario(
+            "migrating_hotspot", seed=seed, phases=4, phase_us=25_000.0
+        ).requests
+        keeper = SSDKeeper(
+            heuristic_allocator(), SSDConfig.small(),
+            collect_window_us=max(r.arrival_us for r in requests) + 1.0,
+            intensity_quantum=50.0, record_latencies=True,
+        )
+        run = keeper.run(requests)
+        assert run.strategy is not None
+        assert run.result.makespan_us > keeper.collect_window_us
+        base = keeper.baseline_run(requests, keeper.allocator.space.shared, run.features)
+        for name in SimulationResult.__dataclass_fields__:
+            if name != "events":
+                assert repr(getattr(run.result, name)) == repr(getattr(base, name)), name
 
 
 class TestBaselineRun:

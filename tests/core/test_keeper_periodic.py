@@ -1,4 +1,5 @@
-"""Periodic (multi-window) adaptation — the extension beyond Algorithm 2."""
+"""The keeper's window loop: one boundary for the paper's Algorithm 2,
+every window for adaptive runs (the extension)."""
 
 from types import SimpleNamespace
 
@@ -9,7 +10,6 @@ from repro.core import (
     ChannelAllocator,
     Dataset,
     FeatureVector,
-    KeeperDecision,
     PeriodicRun,
     SSDKeeper,
     StrategyLearner,
@@ -77,13 +77,13 @@ class TestPeriodicAdaptation:
             collect_window_us=25_000.0,
             intensity_quantum=50.0,
         )
-        return keeper.run_periodic(phased_trace(cfg))
+        return keeper.run_adaptive(phased_trace(cfg))
 
     def test_multiple_decisions(self, run):
-        assert run.switches >= 2
+        assert len(run.decisions) >= 2
 
     def test_adapts_to_the_phase_change(self, run):
-        strategies = run.distinct_strategies()
+        strategies = {strategy.label for _, _, strategy in run.decisions}
         assert "1:7" in strategies and "7:1" in strategies
         # Read-heavy phase first: the first decision is the read-favouring one.
         assert run.decisions[0][2].label == "1:7"
@@ -101,17 +101,24 @@ class TestPeriodicAdaptation:
         keeper = SSDKeeper(
             make_allocator(), cfg, collect_window_us=1000.0, intensity_quantum=1.0
         )
-        with pytest.raises(ValueError):
-            keeper.run_periodic([])
+        with pytest.raises(ValueError, match="non-empty trace"):
+            keeper.run_adaptive([])
+
+    def test_empty_trace_rejected_one_shot(self):
+        cfg = SSDConfig.small()
+        keeper = SSDKeeper(
+            make_allocator(), cfg, collect_window_us=1000.0, intensity_quantum=1.0
+        )
+        with pytest.raises(ValueError, match="non-empty trace"):
+            keeper.run([])
 
 
 class TestPeriodicRunEdgeCases:
-    """``switches`` / ``distinct_strategies`` on degenerate runs."""
+    """:class:`PeriodicRun` on degenerate runs and the loop's edges."""
 
     def test_zero_decisions(self):
         run = PeriodicRun(result=None, decisions=[])
-        assert run.switches == 0
-        assert run.distinct_strategies() == []
+        assert run.strategy is None and run.features is None
         assert run.retrains == 0
         assert run.promotions == 0
         assert run.rollbacks == 0
@@ -121,8 +128,18 @@ class TestPeriodicRunEdgeCases:
         shared = space.by_label("Shared")
         decisions = [(float(i) * 1000.0, None, shared) for i in range(5)]
         run = PeriodicRun(result=None, decisions=decisions)
-        assert run.switches == 5
-        assert run.distinct_strategies() == ["Shared"]
+        assert len(run.decisions) == 5
+        assert run.strategy.label == "Shared"
+
+    def test_strategy_and_features_are_the_last_decisions(self):
+        space = StrategySpace(8, 4)
+        first = FeatureVector(1, (0, 0, 1, 1), (0.25, 0.25, 0.25, 0.25))
+        last = FeatureVector(2, (1, 1, 0, 0), (0.4, 0.3, 0.2, 0.1))
+        run = PeriodicRun(result=None, decisions=[
+            (1000.0, first, space.by_label("Shared")),
+            (2000.0, last, space.by_label("7:1")),
+        ])
+        assert run.strategy.label == "7:1" and run.features == last
 
     def test_fallback_only_run_stays_on_shared(self):
         """A keeper whose network is corrupted degrades every window."""
@@ -133,9 +150,9 @@ class TestPeriodicRunEdgeCases:
         keeper = SSDKeeper(
             allocator, cfg, collect_window_us=25_000.0, intensity_quantum=50.0
         )
-        run = keeper.run_periodic(phased_trace(cfg))
-        assert run.switches >= 2
-        assert run.distinct_strategies() == ["Shared"]
+        run = keeper.run_adaptive(phased_trace(cfg))
+        assert len(run.decisions) >= 2
+        assert {strategy.label for _, _, strategy in run.decisions} == {"Shared"}
 
     def test_realised_latency_is_populated_without_obs(self):
         """Per-window realised deltas no longer require observability."""
@@ -144,7 +161,7 @@ class TestPeriodicRunEdgeCases:
             make_allocator(), cfg, collect_window_us=25_000.0,
             intensity_quantum=50.0,
         )
-        run = keeper.run_periodic(phased_trace(cfg))
+        run = keeper.run_adaptive(phased_trace(cfg))
         assert len(run.realised_us) == len(run.decisions)
         measured = [v for v in run.realised_us if v is not None]
         assert measured and all(v > 0 for v in measured)
@@ -167,7 +184,7 @@ class TestPeriodicRunEdgeCases:
         )
         requests = phased_trace(cfg)
         requests.append(IORequest(99_990.0, 0, OpType.READ, lpn=0))
-        run = keeper.run_periodic(requests)
+        run = keeper.run_adaptive(requests)
         assert run.decisions[-1][0] == 100_000.0
         assert requests[-1].complete_us > 100_000.0
         assert obs.decisions
@@ -175,36 +192,6 @@ class TestPeriodicRunEdgeCases:
         assert last.realised_mean_us is not None
         assert last.realised_mean_us > 0
         assert run.realised_us[-1] == pytest.approx(last.realised_mean_us)
-
-
-class TestKeeperDecisionRoundTrip:
-    def test_to_dict_from_dict(self):
-        decision = KeeperDecision(
-            time_us=25_000.0,
-            features=FeatureVector(3, (1, 0, 1, 0), (0.4, 0.3, 0.2, 0.1)),
-            strategy="7:1",
-            window_requests=120,
-            predicted_mean_us=88.5,
-            realised_mean_us=91.25,
-            fallback_reason=None,
-        )
-        restored = KeeperDecision.from_dict(decision.to_dict())
-        assert restored == decision
-
-    def test_round_trip_with_fallback_reason(self):
-        decision = KeeperDecision(
-            time_us=50_000.0,
-            features=FeatureVector(1, (0, 0, 0, 0), (0.25, 0.25, 0.25, 0.25)),
-            strategy="Shared",
-            window_requests=10,
-            fallback_reason="unhealthy prediction: non-finite network output",
-        )
-        payload = decision.to_dict()
-        assert payload["fallback_reason"].startswith("unhealthy")
-        restored = KeeperDecision.from_dict(payload)
-        assert restored == decision
-        assert restored.predicted_mean_us is None
-        assert restored.realised_mean_us is None
 
 
 class TestWindowTransitions:

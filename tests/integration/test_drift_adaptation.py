@@ -71,7 +71,7 @@ class TestAdaptationAcceptance:
         run = adaptive_run(hotspot_requests())
         assert run.drift_events
         assert run.retrains >= 1
-        assert len(run.distinct_strategies()) >= 1
+        assert run.decisions
 
     def test_two_runs_byte_identical(self):
         logs = [

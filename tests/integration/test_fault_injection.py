@@ -236,19 +236,18 @@ class TestKeeperDegradation:
         keeper = self._keeper(allocator, small_config, obs=obs)
         run = keeper.run(mixed_requests())
         assert run.strategy is not None
-        assert run.fallback_reason is not None
-        assert "unhealthy prediction" in run.fallback_reason
+        (decision,) = obs.decisions
+        assert "unhealthy prediction" in decision.fallback_reason
         assert run.strategy.kind is StrategyKind.SHARED
         assert obs.registry.counter("keeper.fallbacks").value == 1
         assert len([e for e in obs.trace.events() if e.name == "keeper_fallback"]) == 1
-        assert obs.decisions[-1].fallback_reason == run.fallback_reason
 
     def test_healthy_model_does_not_fall_back(self, small_config):
         obs = Observability()
         keeper = self._keeper(make_allocator(), small_config, obs=obs)
         run = keeper.run(mixed_requests())
         assert run.strategy is not None
-        assert run.fallback_reason is None
+        assert obs.decisions[-1].fallback_reason is None
         assert obs.registry.counter("keeper.fallbacks").value == 0
         assert not [e for e in obs.trace.events() if e.name == "keeper_fallback"]
 
@@ -262,8 +261,8 @@ class TestKeeperDegradation:
         )
         run = keeper.run(mixed_requests(write_ratio_even=0.2))
         assert run.strategy is not None
-        assert run.fallback_reason is not None
-        assert "error rate" in run.fallback_reason
+        (decision,) = obs.decisions
+        assert "error rate" in decision.fallback_reason
         assert run.strategy.kind is StrategyKind.SHARED
         assert len([e for e in obs.trace.events() if e.name == "keeper_fallback"]) == 1
 
@@ -282,8 +281,8 @@ class TestKeeperDegradation:
             return original(features)
 
         allocator.prediction_health = health
-        run = keeper.run_periodic(mixed_requests(total=1600))
-        assert run.switches >= 2
+        run = keeper.run_adaptive(mixed_requests(total=1600))
+        assert len(run.decisions) >= 2
         first = run.decisions[0][2]
         assert first.kind is not StrategyKind.SHARED  # the model really chose
         for _, _, strategy in run.decisions[1:]:

@@ -298,26 +298,55 @@ def case_keeper() -> dict:
     }
 
 
-def case_keeper_periodic() -> dict:
-    """The plain periodic keeper (no detector, no limiter) with verified
-    allocation, tracing and attribution."""
+def oneshot_doc(run, obs=None) -> dict:
+    """A one-shot keeper run: the result, the decision, and with ``obs``
+    the trace and every decision record field but ``realised_mean_us``
+    (the window loop's realised latency is pinned by the ``keeper`` case)."""
+    doc = {
+        "result": result_doc(run.result),
+        "strategy": run.strategy.label,
+        "features": canonical(run.features.to_array().tolist()),
+        "switched_at_us": repr(run.decisions[0][0]),
+    }
+    if obs is not None:
+        doc["decisions"] = [
+            canonical({k: v for k, v in d.to_dict().items() if k != "realised_mean_us"})
+            for d in obs.decisions
+        ]
+        doc["trace"] = trace_doc(obs.trace)
+    return doc
+
+
+def case_keeper_oneshot() -> dict:
+    """The paper's one-shot Algorithm 2 on a faulted device."""
+    from repro.core.keeper import SSDKeeper
+    from repro.harness import driftlab
+    from repro.workloads.adversarial import build_scenario
+
+    workload = build_scenario(
+        "migrating_hotspot", seed=3, phases=4, phase_us=driftlab._QUICK_PHASE_US
+    )
+    keeper = SSDKeeper(
+        driftlab.heuristic_allocator(), SSDConfig.small(),
+        collect_window_us=10_000.0, intensity_quantum=50.0,
+        record_latencies=True, faults=faults(),
+    )
+    return oneshot_doc(keeper.run(workload.requests))
+
+
+def case_keeper_oneshot_traced() -> dict:
+    """The one-shot keeper with verified allocation and tracing."""
     from repro.harness import driftlab
     from repro.workloads.adversarial import build_scenario
 
     workload = build_scenario(
         "migrating_hotspot", seed=0, phases=4, phase_us=driftlab._QUICK_PHASE_US
     )
-    obs = Observability(
-        trace=TraceRecorder(capacity=200_000), attribution=True
-    )
+    obs = Observability(trace=TraceRecorder(capacity=200_000))
     keeper = driftlab._lab_keeper(SSDConfig.small(), obs=obs)
-    run = keeper.run_periodic(workload.requests)
-    assert obs.trace.evicted == 0 and run.suppressed_switches == 0
-    return {
-        "result": result_doc(run.result),
-        "decisions": [[repr(t), s.label] for t, _, s in run.decisions],
-        "realised": canonical(run.realised_us),
-    }
+    run = keeper.run(workload.requests)
+    assert obs.trace.evicted == 0 and len(obs.decisions) == 1
+    return oneshot_doc(run, obs)
 
 
 def case_keeper_retrain() -> dict:
@@ -362,7 +391,8 @@ CASES = {
     "obs_flight": case_obs_flight,
     "sanitized": case_sanitized,
     "keeper": case_keeper,
-    "keeper_periodic": case_keeper_periodic,
+    "keeper_oneshot": case_keeper_oneshot,
+    "keeper_oneshot_traced": case_keeper_oneshot_traced,
     "keeper_retrain": case_keeper_retrain,
 }
 
@@ -372,7 +402,8 @@ DIGESTS = {
     "dynamic_gc_faults": "ce7a13f92c696334",
     "gc_faults": "bc1bc9df01121fd2",
     "keeper": "ba7befebf0d5c7d6",
-    "keeper_periodic": "cde6addc6613460c",
+    "keeper_oneshot": "a3e2dd2fd7f07765",
+    "keeper_oneshot_traced": "16a751c117901bb1",
     "keeper_retrain": "387bf90829d4e757",
     "obs": "0f7c42649d8a487a",
     "obs_buffer": "652ef4e6266d8d62",
